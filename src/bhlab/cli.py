@@ -20,7 +20,7 @@ from itertools import product
 from . import __version__
 from . import configurations as conf_mod
 from . import constructions, entropy, oracle, random_coding, rates
-from .errors import BhLabError
+from .errors import BhLabError, InvalidParams
 
 
 def _manifest(subcommand, argv, params, artifacts, seeds, started):
@@ -56,6 +56,13 @@ def parse_dist(text, n0=1):
 def _load_code(path):
     with open(path) as fh:
         return constructions.code_from_text(fh.read())
+
+
+def _require(args, *options, what):
+    """Usage error (exit 2) naming each option in `options` left unset."""
+    missing = [f"--{o.replace('_', '-')}" for o in options if getattr(args, o) is None]
+    if missing:
+        raise InvalidParams(f"{what} needs {' and '.join(missing)}")
 
 
 def _print_violation(v, words=None):
@@ -98,6 +105,8 @@ def _cmd_construct(args, argv):
 
 
 def _cmd_verify(args, argv):
+    if args.property == "bhsharp":
+        _require(args, "d", what="verify bhsharp")
     code = _load_code(args.input)
     if args.property == "bh":
         v = oracle.verify_code_bh(code, args.h)
@@ -114,10 +123,13 @@ def _cmd_verify(args, argv):
 
 def _cmd_configs(args, argv):
     if args.sharp:
+        _require(args, "h", "d", what="configs enumerate --sharp")
         confs = conf_mod.enumerate_conf_sharp(args.h, args.d)
     elif args.sconf:
+        _require(args, "k", "l", what="configs enumerate --sconf")
         confs = conf_mod.enumerate_sconf(args.k, args.l)
     else:
+        _require(args, "k", "l", what="configs enumerate")
         confs = conf_mod.enumerate_conf(args.k, args.l)
     records = []
     for c in confs:
@@ -139,10 +151,12 @@ def _cmd_rate(args, argv):
     elif args.formula == "poltyrev":
         report = rates.rate_poltyrev(args.h)
     elif args.formula == "dist":
+        _require(args, "dist", what="rate dist")
         report = rates.rate_distribution(parse_dist(args.dist, args.n0), args.h)
     elif args.formula == "bhg":
         report = rates.rate_bhg(args.h, args.g)
     elif args.formula == "bhsharp":
+        _require(args, "d", what="rate bhsharp")
         report = rates.rate_bh_sharp(args.h, args.d)
     else:  # special
         special = rates.poltyrev_special_config(args.h, args.g)
@@ -183,6 +197,10 @@ def _cmd_simulate(args, argv):
 
 
 def _cmd_entropy(args, argv):
+    if args.op in ("renyi", "hfold"):
+        _require(args, "dist", what=f"entropy {args.op}")
+    elif args.op == "majorize":
+        _require(args, "p_seq", "q_seq", what="entropy majorize")
     if args.op == "renyi":
         dist = parse_dist(args.dist, args.n0)
         print(f"{entropy.renyi(dist, args.alpha):.10f}")

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from . import algebra
 from .algebra import DEFAULT_SIZE_CAP
-from .errors import CharacteristicTooSmall, DegenerateModulus, NonPrimeFieldUnsupported
+from .errors import (CharacteristicTooSmall, DegenerateModulus, InvalidParams,
+                     NonPrimeFieldUnsupported)
 
 
 @dataclass(frozen=True)
@@ -55,8 +56,16 @@ class BinaryCode:
         return math.log2(len(self.words)) / self.n if self.words else 0.0
 
 
+def _bit_word(word):
+    """A word as a tuple of Python ints; numpy-int bits would wrap in the
+    oracle's base-(h+1) encoding."""
+    if not {0, 1}.issuperset(word):
+        raise InvalidParams(f"word {tuple(word)!r} has a bit other than 0/1")
+    return tuple(map(int, word))
+
+
 def make_binary_code(words, h=None, source="unknown"):
-    words = tuple(sorted(set(map(tuple, words))))
+    words = tuple(sorted(set(map(_bit_word, words))))
     if not words:
         raise ValueError("empty code")
     return BinaryCode(n=len(words[0]), words=words, h=h, source=source)

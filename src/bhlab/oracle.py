@@ -9,12 +9,19 @@ sums only (sorted to detect duplicates), pass two rebuilds index multisets
 just for the duplicated sums.  Bit-words get encoded as base-(h+1) integers
 so that multiset sums are plain integer additions, with a numpy pairwise
 path for h = 2 at scale.
+
+The random-coding pipeline enumerates each population once: pruning reads
+its minimal violations, and `random_coding.construct` its final verdict,
+from the same duplicate-sum groups (`_minimal_violations`).  Callers that
+need an independent check (`bhlab verify`, the tests) run the verifiers
+below on the finished code.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -23,6 +30,7 @@ from .constructions import BinaryCode
 from .errors import CapExceeded, InvalidParams
 
 DEFAULT_ENUM_CAP = 2**26
+DEFAULT_PER_SUM_CAP = 200_000  # B_h[g] column combinations read from one sum
 _NUMPY_MIN = 200_000  # below this, the pure-python path is fast enough
 
 
@@ -35,6 +43,8 @@ def encode_binary_words(words, h):
     Returns (encoded list, fits_uint64) where fits_uint64 allows the numpy
     pairwise path (sums of two encodings must stay below 2^64).
     """
+    if h < 1:
+        raise InvalidParams(f"h = {h} must be >= 1")
     base = h + 1
     encoded = []
     for w in words:
@@ -54,25 +64,6 @@ def residue_add(m):
 
 def vector_mod_add(q):
     return lambda a, b: tuple((x + y) % q for x, y in zip(a, b))
-
-
-def field_vector_elements(s):
-    """BhSetFieldVectors -> (int-tuple encodings, add) over GF(q) coordinates.
-
-    Valid for prime fields, where coordinatewise addition is mod q on the
-    integer encodings; extension fields must pass FieldElement tuples with
-    their own add.
-    """
-    if s.field.e == 1:
-        q = s.field.order
-        elems = [tuple(c.to_int() for c in vec) for vec in s.elements]
-        return elems, vector_mod_add(q)
-    elems = list(s.elements)
-    return elems, lambda a, b: tuple(x + y for x, y in zip(a, b))
-
-
-def code_elements(code: BinaryCode, h):
-    return encode_binary_words(code.words, h)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +161,7 @@ def _duplicated(sums, threshold=2):
 # numpy pairwise path for h = 2 over uint64-encodable elements
 
 def _pair_sums_numpy(arr):
-    """All sums arr[i] + arr[j], i <= j, row by row into one preallocated array.
-
-    When `arr` is sorted each row is a sorted run, which lets the caller use a
-    run-merging stable sort instead of a full comparison sort.
-    """
+    """All sums arr[i] + arr[j], i <= j, row by row into one preallocated array."""
     m = len(arr)
     out = np.empty(m * (m + 1) // 2, dtype=np.uint64)
     ofs = 0
@@ -186,8 +173,8 @@ def _pair_sums_numpy(arr):
 
 
 def _numpy_dup_sums(arr, threshold=2):
-    sums = _pair_sums_numpy(np.sort(arr))
-    sums.sort(kind="stable")  # merges the m presorted runs; beats quicksort here
+    sums = _pair_sums_numpy(arr)
+    sums.sort()  # in place; only values matter, so any sort kind gives the same result
     if threshold <= 1:
         return np.unique(sums)
     repeats = sums[threshold - 1:][sums[threshold - 1:] == sums[:1 - threshold]]
@@ -293,49 +280,57 @@ def verify_bh_sharp(elements, h, d, *, add=operator.add, cap=DEFAULT_ENUM_CAP):
     return None
 
 
-def find_minimal_violations(elements, h, *, add=operator.add, cap=DEFAULT_ENUM_CAP):
-    """All disjoint equal-sum index-multiset pairs, every k in 1..h, lex order."""
+def _no_common_index(cols, g):
+    """The (g+1)-subsets of one sum's columns with no index common to all."""
+    if g == 1:  # disjoint pairs; a set per first column keeps this scan fast
+        for a, first in enumerate(cols):
+            seen = set(first)
+            for second in cols[a + 1:]:
+                if seen.isdisjoint(second):
+                    yield first, second
+        return
+    for combo in combinations(cols, g + 1):
+        common = set(combo[0])
+        for c in combo[1:]:
+            common &= set(c)
+            if not common:
+                yield combo
+                break
+
+
+def _minimal_violations(elements, h, g, *, add=operator.add, cap=DEFAULT_ENUM_CAP,
+                        per_sum_cap=None):
+    """(minimal violations, k = h groups).
+
+    Minimal violations are g+1 distinct equal-sum index multisets with no
+    index common to all columns, for every k in 1..h, in lex order; for g = 1
+    that is a disjoint pair.  The k = h groups are the `_sum_groups` they were
+    read from (sums hit >= g+1 times).  per_sum_cap=None skips the per-sum
+    combination cap."""
     elements = list(elements)
     _check_cap(len(elements), h, cap)
-    out = []
+    out, groups = [], {}
     for k in range(1, h + 1):
-        groups = _sum_groups(elements, k, add, threshold=2)
-        for s in groups:
-            cols = groups[s]
-            for a in range(len(cols)):
-                sa = set(cols[a])
-                for b in range(a + 1, len(cols)):
-                    if sa.isdisjoint(cols[b]):
-                        out.append(Violation(k=k, columns=(cols[a], cols[b]), sum_value=s))
+        groups = _sum_groups(elements, k, add, threshold=g + 1)
+        for s, cols in groups.items():
+            if per_sum_cap is not None and comb(len(cols), g + 1) > per_sum_cap:
+                raise CapExceeded(f"{len(cols)} multisets share one sum")
+            out.extend(Violation(k=k, columns=combo, sum_value=s)
+                       for combo in _no_common_index(cols, g))
     out.sort(key=lambda v: (v.k, v.columns))
-    return out
+    return out, groups
+
+
+def find_minimal_violations(elements, h, *, add=operator.add, cap=DEFAULT_ENUM_CAP):
+    """All disjoint equal-sum index-multiset pairs, every k in 1..h, lex order."""
+    return _minimal_violations(elements, h, 1, add=add, cap=cap)[0]
 
 
 def find_minimal_violations_bhg(elements, h, g, *, add=operator.add, cap=DEFAULT_ENUM_CAP,
-                                per_sum_cap=200_000):
+                                per_sum_cap=DEFAULT_PER_SUM_CAP):
     """Minimal B_h[g] violations: g+1 distinct equal-sum index multisets with
     no index common to all columns, every k in 1..h, lex order."""
-    from itertools import combinations
-
-    elements = list(elements)
-    _check_cap(len(elements), h, cap)
-    out = []
-    for k in range(1, h + 1):
-        groups = _sum_groups(elements, k, add, threshold=g + 1)
-        for s in groups:
-            cols = groups[s]
-            if comb(len(cols), g + 1) > per_sum_cap:
-                raise CapExceeded(f"{len(cols)} multisets share one sum")
-            for combo in combinations(cols, g + 1):
-                common = set(combo[0])
-                for c in combo[1:]:
-                    common &= set(c)
-                    if not common:
-                        break
-                if not common:
-                    out.append(Violation(k=k, columns=combo, sum_value=s))
-    out.sort(key=lambda v: (v.k, v.columns))
-    return out
+    return _minimal_violations(elements, h, g, add=add, cap=cap, per_sum_cap=per_sum_cap)[0]
 
 
 # convenience wrappers over BinaryCode

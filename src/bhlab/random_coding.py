@@ -1,6 +1,8 @@
 """Random-coding pipeline: pick a population size from the exact expected
 minimal-violation count, sample seeded iid words, prune one word per minimal
-violation, and hand back an oracle-verified code.
+violation, and hand back an oracle-verified code.  Each population's
+multiset sums are enumerated once; the final verdict is read from the same
+duplicate-sum groups that pruning used.
 
 The unspecified constants of the existence proofs are replaced by the exact
 criterion E(t) <= t/2, where E(t) sums, over configuration classes, the
@@ -19,12 +21,12 @@ import numpy as np
 
 from .configurations import (automorphism_count, conf_stats,
                              conf_stats_general, enumerate_conf_upto)
-from .constructions import BinaryCode, make_binary_code
+from .constructions import make_binary_code
 from .entropy import Distribution, uniform_bits
 from .errors import Infeasible, InvalidParams
-from .oracle import (DEFAULT_ENUM_CAP, encode_binary_words,
-                     find_minimal_violations, find_minimal_violations_bhg,
-                     verify_bh, verify_bhg)
+from .oracle import (DEFAULT_ENUM_CAP, DEFAULT_PER_SUM_CAP, Violation,
+                     _minimal_violations, encode_binary_words,
+                     find_minimal_violations, find_minimal_violations_bhg)
 
 DEFAULT_MAX_T = 10_000
 DEFAULT_ATTEMPTS = 8
@@ -167,6 +169,21 @@ def sample_code(plan: SamplingPlan):
 # ---------------------------------------------------------------------------
 # pruning
 
+def _remove_one_per_violation(violations, m):
+    """(kept index list, violations by k, removed count) over m words."""
+    by_k = {}
+    alive = [True] * m
+    removed = 0
+    for v in violations:
+        by_k[v.k] = by_k.get(v.k, 0) + 1
+        indices = sorted({i for col in v.columns for i in col})
+        if all(alive[i] for i in indices):
+            alive[indices[0]] = False
+            removed += 1
+    kept = [i for i, a in enumerate(alive) if a]
+    return kept, by_k, removed
+
+
 def prune(words, h, g=1, cap=DEFAULT_ENUM_CAP):
     """Remove the least index of each still-alive minimal violation, scanning
     violations in lexicographic order; single pass suffices because removals
@@ -177,17 +194,29 @@ def prune(words, h, g=1, cap=DEFAULT_ENUM_CAP):
         violations = find_minimal_violations(elements, h, cap=cap)
     else:
         violations = find_minimal_violations_bhg(elements, h, g, cap=cap)
-    by_k = {}
-    alive = [True] * len(words)
-    removed = 0
-    for v in violations:
-        by_k[v.k] = by_k.get(v.k, 0) + 1
-        indices = sorted({i for col in v.columns for i in col})
-        if all(alive[i] for i in indices):
-            alive[indices[0]] = False
-            removed += 1
-    kept = [i for i, a in enumerate(alive) if a]
-    return kept, by_k, removed
+    return _remove_one_per_violation(violations, len(words))
+
+
+def _prune(words, h, g, cap):
+    """`prune`, plus the k = h groups of sums hit more than g times (over the
+    whole population) that its violations were read from."""
+    elements, _ = encode_binary_words(words, h)
+    violations, top_groups = _minimal_violations(
+        elements, h, g, cap=cap, per_sum_cap=None if g == 1 else DEFAULT_PER_SUM_CAP)
+    return (*_remove_one_per_violation(violations, len(words)), top_groups)
+
+
+def _violation_among(indices, top_groups, h, g):
+    """A B_h[g] violation with every index in `indices`, or None.
+
+    `top_groups` holds every size-h sum hit more than g times in the whole
+    population, so the sub-population `indices` is B_h[g] iff no group has
+    more than g columns inside it."""
+    for s, cols in top_groups.items():
+        inside = [c for c in cols if indices.issuperset(c)]
+        if len(inside) > g:
+            return Violation(k=h, columns=tuple(inside[:g + 1]), sum_value=s)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +238,13 @@ def construct(h, n, seed, *, g=1, dist=None, n0=1,
     """choose_t -> sample -> prune -> verify; retries with the (seed, attempt)
     substream when the pruned code falls below t/2.  The sampled population is
     clamped to max_t (default: largest the pruning oracle can enumerate within
-    its cap); the exact recommendation is recorded in the stats."""
+    its cap); the exact recommendation is recorded in the stats.
+
+    The multiset sums of each population are enumerated once.  The final
+    verdict is derived from pruning's k = h duplicate-sum groups, restricted
+    to the least kept index of each distinct kept word, not from a second
+    oracle pass; callers that want an independent check run the oracle on
+    the returned code."""
     the_dist = uniform_bits(n0) if dist is None else dist
     if max_t is None:
         max_t = max_verifiable_t(h, cap=cap)
@@ -221,17 +256,17 @@ def construct(h, n, seed, *, g=1, dist=None, n0=1,
         plan = SamplingPlan(n=n, n0=n0, dist=the_dist, t=t,
                             seed=(seed, attempt), h=h, g=g)
         words = sample_code(plan)
-        kept, by_k, removed = prune(words, h, g=g, cap=cap)
-        code_words = {words[i] for i in kept}
-        if 2 * len(code_words) < t:
+        kept, by_k, removed, top_groups = _prune(words, h, g, cap)
+        first_kept = {}  # distinct kept word -> its least kept index
+        for i in kept:
+            first_kept.setdefault(words[i], i)
+        if 2 * len(first_kept) < t:
             continue
         source = f"random-coding-h{h}-g{g}-n{n}-seed{seed}"
-        code = make_binary_code(code_words, h=h, source=source)
-        elements, _ = encode_binary_words(code.words, h)
-        verdict = (verify_bh(elements, h, cap=cap) if g == 1
-                   else verify_bhg(elements, h, g, cap=cap))
+        code = make_binary_code(first_kept, h=h, source=source)
+        verdict = _violation_among(set(first_kept.values()), top_groups, h, g)
         if verdict is not None:  # pruning guarantees this never fires
-            raise AssertionError(f"pruned code failed its oracle: {verdict.render(code.words)}")
+            raise AssertionError(f"pruned code failed its oracle: {verdict.render(words)}")
         stats = ConstructionStats(
             t=t, t_exact=t_exact, attempts=attempt + 1, seed=seed,
             violations_by_k=by_k, removed=removed, final_size=len(code),

@@ -28,6 +28,44 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "rate", "dr")[0] == 2                # missing --h
 
 
+def _assert_usage_error(result):
+    code, _, err = result
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_verify_bhsharp_without_d_exits_2(tmp_path, capsys):
+    path = tmp_path / "c.txt"
+    path.write_text("n=2 h=2 source=demo\n00\n01\n")
+    _assert_usage_error(run(capsys, "verify", "bhsharp", "--h", "2", "--input", str(path)))
+
+
+def test_verify_h_zero_exits_2(tmp_path, capsys):
+    path = tmp_path / "c.txt"
+    path.write_text("n=2 h=2 source=demo\n00\n01\n")
+    _assert_usage_error(run(capsys, "verify", "bh", "--h", "0", "--input", str(path)))
+
+
+def test_rate_bhsharp_without_d_exits_2(capsys):
+    _assert_usage_error(run(capsys, "rate", "bhsharp", "--h", "2"))
+
+
+def test_rate_dist_without_dist_exits_2(capsys):
+    _assert_usage_error(run(capsys, "rate", "dist", "--h", "2"))
+
+
+def test_configs_enumerate_without_k_l_exits_2(capsys):
+    _assert_usage_error(run(capsys, "configs", "enumerate"))
+    _assert_usage_error(run(capsys, "configs", "enumerate", "--k", "2"))
+    _assert_usage_error(run(capsys, "configs", "enumerate", "--sharp", "--h", "2"))
+
+
+def test_entropy_without_inputs_exits_2(capsys):
+    _assert_usage_error(run(capsys, "entropy", "renyi"))
+    _assert_usage_error(run(capsys, "entropy", "majorize", "--p-seq", "1/2,1/2"))
+
+
 def test_construct_prints_residues(capsys):
     code, out, _ = run(capsys, "construct", "bose-chowla", "--q", "5", "--h", "2")
     assert code == 0

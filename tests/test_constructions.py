@@ -2,10 +2,11 @@
 
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 
-from bhlab import constructions
-from bhlab.errors import (CharacteristicTooSmall, DegenerateModulus,
+from bhlab import constructions, oracle
+from bhlab.errors import (CharacteristicTooSmall, DegenerateModulus, InvalidParams,
                           NonPrimeFieldUnsupported)
 
 
@@ -97,6 +98,21 @@ def test_make_binary_code_sorts_and_dedupes():
     assert code.rate == 0.5
     with pytest.raises(ValueError):
         constructions.make_binary_code([])
+
+
+def test_make_binary_code_stores_python_int_bits():
+    # numpy int8 bits used to reach the oracle unchanged, wrap in its
+    # base-(h+1) encoding and yield a false Violation(k=2, ..., sum=-76)
+    code = constructions.field_vectors_to_binary(constructions.power_map(7, 2))
+    int8 = constructions.make_binary_code(
+        [tuple(np.int8(b) for b in w) for w in code.words], h=2)
+    assert int8.words == code.words
+    assert all(type(b) is int for w in int8.words for b in w)
+    assert oracle.verify_code_bh(int8, 2) is None
+    with pytest.raises(InvalidParams):
+        constructions.make_binary_code([(0, 1), (2, 0)])
+    with pytest.raises(InvalidParams):
+        constructions.make_binary_code([(0, -1)])
 
 
 def test_text_round_trip():

@@ -174,6 +174,43 @@ def test_construct_clamps_population_to_verifiable_size():
     assert stats.t == 500 and stats.t_exact == 759050
 
 
+@pytest.mark.parametrize("h,g,n,t_exact", [(2, 1, 20, 1098), (2, 2, 20, 3067),
+                                           (3, 1, 20, 217)])
+def test_construct_prunes_at_the_exact_population(h, g, n, t_exact):
+    # at t = t_exact (no clamp) the population really has violations to prune
+    code, stats = rc.construct(h, n, seed=7, g=g, max_t=t_exact)
+    assert stats.t == stats.t_exact == t_exact
+    assert stats.removed > 0
+    assert 2 * len(code) >= stats.t
+    verdict = (oracle.verify_code_bh(code, h) if g == 1
+               else oracle.verify_code_bhg(code, h, g))
+    assert verdict is None
+
+
+def _keep_every_word(monkeypatch, words):
+    """construct on a fixed population whose pruning finds no violation; the
+    k = h groups still come from the real enumeration."""
+    real = rc._minimal_violations
+    monkeypatch.setattr(rc, "_minimal_violations",
+                        lambda *args, **kwargs: ([], real(*args, **kwargs)[1]))
+    monkeypatch.setattr(rc, "sample_code", lambda plan: list(words))
+
+
+def test_construct_derived_verdict_fires_on_an_unpruned_violation(monkeypatch):
+    _keep_every_word(monkeypatch, [(0, 0), (0, 1), (1, 0), (1, 1)])  # 00+11 = 01+10
+    with pytest.raises(AssertionError, match="pruned code failed its oracle"):
+        rc.construct(2, 2, seed=0, max_t=4)
+
+
+def test_construct_derived_verdict_counts_equal_kept_words_once(monkeypatch):
+    # with both copies of 00 kept, sum 11 has three index columns, (0, 4),
+    # (1, 4) and (2, 3), but only two distinct word multisets: B_2[2] holds
+    _keep_every_word(monkeypatch, [(0, 0), (0, 0), (0, 1), (1, 0), (1, 1)])
+    code, stats = rc.construct(2, 2, seed=0, g=2, max_t=4)
+    assert len(code) == 4 and stats.removed == 0
+    assert oracle.verify_code_bhg(code, 2, 2) is None
+
+
 def test_mean_rate_over_twenty_seeds_meets_finite_n_slack():
     n, target_seeds = 40, 20
     threshold = 0.8 * rates.rate_poltyrev(2).rate - 2 / n
