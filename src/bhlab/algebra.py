@@ -315,31 +315,44 @@ def frobenius_degree(a, base_q):
 
 
 def discrete_log(alpha, target):
-    """d with alpha^d = target, by baby-step giant-step.
+    """d with alpha^d = target; see `discrete_logs`."""
+    return discrete_logs(alpha, [target])[0]
+
+
+def discrete_logs(alpha, targets):
+    """[d with alpha^d = t for t in targets], by baby-step giant-step.
 
     alpha must generate the full multiplicative group; raises NotAGenerator
-    otherwise and ZeroTarget for target = 0.
+    otherwise and ZeroTarget if some target is 0.  One order check and one
+    baby-step table serve every target; the table holds about
+    sqrt(n * len(targets)) steps, which balances building it against the
+    giant steps of all targets.
     """
-    if target.is_zero():
+    targets = list(targets)
+    if any(t.is_zero() for t in targets):
         raise ZeroTarget("discrete log of zero")
     field = alpha.field
     n = field.order - 1
     if element_order(alpha, n) != n:
         raise NotAGenerator("alpha does not generate the multiplicative group")
-    m = math.isqrt(n - 1) + 1
+    m = min(n, math.isqrt((n - 1) * max(1, len(targets))) + 1)
     baby = {}
     t = field.one()
     for j in range(m):
         baby.setdefault(t.coeffs, j)
         t = t * alpha
     giant_step = (alpha**m).inverse()
-    g = target
-    for i in range(m + 1):
-        j = baby.get(g.coeffs)
-        if j is not None:
-            return ResidueClass(n, i * m + j)
-        g = g * giant_step
-    raise NotAGenerator("target not in the group generated by alpha")  # unreachable
+    logs = []
+    for g in targets:
+        for i in range((n - 1) // m + 1):
+            j = baby.get(g.coeffs)
+            if j is not None:
+                logs.append(ResidueClass(n, i * m + j))
+                break
+            g = g * giant_step
+        else:
+            raise NotAGenerator("target not in the group generated by alpha")  # unreachable
+    return logs
 
 
 def subfield_elements(alpha, base_q):

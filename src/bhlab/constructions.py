@@ -80,10 +80,8 @@ def bose_chowla(q, h, size_cap=DEFAULT_SIZE_CAP):
     if m < 2:
         raise DegenerateModulus(f"modulus q^h-1 = {m} is degenerate")
     alpha = algebra.find_degree_h_primitive(q, h, size_cap=size_cap)
-    residues = []
-    for x in algebra.subfield_elements(alpha, q):
-        residues.append(algebra.discrete_log(alpha, alpha + x).representative)
-    residues = tuple(sorted(residues))
+    targets = [alpha + x for x in algebra.subfield_elements(alpha, q)]
+    residues = tuple(sorted(d.representative for d in algebra.discrete_logs(alpha, targets)))
     assert len(residues) == q
     return BhSetResidues(modulus=m, elements=residues, h=h)
 

@@ -97,14 +97,6 @@ def rate_distribution(dist: Distribution, h) -> RateReport:
 # ---------------------------------------------------------------------------
 # exponent optimization over configuration families
 
-def _denom(c: Configuration, denominator) -> int:
-    if denominator == "d-1":
-        return c.d - 1
-    if denominator == "d":
-        return c.d
-    raise InvalidParams(f"denominator must be one of {EXPONENT_DENOMS}")
-
-
 def optimize_exponent(confs, denominator="d-1", stats_fn=conf_stats):
     """Argmax of p(C)^(1/denominator) with exact tie detection.
 
@@ -120,8 +112,8 @@ def optimize_exponent(confs, denominator="d-1", stats_fn=conf_stats):
         if best is None:
             best, ties = c, [c]
             continue
-        pb, db = stats[best].p, _denom(best, denominator)
-        pc, dc = stats[c].p, _denom(c, denominator)
+        pb, db = stats[best].p, _denom_value(best.d, denominator)
+        pc, dc = stats[c].p, _denom_value(c.d, denominator)
         # p_c^{1/dc} vs p_b^{1/db}  <=>  p_c^db vs p_b^dc
         lhs, rhs = pc**db, pb**dc
         if lhs > rhs:

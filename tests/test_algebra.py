@@ -110,6 +110,21 @@ def test_discrete_log_inverts_exponentiation():
         algebra.discrete_log(a, f.zero())
 
 
+def test_batched_discrete_logs_match_one_at_a_time():
+    for q, h in [(2, 1), (3, 2), (2, 4), (5, 2), (4, 3)]:
+        a = algebra.find_degree_h_primitive(q, h)
+        targets = [t for t in a.field if not t.is_zero()]
+        logs = algebra.discrete_logs(a, targets)
+        assert [d.representative for d in logs] == \
+            [algebra.discrete_log(a, t).representative for t in targets]
+        assert sorted(d.representative for d in logs) == list(range(q**h - 1))
+        assert all(a**d.representative == t for d, t in zip(logs, targets))
+    with pytest.raises(ZeroTarget):
+        algebra.discrete_logs(a, [a, a.field.zero()])
+    with pytest.raises(NotAGenerator):
+        algebra.discrete_logs(a**3, [a])  # order 21 < 63 in GF(64)
+
+
 def test_discrete_log_rejects_non_generator():
     a = algebra.find_degree_h_primitive(3, 2)
     nongen = a**2  # order 4 < 8

@@ -1,12 +1,15 @@
 """Property oracles against an independent dictionary-based reference."""
 
+import operator
 import random
 from itertools import combinations, combinations_with_replacement
 
+import numpy as np
 import pytest
 
 from bhlab import oracle
-from bhlab.constructions import bose_chowla, make_binary_code, residues_to_binary
+from bhlab.constructions import (bose_chowla, field_vectors_to_binary, make_binary_code,
+                                 power_map, residues_to_binary)
 from bhlab.errors import CapExceeded, InvalidParams
 
 
@@ -165,26 +168,124 @@ def test_minimal_bhg_violations_have_no_common_index():
     assert ((0, 4), (1, 3), (2, 2)) in [v.columns for v in triples]
 
 
-def test_numpy_and_python_paths_agree(monkeypatch):
-    import operator
+# exact reference verdicts, read from `ref_groups` (lists in lex order)
 
-    rng = random.Random(4242)
-    # collision-rich: small value range forces many duplicated pair sums
-    elems = [rng.randint(0, 60) for _ in range(120)]
-    expected_groups = oracle._sum_groups(elems, 2, operator.add, threshold=2)
-    expected_mv = oracle.find_minimal_violations(elems, 2)
-    monkeypatch.setattr(oracle, "_NUMPY_MIN", 1)
-    assert oracle._use_numpy(elems, 2, operator.add)
-    got_groups = oracle._sum_groups(elems, 2, operator.add, threshold=2)
-    assert {k: sorted(v) for k, v in got_groups.items()} == \
-        {k: sorted(v) for k, v in expected_groups.items()}
-    assert oracle.find_minimal_violations(elems, 2) == expected_mv
-    for g in (1, 2, 3):
-        monkeypatch.setattr(oracle, "_NUMPY_MIN", 10**9)
-        py = oracle.verify_bhg(elems, 2, g)
-        monkeypatch.setattr(oracle, "_NUMPY_MIN", 1)
-        np_v = oracle.verify_bhg(elems, 2, g)
-        assert py == np_v
+def ref_verify_bhg(elements, h, g, add):
+    hit = [(cols[:g + 1], s) for s, cols in ref_groups(elements, h, add).items()
+           if len(cols) > g]
+    if not hit:
+        return None
+    cols, s = min(hit)
+    return oracle.Violation(k=h, columns=tuple(cols), sum_value=s)
+
+
+def ref_verify_bh_sharp(elements, h, d, add):
+    groups = ref_groups(elements, h, add)
+    for s in sorted((s for s in groups if len(groups[s]) > 1), key=lambda s: groups[s][:2]):
+        if len({i for col in groups[s] for i in col}) > d:
+            return oracle.Violation(k=h, columns=tuple(groups[s]), sum_value=s)
+    return None
+
+
+def ref_minimal_bhg(elements, h, g, add):
+    out = []
+    for k in range(1, h + 1):
+        for s, cols in ref_groups(elements, k, add).items():
+            out.extend(oracle.Violation(k=k, columns=combo, sum_value=s)
+                       for combo in combinations(cols, g + 1)
+                       if not set.intersection(*map(set, combo)))
+    return sorted(out, key=lambda v: (v.k, v.columns))
+
+
+def _ints(rng, m, h):
+    return [rng.randint(-6, 9) for _ in range(m)]
+
+
+def _big_ints(rng, m, h):  # h-fold sums span more than 2^64: several key words
+    return [rng.randint(0, 2) * 2**70 + rng.randint(0, 3) * 2**40 + rng.randint(0, 2)
+            for _ in range(m)]
+
+
+def _bit_words(rng, m, h):
+    words = [tuple(rng.randint(0, 1) for _ in range(4)) for _ in range(m)]
+    return oracle.encode_binary_words(words, h)[0]
+
+
+def _long_bit_words(rng, m, h):  # 48 bits: (h+1)^47 > 2^64 for every h >= 2
+    words = [(rng.randint(0, 1),) * 2 + (1,) * 44 + (rng.randint(0, 1), rng.randint(0, 1))
+             for _ in range(m)]
+    return oracle.encode_binary_words(words, h)[0]
+
+
+AMBIENTS = {  # name -> (element sampler, add)
+    "ints": (_ints, operator.add),
+    "big-ints": (_big_ints, operator.add),
+    "bit-words": (_bit_words, operator.add),
+    "long-bit-words": (_long_bit_words, operator.add),
+    "residues": (lambda rng, m, h: [rng.randrange(7) for _ in range(m)], oracle.residue_add(7)),
+    "z3^2": (lambda rng, m, h: [(rng.randrange(3), rng.randrange(3)) for _ in range(m)],
+             oracle.vector_mod_add(3)),
+    "z5^30": (lambda rng, m, h: [(rng.randrange(5), rng.randrange(2), 1) * 10 for _ in range(m)],
+              oracle.vector_mod_add(5)),  # 5^30 > 2^64: two key words
+}
+
+
+@pytest.mark.parametrize("ambient", sorted(AMBIENTS))
+def test_engine_matches_brute_force_reference(ambient):
+    """Collision-rich inputs, every verdict and violation list compared exactly
+    (columns and sum value) with the itertools reference."""
+    sample, add = AMBIENTS[ambient]
+    rng = random.Random(ambient)
+    for h in (1, 2, 3, 4):
+        for trial in range(4):
+            elems = sample(rng, rng.randint(1, 8 if h < 4 else 6), h)
+            for g in (1, 2, 3):
+                assert oracle.verify_bhg(elems, h, g, add=add) == ref_verify_bhg(elems, h, g, add)
+                assert (oracle.find_minimal_violations_bhg(elems, h, g, add=add)
+                        == ref_minimal_bhg(elems, h, g, add))
+            assert oracle.verify_bh(elems, h, add=add) == ref_verify_bhg(elems, h, 1, add)
+            assert (oracle.find_minimal_violations(elems, h, add=add)
+                    == ref_minimal_bhg(elems, h, 1, add))
+            for d in range(h, 2 * h + 2):
+                assert (oracle.verify_bh_sharp(elems, h, d, add=add)
+                        == ref_verify_bh_sharp(elems, h, d, add))
+
+
+@pytest.mark.parametrize("h, m, sample, add", [
+    (2, 120, lambda rng: rng.randint(0, 60), operator.add),  # every sum hit ~60 times
+    (2, 400, lambda rng: rng.randint(0, 80_000), operator.add),
+    (3, 80, lambda rng: rng.randint(-30_000, 30_000), operator.add),
+    (3, 80, lambda rng: (rng.randrange(300), rng.randrange(300)), oracle.vector_mod_add(300)),
+], ids=["dense-ints-h2", "ints-h2", "ints-h3", "z300^2-h3"])
+def test_engine_matches_reference_on_larger_inputs(h, m, sample, add):
+    """A dense case, and levels of 80,000+ multisets generated in several blocks."""
+    rng = random.Random(m)
+    elems = [sample(rng) for _ in range(m)]
+    for g in (1, 2):
+        assert oracle.verify_bhg(elems, h, g, add=add) == ref_verify_bhg(elems, h, g, add)
+    assert oracle.find_minimal_violations(elems, h, add=add) == ref_minimal_bhg(elems, h, 1, add)
+
+
+def test_misuse_raises_invalid_params():
+    with pytest.raises(InvalidParams):  # was a RecursionError
+        oracle.verify_bh([0, 1], 0)
+    with pytest.raises(InvalidParams):  # only the three ambients are enumerated
+        oracle.verify_bh([1, 2, 3], 2, add=lambda a, b: a + b)
+    with pytest.raises(InvalidParams):
+        oracle.verify_bh([1.5, 2.0], 2)
+    with pytest.raises(InvalidParams):
+        oracle.verify_bh([(0, 1), (1,)], 2, add=oracle.vector_mod_add(3))
+
+
+def test_numpy_int_bits_do_not_wrap_the_encoding():
+    s = power_map(7, 2)
+    words = field_vectors_to_binary(s).words
+    enc, _ = oracle.encode_binary_words(words, 2)
+    int8, _ = oracle.encode_binary_words([np.array(w, dtype=np.int8) for w in words], 2)
+    assert int8 == enc
+    assert oracle.verify_bh(int8, 2) is None  # was Violation(k=2, sum=-76)
+    with pytest.raises(InvalidParams):
+        oracle.encode_binary_words([(0, 2, 1)], 2)
 
 
 def test_vector_and_residue_adders():
