@@ -304,16 +304,6 @@ def find_degree_h_primitive(base_q, h, size_cap=DEFAULT_SIZE_CAP):
     raise AssertionError("no primitive element found")  # unreachable
 
 
-def frobenius_degree(a, base_q):
-    """Degree of a over GF(base_q): size of the orbit under x -> x^q."""
-    t = a**base_q
-    k = 1
-    while t != a:
-        t = t**base_q
-        k += 1
-    return k
-
-
 def discrete_log(alpha, target):
     """d with alpha^d = target; see `discrete_logs`."""
     return discrete_logs(alpha, [target])[0]

@@ -3,9 +3,11 @@ configuration tables, evaluate rate formulas, run the random-coding pipeline,
 and expose the entropy toolbox.
 
 Exit codes: 0 success, 1 verification failure (the violation is printed),
-2 parameter or usage errors.  Every run that writes an artifact also writes a
-RunManifest JSON (same path plus ".manifest.json") recording the exact argv,
-so outputs can be regenerated bit-identically.
+2 parameter or usage errors, 3 internal error (any other exception, reported
+as one "internal error:" line on stderr, never a traceback).  Every run that
+writes an artifact also writes a RunManifest JSON (same path plus
+".manifest.json") recording the exact argv, so outputs can be regenerated
+bit-identically.
 """
 
 from __future__ import annotations
@@ -323,6 +325,9 @@ def main(argv=None):
     except (BhLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug: exit 3, so that exit 1 still means a violation
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

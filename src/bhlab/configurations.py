@@ -3,8 +3,8 @@
 A configuration of shape (k, l) is stored as the multiset of per-variable
 column-multiplicity vectors: variable v contributes vector (m_{v,1}, ...,
 m_{v,l}) where m_{v,j} counts occurrences of v in column j.  This determines
-the k x l symbol matrix up to variable relabeling, and canonicalizing under
-simultaneous column permutation gives exact isomorph rejection.
+the k x l symbol matrix up to variable relabeling; `canonical`, the least
+sorted vector tuple over all l! column permutations, names each class.
 
 Validity:
   * every column's multiplicities sum to k,
@@ -12,15 +12,26 @@ Validity:
   * no two columns agree across every vector (columns are distinct multisets),
   * repetition within a column and sharing across columns never mix: either
     every variable lives in a single column (separable) or every variable
-    appears at most once per column.
+    appears at most once per column (multiplicity-free).
+
+Each kind has its own generator, and `enumerate_conf` returns their union:
+  * separable classes are multisets of l integer partitions of k, one per
+    column (such columns are always distinct), built directly;
+  * multiplicity-free classes are 0/1 vectors, grown one column at a time:
+    column j+1 puts a 1 on a sub-multiset of the rows so far and adds fresh
+    unit rows e_{j+1} up to sum k.  Each level keeps one canonical form per
+    class over its first j+1 columns, in the spirit of orderly generation
+    (B. D. McKay, "Isomorph-free exhaustive generation", J. Algorithms 26,
+    1998).  The only class of both kinds is the all-distinct one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations
 from math import comb, factorial
+from operator import add
 
 from .errors import CapExceeded
 
@@ -71,13 +82,8 @@ class Configuration:
 
 def canonical(vectors):
     """Least representative over simultaneous column permutations."""
-    l = len(vectors[0])
-    best = None
-    for sigma in permutations(range(l)):
-        cand = tuple(sorted(tuple(v[j] for j in sigma) for v in vectors))
-        if best is None or cand < best:
-            best = cand
-    return Configuration(best)
+    return Configuration(tuple(min(sorted(zip(*cols))
+                                   for cols in permutations(zip(*vectors)))))
 
 
 @dataclass(frozen=True)
@@ -89,56 +95,70 @@ class ConfStats:
 # ---------------------------------------------------------------------------
 # enumeration
 
-def _allowed_vectors(k, l):
-    out = []
-    for v in product(range(k + 1), repeat=l):
-        # vectors that repeat within a column *and* span several columns can
-        # never appear in a valid configuration, so prune them upfront
-        if any(v) and min(v) == 0 and (max(v) <= 1 or sum(1 for x in v if x) == 1):
-            out.append(v)
-    return out
+def _partitions(k, largest):
+    """Partitions of k into parts <= largest, as non-increasing tuples."""
+    if k == 0:
+        yield ()
+    for first in range(min(k, largest), 0, -1):
+        for rest in _partitions(k - first, first):
+            yield (first,) + rest
 
 
-def _mixing_free(vectors):
-    """Separable (single-column variables only) or multiplicity-free."""
-    if all(sum(1 for x in v if x) == 1 for v in vectors):
-        return True
-    return all(max(v) <= 1 for v in vectors)
+def _separable(k, l, limit):
+    """Separable classes: a multiset of l partitions of k, one per column."""
+    for parts in combinations_with_replacement(tuple(_partitions(k, k)), l):
+        if sum(map(len, parts)) <= limit:
+            yield canonical(tuple(tuple(m if i == j else 0 for i in range(l))
+                                  for j, part in enumerate(parts) for m in part))
 
 
-def _columns_distinct(vectors, l):
-    for j1 in range(l):
-        for j2 in range(j1 + 1, l):
-            if all(v[j1] == v[j2] for v in vectors):
-                return False
-    return True
+def _picks(mults, budget):
+    """Sub-multisets of size <= budget, as one count per distinct row."""
+    if not mults:
+        return [()]
+    return [(c,) + rest for c in range(min(mults[0], budget) + 1)
+            for rest in _picks(mults[1:], budget - c)]
+
+
+def _children(rows, k, limit):
+    """Extensions by one column: a 1 on a sub-multiset of the rows, plus
+    fresh unit rows up to column sum k; the new column must be distinct."""
+    distinct = sorted(set(rows))
+    mults = [rows.count(r) for r in distinct]
+    fresh = (0,) * len(rows[0]) + (1,)
+    for picks in _picks(mults, k):
+        extra = k - sum(picks)
+        if len(rows) + extra > limit:
+            continue
+        child = [fresh] * extra
+        for r, m, c in zip(distinct, mults, picks):
+            child += [r + (1,)] * c + [r + (0,)] * (m - c)
+        if extra or all(any(r[i] != r[-1] for r in child) for i in range(len(fresh) - 1)):
+            yield tuple(child)
+
+
+def _multiplicity_free(k, l, limit):
+    """0/1 classes grown column by column, one canonical form per level.
+
+    Equal columns stay equal and rows are never removed, so children with
+    equal columns or more than `limit` rows are pruned; all-ones rows can
+    still gain a 0 and are rejected only at the last column."""
+    level = {((1,),) * k}
+    for _ in range(1, l):
+        level = {canonical(child).vectors for rows in level
+                 for child in _children(rows, k, limit)}
+    return [Configuration(rows) for rows in level if all(0 in r for r in rows)]
 
 
 def enumerate_conf(k, l, cap=DEFAULT_CELL_CAP, max_vectors=None):
-    """All configuration classes of shape (k, l), sorted."""
+    """All configuration classes of shape (k, l) with at most `max_vectors`
+    vectors (default k*l), sorted."""
     if k * l > cap:
         raise CapExceeded(f"k*l = {k * l} exceeds cap {cap}")
-    allowed = _allowed_vectors(k, l)
-    found = set()
-    chosen = []
+    if k < 1 or l < 2:
+        return []
     limit = max_vectors if max_vectors is not None else k * l
-
-    def rec(start, remaining):
-        if not any(remaining):
-            if _columns_distinct(chosen, l) and _mixing_free(chosen):
-                found.add(canonical(tuple(chosen)))
-            return
-        if len(chosen) >= limit:
-            return
-        for i in range(start, len(allowed)):
-            v = allowed[i]
-            if all(v[j] <= remaining[j] for j in range(l)):
-                chosen.append(v)
-                rec(i, tuple(remaining[j] - v[j] for j in range(l)))
-                chosen.pop()
-
-    rec(0, (k,) * l)
-    return sorted(found)
+    return sorted(set(_separable(k, l, limit)) | set(_multiplicity_free(k, l, limit)))
 
 
 def enumerate_conf_upto(h, l, cap=DEFAULT_CELL_CAP):
@@ -191,34 +211,16 @@ def conf_stats(c: Configuration, cap=DEFAULT_EXACT_CAP) -> ConfStats:
     """Exact p(C) over iid uniform bits, by DP on column partial sums."""
     if c.d > cap:
         raise CapExceeded(f"d(C) = {c.d} exceeds exact-computation cap {cap}")
-    l = c.l
-    states = {(0,) * l: 1}
+    states = {(0,) * c.l: 1}
     for vec in c.vectors:
         nxt = {}
         for s, cnt in states.items():
             nxt[s] = nxt.get(s, 0) + cnt
-            s1 = tuple(s[j] + vec[j] for j in range(l))
+            s1 = tuple(map(add, s, vec))
             nxt[s1] = nxt.get(s1, 0) + cnt
         states = nxt
     good = sum(cnt for s, cnt in states.items() if len(set(s)) == 1)
     return ConfStats(d=c.d, p=Fraction(good, 2**c.d))
-
-
-def conf_stats_exhaustive(c: Configuration, cap=DEFAULT_EXACT_CAP) -> ConfStats:
-    """Reference path: direct sum over all 2^d variable assignments."""
-    if c.d > cap:
-        raise CapExceeded(f"d(C) = {c.d} exceeds exact-computation cap {cap}")
-    l, d = c.l, c.d
-    good = 0
-    for bits in range(2**d):
-        sums = [0] * l
-        for var, vec in enumerate(c.vectors):
-            if (bits >> var) & 1:
-                for j in range(l):
-                    sums[j] += vec[j]
-        if len(set(sums)) == 1:
-            good += 1
-    return ConfStats(d=d, p=Fraction(good, 2**d))
 
 
 def _as_point(a):
@@ -236,20 +238,18 @@ def conf_stats_general(c: Configuration, dist, cap=DEFAULT_EXACT_CAP) -> ConfSta
     n0 = len(support[0][0])
     if c.d * n0 > 2 * cap:
         raise CapExceeded(f"d(C)*n0 = {c.d * n0} exceeds cap")
-    l = c.l
-    zero = tuple((0,) * n0 for _ in range(l))
-    states = {zero: Fraction(1)}
+    width = c.l * n0
+    states = {(0,) * width: Fraction(1)}  # the l column sums of n0 ints, flat
     for vec in c.vectors:
+        shifts = [(tuple(m * x for m in vec for x in point), pa) for point, pa in support]
         nxt = {}
         for s, pr in states.items():
-            for point, pa in support:
-                s1 = tuple(
-                    tuple(s[j][t] + vec[j] * point[t] for t in range(n0))
-                    for j in range(l))
-                key = s1
+            for shift, pa in shifts:
+                key = tuple(map(add, s, shift))
                 nxt[key] = nxt.get(key, 0) + pr * pa
         states = nxt
-    p = sum((pr for s, pr in states.items() if len(set(s)) == 1), start=Fraction(0))
+    p = sum((pr for s, pr in states.items()
+             if len({s[i:i + n0] for i in range(0, width, n0)}) == 1), start=Fraction(0))
     return ConfStats(d=c.d, p=p)
 
 

@@ -35,6 +35,17 @@ def _assert_usage_error(result):
     assert "Traceback" not in err
 
 
+def test_internal_error_exits_3_without_traceback(monkeypatch, capsys):
+    def broken(args, argv):
+        raise RuntimeError("handler bug")
+
+    monkeypatch.setattr(cli, "_cmd_rate", broken)
+    code, out, err = run(capsys, "rate", "poltyrev", "--h", "2")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: handler bug\n"
+
+
 def test_verify_bhsharp_without_d_exits_2(tmp_path, capsys):
     path = tmp_path / "c.txt"
     path.write_text("n=2 h=2 source=demo\n00\n01\n")

@@ -1,5 +1,6 @@
 """Configuration enumeration against an independent brute-force oracle."""
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb
@@ -31,7 +32,7 @@ def _set_partitions(n):
 
 def brute_classes(k, l):
     """Canonical forms of valid classes, via explicit matrix enumeration."""
-    classes = set()
+    classes, seen = set(), set()
     for assign in _set_partitions(k * l):
         cols = [tuple(assign[j * k + i] for i in range(k)) for j in range(l)]
         nvars = max(assign) + 1
@@ -46,6 +47,10 @@ def brute_classes(k, l):
         flat = all(max(row) <= 1 for row in per_col_counts)
         if not (separable or flat):
             continue  # repetition mixed with sharing
+        rows = tuple(sorted(map(tuple, per_col_counts)))
+        if rows in seen:
+            continue  # a relabelling of a count matrix already canonicalized
+        seen.add(rows)
         # label-free invariant: least sorted count-row multiset over column perms
         best = None
         for sigma in permutations(range(l)):
@@ -56,11 +61,87 @@ def brute_classes(k, l):
     return classes
 
 
-@pytest.mark.parametrize("k,l", [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (2, 4)])
+# every shape with k*l <= 10 except (1, 9) and (1, 10), whose single class costs
+# the oracle one 9! or 10! canonicalization (6 s and 56 s); l = 1 has no class
+BRUTE_SHAPES = ([(k, 1) for k in (1, 2, 5)] + [(1, l) for l in range(2, 9)]
+                + [(2, l) for l in range(2, 6)] + [(3, 2), (3, 3), (4, 2), (5, 2)])
+
+
+@pytest.mark.parametrize("k,l", BRUTE_SHAPES)
 def test_enumeration_matches_brute_force(k, l):
     ours = {c.vectors for c in conf.enumerate_conf(k, l)}
     assert ours == brute_classes(k, l)
 
+
+# (k, l): (class count, sha256 of repr(enumerate_conf(k, l))), recorded from the
+# labelled-multiset search that the two generators replaced (commit 6557a63),
+# for every shape with k*l <= 16 and l >= 2 that it finished within 200 s;
+# (1, 10) and (2, 7) did not.  Every l = 1 shape it returned [].
+PINNED_CONF = {
+    (1, 2): (1, "6b5718b9c2235a62cba8ceda0c7bd3a8b20cae605c16354fecae3b188a329c44"),
+    (1, 3): (1, "a9b33e6fb5893ff298b7fb79aa6afb4bbf311ee9fba96860304cc91fc54fda1c"),
+    (1, 4): (1, "b92f8c999151fce519cb8029d2df6e7e7c6248ed026f01f17c0171f1f84f51c6"),
+    (1, 5): (1, "0005d3e34e35e7c8c5bccf8ce0709625779ab6c40a1b79583167c60546de4463"),
+    (1, 6): (1, "5d115872961e7ab5c892c1600625b29519a2b960822750b14dbf7f25b79ec02b"),
+    (1, 7): (1, "dad1e4da30d4fd23b517920cd27a16354d0f202d1ad7723e2040cb07e603d207"),
+    (1, 8): (1, "4b7d49a155f6632f193b3031899fe13f6e6179700e145a7503dcc56baefa7969"),
+    (1, 9): (1, "f95ecd6033012a11479c090691efd260416438df590fd171a682ab49567b8e36"),
+    (2, 2): (3, "430a50760dfbbb7d21f85fddee3d855c2c49b307c20be6c9675801551d5a0b00"),
+    (2, 3): (7, "f823259adb80fb106b3ceeadb7e26db6ef2df0b1bffed8e11603d34f4f770d10"),
+    (2, 4): (14, "548bf682d79bf0e6bd8d941ca41a0f5357d35929db91b9ebb2ddc9cc7d46e71c"),
+    (2, 5): (30, "d4f80a814ce1e53fa6bcf977bc2257ffce58699ebea65d65d1f61f1406012e00"),
+    (2, 6): (73, "44cee192d28c0d5aee0125ad8fcbc7dabcf00b499cf9875a8c59c9a377e7fcac"),
+    (3, 2): (6, "d774f2ef25cfe417fd62552af3842f9f101ec2ce62f7080700502e54ce2a24a9"),
+    (3, 3): (16, "84e6c26659b78da9e5b56da6d686c5d5b49a8b351e1e64adbb3629d18e70655c"),
+    (3, 4): (69, "4891e967ac0b4289890ec7959c6b50077a039898f37af443bcfef935054233a9"),
+    (3, 5): (439, "72d17713c0c4c9ed89b27ba5d9a570b61429ce06a2ef893b0bf196ab0bda507d"),
+    (4, 2): (15, "b868eeadfd38558377f3384359cf600d4689b64b6eeaec3df1195f0676140d9e"),
+    (4, 3): (47, "ec82928788a3b71baa952a95ed2f280f7b6e8e9742e500d814a3fe393cd3e780"),
+    (4, 4): (281, "f5a9bdeeedfb45546f9a83559fd640a9fa5dadefb9368a3553a79619f6d27613"),
+    (5, 2): (28, "ef3f7d49e5da23784ea8afc531831fddbd416ab656dded7703703ee75cb22941"),
+    (5, 3): (102, "1b1b75a079a8b10d92bd0944f752f0386895fcece388c64b5f9643944f54d078"),
+    (6, 2): (66, "d65af11ad92f9c1a724ce5417de2a39d1ffd44b91497630f34c5ade5fd3cbe8e"),
+    (7, 2): (120, "b6c7df3f25cd20f11227e326e48c784b0ffa3c10e294579c7946e4478aed6e42"),
+    (8, 2): (253, "b011bf1cd5464257b33e623a405748617141e8b4001484dbc68e2c352666953d"),
+}
+
+# (h, d): (class count, sha256 of repr(enumerate_conf_sharp(h, d))), same source;
+# it took 316 s for (3, 3) and 1889 s for (3, 4)
+PINNED_SHARP = {
+    (2, 1): (1, "50725c21375598262da2c8e7cb9466d4c988660b43308e67641641e6df3d62a5"),
+    (2, 2): (4, "e11d7b7d8b12ff7eb942bc66329bb7e1239b1349fae43fee3d55f84bd2f55545"),
+    (2, 3): (4, "2d06875541ab9bc27ce6234c72174cfb7b79444695022a72c388fa7b28b515f4"),
+    (2, 4): (6, "2307fb8eb99759c493be042b52232723dd05296a20b9280d249758e848c13c17"),
+    (3, 1): (1, "eb1625a8ab7b9eb6d5f3d0a0357cbd57ace97b07d3f5becc940089dfa26604bd"),
+    (3, 2): (4, "647b43eb46bf7fd9eb2144d8beff81a89eb9ce98ef8751f30e54ff3247d9d490"),
+    (3, 3): (10, "1b7f5d8ebd6fd86550d34c10b35c0f5a8dcc06504da02f095c9f97a5f92f2a34"),
+    (3, 4): (11, "a9b9ac89c4216d4fd76a2d705b7a376dcc4403ea8bb44eb1f1c9f54539a19950"),
+}
+
+
+def _digest(classes):
+    return len(classes), hashlib.sha256(repr(classes).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("k,l", sorted(PINNED_CONF))
+def test_enumeration_matches_pinned_class_lists(k, l):
+    assert _digest(conf.enumerate_conf(k, l)) == PINNED_CONF[k, l]
+
+
+def test_one_column_shapes_have_no_class():
+    assert all(conf.enumerate_conf(k, 1) == [] for k in range(1, 17))
+
+
+@pytest.mark.parametrize("h,d", sorted(PINNED_SHARP))
+def test_sharp_family_matches_pinned_class_lists(h, d):
+    assert _digest(conf.enumerate_conf_sharp(h, d)) == PINNED_SHARP[h, d]
+
+
+def test_max_vectors_keeps_exactly_the_small_classes():
+    for k, l in [(2, 4), (3, 3), (4, 3), (3, 4)]:
+        full = conf.enumerate_conf(k, l)
+        for m in range(1, k * l + 1):
+            assert conf.enumerate_conf(k, l, max_vectors=m) == [c for c in full if c.d <= m]
 
 def test_counts_for_two_columns_follow_partition_numbers():
     for k, pk in PARTITION_NUMBERS.items():
@@ -95,10 +176,25 @@ def test_upto_and_separable_families():
     assert len(conf.enumerate_sconf(1, 5)) == 1
 
 
+def conf_stats_exhaustive(c):
+    """Reference p(C): direct sum over all 2^d variable assignments."""
+    l, d = c.l, c.d
+    good = 0
+    for bits in range(2**d):
+        sums = [0] * l
+        for var, vec in enumerate(c.vectors):
+            if (bits >> var) & 1:
+                for j in range(l):
+                    sums[j] += vec[j]
+        if len(set(sums)) == 1:
+            good += 1
+    return conf.ConfStats(d=d, p=Fraction(good, 2**d))
+
+
 def test_dp_statistics_match_exhaustive_reference():
     for k, l in [(1, 2), (2, 2), (3, 2), (2, 3), (2, 4), (4, 2)]:
         for c in conf.enumerate_conf(k, l):
-            assert conf.conf_stats(c) == conf.conf_stats_exhaustive(c)
+            assert conf.conf_stats(c) == conf_stats_exhaustive(c)
 
 
 def test_statistics_for_two_column_shapes():
@@ -120,6 +216,24 @@ def test_general_distribution_statistics_biased_hand_value():
     stats = conf.conf_stats_general(c, dist)
     assert stats.p == Fraction(9, 16) + Fraction(1, 16)
 
+
+def test_general_distribution_statistics_match_exhaustive_reference():
+    # every assignment of support points to the d variables, summed exactly
+    pairs = [((0, 0), Fraction(1, 8)), ((0, 1), Fraction(1, 8)),
+             ((1, 0), Fraction(3, 8)), ((1, 1), Fraction(3, 8))]
+    for dist in (pairs, [(0, Fraction(1, 5)), (1, Fraction(1, 2)), (3, Fraction(3, 10))]):
+        points = [a if isinstance(a, tuple) else (a,) for a, _ in dist]
+        for c in conf.enumerate_conf_upto(2, 3):
+            p = Fraction(0)
+            for pick in product(range(len(dist)), repeat=c.d):
+                sums = {tuple(sum(vec[j] * points[i][t] for vec, i in zip(c.vectors, pick))
+                              for t in range(len(points[0]))) for j in range(c.l)}
+                if len(sums) == 1:
+                    weight = Fraction(1)
+                    for i in pick:
+                        weight *= dist[i][1]
+                    p += weight
+            assert conf.conf_stats_general(c, dist) == conf.ConfStats(d=c.d, p=p)
 
 def test_cmax_and_closed_form_probability():
     for h, g in [(1, 1), (2, 1), (3, 1), (2, 2), (2, 3), (3, 2)]:
