@@ -23,6 +23,14 @@ Each kind has its own generator, and `enumerate_conf` returns their union:
     class over its first j+1 columns, in the spirit of orderly generation
     (B. D. McKay, "Isomorph-free exhaustive generation", J. Algorithms 26,
     1998).  The only class of both kinds is the all-distinct one.
+
+Both p(C) functions share one exact DP (`_coinciding_weight`).  The law
+becomes integer weights over one common denominator D (uniform bits are
+weights (1, 1) over D = 2), so p(C) = W / D^d, where W sums the weight
+products of the assignments whose l column sums coincide.  The DP state is
+the (l-1)*n0 column differences s_j - s_0, one dense numpy object array of
+Python ints; each vector adds one weighted, shifted slice per support point,
+and the array only spans the differences that can still return to zero.
 """
 
 from __future__ import annotations
@@ -30,8 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
-from math import comb, factorial
-from operator import add
+from math import comb, factorial, lcm
+from numbers import Rational
+
+import numpy as np
 
 from .errors import CapExceeded
 
@@ -207,20 +217,54 @@ def cmax(h, l):
 # ---------------------------------------------------------------------------
 # statistics
 
+_UNIFORM_BITS = (((0,), 1), ((1,), 1))  # (point, integer weight) over denominator 2
+
+
+def _coinciding_weight(vectors, support):
+    """Total weight of the assignments of support points to `vectors` under
+    which the l column sums coincide; `support` holds (n0-tuple point,
+    integer weight) pairs and an assignment weighs the product of its
+    points' weights.
+
+    After t vectors the difference array spans the box that the first t
+    vectors reach and the remaining ones can still bring back to zero, so
+    the first and the last box are the zero state alone.
+    """
+    l = len(vectors[0])
+    shifts = np.array([[[(v[j] - v[0]) * x for j in range(1, l) for x in point]
+                        for point, _ in support] for v in vectors], dtype=object)
+    zero = np.zeros((1, shifts.shape[2]), dtype=object)
+    reach_lo = np.concatenate([zero, shifts.min(axis=1).cumsum(axis=0)])
+    reach_hi = np.concatenate([zero, shifts.max(axis=1).cumsum(axis=0)])
+    lo = np.maximum(reach_lo, reach_hi - reach_hi[-1])
+    hi = np.minimum(reach_hi, reach_lo - reach_lo[-1])
+    if (lo > hi).any():
+        return 0  # column sums that can never coincide
+    lo, hi = lo.tolist(), hi.tolist()
+    counts = np.ones((1,) * len(lo[0]), dtype=object)
+    for t, step in enumerate(shifts.tolist()):
+        nxt = np.zeros([b - a + 1 for a, b in zip(lo[t + 1], hi[t + 1])], dtype=object)
+        for shift, (_, weight) in zip(step, support):
+            src, dst = [], []
+            for a, b, s, a1, b1 in zip(lo[t], hi[t], shift, lo[t + 1], hi[t + 1]):
+                start, stop = max(a + s, a1), min(b + s, b1)
+                if start > stop:
+                    break
+                src.append(slice(start - s - a, stop - s - a + 1))
+                dst.append(slice(start - a1, stop - a1 + 1))
+            else:
+                moved = counts[tuple(src)]
+                nxt[tuple(dst)] += moved if weight == 1 else moved * weight
+        counts = nxt
+    return counts.item()
+
+
 def conf_stats(c: Configuration, cap=DEFAULT_EXACT_CAP) -> ConfStats:
-    """Exact p(C) over iid uniform bits, by DP on column partial sums."""
+    """Exact p(C) over iid uniform bits: weights (1, 1) over denominator 2."""
     if c.d > cap:
         raise CapExceeded(f"d(C) = {c.d} exceeds exact-computation cap {cap}")
-    states = {(0,) * c.l: 1}
-    for vec in c.vectors:
-        nxt = {}
-        for s, cnt in states.items():
-            nxt[s] = nxt.get(s, 0) + cnt
-            s1 = tuple(map(add, s, vec))
-            nxt[s1] = nxt.get(s1, 0) + cnt
-        states = nxt
-    good = sum(cnt for s, cnt in states.items() if len(set(s)) == 1)
-    return ConfStats(d=c.d, p=Fraction(good, 2**c.d))
+    count = _coinciding_weight(c.vectors, _UNIFORM_BITS)
+    return ConfStats(d=c.d, p=Fraction(count, 2**c.d))
 
 
 def _as_point(a):
@@ -233,24 +277,23 @@ def conf_stats_general(c: Configuration, dist, cap=DEFAULT_EXACT_CAP) -> ConfSta
     `dist` is a sequence of (point, probability) pairs; points are integers
     or integer tuples, probabilities rational or float.  Equivalence stays
     the combinatorial one; only p(C) depends on the distribution.
+
+    Probabilities become integer weights over their common denominator D
+    and p = (weight at the zero state) / D^d exactly; zero-mass points are
+    dropped.  A float probability is read as the exact binary fraction it
+    holds, and then p is that exact value rounded once to a float.
     """
     support = [(_as_point(a), p) for a, p in dist]
     n0 = len(support[0][0])
     if c.d * n0 > 2 * cap:
         raise CapExceeded(f"d(C)*n0 = {c.d * n0} exceeds cap")
-    width = c.l * n0
-    states = {(0,) * width: Fraction(1)}  # the l column sums of n0 ints, flat
-    for vec in c.vectors:
-        shifts = [(tuple(m * x for m in vec for x in point), pa) for point, pa in support]
-        nxt = {}
-        for s, pr in states.items():
-            for shift, pa in shifts:
-                key = tuple(map(add, s, shift))
-                nxt[key] = nxt.get(key, 0) + pr * pa
-        states = nxt
-    p = sum((pr for s, pr in states.items()
-             if len({s[i:i + n0] for i in range(0, width, n0)}) == 1), start=Fraction(0))
-    return ConfStats(d=c.d, p=p)
+    rational = [isinstance(p, Rational) for _, p in support]
+    exact = [Fraction(p if r else float(p)) for (_, p), r in zip(support, rational)]
+    denom = lcm(*(q.denominator for q in exact))
+    weighted = [(a, q.numerator * (denom // q.denominator))
+                for (a, _), q in zip(support, exact) if q]
+    p = Fraction(_coinciding_weight(c.vectors, weighted) if weighted else 0, denom**c.d)
+    return ConfStats(d=c.d, p=p if all(rational) else float(p))
 
 
 def cmax_p_closed(d, g) -> Fraction:

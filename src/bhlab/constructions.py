@@ -76,6 +76,8 @@ def make_binary_code(words, h=None, source="unknown"):
 
 def bose_chowla(q, h, size_cap=DEFAULT_SIZE_CAP):
     """The B_h-set {d_i} in Z/(q^h-1)Z with alpha^{d_i} = alpha + x_i, x_i in GF(q)."""
+    if h < 1:
+        raise InvalidParams("h must be >= 1")
     m = q**h - 1
     if m < 2:
         raise DegenerateModulus(f"modulus q^h-1 = {m} is degenerate")
@@ -88,6 +90,8 @@ def bose_chowla(q, h, size_cap=DEFAULT_SIZE_CAP):
 
 def power_map(q, h, size_cap=DEFAULT_SIZE_CAP):
     """The B_h-set {(x, x^2, ..., x^h) : x in GF(q)}; needs char(GF(q)) > h."""
+    if h < 1:
+        raise InvalidParams("h must be >= 1")
     f = algebra.make_field(q, size_cap=size_cap)
     if f.p <= h:
         raise CharacteristicTooSmall(f"characteristic {f.p} <= h = {h}")

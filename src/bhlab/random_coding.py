@@ -43,7 +43,7 @@ class SamplingPlan:
     g: int = 1
 
     def __post_init__(self):
-        if self.n % self.n0 != 0:
+        if self.n0 < 1 or self.n % self.n0 != 0:
             raise InvalidParams(f"n0 = {self.n0} does not divide n = {self.n}")
         if self.t < 1:
             raise InvalidParams("t must be >= 1")
@@ -108,6 +108,8 @@ def choose_t(h, n, g=1, dist=None, n0=1) -> int:
     """Largest t with E(t) <= t/2 (0 if even t = 1 fails, with no violation
     classes this never happens for n >= 1).  Doubling plus binary search;
     E(t)/t is nondecreasing so the feasible set is a prefix."""
+    if min(h, g, n, n0) < 1:
+        raise InvalidParams("h, g, n and n0 must be >= 1")  # g = 0: t would double forever
     if dist is None:
         n0 = 1  # the uniform law factorizes into per-bit blocks
     if n % n0 != 0:

@@ -175,6 +175,8 @@ class SpecialConfigReport:
 def poltyrev_special_config(h, g) -> SpecialConfigReport:
     """Block configuration with p = binom(2h,h) * 2^-(2h+g-1), d = 2h-1+g,
     compared against the all-distinct configuration of the same shape."""
+    if h < 1 or g < 1:
+        raise InvalidParams("h and g must be >= 1")
     p = Fraction(comb(2 * h, h), 2 ** (2 * h + g - 1))
     d = 2 * h - 1 + g
     exponent = 2.0 ** (log2_fraction(p) / (d - 1))

@@ -1,8 +1,12 @@
 """Command-line interface: exit codes, printed artifacts, and manifests."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bhlab import cli
 from bhlab.constructions import code_from_text
@@ -75,6 +79,17 @@ def test_configs_enumerate_without_k_l_exits_2(capsys):
 def test_entropy_without_inputs_exits_2(capsys):
     _assert_usage_error(run(capsys, "entropy", "renyi"))
     _assert_usage_error(run(capsys, "entropy", "majorize", "--p-seq", "1/2,1/2"))
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--h", "2", "--n", "4", "--seed", "0", "--g", "0"),  # looped forever
+    ("simulate", "--h", "2", "--n", "4", "--seed", "0", "--n0", "0"),
+    ("construct", "bose-chowla", "--q", "0", "--h", "-1"),
+    ("rate", "special", "--h", "1", "--g", "0"),
+    ("rate", "special", "--h", "0", "--g", "2"),
+])
+def test_degenerate_parameters_exit_2(capsys, argv):
+    _assert_usage_error(run(capsys, *argv))
 
 
 def test_construct_prints_residues(capsys):
@@ -242,3 +257,83 @@ def test_bad_distribution_exits_2(capsys):
     code, _, err = run(capsys, "entropy", "renyi", "--dist", "1/2,1/4,1/4",
                        "--n0", "1")
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract on random argv
+
+SMALL = st.sampled_from(["2", "1", "0", "-1"])  # h, g, k, l <= 2 keep each run cheap
+OPTION_VALUES = {
+    "--q": st.sampled_from(["3", "5", "4", "2", "7", "9", "6", "1", "0"]),
+    "--h": SMALL, "--g": SMALL, "--d": SMALL, "--k": SMALL, "--l": SMALL,
+    "--n": st.sampled_from(["8", "6", "4", "2", "1", "0", "-1"]),
+    "--n0": st.sampled_from(["1", "2", "0"]),
+    "--seed": SMALL, "--attempts": st.sampled_from(["2", "1", "0"]), "--trials": SMALL,
+    "--alpha": st.sampled_from(["2", "0.5", "1", "0", "inf", "nan", "-1"]),
+    "--p": st.sampled_from(["0.5", "0.3", "0", "1", "1.5"]),
+    "--dist": st.sampled_from(["1/2,1/2", "3/4,1/4", "1,0", "1/4,1/4,1/4,1/4", "1/2,1/3",
+                               "0,0", "-1/2,3/2", "x"]),
+    "--p-seq": st.sampled_from(["1/2,1/2", "1,0", "1/3,2/3", "1", "a"]),
+    "--q-seq": st.sampled_from(["1/2,1/2", "1,0", "0,1", "1/2,1/4,1/4", ""]),
+}
+FLAGS = ("--binary", "--table", "--json", "--sconf", "--sharp")
+# subcommand: (positional choices, usually-given options, other options)
+COMMANDS = {
+    "construct": (("bose-chowla", "power-map"), ("--q", "--h"), ("--binary", "--output")),
+    "verify": (("bh", "bhg", "bhsharp"), ("--h", "--input"), ("--g", "--d")),
+    "configs": (("enumerate",), ("--k", "--l"), ("--sconf", "--sharp", "--h", "--d", "--json")),
+    "rate": (("dr", "poltyrev", "dist", "bhg", "bhsharp", "special"), ("--h",),
+             ("--g", "--d", "--dist", "--n0", "--table")),
+    "simulate": ((), ("--h", "--n", "--seed"),
+                 ("--n0", "--dist", "--g", "--attempts", "--output")),
+    "entropy": (("renyi", "hfold", "hessian", "roots", "sidon", "search", "majorize"), (),
+                ("--dist", "--n0", "--alpha", "--h", "--n", "--p", "--trials", "--seed",
+                 "--p-seq", "--q-seq")),
+}
+CODE_FILES = {"good.txt": "n=3 h=2 source=demo\n001\n010\n100\n",
+              "bad.txt": "n=2 h=2 source=demo\n00\n01\n10\n11\n",
+              "garbled.txt": "not a code\n"}
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli")
+    for name, text in CODE_FILES.items():
+        (path / name).write_text(text)
+    return path
+
+
+@st.composite
+def cli_argv(draw, directory):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    positionals, usual, other = COMMANDS[command]
+    argv = [command] + ([draw(st.sampled_from(positionals))] if positionals else [])
+    dropped = draw(st.sampled_from((None,) * 4 + usual))  # at times one goes missing
+    extra = draw(st.lists(st.sampled_from(other), max_size=5, unique=True))
+    for option in [o for o in usual if o != dropped] + extra:
+        if option in FLAGS:
+            argv.append(option)
+        elif option == "--input":
+            name = draw(st.sampled_from(sorted(CODE_FILES) + ["missing.txt"]))
+            argv += [option, str(directory / name)]
+        elif option == "--output":
+            argv += [option, str(directory / "out.txt")]
+        else:
+            argv += [option, draw(OPTION_VALUES[option])]
+    return argv
+
+
+@settings(max_examples=1000, deadline=None)
+@given(data=st.data())
+def test_random_argv_keeps_the_exit_code_contract(cli_dir, data):
+    argv = data.draw(cli_argv(cli_dir), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in out + err
+    assert code in (0, 1, 2), err
+    if code == 1:
+        # a printed violation, a search counterexample, or a failed majorization
+        counterexample = '"counterexample": ' in out and '"counterexample": null' not in out
+        assert "violation:" in out or counterexample or out == "false\n", out

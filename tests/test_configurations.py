@@ -1,6 +1,7 @@
 """Configuration enumeration against an independent brute-force oracle."""
 
 import hashlib
+import json
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb
@@ -8,6 +9,7 @@ from math import comb
 import pytest
 
 from bhlab import configurations as conf
+from bhlab import rates
 from bhlab.errors import CapExceeded
 
 PARTITION_NUMBERS = {1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11}
@@ -119,6 +121,28 @@ PINNED_SHARP = {
 }
 
 
+PAIRS = [((0, 0), Fraction(1, 8)), ((0, 1), Fraction(1, 8)),
+         ((1, 0), Fraction(3, 8)), ((1, 1), Fraction(3, 8))]
+THREE_POINTS = [(0, Fraction(1, 5)), (1, Fraction(1, 2)), (3, Fraction(3, 10))]
+
+# sha256 of repr([(repr(c), s.d, s.p) for c in Conf(<= h, l)]) under each law,
+# recorded from the two dict-of-tuples p(C) DPs that `_coinciding_weight`
+# replaced (commit 28ad7d7); None is `conf_stats`, a list `conf_stats_general`
+PINNED_STATS = [
+    (4, 4, None, "e595efed9937d01201c72eb1fa5949ab2106ff15db2f9da4d664df3c91b6a703"),
+    (3, 4, None, "fcc2045bf9402c7d216bf756c3feefbbaf0def2603779dcac3cf5001ce51493e"),
+    (3, 3, PAIRS, "c51b55482bcc3c4cad09f08fd05a4896f1ad7c249e7a0903b2f47f2b6669d26f"),
+    (3, 3, THREE_POINTS, "417fc89c131a5d1bc894cac069bc32816e544725f159ecfc58a30eba271dd793"),
+]
+
+# sha256 of json.dumps(report.to_json(), sort_keys=True), same source
+PINNED_REPORTS = [
+    (rates.rate_bhg, (4, 3), "327189bf7503242070860f86d6a326bd26ef75a18b0d9562296df63d933adf05"),
+    (rates.rate_bh_sharp, (2, 3),
+     "f8beb80e9d849686d77dee853595d0f692bee0dd26fd2a20d2494ce27983c58d"),
+]
+
+
 def _digest(classes):
     return len(classes), hashlib.sha256(repr(classes).encode()).hexdigest()
 
@@ -126,6 +150,21 @@ def _digest(classes):
 @pytest.mark.parametrize("k,l", sorted(PINNED_CONF))
 def test_enumeration_matches_pinned_class_lists(k, l):
     assert _digest(conf.enumerate_conf(k, l)) == PINNED_CONF[k, l]
+
+
+@pytest.mark.parametrize("h,l,law,digest", PINNED_STATS)
+def test_statistics_match_pinned_digests(h, l, law, digest):
+    rows = []
+    for c in conf.enumerate_conf_upto(h, l):
+        s = conf.conf_stats(c) if law is None else conf.conf_stats_general(c, law)
+        rows.append((repr(c), s.d, s.p))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("rate,args,digest", PINNED_REPORTS)
+def test_rate_reports_match_pinned_digests(rate, args, digest):
+    text = json.dumps(rate(*args).to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_one_column_shapes_have_no_class():
@@ -217,23 +256,54 @@ def test_general_distribution_statistics_biased_hand_value():
     assert stats.p == Fraction(9, 16) + Fraction(1, 16)
 
 
+def conf_stats_general_exhaustive(c, dist):
+    """Reference p(C) under a law: every assignment of support points to the
+    d variables, with each probability read exactly as a Fraction."""
+    points = [a if isinstance(a, tuple) else (a,) for a, _ in dist]
+    p = Fraction(0)
+    for pick in product(range(len(dist)), repeat=c.d):
+        sums = {tuple(sum(vec[j] * points[i][t] for vec, i in zip(c.vectors, pick))
+                      for t in range(len(points[0]))) for j in range(c.l)}
+        if len(sums) == 1:
+            weight = Fraction(1)
+            for i in pick:
+                weight *= Fraction(dist[i][1])
+            p += weight
+    return conf.ConfStats(d=c.d, p=p)
+
+
 def test_general_distribution_statistics_match_exhaustive_reference():
-    # every assignment of support points to the d variables, summed exactly
-    pairs = [((0, 0), Fraction(1, 8)), ((0, 1), Fraction(1, 8)),
-             ((1, 0), Fraction(3, 8)), ((1, 1), Fraction(3, 8))]
-    for dist in (pairs, [(0, Fraction(1, 5)), (1, Fraction(1, 2)), (3, Fraction(3, 10))]):
-        points = [a if isinstance(a, tuple) else (a,) for a, _ in dist]
+    for dist in (PAIRS, THREE_POINTS):
         for c in conf.enumerate_conf_upto(2, 3):
-            p = Fraction(0)
-            for pick in product(range(len(dist)), repeat=c.d):
-                sums = {tuple(sum(vec[j] * points[i][t] for vec, i in zip(c.vectors, pick))
-                              for t in range(len(points[0]))) for j in range(c.l)}
-                if len(sums) == 1:
-                    weight = Fraction(1)
-                    for i in pick:
-                        weight *= dist[i][1]
-                    p += weight
-            assert conf.conf_stats_general(c, dist) == conf.ConfStats(d=c.d, p=p)
+            assert conf.conf_stats_general(c, dist) == conf_stats_general_exhaustive(c, dist)
+
+
+def test_general_statistics_on_awkward_laws():
+    no_zero_point = [(1, Fraction(1, 3)), (3, Fraction(2, 3))]
+    zero_mass_pair = [(0, Fraction(1, 2)), (10**18, Fraction(0)), (5, Fraction(1, 2))]
+    float_law = [(0, 0.1), (1, 0.3), (3, 0.6)]
+    float_pairs = [((0, 0), 0.2), ((0, 1), 0.0), ((1, 0), 0.35), ((1, 1), 0.45)]
+    # four variables against one: on {1, 3} the column sums can never meet
+    unequal_columns = conf.Configuration(((0, 1),) + ((1, 0),) * 4)
+    for c in conf.enumerate_conf_upto(2, 3) + [unequal_columns]:
+        for dist in (no_zero_point, zero_mass_pair):
+            assert conf.conf_stats_general(c, dist) == conf_stats_general_exhaustive(c, dist)
+        for dist in (float_law, float_pairs):
+            p = conf.conf_stats_general(c, dist).p
+            exact = conf_stats_general_exhaustive(c, dist).p
+            assert isinstance(p, float)
+            assert abs(p - exact) <= 1e-12 * exact
+
+
+def test_general_statistics_cap_is_checked_before_any_state_array():
+    c = conf.cmax(2, 2)  # d = 4; with n0 = 2, d*n0 = 8
+    # no array could hold the column differences this support reaches
+    far = [((0, 0), Fraction(1, 2)), ((10**18, 10**18), Fraction(1, 2))]
+    with pytest.raises(CapExceeded):
+        conf.conf_stats_general(c, far, cap=3)
+    with pytest.raises((ValueError, MemoryError)):
+        conf.conf_stats_general(c, far)
+
 
 def test_cmax_and_closed_form_probability():
     for h, g in [(1, 1), (2, 1), (3, 1), (2, 2), (2, 3), (3, 2)]:
