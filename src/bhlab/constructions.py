@@ -68,6 +68,8 @@ def make_binary_code(words, h=None, source="unknown"):
     words = tuple(sorted(set(map(_bit_word, words))))
     if not words:
         raise ValueError("empty code")
+    if len({len(w) for w in words}) > 1:
+        raise InvalidParams("code words must share one length")
     return BinaryCode(n=len(words[0]), words=words, h=h, source=source)
 
 

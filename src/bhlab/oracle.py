@@ -9,11 +9,13 @@ One numpy engine, `_Sums`, serves every ambient.  An element is a row of
 unsigned ints: the base-2^b digits of its offset from the least element, or
 its residues.  Level k (the size-k multisets) is level k-1 plus one element
 per vectorised add, reduced mod q at every level and packed into uint64 key
-words (more than one only when the sums need over 64 bits).  Two passes keep
-memory flat: pass one sorts every multiset's first key word in place and
-keeps the duplicated values; pass two regenerates the level and decodes only
-the rows holding them, grouped by their whole key.  Peak memory is one uint64
-per top-level multiset plus the level below it.
+words (more than one only when the sums need over 64 bits).  A level is
+scanned in buckets by a sum class (equal sums share a class), one bucket at a
+time and in two passes: pass one sorts the bucket's first key words in place
+and keeps the duplicated values; pass two regenerates only a bucket that has
+some and decodes the rows holding them, grouped by their whole key.  Peak
+memory is one bucket of keys (about _BUCKET_KEYS uint64s on large levels)
+plus the level below the top.
 
 The random-coding pipeline enumerates each population once: pruning reads
 its minimal violations, and `random_coding.construct` its final verdict,
@@ -25,7 +27,6 @@ below on the finished code.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -38,6 +39,7 @@ from .errors import CapExceeded, InvalidParams
 DEFAULT_ENUM_CAP = 2**26
 DEFAULT_PER_SUM_CAP = 200_000  # B_h[g] column combinations read from one sum
 _CHUNK = 2**16  # rows per generated block: bounds temporaries, amortises numpy calls
+_BUCKET_KEYS = 2**19  # a large level's buckets hold 1-2x this many keys: each sorts in cache
 
 
 # ---------------------------------------------------------------------------
@@ -48,19 +50,22 @@ def encode_binary_words(words, h):
 
     Returns (encoded list, fits_uint64) where fits_uint64 says that sums of
     two encodings stay below 2^64.  Bits must be 0 or 1 (of any integer
-    type); they are read as Python ints, so numpy bits cannot wrap.
+    type); they are read as Python ints, so numpy bits cannot wrap.  Words
+    must share one length: (1,) and (0, 1) would both encode to 1.
     """
     if h < 1:
         raise InvalidParams(f"h = {h} must be >= 1")
     base, encoded = h + 1, []
+    n = len(words[0]) if len(words) else 0
     for w in words:
         if not {0, 1}.issuperset(w):
             raise InvalidParams(f"word {w!r} has a bit other than 0/1")
+        if len(w) != n:
+            raise InvalidParams(f"word {w!r} does not have the first word's length {n}")
         v = 0
         for bit in bytes(tuple(w)):  # Python ints, whatever integer type the bits had
             v = v * base + bit
         encoded.append(v)
-    n = len(words[0]) if words else 0
     return encoded, 2 * ((base**n - 1) // h) < 2**64  # two all-ones words
 
 
@@ -152,40 +157,143 @@ class _Sums:
     Level k lists the size-k index multisets in colex order: those with
     largest index j are every level-(k-1) row whose largest index is <= j (the
     first `ends[k-1][j]` rows of that level) plus element j, one vectorised
-    add; `ends[k]` decodes a row number back to its multiset.  Levels below
-    the top are held in memory one at a time; the top is regenerated per pass."""
+    add; `ends[k]` decodes a row number back to its multiset.  Levels below the
+    top are held in memory one at a time, in colex order.
+
+    A level is scanned in B buckets, by a class in Z_B that adds like the
+    sums: the low log2(B) bits of digit 0 (carries move only multiples of
+    2^b), or coordinate 0 mod the largest divisor of q that is at most B.
+    Equal sums have equal classes, so each bucket is sorted and scanned for
+    duplicates on its own.  B is the largest power of two, at most m, that
+    leaves _BUCKET_KEYS or more keys per top-level bucket, so a level below
+    2 * _BUCKET_KEYS keys is one bucket.  The elements are relabelled in class
+    order, and a held level is grouped by class through a stable permutation
+    (none for one class or for the elements); the colex copy of the top-1
+    level is dropped once it is grouped.  Bucket r of the top level is, for
+    each class a, one broadcast add of class a's elements onto the group-(r-a)
+    rows whose largest index lies below class a, plus one add per element j
+    of class a for the group rows ending inside class a at or before j.  A
+    bucket with fewer keys than the threshold cannot hold a duplicate and is
+    skipped.  The top level is generated a bucket at a time, in blocks of
+    about _CHUNK rows, once per pass.  Peak memory is one bucket of keys plus
+    the held level (twice that while it is grouped)."""
 
     def __init__(self, elements, add, h):
-        self.first, self.moduli, radices, self.b, self.value = _coordinates(elements, add, h)
-        self.h, self.m = h, len(self.first)
+        first, self.moduli, radices, self.b, self.value = _coordinates(elements, add, h)
+        self.h, self.m = h, len(first)
         self.ends = [None, np.arange(1, self.m + 1)]
         for _ in range(h - 1):
             self.ends.append(np.cumsum(self.ends[-1]))
+        self.B = 1
+        while 2 * self.B <= min(multiset_count(self.m, h) // _BUCKET_KEYS, self.m):
+            self.B *= 2
+        if self.moduli is not None:  # coordinate 0 mod the largest divisor of q that is at most B
+            self.B = max(d for d in range(1, self.B + 1) if radices[0] % d == 0)
+        cls = self._classes(first)
+        self.perm = np.argsort(cls, kind="stable")  # relabelled index -> caller's index
+        self.start = np.searchsorted(cls[self.perm], np.arange(self.B + 1))  # class a: start[a]..
+        self.first = first[self.perm]
         self.k, self.state = 1, self.first  # the highest level held in memory
-        self.plan, scale = [], 1  # uint64 words as [(column, weight)], each < 2^64
+        self.grouping = None  # (rows, group offsets, permutation or None) of the held level
+        self.plan = None  # the blocks of level self.k + 1, bucket by bucket
+        self.packing, scale = [], 1  # uint64 key words as [(column, weight)], each < 2^64
         for c, r in enumerate(radices):
-            if not self.plan or scale * r > 2**64:
-                self.plan.append([])
+            if not self.packing or scale * r > 2**64:
+                self.packing.append([])
                 scale = 1
-            self.plan[-1].append((c, np.uint64(scale)))
+            self.packing[-1].append((c, np.uint64(scale)))
             scale *= r
 
-    def _blocks(self):
-        """(first row, rows) of level self.k + 1, about _CHUNK rows at a time."""
-        prev, sizes = self.state, self.ends[self.k].tolist()
-        ends = self.ends[self.k + 1].tolist()  # rows with largest index i end at ends[i]
-        j = 0
-        while j < self.m:
-            start = ends[j] - sizes[j]
-            stop = max(j + 1, bisect_right(ends, start + _CHUNK))
-            block = np.empty((ends[stop - 1] - start, prev.shape[1]), prev.dtype)
-            for i in range(j, stop):  # a prefix of level self.k plus element i
-                lo = ends[i] - sizes[i] - start
-                np.add(prev[:sizes[i]], self.first[i], out=block[lo:lo + sizes[i]])
-            if self.moduli is not None:  # below the modulus, block - moduli wraps above block
-                np.minimum(block, block - self.moduli, out=block)
-            yield start, block
-            j = stop
+    def _classes(self, rows):
+        if self.moduli is None:
+            return (rows[:, 0] & np.uint64(self.B - 1)).astype(np.intp)
+        return (rows[:, 0] % self.B).astype(np.intp)
+
+    def _rows(self, parts, prev, out):
+        """Fill `out` with the rows of some parts (e0, e1, g0, g1) of level
+        self.k + 1: elements e0..e1-1, each added to the rows g0..g1-1 of `prev`."""
+        lo = 0
+        for e0, e1, g0, g1 in parts:
+            hi = lo + (e1 - e0) * (g1 - g0)
+            part = out[lo:hi]
+            np.add(self.first[e0:e1, None], prev[None, g0:g1],
+                   out=part.reshape(e1 - e0, g1 - g0, -1))
+            if self.moduli is not None:  # below the modulus, part - moduli wraps above part
+                np.minimum(part, part - self.moduli, out=part)
+            lo = hi
+        return out
+
+    def _advance(self):
+        """Hold level self.k + 1 in memory, in colex order."""
+        parts = [(j, j + 1, 0, n) for j, n in enumerate(self.ends[self.k].tolist())]
+        out = np.empty((self.ends[self.k + 1][-1], self.state.shape[1]), self.state.dtype)
+        self.k, self.state = self.k + 1, self._rows(parts, self.state, out)
+        self.grouping = self.plan = None
+
+    def _group(self):
+        """Group the held level by class, each group in colex order."""
+        rows, order = self.state, None  # no permutation: an identity one costs peak memory
+        if self.k == 1 or self.B == 1:  # the elements are relabelled in class order
+            goff = self.start if self.k == 1 else np.array([0, len(rows)])
+        else:
+            cls = self._classes(rows)
+            order = np.argsort(cls, kind="stable")
+            goff = np.append(0, np.bincount(cls, minlength=self.B).cumsum())
+            rows = rows[order]
+        if self.k == self.h - 1:  # `_advance` never reads the colex top-1 level
+            self.state = None
+        self.grouping = rows, goff.tolist(), order
+
+    def _number(self, g):
+        """The colex row numbers of grouped held rows g."""
+        order = self.grouping[2]
+        return g if order is None else order[g]
+
+    def _count(self, c, numbers):
+        """How many rows of group c have a colex row number below each of `numbers`."""
+        _, goff, order = self.grouping
+        if order is None:
+            return np.clip(numbers - goff[c], 0, goff[c + 1] - goff[c])
+        return np.searchsorted(order[goff[c]:goff[c + 1]], numbers)
+
+    def _plan(self):
+        """Bucket by bucket, the blocks [rows, parts] of level self.k + 1, about
+        _CHUNK rows each; a part is as in `_rows`, over the grouped held level."""
+        B, start, goff = self.B, self.start.tolist(), self.grouping[1]
+        last = self.ends[self.k]  # last[j]: held rows whose largest index is <= j
+        bounds = np.append(0, last)[self.start]  # held rows below each class's first index
+        below = [self._count(c, bounds).tolist() for c in range(B)]
+        classes = [a for a in range(B) if start[a] < start[a + 1]]
+        self.plan = []
+        for r in range(B):
+            parts = []
+            for a in classes:
+                c, s, e = (r - a) % B, start[a], start[a + 1]
+                g0, p, p1 = goff[c], below[c][a], below[c][a + 1]
+                if p:  # group rows whose largest index lies below class a
+                    step = max(1, _CHUNK // p)
+                    parts.extend((i, min(i + step, e), g0, g0 + p) for i in range(s, e, step))
+                if p1 > p:  # group rows ending inside class a, at or before j
+                    ends = self._count(c, last[s:e]).tolist()
+                    parts.extend((j, j + 1, g0 + p, g0 + q)
+                                 for j, q in zip(range(s, e), ends) if q > p)
+            blocks = []
+            for part in parts:
+                if not blocks or blocks[-1][0] >= _CHUNK:
+                    blocks.append([0, []])
+                blocks[-1][0] += (part[1] - part[0]) * (part[3] - part[2])
+                blocks[-1][1].append(part)
+            self.plan.append(blocks)
+
+    def _numbers(self, parts, hit):
+        """The level self.k + 1 row numbers of the rows `hit` of a block made of `parts`."""
+        e0, e1, g0, g1 = np.array(parts).T
+        w = g1 - g0
+        lo = np.cumsum((e1 - e0) * w) - (e1 - e0) * w
+        p = np.searchsorted(lo, hit, side="right") - 1
+        j = e0[p] + (hit - lo[p]) // w[p]
+        g = g0[p] + (hit - lo[p]) % w[p]
+        return self.ends[self.k + 1][j] - self.ends[self.k][j] + self._number(g)
 
     def _pack(self, block):
         """The uint64 key words of some rows (normalising digit carries in place)."""
@@ -193,42 +301,57 @@ class _Sums:
             block[:, i + 1] += block[:, i] >> np.uint64(self.b)
             block[:, i] &= np.uint64(2**self.b - 1)
         words = []
-        for (c, _), *rest in self.plan:  # a word's first column has weight 1
+        for (c, _), *rest in self.packing:  # a word's first column has weight 1
             key = block[:, c].astype(np.uint64, copy=False)
             for c, w in rest:
                 key = key + block[:, c] * w
             words.append(key)
         return words
 
-    def _key_blocks(self, k):
-        """A function yielding the (first row, key words) blocks of level k."""
-        while self.k < min(k, self.h - 1):
-            self.k, self.state = self.k + 1, np.concatenate([b for _, b in self._blocks()])
-        if k == self.k:  # a level held in memory: pack it once
-            words = self._pack(self.state)
-            return lambda: [(0, words)]
-        return lambda: ((start, self._pack(block)) for start, block in self._blocks())
+    def _bucket(self, k, r):
+        """(key words, row-number function) per block of bucket r of level k."""
+        rows, goff, _ = self.grouping
+        if k == self.k:  # held: one block
+            yield self._pack(rows[goff[r]:goff[r + 1]]), lambda hit: self._number(hit + goff[r])
+            return
+        for size, parts in self.plan[r]:
+            block = self._rows(parts, rows, np.empty((size, rows.shape[1]), rows.dtype))
+            yield self._pack(block), lambda hit, parts=parts: self._numbers(parts, hit)
 
     def groups(self, k, threshold):
         """dict sum -> lex-ordered index multisets, for the size-k sums hit at least
         `threshold` times, in lex order of their first multisets; k must not decrease."""
         if self.m == 0:
             return {}
-        blocks = self._key_blocks(k)
-        keys = np.empty(self.ends[k][-1], np.uint64)
-        for start, words in blocks():
-            keys[start:start + len(words[0])] = words[0]
-        keys.sort()  # in place; only values matter, so any sort kind gives the same result
-        t = threshold - 1
-        dup = np.unique(keys[t:][keys[t:] == keys[:len(keys) - t]])  # first words only
-        del keys
-        if not len(dup):
+        while self.k < min(k, self.h - 1):
+            self._advance()
+        if self.grouping is None:
+            self._group()
+        if k == self.k:
+            sizes = np.diff(self.grouping[1]).tolist()
+        else:  # the top level, generated a bucket at a time
+            if self.plan is None:
+                self._plan()
+            sizes = [sum(size for size, _ in blocks) for blocks in self.plan]
+        t, rows, candidates = threshold - 1, [], []
+        for r, size in enumerate(sizes):
+            if size < threshold:  # too few sums for `threshold` equal ones
+                continue
+            keys, lo = np.empty(size, np.uint64), 0
+            for words, _ in self._bucket(k, r):
+                keys[lo:lo + len(words[0])] = words[0]
+                lo += len(words[0])
+            keys.sort()  # in place; only values matter, so any sort kind gives the same result
+            dup = np.unique(keys[t:][keys[t:] == keys[:size - t]])  # first words only
+            del keys
+            if not len(dup):
+                continue
+            for words, numbers in self._bucket(k, r):  # pass two: rows whose first word is duplicated
+                hit = np.flatnonzero(np.isin(words[0], dup))
+                rows.append(numbers(hit))
+                candidates.append([w[hit] for w in words])
+        if not rows:
             return {}
-        rows, candidates = [], []
-        for start, words in blocks():  # pass two: the rows whose first word is duplicated
-            hit = np.flatnonzero(np.isin(words[0], dup))
-            rows.append(hit + start)
-            candidates.append([w[hit] for w in words])
         whole = np.stack([np.concatenate(w) for w in zip(*candidates)], axis=1)
         labels = np.unique(whole, axis=0, return_inverse=True)[1].reshape(-1)
         keep = np.bincount(labels)[labels] >= threshold
@@ -237,7 +360,7 @@ class _Sums:
             j = np.searchsorted(self.ends[level], rows, side="right")
             cols.append(j)
             rows = rows - self.ends[level][j] + self.ends[level - 1][j]
-        idx = np.stack([rows] + cols[::-1], axis=1)
+        idx = np.sort(self.perm[np.stack([rows] + cols[::-1], axis=1)], axis=1)
         order = np.lexsort(idx.T[::-1])
         groups = {}
         for v, combo in zip(labels[order].tolist(), idx[order].tolist()):

@@ -159,13 +159,8 @@ def sample_code(plan: SamplingPlan):
     per_word = plan.n // plan.n0
     draws = rng.random((plan.t, per_word))
     choice = np.searchsorted(cum, draws, side="left")
-    words = []
-    for row in choice:
-        word = []
-        for idx in row:
-            word.extend(blocks[int(idx)])
-        words.append(tuple(word))
-    return words
+    table = np.array(blocks, dtype=np.uint8).reshape(len(blocks), plan.n0)
+    return list(map(tuple, table[choice].reshape(plan.t, plan.n).tolist()))
 
 
 # ---------------------------------------------------------------------------

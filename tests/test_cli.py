@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +28,18 @@ def test_version(capsys):
     code, out, err = run(capsys, "--version")
     assert code == 0
     assert __version__ in out + err
+
+
+def test_module_entry_point_runs_without_warning():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "bhlab", "rate", "poltyrev", "--h", "2"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "poltyrev rate 0.471679\n", "")
+    usage = subprocess.run([sys.executable, "-m", "bhlab", "rate", "nosuch"],
+                           capture_output=True, text=True, env=env, timeout=120)
+    assert usage.returncode == 2 and "Traceback" not in usage.stderr
 
 
 def test_usage_errors_exit_2(capsys):

@@ -11,6 +11,7 @@ from bhlab import oracle
 from bhlab.constructions import (bose_chowla, field_vectors_to_binary, make_binary_code,
                                  power_map, residues_to_binary)
 from bhlab.errors import CapExceeded, InvalidParams
+from bhlab.random_coding import prune
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +224,8 @@ AMBIENTS = {  # name -> (element sampler, add)
     "bit-words": (_bit_words, operator.add),
     "long-bit-words": (_long_bit_words, operator.add),
     "residues": (lambda rng, m, h: [rng.randrange(7) for _ in range(m)], oracle.residue_add(7)),
+    "residues-12": (lambda rng, m, h: [rng.randrange(12) for _ in range(m)],
+                    oracle.residue_add(12)),  # composite: classes mod 2, 3, 4 or 6
     "z3^2": (lambda rng, m, h: [(rng.randrange(3), rng.randrange(3)) for _ in range(m)],
              oracle.vector_mod_add(3)),
     "z5^30": (lambda rng, m, h: [(rng.randrange(5), rng.randrange(2), 1) * 10 for _ in range(m)],
@@ -239,7 +242,7 @@ def test_engine_matches_brute_force_reference(ambient):
     for h in (1, 2, 3, 4):
         for trial in range(4):
             elems = sample(rng, rng.randint(1, 8 if h < 4 else 6), h)
-            for g in (1, 2, 3):
+            for g in (1, 2, 3, 4):
                 assert oracle.verify_bhg(elems, h, g, add=add) == ref_verify_bhg(elems, h, g, add)
                 assert (oracle.find_minimal_violations_bhg(elems, h, g, add=add)
                         == ref_minimal_bhg(elems, h, g, add))
@@ -251,12 +254,15 @@ def test_engine_matches_brute_force_reference(ambient):
                         == ref_verify_bh_sharp(elems, h, d, add))
 
 
-@pytest.mark.parametrize("h, m, sample, add", [
+LARGER = pytest.mark.parametrize("h, m, sample, add", [
     (2, 120, lambda rng: rng.randint(0, 60), operator.add),  # every sum hit ~60 times
     (2, 400, lambda rng: rng.randint(0, 80_000), operator.add),
     (3, 80, lambda rng: rng.randint(-30_000, 30_000), operator.add),
     (3, 80, lambda rng: (rng.randrange(300), rng.randrange(300)), oracle.vector_mod_add(300)),
 ], ids=["dense-ints-h2", "ints-h2", "ints-h3", "z300^2-h3"])
+
+
+@LARGER
 def test_engine_matches_reference_on_larger_inputs(h, m, sample, add):
     """A dense case, and levels of 80,000+ multisets generated in several blocks."""
     rng = random.Random(m)
@@ -264,6 +270,57 @@ def test_engine_matches_reference_on_larger_inputs(h, m, sample, add):
     for g in (1, 2):
         assert oracle.verify_bhg(elems, h, g, add=add) == ref_verify_bhg(elems, h, g, add)
     assert oracle.find_minimal_violations(elems, h, add=add) == ref_minimal_bhg(elems, h, 1, add)
+
+
+@pytest.fixture
+def small_buckets(monkeypatch):
+    """Buckets and blocks of a few rows, so that levels split into B > 1 classes."""
+    monkeypatch.setattr(oracle, "_BUCKET_KEYS", 1)
+    monkeypatch.setattr(oracle, "_CHUNK", 4)
+
+
+@pytest.mark.parametrize("ambient", sorted(AMBIENTS))
+def test_bucketed_engine_matches_brute_force_reference(ambient, small_buckets):
+    test_engine_matches_brute_force_reference(ambient)
+    sample, add = AMBIENTS[ambient]
+    elems = sample(random.Random(1), 8, 2)
+    assert oracle._Sums(elems, add, 2).B > 1
+    for elems in ([], elems[:1], elems[:1] * 2):
+        for h in (1, 2, 3):
+            assert oracle.verify_bh(elems, h, add=add) == ref_verify_bhg(elems, h, 1, add)
+            assert (oracle.find_minimal_violations(elems, h, add=add)
+                    == ref_minimal_bhg(elems, h, 1, add))
+
+
+@LARGER
+def test_bucketed_engine_matches_reference_on_larger_inputs(h, m, sample, add, monkeypatch):
+    monkeypatch.setattr(oracle, "_BUCKET_KEYS", 2**8)
+    rng = random.Random(m)
+    assert oracle._Sums([sample(rng) for _ in range(m)], add, h).B > 1
+    test_engine_matches_reference_on_larger_inputs(h, m, sample, add)
+
+
+def test_buckets_smaller_than_the_threshold_are_skipped():
+    """Default sizes, B = 4: buckets of fewer than g + 1 sums once raised a
+    shape-mismatch ValueError in the duplicate scan."""
+    elems = [4 * i for i in range(2046)] + [1, 5]  # top bucket 2 holds 1+1, 1+5, 5+5
+    assert oracle._Sums(elems, operator.add, 2).B == 4
+    assert oracle.verify_bhg(elems, 2, 4) == oracle.Violation(
+        k=2, columns=((0, 8), (1, 7), (2, 6), (3, 5), (4, 4)), sum_value=32)
+    p = 2053  # 4 * (2 p i + (i^2 mod p)) is a Sidon set; class 1 of level 1 is 1, 5, 9
+    elems = [4 * (2 * p * i + i * i % p) for i in range(2045)] + [1, 5, 9]
+    assert oracle.verify_bhg(elems, 2, 4) is None
+    assert oracle.find_minimal_violations_bhg(elems, 2, 4) == []
+
+
+def test_sums_classes_follow_the_ambient(monkeypatch):
+    monkeypatch.setattr(oracle, "_BUCKET_KEYS", 1)
+    assert oracle._Sums(list(range(20)), operator.add, 2).B == 16  # a power of two <= m
+    assert oracle._Sums(list(range(12)), oracle.residue_add(12), 2).B == 6  # divisor of 12 <= 8
+    assert oracle._Sums(list(range(20)), oracle.residue_add(7), 2).B == 7
+    assert oracle._Sums(list(range(20)), oracle.residue_add(17), 2).B == 1  # prime above 16
+    monkeypatch.setattr(oracle, "_BUCKET_KEYS", 2**19)
+    assert oracle._Sums(list(range(1000)), operator.add, 2).B == 1  # 500,500 pair sums
 
 
 def test_misuse_raises_invalid_params():
@@ -286,6 +343,18 @@ def test_numpy_int_bits_do_not_wrap_the_encoding():
     assert oracle.verify_bh(int8, 2) is None  # was Violation(k=2, sum=-76)
     with pytest.raises(InvalidParams):
         oracle.encode_binary_words([(0, 2, 1)], 2)
+
+
+def test_words_of_unequal_length_are_rejected():
+    # (1,) and (0, 1) would both encode to 1: a false Violation(k=2, sum=2)
+    # and a pruned word
+    words = [(1,), (0, 1), (1, 1)]
+    with pytest.raises(InvalidParams):
+        oracle.encode_binary_words(words[:2], 2)
+    with pytest.raises(InvalidParams):
+        prune(words, 2)
+    with pytest.raises(InvalidParams):  # was a bare AssertionError
+        make_binary_code(words)
 
 
 def test_vector_and_residue_adders():

@@ -1,6 +1,8 @@
 """Random-coding pipeline: exact expectation cross-checks, determinism,
 pruning correctness, and realized-rate guarantees."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 from itertools import product
@@ -9,6 +11,8 @@ import pytest
 
 from bhlab import oracle, random_coding as rc
 from bhlab import rates
+from bhlab.cli import parse_dist
+from bhlab.constructions import code_to_text
 from bhlab.entropy import from_probs, uniform_bits
 from bhlab.errors import Infeasible, InvalidParams
 
@@ -93,6 +97,24 @@ def test_sample_code_determinism_and_law():
     point = from_probs([0, 1])
     mono = rc.sample_code(rc.SamplingPlan(n=4, n0=1, dist=point, t=7, seed=(0, 0), h=2))
     assert mono == [(1, 1, 1, 1)] * 7
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_sample_code_words_are_pinned():
+    # sha256 of repr(words): the sampled words are these exact tuples of Python
+    # ints, whatever way the sampler builds them
+    uniform = rc.sample_code(rc.SamplingPlan(n=40, n0=1, dist=uniform_bits(1), t=3000,
+                                             seed=(5, 0), h=2))
+    law = parse_dist("1/8,1/8,3/8,3/8", 2)
+    blocks = rc.sample_code(rc.SamplingPlan(n=30, n0=2, dist=law, t=3000, seed=(7, 1), h=3))
+    assert {type(bit) for word in uniform + blocks for bit in word} == {int}
+    assert (_sha256(repr(uniform))
+            == "f39abd29b7f958addd9ee18ea12f8fa32e23ba4df1188667a654417b2035a1da")
+    assert (_sha256(repr(blocks))
+            == "9ff5f59c7e05bcebd9055f4a40d4ea58fc0a3411375a90e772b932235f052d23")
 
 
 def test_sample_code_ones_fraction_within_5_sigma():
@@ -185,6 +207,19 @@ def test_construct_prunes_at_the_exact_population(h, g, n, t_exact):
     verdict = (oracle.verify_code_bh(code, h) if g == 1
                else oracle.verify_code_bhg(code, h, g))
     assert verdict is None
+    # sha256 of the code text and .stats.json that `bhlab simulate` writes
+    stats_json = json.dumps(stats.to_json(), indent=2, sort_keys=True) + "\n"
+    assert (_sha256(code_to_text(code)), _sha256(stats_json)) == PINNED_CONSTRUCT[h, g]
+
+
+PINNED_CONSTRUCT = {  # artifacts must not depend on how the oracle enumerates sums
+    (2, 1): ("102d444c3e1473c9440128e307ed5640ef748fd1fe80755cc928cae710763d43",
+             "46a9a30bd5bd671cd562dcf3d6f17dff35888a8c46106edc8c9578c926ae20b3"),
+    (2, 2): ("2adaff6e7c96741b75f676e92e66001b5ca14928974070316f50ba0bfcf6d749",
+             "62646d98b6661cbefb6f85dc6854d073d997a18b2076d623fdfe21d9095c9bfa"),
+    (3, 1): ("002b24eddc9fc46a0de943ccf83881c92323d2e6edbc9a796593c2c75700d37a",
+             "21a9c52fd29a4ee9a6a4b5c727ecfa2f02ab0337570fae4cb7b3a117e216739f"),
+}
 
 
 def _keep_every_word(monkeypatch, words):
