@@ -4,6 +4,11 @@ GF(p^e) is represented in a polynomial basis over GF(p).  The modulus
 polynomial is always the least monic irreducible of the right degree (least
 in the integer encoding of its non-leading coefficients), so every value
 produced here is reproducible across runs.
+
+Discrete logs use that multiplying by a fixed element c is a GF(p)-linear map:
+the e x e matrix M(c) whose row i holds the coefficients of c * x^i.  A batch
+of elements is an int64 array of coefficient rows, so each baby or giant step
+of `discrete_logs` is one numpy product with M(c) reduced mod p.
 """
 
 from __future__ import annotations
@@ -11,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import NotAPrimePower, NotAGenerator, SizeCapExceeded, ZeroTarget
 
@@ -309,6 +316,17 @@ def discrete_log(alpha, target):
     return discrete_logs(alpha, [target])[0]
 
 
+def _mul_matrix(c):
+    """M(c): row i holds the coefficients of c * x^i, so a @ M(c) % p is a * c
+    for a coefficient row a."""
+    f = c.field
+    rows = [list(c.coeffs)]
+    for _ in range(f.e - 1):  # x * r: shift up, then subtract top * modulus
+        r = rows[-1]
+        rows.append([((r[i - 1] if i else 0) - r[-1] * f.modulus[i]) % f.p for i in range(f.e)])
+    return np.array(rows, dtype=np.int64)
+
+
 def discrete_logs(alpha, targets):
     """[d with alpha^d = t for t in targets], by baby-step giant-step.
 
@@ -317,32 +335,46 @@ def discrete_logs(alpha, targets):
     baby-step table serve every target; the table holds about
     sqrt(n * len(targets)) steps, which balances building it against the
     giant steps of all targets.
+
+    Elements are int64 coefficient rows and multiplying by a fixed element is
+    a product with its `_mul_matrix`, reduced mod p.  The baby steps
+    alpha^0..alpha^(m-1) are built by doubling, each half times
+    M(alpha^len), and kept sorted by integer encoding (`to_int`).  Every
+    target still without a log then advances by alpha^-m at once, with one
+    `searchsorted` per giant step.  Entries stay below e * p^2, which int64
+    holds for every field order up to 2^31.
     """
     targets = list(targets)
     if any(t.is_zero() for t in targets):
         raise ZeroTarget("discrete log of zero")
     field = alpha.field
-    n = field.order - 1
+    p, n = field.p, field.order - 1
+    if field.order > 2**31:
+        raise SizeCapExceeded(f"discrete logs need field order <= 2^31, got {field.order}")
     if element_order(alpha, n) != n:
         raise NotAGenerator("alpha does not generate the multiplicative group")
     m = min(n, math.isqrt((n - 1) * max(1, len(targets))) + 1)
-    baby = {}
-    t = field.one()
-    for j in range(m):
-        baby.setdefault(t.coeffs, j)
-        t = t * alpha
-    giant_step = (alpha**m).inverse()
-    logs = []
-    for g in targets:
-        for i in range((n - 1) // m + 1):
-            j = baby.get(g.coeffs)
-            if j is not None:
-                logs.append(ResidueClass(n, i * m + j))
-                break
-            g = g * giant_step
-        else:
-            raise NotAGenerator("target not in the group generated by alpha")  # unreachable
-    return logs
+    place = p ** np.arange(field.e, dtype=np.int64)
+    baby = np.eye(1, field.e, dtype=np.int64)
+    while len(baby) < m:
+        baby = np.concatenate([baby, baby @ _mul_matrix(alpha ** len(baby)) % p])
+    codes = baby[:m] @ place
+    exps = np.argsort(codes)
+    codes = codes[exps]
+    giant_step = _mul_matrix((alpha**m).inverse())
+    logs = np.zeros(len(targets), dtype=np.int64)
+    todo = np.arange(len(targets))
+    g = np.array([t.coeffs for t in targets], dtype=np.int64).reshape(-1, field.e)
+    for i in range((n - 1) // m + 1):
+        key = g @ place
+        pos = np.minimum(np.searchsorted(codes, key), m - 1)
+        hit = codes[pos] == key
+        logs[todo[hit]] = i * m + exps[pos[hit]]
+        todo, g = todo[~hit], g[~hit]
+        if not len(todo):
+            return [ResidueClass(n, int(d)) for d in logs]
+        g = g @ giant_step % p
+    raise NotAGenerator("target not in the group generated by alpha")  # unreachable
 
 
 def subfield_elements(alpha, base_q):

@@ -17,6 +17,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from . import __version__
@@ -253,7 +254,6 @@ def build_parser():
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--binary", action="store_true")
     p.add_argument("--output")
-    p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("verify", help="run a property oracle on a code file")
     p.add_argument("property", choices=["bh", "bhg", "bhsharp"])
@@ -261,7 +261,6 @@ def build_parser():
     p.add_argument("--g", type=int, default=1)
     p.add_argument("--d", type=int)
     p.add_argument("--input", required=True)
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("configs", help="enumerate configuration classes")
     p.add_argument("action", choices=["enumerate"])
@@ -272,7 +271,6 @@ def build_parser():
     p.add_argument("--h", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_configs)
 
     p = sub.add_parser("rate", help="achievable-rate formulas")
     p.add_argument("formula", choices=["dr", "poltyrev", "dist", "bhg", "bhsharp", "special"])
@@ -282,7 +280,6 @@ def build_parser():
     p.add_argument("--dist")
     p.add_argument("--n0", type=int, default=1)
     p.add_argument("--table", action="store_true")
-    p.set_defaults(func=_cmd_rate)
 
     p = sub.add_parser("simulate", help="random-coding construction")
     p.add_argument("--h", type=int, required=True)
@@ -293,7 +290,6 @@ def build_parser():
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--attempts", type=int, default=random_coding.DEFAULT_ATTEMPTS)
     p.add_argument("--output")
-    p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("entropy", help="entropy toolbox")
     p.add_argument("op", choices=["renyi", "hfold", "hessian", "roots",
@@ -308,20 +304,26 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--p-seq", dest="p_seq")
     p.add_argument("--q-seq", dest="q_seq")
-    p.set_defaults(func=_cmd_entropy)
 
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser():
+    """One parser per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code else 0
     try:
-        return args.func(args, argv)
+        # looked up per call, by subcommand name, not bound into the cached parser
+        return globals()[f"_cmd_{args.command}"](args, argv)
     except (BhLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -168,6 +168,8 @@ def enumerate_conf(k, l, cap=DEFAULT_CELL_CAP, max_vectors=None):
     if k < 1 or l < 2:
         return []
     limit = max_vectors if max_vectors is not None else k * l
+    if k == 1:  # one symbol per column, distinct columns: all-distinct only
+        return [cmax(1, l)] if limit >= l else []
     return sorted(set(_separable(k, l, limit)) | set(_multiplicity_free(k, l, limit)))
 
 
@@ -206,12 +208,10 @@ def enumerate_conf_sharp(h, d, l_cap=DEFAULT_L_CAP, cap=DEFAULT_CELL_CAP):
 
 
 def cmax(h, l):
-    """The all-distinct configuration: d = h*l."""
-    vectors = []
-    for j in range(l):
-        e = tuple(1 if i == j else 0 for i in range(l))
-        vectors.extend([e] * h)
-    return canonical(tuple(vectors))
+    """The all-distinct configuration: d = h*l.  Column permutations only
+    permute its unit vectors, so the sorted tuple is already canonical."""
+    units = [tuple(1 if i == j else 0 for i in range(l)) for j in range(l)]
+    return Configuration(tuple(sorted(units * h)))
 
 
 # ---------------------------------------------------------------------------

@@ -78,8 +78,9 @@ def make_binary_code(words, h=None, source="unknown"):
 
 def bose_chowla(q, h, size_cap=DEFAULT_SIZE_CAP):
     """The B_h-set {d_i} in Z/(q^h-1)Z with alpha^{d_i} = alpha + x_i, x_i in GF(q)."""
-    if h < 1:
-        raise InvalidParams("h must be >= 1")
+    if h < 2:
+        raise InvalidParams(f"bose-chowla needs h >= 2, got h = {h} "
+                            "(at h = 1, alpha + x is 0 for x = -alpha)")
     m = q**h - 1
     if m < 2:
         raise DegenerateModulus(f"modulus q^h-1 = {m} is degenerate")

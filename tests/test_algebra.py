@@ -1,5 +1,6 @@
 """Finite-field arithmetic against axioms and brute-force references."""
 
+import math
 import random
 
 import pytest
@@ -18,6 +19,29 @@ def frobenius_degree(a, base_q):
     return k
 
 
+def bsgs_reference(alpha, targets):
+    """Baby-step giant-step with a dict of coefficient tuples, one target at a
+    time: the pure-Python path that `algebra.discrete_logs` replaced."""
+    field = alpha.field
+    n = field.order - 1
+    m = min(n, math.isqrt((n - 1) * max(1, len(targets))) + 1)
+    baby = {}
+    t = field.one()
+    for j in range(m):
+        baby.setdefault(t.coeffs, j)
+        t = t * alpha
+    giant_step = (alpha**m).inverse()
+    logs = []
+    for g in targets:
+        for i in range((n - 1) // m + 1):
+            j = baby.get(g.coeffs)
+            if j is not None:
+                logs.append(i * m + j)
+                break
+            g = g * giant_step
+    return logs
+
+
 def test_prime_power_decompose():
     assert algebra.prime_power_decompose(2) == (2, 1)
     assert algebra.prime_power_decompose(8) == (2, 3)
@@ -32,6 +56,9 @@ def test_prime_power_decompose():
 def test_field_size_cap():
     with pytest.raises(SizeCapExceeded):
         algebra.make_field(2**21)
+    big = algebra.make_field(2**31 + 11, size_cap=2**32)  # int64 discrete logs would wrap
+    with pytest.raises(SizeCapExceeded):
+        algebra.discrete_logs(big.from_int(2), [big.one()])
 
 
 def test_modulus_is_monic_irreducible_by_brute_force():
@@ -133,6 +160,42 @@ def test_batched_discrete_logs_match_one_at_a_time():
         algebra.discrete_logs(a, [a, a.field.zero()])
     with pytest.raises(NotAGenerator):
         algebra.discrete_logs(a**3, [a])  # order 21 < 63 in GF(64)
+
+
+def _small_fields():
+    """(p, e) for every field order p^e <= 2^12: GF(q^h) and its least
+    generator depend only on the order q^h, so this covers every (q, h)."""
+    out = []
+    for order in range(2, 2**12 + 1):
+        try:
+            out.append(algebra.prime_power_decompose(order))
+        except NotAPrimePower:
+            pass
+    return out
+
+
+@pytest.mark.parametrize("q,h", _small_fields())
+def test_discrete_logs_match_power_table_and_reference(q, h):
+    a = algebra.find_degree_h_primitive(q, h)
+    n = q**h - 1
+    table = [a.field.one()]  # table[d] = a^d, every nonzero element once
+    for _ in range(n - 1):
+        table.append(table[-1] * a)
+    logs = [d.representative for d in algebra.discrete_logs(a, table)]
+    assert logs == list(range(n))
+    assert logs == bsgs_reference(a, table)
+
+
+@pytest.mark.parametrize("q,h", [(2**20 - 3, 1), (2, 20), (1021, 2)])
+def test_discrete_logs_near_the_size_cap(q, h):
+    a = algebra.find_degree_h_primitive(q, h)
+    assert a.field.order <= algebra.DEFAULT_SIZE_CAP
+    rng = random.Random(q * h)
+    targets = [a.field.from_int(rng.randrange(1, q**h)) for _ in range(64)]
+    logs = algebra.discrete_logs(a, targets)
+    assert all(a**d.representative == t for d, t in zip(logs, targets))
+    for t in targets[:3]:  # the one-target table is the smallest, sqrt(n) steps
+        assert a**algebra.discrete_log(a, t).representative == t
 
 
 def test_discrete_log_rejects_non_generator():

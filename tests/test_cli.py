@@ -108,6 +108,35 @@ def test_degenerate_parameters_exit_2(capsys, argv):
     _assert_usage_error(run(capsys, *argv))
 
 
+def test_bose_chowla_with_h_1_exits_2_naming_h(capsys):
+    result = run(capsys, "construct", "bose-chowla", "--q", "3", "--h", "1")
+    _assert_usage_error(result)
+    assert "h >= 2" in result[2] and "h = 1" in result[2]
+
+
+def test_cached_parser_matches_a_fresh_parser_per_call(tmp_path, capsys, monkeypatch):
+    code_file, bad_file = str(tmp_path / "code.txt"), tmp_path / "bad.txt"
+    bad_file.write_text(CODE_FILES["bad.txt"])
+    argvs = [
+        ("construct", "bose-chowla", "--q", "5", "--h", "2", "--binary", "--output", code_file),
+        ("verify", "bh", "--h", "2", "--input", code_file),
+        ("verify", "bh", "--h", "2", "--input", str(bad_file)),
+        ("construct", "power-map", "--q", "5", "--h", "2"),
+        ("rate", "bhg", "--h", "2", "--g", "2", "--table"),
+        ("configs", "enumerate", "--k", "2", "--l", "2"),
+        ("entropy", "roots"),
+        ("rate", "nosuch", "--h", "2"),
+        ("construct", "bose-chowla", "--q", "3"),
+        ("--version",),
+        ("nonsense",),
+    ]
+    cached = [run(capsys, *argv) for argv in argvs * 2]
+    assert cached[:len(argvs)] == cached[len(argvs):]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # one parser per call
+    assert [run(capsys, *argv) for argv in argvs] == cached[:len(argvs)]
+    assert [c[0] for c in cached[:len(argvs)]] == [0, 0, 1, 0, 0, 0, 0, 2, 2, 0, 2]
+
+
 def test_construct_prints_residues(capsys):
     code, out, _ = run(capsys, "construct", "bose-chowla", "--q", "5", "--h", "2")
     assert code == 0

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb
@@ -177,7 +178,7 @@ def test_sharp_family_matches_pinned_class_lists(h, d):
 
 
 def test_max_vectors_keeps_exactly_the_small_classes():
-    for k, l in [(2, 4), (3, 3), (4, 3), (3, 4)]:
+    for k, l in [(1, 5), (2, 4), (3, 3), (4, 3), (3, 4)]:
         full = conf.enumerate_conf(k, l)
         for m in range(1, k * l + 1):
             assert conf.enumerate_conf(k, l, max_vectors=m) == [c for c in full if c.d <= m]
@@ -313,6 +314,21 @@ def test_cmax_and_closed_form_probability():
     assert conf.cmax_p_closed(2, 1) == Fraction(3, 8)
     assert conf.cmax_p_closed(1, 5) == Fraction(1, 32)
     assert conf.cmax_p_closed(2, 2) == Fraction(5, 32)
+
+
+def test_cmax_and_one_symbol_columns_need_no_search():
+    for h in range(1, 4):
+        for l in range(2, 8):
+            units = tuple(tuple(int(i == j) for i in range(l)) for j in range(l))
+            assert conf.cmax(h, l) == conf.canonical(units * h)  # all l! column orders
+    for l in range(2, 8):  # the generators that k = 1 now skips
+        general = sorted(set(conf._separable(1, l, l)) | set(conf._multiplicity_free(1, l, l)))
+        assert conf.enumerate_conf(1, l) == general == [conf.cmax(1, l)]
+    started = time.monotonic()
+    assert conf.enumerate_conf(1, 12) == [conf.cmax(1, 12)]
+    assert time.monotonic() - started < 1.0
+    with pytest.raises(CapExceeded):
+        conf.enumerate_conf(1, 19)
 
 
 def test_all_distinct_class_maximizes_root_of_p_for_two_columns():

@@ -1,5 +1,6 @@
 """Explicit constructions checked against an independent sum-collision scan."""
 
+import hashlib
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -44,6 +45,26 @@ def test_bose_chowla_is_bh_in_the_residue_group(q, h):
 def test_bose_chowla_rejects_degenerate_modulus():
     with pytest.raises(DegenerateModulus):
         constructions.bose_chowla(1, 2)
+    for h in (1, 0, -1):  # at h = 1, alpha + x is 0 for x = -alpha
+        with pytest.raises(InvalidParams, match="h >= 2"):
+            constructions.bose_chowla(3, h)
+
+
+# (q, h): sha256 of repr(bose_chowla(q, h).elements), recorded from the
+# dict-based discrete logs that the numpy ones replaced (commit 8d9c0d1)
+PINNED_BOSE_CHOWLA = {
+    (257, 2): "17426a7834c26ed9b21b6e587db237248f6b152b9547c9ae78cb987371ae11c8",
+    (64, 3): "5745ed0e172ae68c888cae907d3e13f8137338e84bb26fbc4ffc7249a44852b9",
+    (31, 4): "22918c5ff68a840a7d407d044c5dafbfeb8d5bee081e590244da7ec1f623ca3d",
+    (1024, 2): "02ea71c91be49f7c9e991fe5b1be4a6ca426a400af9221fb0d3ab840e80a8aab",
+}
+
+
+@pytest.mark.parametrize("q,h", sorted(PINNED_BOSE_CHOWLA))
+def test_bose_chowla_residues_match_pinned_digests(q, h):
+    s = constructions.bose_chowla(q, h)
+    assert (s.modulus, len(s.elements)) == (q**h - 1, q)
+    assert hashlib.sha256(repr(s.elements).encode()).hexdigest() == PINNED_BOSE_CHOWLA[q, h]
 
 
 @pytest.mark.parametrize("q,h", [(3, 2), (5, 2), (7, 2), (5, 3), (7, 3), (5, 4)])
