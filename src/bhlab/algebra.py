@@ -320,11 +320,7 @@ def _mul_matrix(c):
     """M(c): row i holds the coefficients of c * x^i, so a @ M(c) % p is a * c
     for a coefficient row a."""
     f = c.field
-    rows = [list(c.coeffs)]
-    for _ in range(f.e - 1):  # x * r: shift up, then subtract top * modulus
-        r = rows[-1]
-        rows.append([((r[i - 1] if i else 0) - r[-1] * f.modulus[i]) % f.p for i in range(f.e)])
-    return np.array(rows, dtype=np.int64)
+    return np.array([(c * f.from_int(f.p**i)).coeffs for i in range(f.e)], dtype=np.int64)
 
 
 def discrete_logs(alpha, targets):

@@ -44,10 +44,20 @@ def _write_manifest(path, manifest):
         fh.write("\n")
 
 
+def _fractions(text):
+    """Comma-separated rationals, e.g. "3/4,1/4"; a zero denominator is a ValueError."""
+    try:
+        return [Fraction(part.strip()) for part in text.split(",")]
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def parse_dist(text, n0=1):
     """Comma-separated rationals, e.g. "3/4,1/4"; length must be 2^n0.
     Points are 0..1 for n0 = 1 and lexicographic bit-tuples otherwise."""
-    probs = [Fraction(part.strip()) for part in text.split(",")]
+    if n0 < 1:
+        raise ValueError(f"n0 must be >= 1, got {n0}")
+    probs = _fractions(text)
     if len(probs) != 2**n0:
         raise ValueError(f"expected {2**n0} probabilities for n0 = {n0}, got {len(probs)}")
     if n0 == 1:
@@ -166,9 +176,6 @@ def _cmd_rate(args, argv):
         print(f"special exponent {special.exponent:.6f}")
         print(f"cmax exponent    {special.cmax_exponent:.6f}")
         return 0
-    if report.vacuous:
-        print(f"{report.formula} rate inf (vacuous)")
-        return 0
     print(f"{report.formula} rate {report.rate:.6f}")
     if report.argmin is not None:
         print(f"argmin {report.argmin!r}")
@@ -233,9 +240,7 @@ def _cmd_entropy(args, argv):
             "seed": report.seed}, indent=2, sort_keys=True))
         return 1 if report.counterexample else 0
     else:  # majorize
-        p = [Fraction(x) for x in args.p_seq.split(",")]
-        q = [Fraction(x) for x in args.q_seq.split(",")]
-        result = entropy.majorized_by(p, q)
+        result = entropy.majorized_by(_fractions(args.p_seq), _fractions(args.q_seq))
         print("true" if result else "false")
         return 0 if result else 1
     return 0

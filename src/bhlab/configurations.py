@@ -24,6 +24,12 @@ Each kind has its own generator, and `enumerate_conf` returns their union:
     (B. D. McKay, "Isomorph-free exhaustive generation", J. Algorithms 26,
     1998).  The only class of both kinds is the all-distinct one.
 
+`enumerate_conf_sharp` bounds the B_h^#[d] family by its definition: with
+L = d - h + k, a member has d(C) >= L + 1 and every column deletion leaves at
+most L variables, so each column holds d(C) - L >= 1 private variables.  These
+are disjoint, so l <= d(C) / (d(C) - L) <= L + 1, and at most k per column, so
+d(C) <= L + k.
+
 Both p(C) functions share one exact DP (`_coinciding_weight`).  The law
 becomes integer weights over one common denominator D (uniform bits are
 weights (1, 1) over D = 2), so p(C) = W / D^d, where W sums the weight
@@ -35,19 +41,19 @@ and the array only spans the differences that can still return to zero.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 from numbers import Rational
 
 import numpy as np
 
-from .errors import CapExceeded
+from .errors import CapExceeded, InvalidParams
 
 DEFAULT_CELL_CAP = 18   # k*l
 DEFAULT_EXACT_CAP = 24  # d(C) for exhaustive p(C)
-DEFAULT_L_CAP = 8
 
 
 @dataclass(frozen=True, order=True)
@@ -185,25 +191,31 @@ def enumerate_sconf(h, l, cap=DEFAULT_CELL_CAP):
     return [c for c in enumerate_conf_upto(h, l, cap=cap) if c.is_separable()]
 
 
-def enumerate_conf_sharp(h, d, l_cap=DEFAULT_L_CAP, cap=DEFAULT_CELL_CAP):
-    """Configurations driving B_h^#[d] random coding: shapes (k, l), k <= h,
-    l >= 2, with d(C) >= d+1-h+k and every column deletion leaving at most
-    d-h+k distinct variables.  Column count is capped at l_cap (the family is
-    finite; d(C) <= d+k bounds the vector count during enumeration)."""
-    out = []
+def enumerate_conf_sharp(h, d, cap=DEFAULT_CELL_CAP):
+    """The B_h^#[d] family: for k <= h and L = d - h + k, the classes with
+    d(C) >= L + 1 whose every column deletion leaves at most L variables.
+
+    A member's columns each hold d(C) - L >= 1 private variables, disjoint
+    across columns, so l <= L + 1, and at most k of them, so d(C) <= L + k.
+    Shapes with k*l < L + 1 hold no member; any other with k*l > cap raises
+    CapExceeded before enumeration starts.  A returned family is never empty:
+    with k = max(1, h - d + 1) it holds the L + 1 columns of k copies of one
+    variable each, which is cmax(1, d - h + 2) when d >= h.
+    """
+    if h < 1 or d < 1:
+        raise InvalidParams(f"B_h^#[d] needs h >= 1 and d >= 1, got h = {h}, d = {d}")
+    shapes = []
     for k in range(1, h + 1):
-        for l in range(2, l_cap + 1):
+        L = d - h + k
+        for l in range(max(2, -(-(L + 1) // k)), L + 2):
             if k * l > cap:
-                break
-            if l > d + k:
-                break  # every column needs a private variable, so l <= d(C) <= d+k
-            if d + 1 - h + k > k * l:
-                continue  # even all-distinct columns cannot reach d(C)
-            for c in enumerate_conf(k, l, cap=cap, max_vectors=d + k):
-                if c.d < d + 1 - h + k:
-                    continue
-                if all(c.delete_column_distinct(j) <= d - h + k for j in range(l)):
-                    out.append(c)
+                raise CapExceeded(f"B_h^#[d] shape (k, l) = ({k}, {l}) has "
+                                  f"k*l = {k * l} above cap {cap}")
+            shapes.append((k, l, L))
+    out = []
+    for k, l, L in shapes:
+        out.extend(c for c in enumerate_conf(k, l, cap=cap, max_vectors=L + k)
+                   if c.d > L and all(c.delete_column_distinct(j) <= L for j in range(l)))
     return sorted(out, key=lambda c: (c.k, c.l, c.vectors))
 
 
@@ -306,18 +318,9 @@ def automorphism_count(c: Configuration) -> int:
     """Symmetries of C: column permutations fixing the vector multiset,
     times consistent variable permutations.  Used to turn injective
     variable-to-index assignments into unordered violation counts."""
-    from collections import Counter
-
-    total = 0
-    counts = Counter(c.vectors)
-    base = 1
-    for mult in counts.values():
-        base *= factorial(mult)
-    for sigma in permutations(range(c.l)):
-        permuted = Counter(tuple(v[j] for j in sigma) for v in c.vectors)
-        if permuted == counts:
-            total += base
-    return total
+    rows = sorted(c.vectors)
+    fixing = sum(sorted(zip(*cols)) == rows for cols in permutations(zip(*c.vectors)))
+    return fixing * prod(factorial(m) for m in Counter(c.vectors).values())
 
 
 def conf_to_json(c: Configuration, stats: ConfStats | None = None):

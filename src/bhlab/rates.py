@@ -42,13 +42,12 @@ class RateReport:
     argmin: Configuration | None = None
     table: tuple = ()
     ties: tuple = ()
-    vacuous: bool = False
 
     def to_json(self):
         return {
             "formula": self.formula,
             "rate": self.rate,
-            "vacuous": self.vacuous,
+            "vacuous": False,  # constant: benchmark references and pinned digests hash this JSON
             "argmin": None if self.argmin is None else repr(self.argmin),
             "ties": [repr(c) for c in self.ties],
             "table": [{"configuration": repr(r.configuration), "d": r.d,
@@ -147,14 +146,10 @@ def rate_bhg_distribution(h, g, dist) -> RateReport:
 
 
 def rate_bh_sharp(h, d) -> RateReport:
-    """min over Conf#(<= h)[d]; +inf vacuous sentinel on an empty family."""
+    """min over Conf#(<= h)[d], a family that is never empty for d >= h."""
     if d < h:
         raise InvalidParams(f"d = {d} < h = {h}")
-    confs = enumerate_conf_sharp(h, d)
-    if not confs:
-        return RateReport(formula=f"bhsharp(h={h},d={d})", rate=math.inf,
-                          vacuous=True)
-    return _family_report(f"bhsharp(h={h},d={d})", confs)
+    return _family_report(f"bhsharp(h={h},d={d})", enumerate_conf_sharp(h, d))
 
 
 # ---------------------------------------------------------------------------

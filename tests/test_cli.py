@@ -103,9 +103,30 @@ def test_entropy_without_inputs_exits_2(capsys):
     ("construct", "bose-chowla", "--q", "0", "--h", "-1"),
     ("rate", "special", "--h", "1", "--g", "0"),
     ("rate", "special", "--h", "0", "--g", "2"),
+    ("rate", "dist", "--h", "2", "--dist", "1/0,1"),  # ZeroDivisionError, exit 3
+    ("entropy", "renyi", "--dist", "1/0,1"),
+    ("entropy", "hfold", "--dist", "1/0,1"),
+    ("simulate", "--h", "2", "--n", "4", "--seed", "0", "--dist", "1/0,1"),
+    ("entropy", "majorize", "--p-seq", "1/0", "--q-seq", "1"),
+    ("rate", "dist", "--h", "2", "--n0", "0", "--dist", "1"),  # exit 3
+    ("entropy", "renyi", "--n0", "0", "--dist", "1"),  # printed -0.0000000000
+    ("entropy", "renyi", "--n0", "-1", "--dist", "1"),
+    ("rate", "bhsharp", "--h", "2", "--d", "20"),  # printed "rate inf (vacuous)"
+    ("rate", "bhsharp", "--h", "0", "--d", "0"),
+    ("configs", "enumerate", "--sharp", "--h", "0", "--d", "0"),  # printed "total 0"
+    ("configs", "enumerate", "--sharp", "--h", "4", "--d", "4"),
 ])
 def test_degenerate_parameters_exit_2(capsys, argv):
     _assert_usage_error(run(capsys, *argv))
+
+
+def test_dist_errors_name_their_cause(capsys):
+    result = run(capsys, "entropy", "renyi", "--n0", "-1", "--dist", "1")
+    _assert_usage_error(result)
+    assert "n0 must be >= 1, got -1" in result[2]
+    result = run(capsys, "entropy", "majorize", "--p-seq", "1/2,1/2", "--q-seq", "1,1/0")
+    _assert_usage_error(result)
+    assert "zero denominator" in result[2]
 
 
 def test_bose_chowla_with_h_1_exits_2_naming_h(capsys):
@@ -204,8 +225,8 @@ def test_rate_formulas(capsys):
     assert code == 0
     assert "argmin" in out and "configuration,k,l,d,p,exponent" in out
 
-    code, out, _ = run(capsys, "rate", "bhsharp", "--h", "2", "--d", "20")
-    assert code == 0 and "vacuous" in out
+    code, out, _ = run(capsys, "rate", "bhsharp", "--h", "2", "--d", "3", "--table")
+    assert code == 0 and out.startswith("bhsharp(h=2,d=3) rate 0.471679\nargmin ")
 
     code, out, _ = run(capsys, "rate", "dist", "--h", "2", "--dist", "1/2,1/2")
     assert code == 0 and "rate 0.471679" in out

@@ -11,7 +11,7 @@ import pytest
 
 from bhlab import configurations as conf
 from bhlab import rates
-from bhlab.errors import CapExceeded
+from bhlab.errors import CapExceeded, InvalidParams
 
 PARTITION_NUMBERS = {1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11}
 
@@ -392,6 +392,59 @@ def test_automorphism_count_matches_violation_census():
         assert ff // conf.automorphism_count(c) == len(instances)
 
 
+def _in_sharp_family(c, h, d):
+    """The B_h^#[d] definition: k <= h, d(C) >= d + 1 - h + k, and every column
+    deletion leaves at most d - h + k distinct variables."""
+    L = d - h + c.k
+    return (c.k <= h and c.d >= L + 1
+            and all(c.delete_column_distinct(j) <= L for j in range(c.l)))
+
+
+def sharp_reference(h, d):
+    """B_h^#[d] filtered by its definition from the loose shape scan k <= h,
+    2 <= l <= d + k, k*l <= DEFAULT_CELL_CAP.  Deleting one column leaves at most
+    d - h + k <= d variables and that column holds at most k, so a member has
+    d(C) <= d + k, which bounds the vector count of the scan."""
+    out = []
+    for k in range(1, h + 1):
+        for l in range(2, d + k + 1):
+            if k * l > conf.DEFAULT_CELL_CAP:
+                break
+            out.extend(c for c in conf.enumerate_conf(k, l, max_vectors=d + k)
+                       if _in_sharp_family(c, h, d))
+    return sorted(out, key=lambda c: (c.k, c.l, c.vectors))
+
+
+@pytest.mark.parametrize("h,d", [(h, d) for h in range(1, 4) for d in range(1, 5)] + [(2, 5)])
+def test_sharp_family_matches_its_definition_over_a_loose_shape_scan(h, d):
+    assert conf.enumerate_conf_sharp(h, d) == sharp_reference(h, d)
+
+
+def test_sharp_family_beyond_the_cell_cap_raises():
+    # (2, 20) holds cmax(1, 20) and (4, 4) the separable class 4e_1..4e_5
+    # (p = 1/16); both shapes have k*l = 20 > 18
+    assert _in_sharp_family(conf.cmax(1, 20), 2, 20)
+    separable = conf.canonical(tuple(tuple(4 * (i == j) for i in range(5)) for j in range(5)))
+    assert _in_sharp_family(separable, 4, 4) and conf.conf_stats(separable).p == Fraction(1, 16)
+    for h, d in [(2, 20), (4, 4)]:
+        with pytest.raises(CapExceeded, match=r"\(k, l\) = \(\d+, \d+\).*cap 18"):
+            conf.enumerate_conf_sharp(h, d)
+
+
+def test_sharp_family_always_holds_cmax_1_d_minus_h_plus_2():
+    for h in range(1, 8):
+        for d in range(h, h + 15):
+            assert _in_sharp_family(conf.cmax(1, d - h + 2), h, d)
+    for h, d in [(1, 1), (1, 4), (2, 2), (2, 5), (3, 3), (3, 4)]:
+        assert conf.cmax(1, d - h + 2) in conf.enumerate_conf_sharp(h, d)
+
+
+@pytest.mark.parametrize("h,d", [(0, 0), (0, 3), (2, 0), (-1, 2)])
+def test_sharp_family_rejects_degenerate_parameters(h, d):
+    with pytest.raises(InvalidParams):
+        conf.enumerate_conf_sharp(h, d)
+
+
 def test_sharp_family_satisfies_its_defining_bounds():
     h, d = 2, 2
     family = conf.enumerate_conf_sharp(h, d)
@@ -402,10 +455,6 @@ def test_sharp_family_satisfies_its_defining_bounds():
         assert c.d >= d + 1 - h + k
         for j in range(c.l):
             assert c.delete_column_distinct(j) <= d - h + k
-
-
-def test_sharp_family_can_be_empty():
-    assert conf.enumerate_conf_sharp(2, 20) == []
 
 
 def test_enumeration_cap_is_enforced():

@@ -10,7 +10,7 @@ import pytest
 from bhlab import configurations as conf
 from bhlab import rates
 from bhlab.entropy import from_probs, uniform_bits
-from bhlab.errors import EmptyFamily, InvalidParams
+from bhlab.errors import CapExceeded, EmptyFamily, InvalidParams
 
 
 def mp_binomial_rate(h, denom):
@@ -101,18 +101,19 @@ def test_bhg_distribution_report_reduces_to_uniform():
     assert u.argmin == rates.rate_bhg(2, 1).argmin
 
 
-def test_bh_sharp_rate_and_vacuous_sentinel():
+def test_bh_sharp_rate_matches_its_family():
     report = rates.rate_bh_sharp(2, 2)
-    assert not report.vacuous and report.table
+    assert report.table and report.to_json()["vacuous"] is False
     # independent recomputation from the enumerated family
     family = conf.enumerate_conf_sharp(2, 2)
     expected = min(-rates.log2_fraction(conf.conf_stats(c).p) / (c.d - 1)
                    for c in family)
     assert report.rate == pytest.approx(expected, abs=1e-12)
-    empty = rates.rate_bh_sharp(2, 20)
-    assert empty.vacuous and empty.rate == math.inf and not empty.table
-    with pytest.raises(InvalidParams):
-        rates.rate_bh_sharp(3, 2)
+    with pytest.raises(CapExceeded):
+        rates.rate_bh_sharp(2, 20)
+    for h, d in [(3, 2), (0, 0)]:
+        with pytest.raises(InvalidParams):
+            rates.rate_bh_sharp(h, d)
 
 
 def test_special_config_closed_form_matches_enumeration_at_small_h():
