@@ -18,7 +18,6 @@ import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
 from . import __version__
 from . import configurations as conf_mod
@@ -53,17 +52,12 @@ def _fractions(text):
 
 
 def parse_dist(text, n0=1):
-    """Comma-separated rationals, e.g. "3/4,1/4"; length must be 2^n0.
-    Points are 0..1 for n0 = 1 and lexicographic bit-tuples otherwise."""
-    if n0 < 1:
-        raise ValueError(f"n0 must be >= 1, got {n0}")
+    """Comma-separated rationals, e.g. "3/4,1/4", one per point of
+    `entropy.bit_points(n0)`, so 2^n0 of them."""
     probs = _fractions(text)
-    if len(probs) != 2**n0:
+    if n0 >= 1 and len(probs) != 2**n0:  # checked before any point is built
         raise ValueError(f"expected {2**n0} probabilities for n0 = {n0}, got {len(probs)}")
-    if n0 == 1:
-        return entropy.from_probs(probs)
-    points = [tuple(b) for b in product((0, 1), repeat=n0)]
-    return entropy.make_distribution(list(zip(points, probs)))
+    return entropy.make_distribution(zip(entropy.bit_points(n0), probs))
 
 
 def _load_code(path):
@@ -186,10 +180,9 @@ def _cmd_rate(args, argv):
 
 def _cmd_simulate(args, argv):
     started = time.monotonic()
-    dist = parse_dist(args.dist, args.n0) if args.dist else None
+    dist = parse_dist(args.dist, args.n0) if args.dist else entropy.uniform_bits(args.n0)
     code, stats = random_coding.construct(
-        args.h, args.n, args.seed, g=args.g, dist=dist, n0=args.n0,
-        attempts=args.attempts)
+        args.h, args.n, args.seed, g=args.g, dist=dist, attempts=args.attempts)
     print(f"t={stats.t} removed={stats.removed} size={stats.final_size} "
           f"rate={stats.final_rate:.6f} attempts={stats.attempts}")
     if args.output:

@@ -53,6 +53,12 @@ class Distribution:
     def support(self):
         return tuple(a for a, _ in self.items)
 
+    @property
+    def n0(self):
+        """Block length of the points: 1 for ints, the tuple length otherwise."""
+        point = self.items[0][0]
+        return len(point) if isinstance(point, tuple) else 1
+
 
 def make_distribution(pairs) -> Distribution:
     """Drop zero-mass points, merge nothing, keep insertion-free sorted order."""
@@ -60,12 +66,20 @@ def make_distribution(pairs) -> Distribution:
     return Distribution(items)
 
 
+def bit_points(n0) -> tuple:
+    """{0,1}^n0 in lexicographic order: ints for n0 = 1, bit tuples else."""
+    if n0 < 1:
+        raise InvalidParams(f"n0 must be >= 1, got {n0}")
+    if n0 >= DEFAULT_SUPPORT_CAP.bit_length():  # 2^n0 > cap
+        raise CapExceeded(f"2^n0 points for n0 = {n0} exceed support cap {DEFAULT_SUPPORT_CAP}")
+    return (0, 1) if n0 == 1 else tuple(product((0, 1), repeat=n0))
+
+
 def uniform_bits(n0) -> Distribution:
-    """Uniform distribution on {0,1}^n0; points are ints for n0=1, tuples else."""
-    q = Fraction(1, 2**n0)
-    if n0 == 1:
-        return make_distribution([(0, q), (1, q)])
-    return make_distribution([(tuple(b), q) for b in product((0, 1), repeat=n0)])
+    """Uniform distribution on {0,1}^n0, on the points of `bit_points`."""
+    points = bit_points(n0)
+    q = Fraction(1, len(points))
+    return make_distribution((a, q) for a in points)
 
 
 def from_probs(probs) -> Distribution:
@@ -239,12 +253,6 @@ class SearchReport:
     sampling_law: str = "dirichlet-uniform-simplex"
 
 
-def _bit_points(n0):
-    if n0 == 1:
-        return (0, 1)
-    return tuple(tuple(b) for b in product((0, 1), repeat=n0))
-
-
 def _entropy_of_probs(probs, points, alpha, h):
     dist = make_distribution([(a, p) for a, p in zip(points, probs) if p > 0])
     return renyi(hfold(dist, h), alpha)
@@ -253,7 +261,9 @@ def _entropy_of_probs(probs, points, alpha, h):
 def uniform_optimality_search(n0, alpha, h, trials, seed) -> SearchReport:
     """Dirichlet-uniform random distributions plus parity perturbations of
     uniform; reports the best H_alpha(h-fold sum) found against uniform's."""
-    points = _bit_points(n0)
+    if trials < 0:
+        raise InvalidParams(f"trials must be >= 0, got {trials}")
+    points = bit_points(n0)
     size = len(points)
     uniform_value = _entropy_of_probs([1.0 / size] * size, points, alpha, h)
     rng = np.random.Generator(np.random.Philox(key=seed))

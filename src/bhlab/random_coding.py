@@ -7,9 +7,11 @@ duplicate-sum groups that pruning used.
 The unspecified constants of the existence proofs are replaced by the exact
 criterion E(t) <= t/2, where E(t) sums, over configuration classes, the
 number of injective variable-to-index assignments divided by the class
-automorphism count, times the per-word-probability p(C)^(n/n0).  Sampling
-uses the counter-based Philox generator keyed by (seed, attempt) so streams
-are reproducible across runs and portable across languages.
+automorphism count, times p(C)^(n/n0), with n0 the sampling law's block
+length (`Distribution.n0`).  A uniform law on n0-bit blocks is n0 iid uniform
+bits, p_n0(C) = p_1(C)^n0, so it is evaluated as uniform bits over n blocks.
+Sampling uses the counter-based Philox generator keyed by (seed, attempt) so
+streams are reproducible across runs and portable across languages.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .configurations import (automorphism_count, conf_stats,
-                             conf_stats_general, enumerate_conf_upto)
+from .configurations import (automorphism_count, conf_stats_general,
+                             enumerate_conf_upto)
 from .constructions import make_binary_code
-from .entropy import Distribution, uniform_bits
+from .entropy import Distribution, bit_points, uniform_bits
 from .errors import Infeasible, InvalidParams
 from .oracle import (DEFAULT_ENUM_CAP, DEFAULT_PER_SUM_CAP, Violation,
                      _minimal_violations, encode_binary_words,
@@ -34,21 +36,17 @@ DEFAULT_ATTEMPTS = 8
 
 @dataclass(frozen=True)
 class SamplingPlan:
+    """t words of n bits, each n/n0 iid n0-bit blocks drawn from `dist`."""
     n: int
-    n0: int
     dist: Distribution
     t: int
     seed: int
-    h: int
-    g: int = 1
 
     def __post_init__(self):
-        if self.n0 < 1 or self.n % self.n0 != 0:
-            raise InvalidParams(f"n0 = {self.n0} does not divide n = {self.n}")
+        if self.n % self.dist.n0 != 0:
+            raise InvalidParams(f"the law's n0 = {self.dist.n0} does not divide n = {self.n}")
         if self.t < 1:
             raise InvalidParams("t must be >= 1")
-        if self.h < 1 or self.g < 1:
-            raise InvalidParams("h and g must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -87,10 +85,7 @@ def _class_weights(h, g, dist):
     """(d(C), violations-per-population-weight, per-block probability) rows."""
     rows = []
     for c in enumerate_conf_upto(h, g + 1):
-        if dist is None:
-            stats = conf_stats(c)
-        else:
-            stats = conf_stats_general(c, dist.items)
+        stats = conf_stats_general(c, dist.items)
         rows.append((c.d, Fraction(1, automorphism_count(c)), Fraction(stats.p)))
     return rows
 
@@ -104,18 +99,21 @@ def expected_violations(t, rows, blocks) -> Fraction:
     return total
 
 
-def choose_t(h, n, g=1, dist=None, n0=1) -> int:
+def choose_t(h, n, g=1, dist=None) -> int:
     """Largest t with E(t) <= t/2 (0 if even t = 1 fails, with no violation
     classes this never happens for n >= 1).  Doubling plus binary search;
-    E(t)/t is nondecreasing so the feasible set is a prefix."""
-    if min(h, g, n, n0) < 1:
-        raise InvalidParams("h, g, n and n0 must be >= 1")  # g = 0: t would double forever
-    if dist is None:
-        n0 = 1  # the uniform law factorizes into per-bit blocks
-    if n % n0 != 0:
-        raise InvalidParams(f"n0 = {n0} does not divide n = {n}")
+    E(t)/t is nondecreasing so the feasible set is a prefix.  Words are n/n0
+    blocks drawn from `dist` (default: uniform bits), n0 = dist.n0; uniform
+    n0-bit blocks run as n uniform bits, since p_n0(C) = p_1(C)^n0."""
+    if min(h, g, n) < 1:
+        raise InvalidParams("h, g and n must be >= 1")  # g = 0: t would double forever
+    dist = uniform_bits(1) if dist is None else dist
+    if n % dist.n0 != 0:
+        raise InvalidParams(f"the law's n0 = {dist.n0} does not divide n = {n}")
+    if len(dist.items) == 2**dist.n0 and dist == uniform_bits(dist.n0):
+        dist = uniform_bits(1)
     rows = _class_weights(h, g, dist)
-    blocks = n // n0
+    blocks = n // dist.n0
 
     def ok(t):
         return expected_violations(t, rows, blocks) * 2 <= t
@@ -138,28 +136,24 @@ def choose_t(h, n, g=1, dist=None, n0=1) -> int:
 # ---------------------------------------------------------------------------
 # sampling
 
-def _block_words(dist: Distribution, n0):
-    """Support points as bit-blocks, plus cumulative probabilities."""
-    blocks = []
-    for point, _ in dist.items:
-        bits = (point,) if not isinstance(point, tuple) else tuple(point)
-        if len(bits) != n0 or any(b not in (0, 1) for b in bits):
-            raise InvalidParams(f"support point {point!r} is not a {n0}-bit block")
-        blocks.append(bits)
-    cum = np.cumsum([float(p) for _, p in dist.items])
+def _block_table(dist: Distribution):
+    """The law's points as rows of an n0-column bit table, plus cumulative
+    probabilities."""
+    if not set(dist.support()) <= set(bit_points(dist.n0)):
+        raise InvalidParams(f"the law has a point outside {{0,1}}^{dist.n0}")
+    table = np.array(dist.support(), dtype=np.uint8).reshape(len(dist.items), dist.n0)
+    cum = np.cumsum([float(p) for p in dist.probs()])
     cum[-1] = 1.0
-    return blocks, cum
+    return table, cum
 
 
 def sample_code(plan: SamplingPlan):
     """t words of length n, each a concatenation of iid blocks; list with
     duplicates preserved.  Philox keyed by plan.seed."""
-    blocks, cum = _block_words(plan.dist, plan.n0)
+    table, cum = _block_table(plan.dist)
     rng = np.random.Generator(np.random.Philox(key=plan.seed))
-    per_word = plan.n // plan.n0
-    draws = rng.random((plan.t, per_word))
+    draws = rng.random((plan.t, plan.n // plan.dist.n0))
     choice = np.searchsorted(cum, draws, side="left")
-    table = np.array(blocks, dtype=np.uint8).reshape(len(blocks), plan.n0)
     return list(map(tuple, table[choice].reshape(plan.t, plan.n).tolist()))
 
 
@@ -229,29 +223,31 @@ def max_verifiable_t(h, cap=DEFAULT_ENUM_CAP, ceiling=DEFAULT_MAX_T):
     return t
 
 
-def construct(h, n, seed, *, g=1, dist=None, n0=1,
+def construct(h, n, seed, *, g=1, dist=None,
               attempts=DEFAULT_ATTEMPTS, max_t=None,
               cap=DEFAULT_ENUM_CAP):
     """choose_t -> sample -> prune -> verify; retries with the (seed, attempt)
-    substream when the pruned code falls below t/2.  The sampled population is
-    clamped to max_t (default: largest the pruning oracle can enumerate within
-    its cap); the exact recommendation is recorded in the stats.
+    substream when the pruned code falls below t/2.  Words are n/n0 blocks
+    drawn from `dist` (default: uniform bits), n0 = dist.n0.  The population
+    is clamped to max_t (default: largest the pruning oracle can enumerate
+    within its cap); the exact recommendation is recorded in the stats.
 
     The multiset sums of each population are enumerated once.  The final
     verdict is derived from pruning's k = h duplicate-sum groups, restricted
     to the least kept index of each distinct kept word, not from a second
     oracle pass; callers that want an independent check run the oracle on
     the returned code."""
-    the_dist = uniform_bits(n0) if dist is None else dist
+    if attempts < 1:
+        raise InvalidParams(f"attempts must be >= 1, got {attempts}")
+    dist = uniform_bits(1) if dist is None else dist
     if max_t is None:
         max_t = max_verifiable_t(h, cap=cap)
-    t_exact = choose_t(h, n, g=g, dist=dist, n0=n0)
+    t_exact = choose_t(h, n, g=g, dist=dist)
     if t_exact < 1:
         raise Infeasible(f"expected violations exceed t/2 already at t = 1 (h={h}, n={n})")
     t = min(t_exact, max_t)
     for attempt in range(attempts):
-        plan = SamplingPlan(n=n, n0=n0, dist=the_dist, t=t,
-                            seed=(seed, attempt), h=h, g=g)
+        plan = SamplingPlan(n=n, dist=dist, t=t, seed=(seed, attempt))
         words = sample_code(plan)
         kept, by_k, removed, top_groups = _prune(words, h, g, cap)
         first_kept = {}  # distinct kept word -> its least kept index

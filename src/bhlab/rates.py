@@ -87,9 +87,7 @@ def rate_poltyrev(h) -> RateReport:
 
 def rate_distribution(dist: Distribution, h) -> RateReport:
     """Collision entropy of the h-fold sum over n0 * (2h - 1)."""
-    point = dist.support()[0]
-    n0 = len(point) if isinstance(point, tuple) else 1
-    value = renyi(hfold(dist, h), 2) / (n0 * (2 * h - 1))
+    value = renyi(hfold(dist, h), 2) / (dist.n0 * (2 * h - 1))
     return RateReport(formula="distribution", rate=value)
 
 
@@ -136,6 +134,8 @@ def _family_report(formula, confs, stats_fn=conf_stats) -> RateReport:
 
 def rate_bhg(h, g) -> RateReport:
     """min over Conf(<= h, g+1) of -log2(p) / (d - 1)."""
+    if h < 1 or g < 1:
+        raise InvalidParams(f"h and g must be >= 1, got h = {h}, g = {g}")
     return _family_report(f"bhg(h={h},g={g})", enumerate_conf_upto(h, g + 1))
 
 

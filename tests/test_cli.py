@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, printed artifacts, and manifests."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -97,6 +98,19 @@ def test_entropy_without_inputs_exits_2(capsys):
     _assert_usage_error(run(capsys, "entropy", "majorize", "--p-seq", "1/2,1/2"))
 
 
+NAMED_OPTION = {  # argv -> the part of its error message that names the option
+    ("entropy", "search", "--n0", "0"): "n0 must be >= 1, got 0",  # printed a report
+    ("entropy", "search", "--n0", "-1"): "n0 must be >= 1, got -1",
+    ("entropy", "search", "--n0", "40"): "n0 = 40",  # built 2^40 points
+    ("simulate", "--h", "2", "--n", "40", "--seed", "0", "--n0", "40"): "n0 = 40",
+    ("entropy", "search", "--trials", "-5"): "trials must be >= 0, got -5",  # exit 0
+    ("simulate", "--h", "2", "--n", "4", "--seed", "0", "--attempts", "0"):
+        "attempts must be >= 1, got 0",
+    ("rate", "bhg", "--h", "0"): "h = 0",  # "no configurations to optimize over"
+    ("rate", "bhg", "--h", "2", "--g", "0"): "g = 0",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ("simulate", "--h", "2", "--n", "4", "--seed", "0", "--g", "0"),  # looped forever
     ("simulate", "--h", "2", "--n", "4", "--seed", "0", "--n0", "0"),
@@ -115,9 +129,12 @@ def test_entropy_without_inputs_exits_2(capsys):
     ("rate", "bhsharp", "--h", "0", "--d", "0"),
     ("configs", "enumerate", "--sharp", "--h", "0", "--d", "0"),  # printed "total 0"
     ("configs", "enumerate", "--sharp", "--h", "4", "--d", "4"),
+    *NAMED_OPTION,
 ])
 def test_degenerate_parameters_exit_2(capsys, argv):
-    _assert_usage_error(run(capsys, *argv))
+    result = run(capsys, *argv)
+    _assert_usage_error(result)
+    assert NAMED_OPTION.get(argv, "") in result[2]
 
 
 def test_dist_errors_name_their_cause(capsys):
@@ -254,6 +271,47 @@ def test_simulate_writes_verified_code_and_stats(tmp_path, capsys):
     manifest = json.loads((tmp_path / "sim.txt.manifest.json").read_text())
     assert manifest["seeds"] == [5]
     assert manifest["subcommand"] == "simulate"
+
+
+SIMULATE_PINS = {  # argv -> sha256 of stdout, code text and .stats.json
+    "--h 2 --n 20 --seed 3 --n0 2": (
+        "24ef2337e21da73aee9251a3e4385fca17689de5a7eb1a327decdcbde2b8282a",
+        "ccf2e591380dc59b2d25ffd93d818861792622430be8bd3eb5363e04e5e67c51",
+        "ab744b87944dc7c6f8922295f296667b5df1993b1791950056c746ad7f3a3eb1"),
+    "--h 3 --n 24 --seed 5 --n0 3": (
+        "a3e5add455bbacd959fc9c4b8f88f75ae3ded47528a6549f9b67899a5dd43ab3",
+        "62eb6f106b21bda40c33b65830d4e11bf0c2805db915c4acbd09332ac22b8946",
+        "e14af61cf4ee2120ad0378d81d851181611434fce02eb5839cc845fd0327442c"),
+    "--h 2 --g 3 --n 16 --seed 7 --n0 2": (
+        "9e64c202f6e11568047e605a9acbe2f227b17f6cd6573316bb47698242cff156",
+        "ad3ed8e7ab5e3598fec622bc334f835755a0745211e49596371a72e638fb2cde",
+        "b13e3175b07852aeb8a6e8ead6d7feda501f3074f7fc471f803e46fe25c0ec1a"),
+    "--h 2 --g 3 --n 16 --n0 8 --seed 1": (  # t=893 through p_8(C) = p_1(C)^8
+        "3e4de4e99d6415572d22fe493c6e9d6eb52e19f91aa122c73b324ba1ad16681d",
+        "babc503f8802ef28efac213a1a4287ee3fb00a79708ce8459f87ba5f7f5cb504",
+        "18cfc2c1099074eaab740f0e46f6486b6de8c779f0aa763cd2dc98aecd553f41"),
+    "--h 2 --n 20 --seed 2 --n0 2 --dist 1/8,1/8,3/8,3/8": (
+        "7d8adc7588e933f3654198965f82f15b390fc957ae9180d13ea8c729227c1308",
+        "4c39f60da6b1bc6088d5adcc8cd5bed0a6b3858ea8e906cb9dd29316a7f1ec78",
+        "1f35c6c0de5589247db92be3e631a3579ae2da6b0b3a7b680193d03714eb554d"),
+    "--h 3 --n 30 --seed 4 --n0 2 --dist 1/8,1/8,3/8,3/8": (
+        "ea975e210dfd3815576545fbb11552f5b0c2ea6703265ad1d5246542e84066ea",
+        "c5707255eebf903615b83d251b4c4cfaf05d5c1a25aa304228e6e50f6219c42a",
+        "1bb0f47d717e20e02f9b80027f0d43dc914cb8f646356158534307a9167e34a2"),
+    "--h 3 --n 21 --seed 6 --dist 3/4,1/4": (
+        "6c44becffe1026911f2a047acf90c81a44498cce8544e2855fc37910c9f2dd5d",
+        "fb68508bd3970e30f6e8c6caba1df42dd1f166afcc786843b3a64b4efbe1cc6c",
+        "642fbdfeec5653ff8fcdc7f6d5ada4d2f02b64d8f2a3d671d0e4afe6dac4b5f1"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SIMULATE_PINS))
+def test_simulate_with_block_laws_is_pinned(tmp_path, capsys, argv):
+    path = tmp_path / "sim.txt"
+    code, out, _ = run(capsys, "simulate", *argv.split(), "--output", str(path))
+    assert code == 0
+    digests = (out.encode(), path.read_bytes(), (tmp_path / "sim.txt.stats.json").read_bytes())
+    assert tuple(hashlib.sha256(b).hexdigest() for b in digests) == SIMULATE_PINS[argv]
 
 
 def test_manifest_replay_reproduces_artifacts(tmp_path, capsys):

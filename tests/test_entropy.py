@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from bhlab import entropy as ent
+from bhlab.cli import parse_dist
 from bhlab.configurations import cmax_p_closed
 from bhlab.errors import CapExceeded, InvalidDistribution, InvalidParams
 
@@ -33,6 +34,35 @@ def test_uniform_bits_points():
     u2 = ent.uniform_bits(2)
     assert u2.support() == ((0, 0), (0, 1), (1, 0), (1, 1))
     assert all(p == Fraction(1, 4) for p in u2.probs())
+
+
+def test_bit_points_bound_their_block_length():
+    assert ent.bit_points(1) == (0, 1)
+    assert ent.bit_points(3) == tuple(product((0, 1), repeat=3))
+    for n0 in (0, -1):
+        with pytest.raises(InvalidParams, match=f"n0 must be >= 1, got {n0}"):
+            ent.bit_points(n0)
+    for n0 in (21, 40, 10**9):  # 2^n0 above the support cap: raised before building
+        with pytest.raises(CapExceeded, match=f"n0 = {n0}"):
+            ent.bit_points(n0)
+        with pytest.raises(CapExceeded):
+            ent.uniform_bits(n0)
+
+
+def test_distribution_block_length():
+    assert ent.from_probs([Fraction(3, 4), Fraction(1, 4)]).n0 == 1
+    assert ent.from_probs([0, 1]).n0 == 1
+    for n0 in (1, 2, 3):
+        assert ent.uniform_bits(n0).n0 == n0
+    assert ent.make_distribution([((0, 1, 1), Fraction(1))]).n0 == 3
+    assert parse_dist("1/8,1/8,3/8,3/8", 2).n0 == 2
+    assert parse_dist("3/4,1/4").n0 == 1
+
+
+def test_search_rejects_negative_trials():
+    with pytest.raises(InvalidParams, match="trials must be >= 0, got -5"):
+        ent.uniform_optimality_search(1, 2.0, 2, -5, 0)
+    assert ent.uniform_optimality_search(1, 2.0, 2, 0, 0).trials == 0
 
 
 def test_renyi_on_uniform_is_log_support():

@@ -20,11 +20,11 @@ from bhlab.errors import Infeasible, InvalidParams
 def test_sampling_plan_validation():
     dist = uniform_bits(1)
     with pytest.raises(InvalidParams):
-        rc.SamplingPlan(n=5, n0=2, dist=uniform_bits(2), t=4, seed=0, h=2)
+        rc.SamplingPlan(n=5, dist=uniform_bits(2), t=4, seed=0)
     with pytest.raises(InvalidParams):
-        rc.SamplingPlan(n=4, n0=1, dist=dist, t=0, seed=0, h=2)
+        rc.SamplingPlan(n=4, dist=dist, t=0, seed=0)
     with pytest.raises(InvalidParams):
-        rc.SamplingPlan(n=4, n0=1, dist=dist, t=4, seed=0, h=0)
+        rc.choose_t(0, 4)
 
 
 def test_expected_violations_matches_exhaustive_average():
@@ -37,7 +37,7 @@ def test_expected_violations_matches_exhaustive_average():
         enc, _ = oracle.encode_binary_words(list(assignment), h)
         total += len(oracle.find_minimal_violations(enc, h))
     empirical = Fraction(total, len(words_space) ** t)
-    rows = rc._class_weights(h, 1, None)
+    rows = rc._class_weights(h, 1, uniform_bits(1))
     assert rc.expected_violations(t, rows, n) == empirical
 
 
@@ -52,7 +52,7 @@ def test_expected_violations_lower_bounds_bhg_count():
         enc, _ = oracle.encode_binary_words(list(assignment), h)
         total += len(oracle.find_minimal_violations_bhg(enc, h, g))
     empirical = Fraction(total, len(words_space) ** t)
-    rows = rc._class_weights(h, g, None)
+    rows = rc._class_weights(h, g, uniform_bits(1))
     assert rc.expected_violations(t, rows, n) <= empirical
 
 
@@ -73,29 +73,56 @@ def test_choose_t_pinned_values_and_growth():
 def test_choose_t_satisfies_its_defining_inequality():
     for h, n, g in [(2, 20, 1), (2, 16, 2), (3, 15, 1)]:
         t = rc.choose_t(h, n, g=g)
-        rows = rc._class_weights(h, g, None)
+        rows = rc._class_weights(h, g, uniform_bits(1))
         assert rc.expected_violations(t, rows, n) * 2 <= t
         assert rc.expected_violations(t + 1, rows, n) * 2 > t + 1
 
 
 def test_choose_t_with_distribution():
     biased = from_probs([Fraction(3, 4), Fraction(1, 4)])
-    t_b = rc.choose_t(3, 21, dist=biased, n0=1)
+    t_b = rc.choose_t(3, 21, dist=biased)
     t_u = rc.choose_t(3, 21)
     assert 1 <= t_b < t_u
     with pytest.raises(InvalidParams):
-        rc.choose_t(2, 21, dist=uniform_bits(2), n0=2)
+        rc.choose_t(2, 21, dist=uniform_bits(2))
+
+
+@pytest.mark.parametrize("h,g,n,n0", [(h, g, 24, n0) for n0 in (1, 2, 3)
+                                      for h, g in ((2, 1), (2, 2), (3, 1))] + [(2, 3, 16, 8)])
+def test_choose_t_reads_uniform_blocks_as_bits(h, g, n, n0):
+    # uniform n0-bit blocks are n0 iid uniform bits: p_n0(C) = p_1(C)^n0
+    assert rc.choose_t(h, n, g=g, dist=uniform_bits(n0)) == rc.choose_t(h, n, g=g)
+
+
+def test_choose_t_reads_the_block_length_from_the_law():
+    assert rc.choose_t(2, 20, dist=uniform_bits(2)) == rc.choose_t(2, 20) == 1098
+    # a non-uniform law on 2-bit blocks runs its own p(C) over n/2 blocks
+    law = parse_dist("1/8,1/8,3/8,3/8", 2)
+    rows = rc._class_weights(2, 1, law)
+    t = rc.choose_t(2, 20, dist=law)
+    assert rc.expected_violations(t, rows, 10) * 2 <= t
+    assert rc.expected_violations(t + 1, rows, 10) * 2 > t + 1
+
+
+def test_sampling_rejects_a_law_off_the_bit_blocks():
+    with pytest.raises(InvalidParams):
+        rc.sample_code(rc.SamplingPlan(n=4, dist=from_probs([Fraction(1, 3)] * 3), t=3, seed=0))
+
+
+def test_construct_rejects_no_attempts():
+    with pytest.raises(InvalidParams, match="attempts must be >= 1, got 0"):
+        rc.construct(2, 10, seed=0, attempts=0)
 
 
 def test_sample_code_determinism_and_law():
-    plan = rc.SamplingPlan(n=8, n0=1, dist=uniform_bits(1), t=50, seed=(3, 0), h=2)
+    plan = rc.SamplingPlan(n=8, dist=uniform_bits(1), t=50, seed=(3, 0))
     w1, w2 = rc.sample_code(plan), rc.sample_code(plan)
     assert w1 == w2
-    other = rc.SamplingPlan(n=8, n0=1, dist=uniform_bits(1), t=50, seed=(3, 1), h=2)
+    other = rc.SamplingPlan(n=8, dist=uniform_bits(1), t=50, seed=(3, 1))
     assert rc.sample_code(other) != w1
     # point mass yields t copies of one word
     point = from_probs([0, 1])
-    mono = rc.sample_code(rc.SamplingPlan(n=4, n0=1, dist=point, t=7, seed=(0, 0), h=2))
+    mono = rc.sample_code(rc.SamplingPlan(n=4, dist=point, t=7, seed=(0, 0)))
     assert mono == [(1, 1, 1, 1)] * 7
 
 
@@ -106,10 +133,9 @@ def _sha256(text):
 def test_sample_code_words_are_pinned():
     # sha256 of repr(words): the sampled words are these exact tuples of Python
     # ints, whatever way the sampler builds them
-    uniform = rc.sample_code(rc.SamplingPlan(n=40, n0=1, dist=uniform_bits(1), t=3000,
-                                             seed=(5, 0), h=2))
+    uniform = rc.sample_code(rc.SamplingPlan(n=40, dist=uniform_bits(1), t=3000, seed=(5, 0)))
     law = parse_dist("1/8,1/8,3/8,3/8", 2)
-    blocks = rc.sample_code(rc.SamplingPlan(n=30, n0=2, dist=law, t=3000, seed=(7, 1), h=3))
+    blocks = rc.sample_code(rc.SamplingPlan(n=30, dist=law, t=3000, seed=(7, 1)))
     assert {type(bit) for word in uniform + blocks for bit in word} == {int}
     assert (_sha256(repr(uniform))
             == "f39abd29b7f958addd9ee18ea12f8fa32e23ba4df1188667a654417b2035a1da")
@@ -118,7 +144,7 @@ def test_sample_code_words_are_pinned():
 
 
 def test_sample_code_ones_fraction_within_5_sigma():
-    plan = rc.SamplingPlan(n=64, n0=1, dist=uniform_bits(1), t=1000, seed=(11, 0), h=2)
+    plan = rc.SamplingPlan(n=64, dist=uniform_bits(1), t=1000, seed=(11, 0))
     words = rc.sample_code(plan)
     total_bits = 64 * 1000
     ones = sum(sum(w) for w in words)
@@ -128,7 +154,7 @@ def test_sample_code_ones_fraction_within_5_sigma():
 
 def test_sample_code_blocks():
     dist = uniform_bits(2)
-    plan = rc.SamplingPlan(n=6, n0=2, dist=dist, t=20, seed=(1, 0), h=2)
+    plan = rc.SamplingPlan(n=6, dist=dist, t=20, seed=(1, 0))
     words = rc.sample_code(plan)
     assert all(len(w) == 6 for w in words)
 
@@ -151,8 +177,7 @@ def test_prune_kills_duplicates_via_k1():
 
 def test_prune_output_always_passes_oracle():
     for seed in range(4):
-        plan = rc.SamplingPlan(n=10, n0=1, dist=uniform_bits(1), t=60,
-                               seed=(seed, 0), h=2)
+        plan = rc.SamplingPlan(n=10, dist=uniform_bits(1), t=60, seed=(seed, 0))
         words = rc.sample_code(plan)
         kept, by_k, removed = rc.prune(words, 2)
         assert removed <= sum(by_k.values())
