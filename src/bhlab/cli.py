@@ -131,6 +131,8 @@ def _cmd_verify(args, argv):
 def _cmd_configs(args, argv):
     if args.sharp:
         _require(args, "h", "d", what="configs enumerate --sharp")
+        if args.d < args.h:  # as `rate bhsharp` and `verify bhsharp`
+            raise InvalidParams(f"d = {args.d} < h = {args.h}")
         confs = conf_mod.enumerate_conf_sharp(args.h, args.d)
     elif args.sconf:
         _require(args, "k", "l", what="configs enumerate --sconf")

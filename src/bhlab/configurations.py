@@ -201,6 +201,13 @@ def enumerate_conf_sharp(h, d, cap=DEFAULT_CELL_CAP):
     CapExceeded before enumeration starts.  A returned family is never empty:
     with k = max(1, h - d + 1) it holds the L + 1 columns of k copies of one
     variable each, which is cmax(1, d - h + 2) when d >= h.
+
+    d < h is accepted here: the definition still reads (only the k with
+    L >= 1 contribute), and the pinned d < h families check it on small
+    shapes.  The code-level property is empty there, though: h distinct words
+    make a sum whose decompositions use h > d words, so no code of h or more
+    words is B_h^#[d].  `rate_bh_sharp`, `verify_bh_sharp` and `bhlab configs
+    enumerate --sharp` therefore reject d < h.
     """
     if h < 1 or d < 1:
         raise InvalidParams(f"B_h^#[d] needs h >= 1 and d >= 1, got h = {h}, d = {d}")

@@ -10,7 +10,9 @@ equal sums in the source group.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import algebra
 from .algebra import DEFAULT_SIZE_CAP
@@ -37,16 +39,22 @@ class BhSetFieldVectors:
 
 @dataclass(frozen=True)
 class BinaryCode:
-    """A set of equal-length bit-words, the central artifact."""
+    """A set of equal-length bit-words, the central artifact.  `_bits` holds
+    the same words as a (len, n) uint8 matrix, for the oracle and the text."""
 
     n: int
     words: tuple  # sorted tuple of bit-tuples, no duplicates
     h: int | None = None
     source: str = "unknown"
+    _bits: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         assert all(len(w) == self.n for w in self.words)
-        assert len(set(self.words)) == len(self.words)
+        if self._bits is None:
+            object.__setattr__(self, "_bits",
+                               _bit_matrix(self.words).reshape(len(self.words), self.n))
+        assert self._bits.shape == (len(self.words), self.n)
+        assert len(_first_rows(self._bits)) == len(self.words)
 
     def __len__(self):
         return len(self.words)
@@ -57,20 +65,50 @@ class BinaryCode:
 
 
 def _bit_word(word):
-    """A word as a tuple of Python ints; numpy-int bits would wrap in the
-    oracle's base-(h+1) encoding."""
+    """A word as a tuple of Python ints, or InvalidParams naming it."""
     if not {0, 1}.issuperset(word):
         raise InvalidParams(f"word {tuple(word)!r} has a bit other than 0/1")
     return tuple(map(int, word))
 
 
-def make_binary_code(words, h=None, source="unknown"):
-    words = tuple(sorted(set(map(_bit_word, words))))
-    if not words:
-        raise ValueError("empty code")
-    if len({len(w) for w in words}) > 1:
+def _bit_matrix(words):
+    """Bit-words (a matrix, or an iterable of sequences of bits of any type
+    equal to 0 or 1) as one (m, n) uint8 matrix.  Raises InvalidParams naming
+    the first word with another bit, else if the words differ in length."""
+    if not isinstance(words, np.ndarray):
+        words = list(words)
+    try:
+        bits = np.asarray(words)
+    except ValueError:  # words of unequal length
+        bits = np.empty(0)
+    if bits.ndim == 2 and bits.dtype.kind in "biu" and ((bits == 0) | (bits == 1)).all():
+        return bits.astype(np.uint8, copy=False)
+    rows = [_bit_word(w) for w in words]  # names a bad bit; reads bits such as 1.0
+    if len({len(w) for w in rows}) > 1:
         raise InvalidParams("code words must share one length")
-    return BinaryCode(n=len(words[0]), words=words, h=h, source=source)
+    return np.array(rows, np.uint8).reshape(len(rows), len(rows[0]) if rows else 0)
+
+
+def _first_rows(bits):
+    """The index of the first copy of each distinct row of a 0/1 matrix, in
+    the rows' lex order (the order of sorted bit-tuples)."""
+    packed = np.packbits(bits, axis=1)  # big-endian bytes keep the rows' lex order
+    if not packed.shape[1]:  # words of no bits: one distinct row at most
+        return np.arange(min(len(bits), 1))
+    order = np.lexsort(packed.T[::-1])  # stable, so equal rows keep their index order
+    rows = packed[order]
+    return order[np.append(True, (rows[1:] != rows[:-1]).any(axis=1))]
+
+
+def make_binary_code(words, h=None, source="unknown"):
+    """The code of some bit-words (a matrix or an iterable, as `_bit_matrix`
+    reads them), sorted, without duplicates."""
+    bits = _bit_matrix(words)
+    if not len(bits):
+        raise ValueError("empty code")
+    bits = bits[_first_rows(bits)]
+    return BinaryCode(n=bits.shape[1], words=tuple(map(tuple, bits.tolist())), h=h,
+                      source=source, _bits=bits)
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +184,9 @@ def field_vectors_to_binary(s: BhSetFieldVectors) -> BinaryCode:
 
 def code_to_text(code: BinaryCode) -> str:
     h = code.h if code.h is not None else "?"
-    lines = [f"n={code.n} h={h} source={code.source}"]
-    lines.extend("".join(map(str, w)) for w in code.words)
-    return "\n".join(lines) + "\n"
+    rows = np.full((len(code), code.n + 1), ord("\n"), np.uint8)  # each word, then "\n"
+    rows[:, :-1] = code._bits + ord("0")
+    return f"n={code.n} h={h} source={code.source}\n" + rows.tobytes().decode("ascii")
 
 
 def code_from_text(text: str) -> BinaryCode:
@@ -159,9 +197,9 @@ def code_from_text(text: str) -> BinaryCode:
     n = int(fields["n"])
     h = None if fields.get("h", "?") == "?" else int(fields["h"])
     source = fields.get("source", "unknown")
-    words = []
-    for ln in lines[1:]:
+    words = lines[1:]
+    for ln in words:
         if len(ln) != n or set(ln) - {"0", "1"}:
             raise ValueError(f"bad word {ln!r}")
-        words.append(tuple(int(c) for c in ln))
-    return make_binary_code(words, h=h, source=source)
+    bits = np.frombuffer("".join(words).encode(), np.uint8) - ord("0")
+    return make_binary_code(bits.reshape(len(words), n) if words else [], h=h, source=source)

@@ -230,6 +230,8 @@ def sidon_two_point(p, alpha):
     """(f(p), f'(1/2), f''(1/2)) for f(p) = p^{2a} + (2p(1-p))^a + (1-p)^{2a}."""
     if not 0 <= p <= 1:
         raise InvalidParams("p must lie in [0, 1]")
+    if alpha < 0:  # as `renyi`; at p = 0 or 1 a zero mass would be raised to a negative power
+        raise InvalidParams(f"alpha must be >= 0, got {alpha}")
     value = p ** (2 * alpha) + (2 * p * (1 - p)) ** alpha + (1 - p) ** (2 * alpha)
     second = -(2.0 ** (3 - 2 * alpha)) * (2.0**alpha - 4 * alpha + 2) * alpha
     return value, 0.0, second

@@ -1,21 +1,26 @@
 """Ground-truth brute-force verifiers for B_h / B_h[g] / B_h^#[d] properties.
 
-`add` names the ambient: integers under `operator.add` (the default; bit-words
-enter as their carry-free base-(h+1) encodings), residues under
-`residue_add(m)`, vectors over Z_q under `vector_mod_add(q)`.  Sums are
-reported in the caller's encoding: an int, a residue, a tuple.
+`add` names the ambient: integers under `operator.add` (the default),
+residues under `residue_add(m)`, vectors over Z_q under `vector_mod_add(q)`.
+Sums are reported in the caller's encoding: an int, a residue, a tuple.
+Binary codes (`verify_code_*`, and the random-coding pipeline) enter as one
+(m, n) uint8 bit matrix whose rows are read as radix-(h+1) digits; their sums
+are reported as the words' base-(h+1) encodings (`encode_binary_words`).
 
 One numpy engine, `_Sums`, serves every ambient.  An element is a row of
-unsigned ints: the base-2^b digits of its offset from the least element, or
-its residues.  Level k (the size-k multisets) is level k-1 plus one element
-per vectorised add, reduced mod q at every level and packed into uint64 key
-words (more than one only when the sums need over 64 bits).  A level is
-scanned in buckets by a sum class (equal sums share a class), one bucket at a
-time and in two passes: pass one sorts the bucket's first key words in place
-and keeps the duplicated values; pass two regenerates only a bucket that has
-some and decodes the rows holding them, grouped by their whole key.  Peak
-memory is one bucket of keys (about _BUCKET_KEYS uint64s on large levels)
-plus the level below the top.
+unsigned ints: the base-2^b digits of its offset from the least element, its
+residues, or its bits as radix-(h+1) digits packed into uint64 columns (k <= h
+bits sum to at most h, so no digit carries).  Level k (the size-k multisets)
+is level k-1 plus one element per vectorised add, reduced mod q at every
+level and packed into uint64 key words (more than one only when the sums need
+over 64 bits).  A level is scanned in buckets by a sum class (equal sums share
+a class), one bucket at a time and in two passes: pass one sorts the bucket's
+first key words in place and keeps the duplicated values (a key of several
+words leads with a wrapped mix of all its columns, so that word sees every
+digit); pass two regenerates only a bucket that has some and decodes the rows
+holding them, grouped by their whole key.  Blocks of a level hold about
+_CHUNK rows.  Peak memory is one bucket of keys (about _BUCKET_KEYS uint64s
+on large levels) plus the level below the top.
 
 The random-coding pipeline enumerates each population once: pruning reads
 its minimal violations, and `random_coding.construct` its final verdict,
@@ -40,6 +45,7 @@ DEFAULT_ENUM_CAP = 2**26
 DEFAULT_PER_SUM_CAP = 200_000  # B_h[g] column combinations read from one sum
 _CHUNK = 2**16  # rows per generated block: bounds temporaries, amortises numpy calls
 _BUCKET_KEYS = 2**19  # a large level's buckets hold 1-2x this many keys: each sorts in cache
+_MIX = 0x9E3779B97F4A7C15  # odd: multi-word keys lead with sum(column c * _MIX^c) mod 2^64
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +53,7 @@ _BUCKET_KEYS = 2**19  # a large level's buckets hold 1-2x this many keys: each s
 
 def encode_binary_words(words, h):
     """Bit-words -> integers in base h+1 so k<=h word sums add without carry.
+    (The verifiers read bit-words as digit rows instead; see `_digit_rows`.)
 
     Returns (encoded list, fits_uint64) where fits_uint64 says that sums of
     two encodings stay below 2^64.  Bits must be 0 or 1 (of any integer
@@ -121,9 +128,55 @@ def _as_int(x):
         raise InvalidParams(f"element {x!r} is not an integer") from None
 
 
+_BIT_WORDS = object()  # the `add=` ambient of a (m, n) 0/1 uint8 matrix of bit-words
+
+
+def _low_bits(rows, B):
+    """Integers: the low log2(B) bits of digit 0 (carries move only multiples of 2^b)."""
+    return (rows[:, 0] & np.uint64(B - 1)).astype(np.intp)
+
+
+def _residue_classes(rows, B):
+    """Residues and vectors: coordinate 0 mod B, a divisor of q."""
+    return (rows[:, 0] % B).astype(np.intp)
+
+
+def _digit_rows(bits, h):
+    """Bit-words as rows of radix-(h+1) digits, returned as `_coordinates`
+    returns an ambient.  Digit i is bit n-1-i, so a row reads as the word's
+    base-(h+1) encoding; k <= h words add digitwise without carry.  Each
+    uint64 column holds, lowest digits first, as many digits as keep an h-fold
+    sum below 2^64 (40 at h = 2)."""
+    radix, (m, n) = h + 1, bits.shape
+    per = 1
+    while radix ** (per + 1) <= 2**64:
+        per += 1
+    widths = [min(per, n - lo) for lo in range(0, n, per)] or [0]
+    rows, digits = np.empty((m, len(widths)), np.uint64), bits[:, ::-1]
+    for c, w in enumerate(widths):
+        powers = np.uint64(radix) ** np.arange(w, dtype=np.uint64)
+        rows[:, c] = digits[:, c * per:c * per + w] @ powers
+    scales = [radix ** (per * c) for c in range(len(widths))]
+
+    def classes(block, B):
+        """The low log2(B) digits d_i of column 0 as sum(2^i d_i) mod B."""
+        col, out = block[:, 0], np.zeros(len(block), np.intp)
+        for i in range(B.bit_length() - 1):
+            col, digit = np.divmod(col, np.uint64(radix))
+            out += digit.astype(np.intp) << i
+        return out & (B - 1)
+
+    def value(combo):
+        return sum(x * s for i in combo for x, s in zip(rows[i].tolist(), scales))
+    return rows, None, [radix**w for w in widths], None, classes, value
+
+
 def _coordinates(elements, add, h):
     """(level-1 rows, per-column modulus or None, per-column key radix, digit
-    width b or None, sum of an index multiset in the caller's encoding)."""
+    width b or None, class map (rows, B) -> classes in Z_B that adds like the
+    sums, sum of an index multiset in the caller's encoding)."""
+    if add is _BIT_WORDS:
+        return _digit_rows(elements, h)
     if add is operator.add:
         values = [_as_int(e) for e in elements]
         lo = min(values, default=0)
@@ -133,7 +186,7 @@ def _coordinates(elements, add, h):
         rows = np.array([[(v - lo) >> (b * i) & (2**b - 1) for i in range(limbs)]
                          for v in values], dtype=np.uint64).reshape(-1, limbs)
         radices = [2**b] * (limbs - 1) + [((span - 1) >> (b * (limbs - 1))) + 1]
-        return rows, None, radices, b, lambda combo: sum(values[i] for i in combo)
+        return rows, None, radices, b, _low_bits, lambda combo: sum(values[i] for i in combo)
     if not isinstance(add, ModularAdd):
         raise InvalidParams("add must be operator.add, residue_add(m) or vector_mod_add(q)")
     q = _as_int(add.modulus)
@@ -148,7 +201,7 @@ def _coordinates(elements, add, h):
         total = tuple(sum(col) % q for col in zip(*(rows[i] for i in combo)))
         return total if add.vector else total[0]
     arr = np.array(rows, dtype=np.min_scalar_type(2 * q - 2)).reshape(-1, width)
-    return arr, np.full(width, q, arr.dtype), [q] * width, None, value
+    return arr, np.full(width, q, arr.dtype), [q] * width, None, _residue_classes, value
 
 
 class _Sums:
@@ -162,7 +215,9 @@ class _Sums:
 
     A level is scanned in B buckets, by a class in Z_B that adds like the
     sums: the low log2(B) bits of digit 0 (carries move only multiples of
-    2^b), or coordinate 0 mod the largest divisor of q that is at most B.
+    2^b), coordinate 0 mod the largest divisor of q that is at most B, or,
+    for bit-words, sum(2^i d_i) over their low log2(B) radix-(h+1) digits
+    d_i, which never carry.
     Equal sums have equal classes, so each bucket is sorted and scanned for
     duplicates on its own.  B is the largest power of two, at most m, that
     leaves _BUCKET_KEYS or more keys per top-level bucket, so a level below
@@ -179,7 +234,8 @@ class _Sums:
     the held level (twice that while it is grouped)."""
 
     def __init__(self, elements, add, h):
-        first, self.moduli, radices, self.b, self.value = _coordinates(elements, add, h)
+        first, self.moduli, radices, self.b, self.classes, self.value = _coordinates(
+            elements, add, h)
         self.h, self.m = h, len(first)
         self.ends = [None, np.arange(1, self.m + 1)]
         for _ in range(h - 1):
@@ -189,7 +245,7 @@ class _Sums:
             self.B *= 2
         if self.moduli is not None:  # coordinate 0 mod the largest divisor of q that is at most B
             self.B = max(d for d in range(1, self.B + 1) if radices[0] % d == 0)
-        cls = self._classes(first)
+        cls = self.classes(first, self.B)
         self.perm = np.argsort(cls, kind="stable")  # relabelled index -> caller's index
         self.start = np.searchsorted(cls[self.perm], np.arange(self.B + 1))  # class a: start[a]..
         self.first = first[self.perm]
@@ -203,11 +259,9 @@ class _Sums:
                 scale = 1
             self.packing[-1].append((c, np.uint64(scale)))
             scale *= r
-
-    def _classes(self, rows):
-        if self.moduli is None:
-            return (rows[:, 0] & np.uint64(self.B - 1)).astype(np.intp)
-        return (rows[:, 0] % self.B).astype(np.intp)
+        if len(self.packing) > 1:  # pass one reads word 0 only: a wrapped mix of every column
+            self.packing.insert(0, [(c, np.uint64(pow(_MIX, c, 2**64)))
+                                    for c in range(len(radices))])
 
     def _rows(self, parts, prev, out):
         """Fill `out` with the rows of some parts (e0, e1, g0, g1) of level
@@ -236,7 +290,7 @@ class _Sums:
         if self.k == 1 or self.B == 1:  # the elements are relabelled in class order
             goff = self.start if self.k == 1 else np.array([0, len(rows)])
         else:
-            cls = self._classes(rows)
+            cls = self.classes(rows, self.B)
             order = np.argsort(cls, kind="stable")
             goff = np.append(0, np.bincount(cls, minlength=self.B).cumsum())
             rows = rows[order]
@@ -278,11 +332,13 @@ class _Sums:
                     parts.extend((j, j + 1, g0 + p, g0 + q)
                                  for j, q in zip(range(s, e), ends) if q > p)
             blocks = []
-            for part in parts:
-                if not blocks or blocks[-1][0] >= _CHUNK:
-                    blocks.append([0, []])
-                blocks[-1][0] += (part[1] - part[0]) * (part[3] - part[2])
-                blocks[-1][1].append(part)
+            for e0, e1, g0, g1 in parts:
+                for lo in range(g0, g1, _CHUNK):  # a one-element part can span the held level
+                    hi = min(lo + _CHUNK, g1)
+                    if not blocks or blocks[-1][0] >= _CHUNK:
+                        blocks.append([0, []])
+                    blocks[-1][0] += (e1 - e0) * (hi - lo)
+                    blocks[-1][1].append((e0, e1, lo, hi))
             self.plan.append(blocks)
 
     def _numbers(self, parts, hit):
@@ -302,9 +358,9 @@ class _Sums:
             block[:, i] &= np.uint64(2**self.b - 1)
         words = []
         for (c, _), *rest in self.packing:  # a word's first column has weight 1
-            key = block[:, c].astype(np.uint64, copy=False)
+            key = block[:, c].astype(np.uint64, copy=bool(rest))
             for c, w in rest:
-                key = key + block[:, c] * w
+                key += block[:, c] * w
             words.append(key)
         return words
 
@@ -372,7 +428,7 @@ class _Sums:
 # verifiers: return None on pass, a Violation otherwise
 
 def _capped_sums(elements, h, add, cap):
-    elements = list(elements)
+    elements = elements if add is _BIT_WORDS else list(elements)
     if h < 1:
         raise InvalidParams(f"h = {h} must be >= 1")
     if multiset_count(len(elements), h) > cap:
@@ -462,12 +518,12 @@ def find_minimal_violations_bhg(elements, h, g, *, add=operator.add, cap=DEFAULT
 # convenience wrappers over BinaryCode
 
 def verify_code_bh(code: BinaryCode, h, cap=DEFAULT_ENUM_CAP):
-    return verify_bh(encode_binary_words(code.words, h)[0], h, cap=cap)
+    return verify_bh(code._bits, h, add=_BIT_WORDS, cap=cap)
 
 
 def verify_code_bhg(code: BinaryCode, h, g, cap=DEFAULT_ENUM_CAP):
-    return verify_bhg(encode_binary_words(code.words, h)[0], h, g, cap=cap)
+    return verify_bhg(code._bits, h, g, add=_BIT_WORDS, cap=cap)
 
 
 def verify_code_bh_sharp(code: BinaryCode, h, d, cap=DEFAULT_ENUM_CAP):
-    return verify_bh_sharp(encode_binary_words(code.words, h)[0], h, d, cap=cap)
+    return verify_bh_sharp(code._bits, h, d, add=_BIT_WORDS, cap=cap)

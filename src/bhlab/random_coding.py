@@ -2,7 +2,9 @@
 minimal-violation count, sample seeded iid words, prune one word per minimal
 violation, and hand back an oracle-verified code.  Each population's
 multiset sums are enumerated once; the final verdict is read from the same
-duplicate-sum groups that pruning used.
+duplicate-sum groups that pruning used.  A population stays one (t, n) uint8
+bit matrix from sampling to the code: the oracle reads its rows as
+radix-(h+1) digits, and the code is sorted and deduplicated on it.
 
 The unspecified constants of the existence proofs are replaced by the exact
 criterion E(t) <= t/2, where E(t) sums, over configuration classes, the
@@ -23,12 +25,12 @@ import numpy as np
 
 from .configurations import (automorphism_count, conf_stats_general,
                              enumerate_conf_upto)
-from .constructions import make_binary_code
+from .constructions import _bit_matrix, _first_rows, make_binary_code
 from .entropy import Distribution, bit_points, uniform_bits
 from .errors import Infeasible, InvalidParams
-from .oracle import (DEFAULT_ENUM_CAP, DEFAULT_PER_SUM_CAP, Violation,
-                     _minimal_violations, encode_binary_words,
-                     find_minimal_violations, find_minimal_violations_bhg)
+from .oracle import (_BIT_WORDS, DEFAULT_ENUM_CAP, DEFAULT_PER_SUM_CAP, Violation,
+                     _minimal_violations, find_minimal_violations,
+                     find_minimal_violations_bhg)
 
 DEFAULT_MAX_T = 10_000
 DEFAULT_ATTEMPTS = 8
@@ -147,14 +149,19 @@ def _block_table(dist: Distribution):
     return table, cum
 
 
-def sample_code(plan: SamplingPlan):
-    """t words of length n, each a concatenation of iid blocks; list with
-    duplicates preserved.  Philox keyed by plan.seed."""
+def _sample_bits(plan: SamplingPlan):
+    """The (t, n) uint8 bit matrix of t words, each a concatenation of iid
+    blocks; duplicates preserved.  Philox keyed by plan.seed."""
     table, cum = _block_table(plan.dist)
     rng = np.random.Generator(np.random.Philox(key=plan.seed))
     draws = rng.random((plan.t, plan.n // plan.dist.n0))
     choice = np.searchsorted(cum, draws, side="left")
-    return list(map(tuple, table[choice].reshape(plan.t, plan.n).tolist()))
+    return table[choice].reshape(plan.t, plan.n)
+
+
+def sample_code(plan: SamplingPlan):
+    """`_sample_bits` as a list of t bit-tuples of Python ints."""
+    return list(map(tuple, _sample_bits(plan).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -180,21 +187,21 @@ def prune(words, h, g=1, cap=DEFAULT_ENUM_CAP):
     violations in lexicographic order; single pass suffices because removals
     never create violations.  Returns (kept index list, violations by k,
     removed count)."""
-    elements, _ = encode_binary_words(words, h)
+    bits = _bit_matrix(words)
     if g == 1:
-        violations = find_minimal_violations(elements, h, cap=cap)
+        violations = find_minimal_violations(bits, h, add=_BIT_WORDS, cap=cap)
     else:
-        violations = find_minimal_violations_bhg(elements, h, g, cap=cap)
-    return _remove_one_per_violation(violations, len(words))
+        violations = find_minimal_violations_bhg(bits, h, g, add=_BIT_WORDS, cap=cap)
+    return _remove_one_per_violation(violations, len(bits))
 
 
-def _prune(words, h, g, cap):
-    """`prune`, plus the k = h groups of sums hit more than g times (over the
-    whole population) that its violations were read from."""
-    elements, _ = encode_binary_words(words, h)
+def _prune(bits, h, g, cap):
+    """`prune` on a bit matrix, plus the k = h groups of sums hit more than g
+    times (over the whole population) that its violations were read from."""
     violations, top_groups = _minimal_violations(
-        elements, h, g, cap=cap, per_sum_cap=None if g == 1 else DEFAULT_PER_SUM_CAP)
-    return (*_remove_one_per_violation(violations, len(words)), top_groups)
+        bits, h, g, add=_BIT_WORDS, cap=cap,
+        per_sum_cap=None if g == 1 else DEFAULT_PER_SUM_CAP)
+    return (*_remove_one_per_violation(violations, len(bits)), top_groups)
 
 
 def _violation_among(indices, top_groups, h, g):
@@ -247,18 +254,17 @@ def construct(h, n, seed, *, g=1, dist=None,
         raise Infeasible(f"expected violations exceed t/2 already at t = 1 (h={h}, n={n})")
     t = min(t_exact, max_t)
     for attempt in range(attempts):
-        plan = SamplingPlan(n=n, dist=dist, t=t, seed=(seed, attempt))
-        words = sample_code(plan)
-        kept, by_k, removed, top_groups = _prune(words, h, g, cap)
-        first_kept = {}  # distinct kept word -> its least kept index
-        for i in kept:
-            first_kept.setdefault(words[i], i)
+        bits = _sample_bits(SamplingPlan(n=n, dist=dist, t=t, seed=(seed, attempt)))
+        kept, by_k, removed, top_groups = _prune(bits, h, g, cap)
+        kept = np.array(kept, np.intp)
+        first_kept = kept[_first_rows(bits[kept])]  # least kept index of each distinct kept word
         if 2 * len(first_kept) < t:
             continue
         source = f"random-coding-h{h}-g{g}-n{n}-seed{seed}"
-        code = make_binary_code(first_kept, h=h, source=source)
-        verdict = _violation_among(set(first_kept.values()), top_groups, h, g)
+        code = make_binary_code(bits[first_kept], h=h, source=source)
+        verdict = _violation_among(set(first_kept.tolist()), top_groups, h, g)
         if verdict is not None:  # pruning guarantees this never fires
+            words = list(map(tuple, bits.tolist()))
             raise AssertionError(f"pruned code failed its oracle: {verdict.render(words)}")
         stats = ConstructionStats(
             t=t, t_exact=t_exact, attempts=attempt + 1, seed=seed,

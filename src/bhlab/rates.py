@@ -141,6 +141,8 @@ def rate_bhg(h, g) -> RateReport:
 
 def rate_bhg_distribution(h, g, dist) -> RateReport:
     """Same minimization with per-block probabilities from `dist`."""
+    if h < 1 or g < 1:
+        raise InvalidParams(f"h and g must be >= 1, got h = {h}, g = {g}")
     return _family_report(f"bhg-dist(h={h},g={g})", enumerate_conf_upto(h, g + 1),
                           stats_fn=lambda c: conf_stats_general(c, dist.items))
 

@@ -108,6 +108,8 @@ NAMED_OPTION = {  # argv -> the part of its error message that names the option
         "attempts must be >= 1, got 0",
     ("rate", "bhg", "--h", "0"): "h = 0",  # "no configurations to optimize over"
     ("rate", "bhg", "--h", "2", "--g", "0"): "g = 0",
+    ("configs", "enumerate", "--sharp", "--h", "3", "--d", "2"): "d = 2",  # printed 4 classes
+    ("entropy", "sidon", "--p", "0", "--alpha", "-1"): "alpha must be >= 0",  # exit 3
 }
 
 

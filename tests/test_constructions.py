@@ -5,6 +5,8 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bhlab import constructions, oracle
 from bhlab.errors import (CharacteristicTooSmall, DegenerateModulus, InvalidParams,
@@ -134,6 +136,63 @@ def test_make_binary_code_stores_python_int_bits():
         constructions.make_binary_code([(0, 1), (2, 0)])
     with pytest.raises(InvalidParams):
         constructions.make_binary_code([(0, -1)])
+
+
+def _tuple_code(words, h, source):
+    """The code's words and text as computed on bit-tuples, one bit at a time:
+    the reference for the uint8-matrix code."""
+    def bit_word(word):
+        if not {0, 1}.issuperset(word):
+            raise InvalidParams(f"word {tuple(word)!r} has a bit other than 0/1")
+        return tuple(map(int, word))
+    words = tuple(sorted(set(map(bit_word, words))))
+    if not words:
+        raise ValueError("empty code")
+    if len({len(w) for w in words}) > 1:
+        raise InvalidParams("code words must share one length")
+    lines = [f"n={len(words[0])} h={h} source={source}"] + ["".join(map(str, w)) for w in words]
+    return words, "\n".join(lines) + "\n"
+
+
+BIT_TYPES = {  # name -> words as bit-tuples of Python ints -> the caller's input
+    "int": lambda words: words,
+    "bool": lambda words: [tuple(map(bool, w)) for w in words],
+    "int8": lambda words: [tuple(np.int8(b) for b in w) for w in words],
+    "int8-matrix": lambda words: np.array(words, np.int8).reshape(len(words), -1),
+    "bool-matrix": lambda words: np.array(words, bool).reshape(len(words), -1),
+    "uint8-matrix": lambda words: np.array(words, np.uint8).reshape(len(words), -1),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(0, 1)] * n), min_size=1, max_size=40)),
+       st.sampled_from([None, 2, 3]))
+def test_matrix_code_and_text_match_the_tuple_code(words, h):
+    expected_words, expected_text = _tuple_code(words, "?" if h is None else h, "demo")
+    for name, convert in BIT_TYPES.items():
+        code = constructions.make_binary_code(convert(words), h=h, source="demo")
+        assert code.words == expected_words, name
+        assert all(type(b) is int for w in code.words for b in w)
+        text = constructions.code_to_text(code)
+        assert text == expected_text, name
+        assert constructions.code_from_text(text) == code
+
+
+@pytest.mark.parametrize("words", [
+    [], [(0, 2)], [(0, -1)], [(1,), (0, 1)], [(0, 1), (2,)], [(1, 0.5)], [(1.0, 0), (0, 1)],
+    [(np.int8(0), np.int8(2))], [(True,), (False, True)], ["01"], [(0, 1), (1, 2**70)],
+    np.array([[0, 1], [3, 0]], np.int8), np.array([[0.0, 1.0]]),
+], ids=repr)
+def test_make_binary_code_raises_as_the_tuple_code(words):
+    try:
+        expected = _tuple_code(words, 2, "x")[0]
+    except Exception as exc:
+        with pytest.raises(type(exc)) as got:
+            constructions.make_binary_code(words, h=2, source="x")
+        assert str(got.value) == str(exc)
+    else:
+        assert constructions.make_binary_code(words, h=2, source="x").words == expected
 
 
 def test_text_round_trip():

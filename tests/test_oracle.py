@@ -6,12 +6,15 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bhlab import oracle
 from bhlab.constructions import (bose_chowla, field_vectors_to_binary, make_binary_code,
                                  power_map, residues_to_binary)
+from bhlab.entropy import uniform_bits
 from bhlab.errors import CapExceeded, InvalidParams
-from bhlab.random_coding import prune
+from bhlab.random_coding import SamplingPlan, _sample_bits, prune
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +324,67 @@ def test_sums_classes_follow_the_ambient(monkeypatch):
     assert oracle._Sums(list(range(20)), oracle.residue_add(17), 2).B == 1  # prime above 16
     monkeypatch.setattr(oracle, "_BUCKET_KEYS", 2**19)
     assert oracle._Sums(list(range(1000)), operator.add, 2).B == 1  # 500,500 pair sums
+
+
+# ---------------------------------------------------------------------------
+# bit-words as radix-(h+1) digit rows
+
+KEY_WORD_DIGITS = {1: 64, 2: 40, 3: 32, 4: 27}  # digits in one uint64 column
+
+
+@st.composite
+def bit_populations(draw):
+    """(h, g, words): collision-rich bit-words, repeats included, of a length
+    that is small or on either side of one uint64 key word."""
+    h = draw(st.integers(1, 4), label="h")
+    g = draw(st.integers(1, 3), label="g")
+    edge = KEY_WORD_DIGITS[h]
+    n = draw(st.one_of(st.integers(1, 6), st.integers(edge - 2, edge + 5)), label="n")
+    template = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    free = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+    words = []
+    for _ in range(draw(st.integers(0, 8 if h < 4 else 6), label="m")):
+        word = list(template)
+        for i in free:
+            word[i] = draw(st.integers(0, 1))
+        words.append(tuple(word))
+    return h, g, words
+
+
+@settings(max_examples=150, deadline=None)
+@given(bit_populations(), st.booleans())
+def test_digit_rows_match_the_base_h_plus_1_integers(population, small_buckets):
+    """Violation lists (order and sum values) and the k = h groups are those
+    of the words' `encode_binary_words` integers."""
+    h, g, words = population
+    bits = np.array(words, np.uint8).reshape(len(words), -1 if words else 0)
+    encoded = oracle.encode_binary_words(words, h)[0]
+    with pytest.MonkeyPatch.context() as mp:
+        if small_buckets:
+            mp.setattr(oracle, "_BUCKET_KEYS", 1)
+            mp.setattr(oracle, "_CHUNK", 4)
+        violations, groups = oracle._minimal_violations(bits, h, g, add=oracle._BIT_WORDS)
+        expected, expected_groups = oracle._minimal_violations(encoded, h, g)
+        assert violations == expected
+        assert list(groups.items()) == list(expected_groups.items())
+        assert (oracle.verify_bhg(bits, h, g, add=oracle._BIT_WORDS)
+                == oracle.verify_bhg(encoded, h, g))
+        for d in (h, h + 1, 2 * h):
+            assert (oracle.verify_bh_sharp(bits, h, d, add=oracle._BIT_WORDS)
+                    == oracle.verify_bh_sharp(encoded, h, d))
+
+
+def test_h3_bit_word_buckets_are_even():
+    """With B = 64 the class map used to see three base-4 digits, so the words
+    fell in 8 of 64 classes and top-level buckets held up to 3.8x the median."""
+    bits = _sample_bits(SamplingPlan(n=30, dist=uniform_bits(1), t=737, seed=(1, 0)))
+    sums = oracle._Sums(bits, oracle._BIT_WORDS, 3)
+    sums._advance()
+    sums._group()
+    sums._plan()
+    sizes = [sum(size for size, _ in blocks) for blocks in sums.plan]
+    assert sums.B == 64 and min(np.diff(sums.start)) > 0  # every class holds words
+    assert max(sizes) <= 1.5 * np.median(sizes)
 
 
 def test_misuse_raises_invalid_params():

@@ -7,9 +7,10 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
-from bhlab import oracle, random_coding as rc
+from bhlab import constructions, oracle, random_coding as rc
 from bhlab import rates
 from bhlab.cli import parse_dist
 from bhlab.constructions import code_to_text
@@ -253,7 +254,7 @@ def _keep_every_word(monkeypatch, words):
     real = rc._minimal_violations
     monkeypatch.setattr(rc, "_minimal_violations",
                         lambda *args, **kwargs: ([], real(*args, **kwargs)[1]))
-    monkeypatch.setattr(rc, "sample_code", lambda plan: list(words))
+    monkeypatch.setattr(rc, "_sample_bits", lambda plan: np.array(words, np.uint8))
 
 
 def test_construct_derived_verdict_fires_on_an_unpruned_violation(monkeypatch):
@@ -269,6 +270,22 @@ def test_construct_derived_verdict_counts_equal_kept_words_once(monkeypatch):
     code, stats = rc.construct(2, 2, seed=0, g=2, max_t=4)
     assert len(code) == 4 and stats.removed == 0
     assert oracle.verify_code_bhg(code, 2, 2) is None
+
+
+def test_construct_and_verify_never_read_words_one_at_a_time(monkeypatch):
+    # the population stays a bit matrix: neither the base-(h+1) Horner loop
+    # nor the per-word bit check runs on the simulate or verify path
+    def per_word(*args, **kwargs):
+        raise AssertionError("a per-word path ran")
+
+    monkeypatch.setattr(oracle, "encode_binary_words", per_word)
+    monkeypatch.setattr(constructions, "_bit_word", per_word)
+    for h, g, n, t in [(2, 1, 20, 1098), (2, 2, 20, 3067), (3, 1, 20, 217)]:
+        code, stats = rc.construct(h, n, seed=7, g=g, max_t=t)
+        assert stats.removed > 0 and 2 * len(code) >= stats.t
+        assert oracle.verify_code_bhg(code, h, g) is None
+        assert (oracle.verify_code_bh(code, h) is None) == (g == 1)
+        assert (oracle.verify_code_bh_sharp(code, h, h) is None) == (g == 1)
 
 
 def test_mean_rate_over_twenty_seeds_meets_finite_n_slack():
@@ -299,6 +316,7 @@ def test_biased_distribution_never_beats_uniform_on_average():
 def test_construct_infeasible_when_every_attempt_collapses(monkeypatch):
     # a sampler stuck on one word loses all but one copy to k=1 violations,
     # so every attempt falls below t/2 and the retry budget runs out
-    monkeypatch.setattr(rc, "sample_code", lambda plan: [(0,) * plan.n] * plan.t)
+    monkeypatch.setattr(rc, "_sample_bits",
+                        lambda plan: np.array([(0,) * plan.n] * plan.t, np.uint8))
     with pytest.raises(Infeasible):
         rc.construct(2, 10, seed=0, attempts=3)

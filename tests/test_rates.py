@@ -101,6 +101,13 @@ def test_bhg_distribution_report_reduces_to_uniform():
     assert u.argmin == rates.rate_bhg(2, 1).argmin
 
 
+@pytest.mark.parametrize("h,g", [(0, 1), (2, 0), (-1, 2)])
+def test_bhg_distribution_rejects_h_or_g_below_1_naming_both(h, g):
+    # it used to raise EmptyFamily, "no configurations to optimize over"
+    with pytest.raises(InvalidParams, match=f"h = {h}, g = {g}"):
+        rates.rate_bhg_distribution(h, g, uniform_bits(1))
+
+
 def test_bh_sharp_rate_matches_its_family():
     report = rates.rate_bh_sharp(2, 2)
     assert report.table and report.to_json()["vacuous"] is False
