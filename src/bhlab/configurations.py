@@ -37,6 +37,18 @@ products of the assignments whose l column sums coincide.  The DP state is
 the (l-1)*n0 column differences s_j - s_0, one dense numpy object array of
 Python ints; each vector adds one weighted, shifted slice per support point,
 and the array only spans the differences that can still return to zero.
+
+Both results are memoised per process, because nested families (Conf(<= h,
+l) inside Conf(<= h+1, l), the B_h^#[d] shapes, `choose_t`'s rows) ask for
+the same shapes and classes again:
+  * `enumerate_conf` keeps the sorted class tuple per (k, l, limit), after
+    its argument and cap checks, and returns a new list on every call;
+  * `_coinciding_weight` keeps the integer weight W per (class vectors,
+    tuple of (point, weight) pairs).  Callers check their caps first and
+    divide by D^d themselves, so a float law and the equal rational law
+    share one entry, yet one returns a float and the other a Fraction.
+`rates._family_report` still asks for each class's p(C) twice, once to
+optimise and once for the table; the second call is now a lookup.
 """
 
 from __future__ import annotations
@@ -44,9 +56,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 from math import comb, factorial, lcm, prod
-from numbers import Rational
+from numbers import Integral, Rational
 
 import numpy as np
 
@@ -54,6 +67,8 @@ from .errors import CapExceeded, InvalidParams
 
 DEFAULT_CELL_CAP = 18   # k*l
 DEFAULT_EXACT_CAP = 24  # d(C) for exhaustive p(C)
+_SHAPES_CACHED = 64     # (k, l, limit) class lists kept per process
+_WEIGHTS_CACHED = 4096  # (class, law) p(C) weights kept per process
 
 
 @dataclass(frozen=True, order=True)
@@ -166,17 +181,25 @@ def _multiplicity_free(k, l, limit):
     return [Configuration(rows) for rows in level if all(0 in r for r in rows)]
 
 
+@lru_cache(maxsize=_SHAPES_CACHED)
+def _classes(k, l, limit):
+    """The sorted classes of shape (k, l) with at most `limit` vectors, as a
+    tuple shared by every caller; k >= 1, l >= 2 and the cap are checked by
+    `enumerate_conf`."""
+    if k == 1:  # one symbol per column, distinct columns: all-distinct only
+        return (cmax(1, l),) if limit >= l else ()
+    return tuple(sorted(set(_separable(k, l, limit)) | set(_multiplicity_free(k, l, limit))))
+
+
 def enumerate_conf(k, l, cap=DEFAULT_CELL_CAP, max_vectors=None):
     """All configuration classes of shape (k, l) with at most `max_vectors`
-    vectors (default k*l), sorted."""
+    vectors (default k*l), sorted, as a new list on every call."""
     if k * l > cap:
         raise CapExceeded(f"k*l = {k * l} exceeds cap {cap}")
     if k < 1 or l < 2:
         return []
-    limit = max_vectors if max_vectors is not None else k * l
-    if k == 1:  # one symbol per column, distinct columns: all-distinct only
-        return [cmax(1, l)] if limit >= l else []
-    return sorted(set(_separable(k, l, limit)) | set(_multiplicity_free(k, l, limit)))
+    # no class has more than k*l vectors, so a larger bound is the same shape
+    return list(_classes(k, l, k * l if max_vectors is None else min(max_vectors, k * l)))
 
 
 def enumerate_conf_upto(h, l, cap=DEFAULT_CELL_CAP):
@@ -239,11 +262,12 @@ def cmax(h, l):
 _UNIFORM_BITS = (((0,), 1), ((1,), 1))  # (point, integer weight) over denominator 2
 
 
+@lru_cache(maxsize=_WEIGHTS_CACHED)
 def _coinciding_weight(vectors, support):
     """Total weight of the assignments of support points to `vectors` under
-    which the l column sums coincide; `support` holds (n0-tuple point,
-    integer weight) pairs and an assignment weighs the product of its
-    points' weights.
+    which the l column sums coincide; `support` is a tuple of (n0-tuple of
+    ints, integer weight) pairs and an assignment weighs the product of its
+    points' weights.  Memoised per (vectors, support).
 
     After t vectors the difference array spans the box that the first t
     vectors reach and the remaining ones can still bring back to zero, so
@@ -306,11 +330,13 @@ def conf_stats_general(c: Configuration, dist, cap=DEFAULT_EXACT_CAP) -> ConfSta
     n0 = len(support[0][0])
     if c.d * n0 > 2 * cap:
         raise CapExceeded(f"d(C)*n0 = {c.d * n0} exceeds cap")
+    if not all(isinstance(x, Integral) for a, _ in support for x in a):
+        raise InvalidParams("support points must be integers or integer tuples")
     rational = [isinstance(p, Rational) for _, p in support]
     exact = [Fraction(p if r else float(p)) for (_, p), r in zip(support, rational)]
     denom = lcm(*(q.denominator for q in exact))
-    weighted = [(a, q.numerator * (denom // q.denominator))
-                for (a, _), q in zip(support, exact) if q]
+    weighted = tuple((tuple(map(int, a)), q.numerator * (denom // q.denominator))
+                     for (a, _), q in zip(support, exact) if q)
     p = Fraction(_coinciding_weight(c.vectors, weighted) if weighted else 0, denom**c.d)
     return ConfStats(d=c.d, p=p if all(rational) else float(p))
 

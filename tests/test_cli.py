@@ -388,19 +388,20 @@ def test_bad_distribution_exits_2(capsys):
 # ---------------------------------------------------------------------------
 # exit-code contract on random argv
 
-SMALL = st.sampled_from(["2", "1", "0", "-1"])  # h, g, k, l <= 2 keep each run cheap
+# the first value of each list is a valid small one; h, g, k, l <= 2 keep each run cheap
+SMALL = ["2", "1", "0", "-1"]
 OPTION_VALUES = {
-    "--q": st.sampled_from(["3", "5", "4", "2", "7", "9", "6", "1", "0"]),
+    "--q": ["3", "5", "4", "2", "7", "9", "6", "1", "0"],
     "--h": SMALL, "--g": SMALL, "--d": SMALL, "--k": SMALL, "--l": SMALL,
-    "--n": st.sampled_from(["8", "6", "4", "2", "1", "0", "-1"]),
-    "--n0": st.sampled_from(["1", "2", "0"]),
-    "--seed": SMALL, "--attempts": st.sampled_from(["2", "1", "0"]), "--trials": SMALL,
-    "--alpha": st.sampled_from(["2", "0.5", "1", "0", "inf", "nan", "-1"]),
-    "--p": st.sampled_from(["0.5", "0.3", "0", "1", "1.5"]),
-    "--dist": st.sampled_from(["1/2,1/2", "3/4,1/4", "1,0", "1/4,1/4,1/4,1/4", "1/2,1/3",
-                               "0,0", "-1/2,3/2", "x"]),
-    "--p-seq": st.sampled_from(["1/2,1/2", "1,0", "1/3,2/3", "1", "a"]),
-    "--q-seq": st.sampled_from(["1/2,1/2", "1,0", "0,1", "1/2,1/4,1/4", ""]),
+    "--n": ["8", "6", "4", "2", "1", "0", "-1"],
+    "--n0": ["1", "2", "0"],
+    "--seed": SMALL, "--attempts": ["2", "1", "0"], "--trials": SMALL,
+    "--alpha": ["2", "0.5", "1", "0", "inf", "nan", "-1"],
+    "--p": ["0.5", "0.3", "0", "1", "1.5"],
+    "--dist": ["1/2,1/2", "3/4,1/4", "1,0", "1/4,1/4,1/4,1/4", "1/2,1/3", "0,0", "-1/2,3/2",
+               "x"],
+    "--p-seq": ["1/2,1/2", "1,0", "1/3,2/3", "1", "a"],
+    "--q-seq": ["1/2,1/2", "1,0", "0,1", "1/2,1/4,1/4", ""],
 }
 FLAGS = ("--binary", "--table", "--json", "--sconf", "--sharp")
 # subcommand: (positional choices, usually-given options, other options)
@@ -429,6 +430,18 @@ def cli_dir(tmp_path_factory):
     return path
 
 
+def _option_values(option, directory):
+    """The values `option` takes in these tests, as the argv words that follow
+    it; the first is a valid small one."""
+    if option in FLAGS:
+        return [[]]
+    if option == "--input":
+        return [[str(directory / name)] for name in list(CODE_FILES) + ["missing.txt"]]
+    if option == "--output":
+        return [[str(directory / "out.txt")]]
+    return [[value] for value in OPTION_VALUES[option]]
+
+
 @st.composite
 def cli_argv(draw, directory):
     command = draw(st.sampled_from(sorted(COMMANDS)))
@@ -437,22 +450,11 @@ def cli_argv(draw, directory):
     dropped = draw(st.sampled_from((None,) * 4 + usual))  # at times one goes missing
     extra = draw(st.lists(st.sampled_from(other), max_size=5, unique=True))
     for option in [o for o in usual if o != dropped] + extra:
-        if option in FLAGS:
-            argv.append(option)
-        elif option == "--input":
-            name = draw(st.sampled_from(sorted(CODE_FILES) + ["missing.txt"]))
-            argv += [option, str(directory / name)]
-        elif option == "--output":
-            argv += [option, str(directory / "out.txt")]
-        else:
-            argv += [option, draw(OPTION_VALUES[option])]
+        argv += [option] + draw(st.sampled_from(_option_values(option, directory)))
     return argv
 
 
-@settings(max_examples=1000, deadline=None)
-@given(data=st.data())
-def test_random_argv_keeps_the_exit_code_contract(cli_dir, data):
-    argv = data.draw(cli_argv(cli_dir), label="argv")
+def _check_exit_code_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
@@ -463,3 +465,33 @@ def test_random_argv_keeps_the_exit_code_contract(cli_dir, data):
         # a printed violation, a search counterexample, or a failed majorization
         counterexample = '"counterexample": ' in out and '"counterexample": null' not in out
         assert "violation:" in out or counterexample or out == "false\n", out
+
+
+@settings(max_examples=1000, deadline=None)
+@given(data=st.data())
+def test_random_argv_keeps_the_exit_code_contract(cli_dir, data):
+    _check_exit_code_contract(data.draw(cli_argv(cli_dir), label="argv"))
+
+
+def _swept_argvs(directory):
+    """Per subcommand and positional: the usual options at their first (valid,
+    small) value, then each option alone dropped (if usual) or set to each of
+    its values.  Each argv once, in a fixed order."""
+    seen = {}
+    for command, (positionals, usual, other) in sorted(COMMANDS.items()):
+        for head in [[command, p] for p in positionals] or [[command]]:
+            base = {o: _option_values(o, directory)[0] for o in usual}
+            for option in usual + other:
+                dropped = [None] if option in usual else []
+                for value in dropped + _option_values(option, directory):
+                    options = {o: v for o, v in base.items() if o != option}
+                    if value is not None:
+                        options[option] = value
+                    seen.setdefault(tuple(head + [w for o, v in options.items()
+                                                  for w in [o] + v]), None)
+    return [list(argv) for argv in seen]
+
+
+def test_every_single_option_change_keeps_the_exit_code_contract(cli_dir):
+    for argv in _swept_argvs(cli_dir):
+        _check_exit_code_contract(argv)

@@ -471,3 +471,87 @@ def test_json_export_shape():
     assert set(rec) == {"k", "l", "columns", "d", "p"}
     assert rec["k"] == 2 and rec["l"] == 2
     assert "/" in rec["p"]
+
+
+# ---------------------------------------------------------------------------
+# per-process memo of class lists and p(C) weights
+
+def _cold():
+    conf._classes.cache_clear()
+    conf._coinciding_weight.cache_clear()
+
+
+def _dp_runs():
+    return conf._coinciding_weight.cache_info().misses
+
+
+def test_each_class_runs_the_dp_once_per_process():
+    _cold()
+    report = rates.rate_bhg(4, 3)
+    assert len(report.table) == 365
+    assert _dp_runs() == 365  # optimize and table share one DP per class
+    rates.rate_bhg(3, 3)  # Conf(<= 3, 4) lies inside Conf(<= 4, 4)
+    assert _dp_runs() == 365
+    assert conf._classes.cache_info().misses == 4  # shapes (1..4, 4), built once
+
+
+def test_pins_hold_on_a_cold_and_a_warm_cache():
+    _cold()
+    for _ in ("cold", "warm"):
+        for (k, l), pin in PINNED_CONF.items():
+            assert _digest(conf.enumerate_conf(k, l)) == pin
+        for (h, d), pin in PINNED_SHARP.items():
+            assert _digest(conf.enumerate_conf_sharp(h, d)) == pin
+        for h, l, law, digest in PINNED_STATS:
+            rows = []
+            for c in conf.enumerate_conf_upto(h, l):
+                s = conf.conf_stats(c) if law is None else conf.conf_stats_general(c, law)
+                rows.append((repr(c), s.d, s.p))
+            assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+
+def test_mutating_a_returned_list_leaves_the_next_call_unchanged():
+    _cold()
+    for call in (lambda: conf.enumerate_conf(2, 3), lambda: conf.enumerate_conf_upto(3, 3)):
+        first = call()
+        expected = list(first)
+        first.reverse()
+        first.append(conf.cmax(1, 3))
+        del first[0]
+        assert call() == expected
+        assert call() is not call()
+
+
+def test_float_and_rational_laws_share_a_dp_entry_yet_keep_their_types():
+    points = (0, 1, 3)
+    floats = list(zip(points, (0.25, 0.25, 0.5)))
+    exact = list(zip(points, (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))))
+    c = conf.enumerate_conf(2, 3)[3]
+    _cold()
+    as_float = conf.conf_stats_general(c, floats)
+    assert _dp_runs() == 1
+    as_fraction = conf.conf_stats_general(c, exact)
+    assert _dp_runs() == 1
+    assert type(as_float.p) is float and type(as_fraction.p) is Fraction
+    assert as_float.p == float(as_fraction.p) and as_fraction.p > 0
+    # a float point is rejected whether or not the equal integer law is cached
+    with pytest.raises(InvalidParams):
+        conf.conf_stats_general(c, [(float(a), p) for a, p in exact])
+
+
+def test_caps_hold_on_a_warm_cache():
+    _cold()
+    for _ in ("cold", "warm"):
+        classes = conf.enumerate_conf(2, 3)
+        conf.enumerate_conf_sharp(2, 3)
+        c = classes[-1]
+        conf.conf_stats(c)
+        conf.conf_stats_general(c, PAIRS)
+        with pytest.raises(CapExceeded):
+            conf.enumerate_conf(2, 3, cap=5)
+        with pytest.raises(CapExceeded):
+            conf.enumerate_conf_sharp(2, 3, cap=5)
+        with pytest.raises(CapExceeded):
+            conf.conf_stats(c, cap=c.d - 1)
+        with pytest.raises(CapExceeded):
+            conf.conf_stats_general(c, PAIRS, cap=c.d - 1)
