@@ -38,17 +38,15 @@ the (l-1)*n0 column differences s_j - s_0, one dense numpy object array of
 Python ints; each vector adds one weighted, shifted slice per support point,
 and the array only spans the differences that can still return to zero.
 
-Both results are memoised per process, because nested families (Conf(<= h,
-l) inside Conf(<= h+1, l), the B_h^#[d] shapes, `choose_t`'s rows) ask for
-the same shapes and classes again:
-  * `enumerate_conf` keeps the sorted class tuple per (k, l, limit), after
-    its argument and cap checks, and returns a new list on every call;
-  * `_coinciding_weight` keeps the integer weight W per (class vectors,
-    tuple of (point, weight) pairs).  Callers check their caps first and
-    divide by D^d themselves, so a float law and the equal rational law
-    share one entry, yet one returns a float and the other a Fraction.
-`rates._family_report` still asks for each class's p(C) twice, once to
-optimise and once for the table; the second call is now a lookup.
+`_coinciding_weight` is memoised per process: it keeps the integer weight W
+per (class vectors, tuple of (point, weight) pairs).  Callers check their
+caps first and divide by D^d themselves, so a float law and the equal
+rational law share one entry, yet one returns a float and the other a
+Fraction.  `rates._family_report` asks for each class's p(C) twice, once to
+optimise and once for the table (perfbench's self-test pins both traced
+calls); the second call is a lookup.  The memo holds more entries than
+every shape under DEFAULT_CELL_CAP has classes together, so no family under
+the default cap evicts an entry before its table pass reads it.
 """
 
 from __future__ import annotations
@@ -65,10 +63,10 @@ import numpy as np
 
 from .errors import CapExceeded, InvalidParams
 
-DEFAULT_CELL_CAP = 18   # k*l
-DEFAULT_EXACT_CAP = 24  # d(C) for exhaustive p(C)
-_SHAPES_CACHED = 64     # (k, l, limit) class lists kept per process
-_WEIGHTS_CACHED = 4096  # (class, law) p(C) weights kept per process
+DEFAULT_CELL_CAP = 18    # k*l
+DEFAULT_EXACT_CAP = 24   # d(C) for exhaustive p(C)
+_WEIGHTS_CACHED = 16384  # (class, law) p(C) weights kept per process; the
+                         # shapes with k*l <= 18 have 8774 classes together
 
 
 @dataclass(frozen=True, order=True)
@@ -181,25 +179,17 @@ def _multiplicity_free(k, l, limit):
     return [Configuration(rows) for rows in level if all(0 in r for r in rows)]
 
 
-@lru_cache(maxsize=_SHAPES_CACHED)
-def _classes(k, l, limit):
-    """The sorted classes of shape (k, l) with at most `limit` vectors, as a
-    tuple shared by every caller; k >= 1, l >= 2 and the cap are checked by
-    `enumerate_conf`."""
-    if k == 1:  # one symbol per column, distinct columns: all-distinct only
-        return (cmax(1, l),) if limit >= l else ()
-    return tuple(sorted(set(_separable(k, l, limit)) | set(_multiplicity_free(k, l, limit))))
-
-
 def enumerate_conf(k, l, cap=DEFAULT_CELL_CAP, max_vectors=None):
     """All configuration classes of shape (k, l) with at most `max_vectors`
-    vectors (default k*l), sorted, as a new list on every call."""
+    vectors (default k*l), sorted."""
     if k * l > cap:
         raise CapExceeded(f"k*l = {k * l} exceeds cap {cap}")
     if k < 1 or l < 2:
         return []
-    # no class has more than k*l vectors, so a larger bound is the same shape
-    return list(_classes(k, l, k * l if max_vectors is None else min(max_vectors, k * l)))
+    limit = max_vectors if max_vectors is not None else k * l
+    if k == 1:  # one symbol per column, distinct columns: all-distinct only
+        return [cmax(1, l)] if limit >= l else []
+    return sorted(set(_separable(k, l, limit)) | set(_multiplicity_free(k, l, limit)))
 
 
 def enumerate_conf_upto(h, l, cap=DEFAULT_CELL_CAP):

@@ -474,10 +474,9 @@ def test_json_export_shape():
 
 
 # ---------------------------------------------------------------------------
-# per-process memo of class lists and p(C) weights
+# per-process memo of p(C) weights
 
 def _cold():
-    conf._classes.cache_clear()
     conf._coinciding_weight.cache_clear()
 
 
@@ -492,7 +491,20 @@ def test_each_class_runs_the_dp_once_per_process():
     assert _dp_runs() == 365  # optimize and table share one DP per class
     rates.rate_bhg(3, 3)  # Conf(<= 3, 4) lies inside Conf(<= 4, 4)
     assert _dp_runs() == 365
-    assert conf._classes.cache_info().misses == 4  # shapes (1..4, 4), built once
+
+
+def test_the_memo_outlasts_every_family_under_the_default_cap():
+    # The shapes with k*l <= DEFAULT_CELL_CAP have 8774 classes together
+    # (Conf(<= 3, 6) alone has 4312).  A pass over that many (class, law)
+    # keys, repeated in the same order as the table pass of
+    # `rates._family_report` repeats the optimiser's, must only look up.
+    c = conf.cmax(1, 2)
+    laws = [[(0, Fraction(w, w + 1)), (1, Fraction(1, w + 1))] for w in range(1, 8775)]
+    _cold()
+    first = [conf.conf_stats_general(c, law).p for law in laws]
+    assert _dp_runs() == len(laws)
+    assert [conf.conf_stats_general(c, law).p for law in laws] == first
+    assert _dp_runs() == len(laws)
 
 
 def test_pins_hold_on_a_cold_and_a_warm_cache():
@@ -508,18 +520,6 @@ def test_pins_hold_on_a_cold_and_a_warm_cache():
                 s = conf.conf_stats(c) if law is None else conf.conf_stats_general(c, law)
                 rows.append((repr(c), s.d, s.p))
             assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
-
-
-def test_mutating_a_returned_list_leaves_the_next_call_unchanged():
-    _cold()
-    for call in (lambda: conf.enumerate_conf(2, 3), lambda: conf.enumerate_conf_upto(3, 3)):
-        first = call()
-        expected = list(first)
-        first.reverse()
-        first.append(conf.cmax(1, 3))
-        del first[0]
-        assert call() == expected
-        assert call() is not call()
 
 
 def test_float_and_rational_laws_share_a_dp_entry_yet_keep_their_types():
