@@ -200,8 +200,13 @@ def enumerate_conf_upto(h, l, cap=DEFAULT_CELL_CAP):
 
 
 def enumerate_sconf(h, l, cap=DEFAULT_CELL_CAP):
-    """Separable classes only: no variable shared between columns."""
-    return [c for c in enumerate_conf_upto(h, l, cap=cap) if c.is_separable()]
+    """Separable classes only: no variable shared between columns.  Read
+    from `_separable` per k (Conf(1, l) is cmax(1, l) alone), growing no
+    multiplicity-free class."""
+    if h >= 1 and h * l > cap:
+        raise CapExceeded(f"k*l = {h * l} exceeds cap {cap}")
+    return sorted(c for k in range(1, h + 1) if l >= 2
+                  for c in ([cmax(1, l)] if k == 1 else _separable(k, l, k * l)))
 
 
 def enumerate_conf_sharp(h, d, cap=DEFAULT_CELL_CAP):

@@ -7,6 +7,13 @@ probabilities stay exact Fractions whenever the inputs are rational, with
 floats entering only inside logarithms.  Unnormalized non-negative sequences
 (plain tuples) are the currency of the majorization operators, which do not
 preserve total mass.
+
+Every law of a sum of independent draws comes from one fold, `_fold`: a dense
+array over the lattice box of the sum, one shifted-slice add per support point
+per draw, a leading row axis for many laws per call; exact integer weights on
+an object array for rational laws, float64 otherwise.  The cap bounds that
+array (rows times prod(h * span + 1)), not the support: {0, 2^20} raises
+CapExceeded at h = 2.  Every float Renyi value comes from `_renyi_rows`.
 """
 
 from __future__ import annotations
@@ -14,7 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
+from numbers import Integral
 
 import numpy as np
 
@@ -87,69 +95,78 @@ def from_probs(probs) -> Distribution:
     return make_distribution(list(enumerate(probs)))
 
 
-def _point_add(a, b):
-    if isinstance(a, tuple):
-        return tuple(x + y for x, y in zip(a, b))
-    return a + b
+def _fold(draws, cap=DEFAULT_SUPPORT_CAP):
+    """Law of the sum of independent draws, dense over the lattice box.
+
+    Each draw is (points, weights): (s, n0) integer support points and (rows, s)
+    weights, one law per row; draws share rows, n0 and dtype.  Returns (low,
+    law), where law[r][i] is row r's weight of the sum low + i."""
+    rows, dtype = draws[0][1].shape[0], draws[0][1].dtype
+    spans = [(points.max(axis=0) - points.min(axis=0)).tolist() for points, _ in draws]
+    cells = rows * math.prod(sum(axis) + 1 for axis in zip(*spans))
+    if cells > cap:
+        raise CapExceeded(f"lattice box of {cells // rows} cells x {rows} row(s) exceeds cap {cap}")
+    law = np.ones((rows,) + (1,) * len(spans[0]), dtype)
+    for (points, weights), span in zip(draws, spans):
+        box = law.shape[1:]
+        nxt = np.zeros((rows,) + tuple(n + s for n, s in zip(box, span)), dtype)
+        for point, weight in zip((points - points.min(axis=0)).tolist(), weights.T):
+            nxt[(slice(None),) + tuple(slice(a, a + n) for a, n in zip(point, box))] += \
+                law * weight.reshape((rows,) + (1,) * len(box))
+        law = nxt
+    return sum(points.min(axis=0) for points, _ in draws), law
 
 
 # ---------------------------------------------------------------------------
 # entropy
 
-def renyi(dist: Distribution, alpha) -> float:
-    """H_alpha in bits; alpha in [0, inf], with limit branches at 1 and inf."""
-    if alpha < 0:
+def _renyi_rows(probs, alpha) -> np.ndarray:
+    """H_alpha in bits of each law along the last axis of a float array, zero
+    entries carrying no mass; alpha in [0, inf], limit branches at 1 and inf."""
+    if not alpha >= 0:
         raise InvalidParams("alpha must be >= 0")
-    probs = [p for p in dist.probs() if p > 0]
     if alpha == 0:
-        return math.log2(len(probs))
+        return np.log2(np.count_nonzero(probs, axis=-1))
     if alpha == math.inf:
-        return -math.log2(float(max(probs)))
+        return -np.log2(probs.max(axis=-1))
     if abs(alpha - 1) <= SHANNON_ALPHA_TOL:
-        return -sum(float(p) * math.log2(float(p)) for p in probs)
-    if alpha == int(alpha) and all(isinstance(p, (int, Fraction)) for p in probs):
+        return -(probs * np.log2(probs, out=np.zeros_like(probs), where=probs > 0)).sum(axis=-1)
+    return np.log2((probs**alpha).sum(axis=-1)) / (1 - alpha)
+
+
+def renyi(dist: Distribution, alpha) -> float:
+    """H_alpha in bits: exact powers for integer alpha >= 2 on a rational law,
+    `_renyi_rows` for every other alpha in [0, inf]."""
+    probs = [p for p in dist.probs() if p > 0]
+    if (2 <= alpha < math.inf and alpha == int(alpha)
+            and all(isinstance(p, (int, Fraction)) for p in probs)):
         total = sum(Fraction(p) ** int(alpha) for p in probs)
         return (math.log2(total.numerator) - math.log2(total.denominator)) / (1 - alpha)
-    total = sum(float(p) ** alpha for p in probs)
-    return math.log2(total) / (1 - alpha)
-
-
-def convolve(d1: Distribution, d2: Distribution, cap=DEFAULT_SUPPORT_CAP) -> Distribution:
-    out = {}
-    for a, pa in d1.items:
-        for b, pb in d2.items:
-            s = _point_add(a, b)
-            out[s] = out.get(s, 0) + pa * pb
-    if len(out) > cap:
-        raise CapExceeded(f"support size {len(out)} exceeds cap {cap}")
-    return make_distribution(out.items())
+    return float(_renyi_rows(np.array([probs], dtype=float), alpha)[0])
 
 
 def hfold(dist: Distribution, h, cap=DEFAULT_SUPPORT_CAP) -> Distribution:
-    """Distribution of the sum of h independent copies."""
+    """Distribution of the sum of h independent copies; CapExceeded when the
+    lattice box prod(h * span + 1) exceeds `cap`."""
     if h < 1:
         raise InvalidParams("h must be >= 1")
-    out = dist
-    for _ in range(h - 1):
-        out = convolve(out, dist, cap=cap)
-    return out
+    probs = dist.probs()
+    exact = all(isinstance(p, (int, Fraction)) for p in probs)
+    denom = math.lcm(*(Fraction(p).denominator for p in probs)) if exact else 1
+    weights = np.array([[int(p * denom) if exact else p for p in probs]],
+                       dtype=object if exact else float)
+    # Python ints: sums of large points must not wrap in int64
+    points = np.array([a if isinstance(a, tuple) else (a,) for a in dist.support()], dtype=object)
+    low, law = _fold([(points, weights)] * h, cap)
+    sums = (np.indices(law.shape[1:]).reshape(points.shape[1], -1).T + low).tolist()
+    masses = [Fraction(w, denom**h) if exact else w for w in law.ravel().tolist()]
+    tuples = isinstance(dist.items[0][0], tuple)
+    return make_distribution(zip((tuple(a) if tuples else a[0] for a in sums), masses))
 
 
 # ---------------------------------------------------------------------------
 # second-order analysis of f(p) = sum_z c_z^alpha at the uniform distribution,
 # where c_z = sum_{x+y=z} p_x p_y over x, y in {0,1}^n
-
-def sum_powers_f(p, alpha, n) -> float:
-    """f(p) for a probability vector p indexed by bitmasks 0..2^n-1."""
-    size = 1 << n
-    c = {}
-    for x in range(size):
-        px = p[x]
-        for y in range(size):
-            z = tuple(((x >> i) & 1) + ((y >> i) & 1) for i in range(n))
-            c[z] = c.get(z, 0.0) + px * p[y]
-    return sum(cz**alpha for cz in c.values())
-
 
 def hessian_entry(n, alpha, d) -> float:
     """Second derivative of f at uniform for points at Hamming distance d."""
@@ -255,36 +272,38 @@ class SearchReport:
     sampling_law: str = "dirichlet-uniform-simplex"
 
 
-def _entropy_of_probs(probs, points, alpha, h):
-    dist = make_distribution([(a, p) for a, p in zip(points, probs) if p > 0])
-    return renyi(hfold(dist, h), alpha)
+def _sum_renyi(points, probs, h, alpha) -> np.ndarray:
+    """H_alpha of the h-fold sum of each row of `probs`, a float law on `points`."""
+    law = _fold([(points, probs)] * h)[1]
+    return _renyi_rows(law.reshape(len(probs), -1), alpha)
 
 
 def uniform_optimality_search(n0, alpha, h, trials, seed) -> SearchReport:
     """Dirichlet-uniform random distributions plus parity perturbations of
-    uniform; reports the best H_alpha(h-fold sum) found against uniform's."""
+    uniform; reports the best H_alpha(h-fold sum) found against uniform's.
+    Trials are drawn and folded in chunks of DEFAULT_SUPPORT_CAP // (h+1)^n0
+    rows, the stream of one draw at a time."""
     if trials < 0:
         raise InvalidParams(f"trials must be >= 0, got {trials}")
-    points = bit_points(n0)
+    if h < 1:
+        raise InvalidParams("h must be >= 1")
+    points = np.array(bit_points(n0)).reshape(-1, n0)
     size = len(points)
-    uniform_value = _entropy_of_probs([1.0 / size] * size, points, alpha, h)
+    uniform = np.full(size, 1.0 / size)
+    uniform_value = float(_sum_renyi(points, uniform[None], h, alpha)[0])  # checks the cap
+    chunk = DEFAULT_SUPPORT_CAP // (h + 1) ** n0
     rng = np.random.Generator(np.random.Philox(key=seed))
-    best_value = -math.inf
-    best_probs = None
-    for _ in range(trials):
-        probs = rng.dirichlet(np.ones(size))
-        value = _entropy_of_probs(probs, points, alpha, h)
-        if value > best_value:
-            best_value, best_probs = value, tuple(probs)
-    for m in range(1, n0 + 1):
-        direction = parity_vector(n0, m) / size
-        for eps in (1e-2, 1e-3, 1e-4):
-            probs = np.full(size, 1.0 / size) + eps * direction
-            if probs.min() < 0:
-                continue
-            value = _entropy_of_probs(probs, points, alpha, h)
-            if value > best_value:
-                best_value, best_probs = value, tuple(probs)
+    # (1 +- eps) / size: every perturbed coordinate stays positive
+    perturbed = np.array([uniform + eps * (parity_vector(n0, m) / size)
+                          for m in range(1, n0 + 1) for eps in (1e-2, 1e-3, 1e-4)])
+    drawn = (rng.dirichlet(np.ones(size), size=min(chunk, trials - start))
+             for start in range(0, trials, chunk))
+    best_value, best_probs = -math.inf, None
+    for probs in chain(drawn, (perturbed[i:i + chunk] for i in range(0, len(perturbed), chunk))):
+        values = _sum_renyi(points, probs, h, alpha)
+        i = int(np.argmax(values))
+        if values[i] > best_value:
+            best_value, best_probs = float(values[i]), tuple(probs[i])
     gap = uniform_value - best_value
     return SearchReport(n0=n0, alpha=alpha, h=h, trials=trials, seed=seed,
                         uniform_value=uniform_value, best_value=best_value,
@@ -296,18 +315,16 @@ def perturbation_witness(n, alpha, tol=1e-12):
     """Golden-section line search for eps > 0 along the full parity direction
     that increases H_alpha(X+X) over uniform on {0,1}^n (exists for alpha > 2
     and odd n).  Returns (eps, uniform entropy, perturbed entropy)."""
-    size = 1 << n
-    direction = parity_vector(n, n)
-    uniform = [1.0 / size] * size
-    h_uniform = math.log2(sum_powers_f(uniform, alpha, n)) / (1 - alpha)
+    points = np.array(bit_points(n)).reshape(-1, n)
+    size = len(points)
+    direction = parity_vector(n, n)  # a function of the Hamming weight, so of no point order
 
     def objective(eps):
-        p = [1.0 / size + eps * v for v in direction]
-        return math.log2(sum_powers_f(p, alpha, n)) / (1 - alpha)
+        return float(_sum_renyi(points, (1.0 / size + eps * direction)[None], 2, alpha)[0])
 
-    lo, hi = 0.0, 1.0 / size  # keep all coordinates non-negative
+    h_uniform = objective(0.0)
     invphi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
+    a, b = 0.0, 1.0 / size  # keep all coordinates non-negative
     c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = objective(c), objective(d)
     while b - a > tol:
@@ -368,16 +385,10 @@ def majorized_by(p, q) -> bool:
 
 def weighted_bit_sum(coeffs) -> tuple:
     """Exact law of sum(c_i * X_i) over iid uniform bits, as (P(=a))_{a>=0}."""
-    total = sum(coeffs)
-    probs = [Fraction(0)] * (total + 1)
-    probs[0] = Fraction(1)
-    for c in coeffs:
-        if c < 1:
-            raise InvalidParams("coefficients must be positive integers")
-        nxt = [Fraction(0)] * (total + 1)
-        for a, pr in enumerate(probs):
-            if pr:
-                nxt[a] += pr / 2
-                nxt[a + c] += pr / 2
-        probs = nxt
-    return tuple(probs)
+    coeffs = tuple(coeffs)
+    if not all(isinstance(c, Integral) and c >= 1 for c in coeffs):
+        raise InvalidParams(f"coefficients must be positive integers, got {coeffs}")
+    if not coeffs:
+        return (Fraction(1),)
+    law = _fold([(np.array([[0], [c]]), np.ones((1, 2), dtype=object)) for c in coeffs])[1]
+    return tuple(Fraction(w, 2 ** len(coeffs)) for w in law[0].tolist())

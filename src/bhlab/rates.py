@@ -18,8 +18,6 @@ from .configurations import (Configuration, cmax, cmax_p_closed, conf_stats,
 from .entropy import Distribution, hfold, renyi
 from .errors import EmptyFamily, InvalidParams
 
-EXPONENT_DENOMS = ("d-1", "d")
-
 
 def log2_fraction(x: Fraction) -> float:
     if x <= 0:
@@ -94,8 +92,8 @@ def rate_distribution(dist: Distribution, h) -> RateReport:
 # ---------------------------------------------------------------------------
 # exponent optimization over configuration families
 
-def optimize_exponent(confs, denominator="d-1", stats_fn=conf_stats):
-    """Argmax of p(C)^(1/denominator) with exact tie detection.
+def optimize_exponent(confs, stats_fn=conf_stats):
+    """Argmax of p(C)^(1/(d-1)) with exact tie detection.
 
     Returns (argmax configuration, its ConfStats, tuple of tied configs).
     Ties are broken by canonical configuration order.
@@ -104,15 +102,10 @@ def optimize_exponent(confs, denominator="d-1", stats_fn=conf_stats):
     if not confs:
         raise EmptyFamily("no configurations to optimize over")
     stats = {c: stats_fn(c) for c in confs}
-    best, ties = None, []
-    for c in confs:
-        if best is None:
-            best, ties = c, [c]
-            continue
-        pb, db = stats[best].p, _denom_value(best.d, denominator)
-        pc, dc = stats[c].p, _denom_value(c.d, denominator)
-        # p_c^{1/dc} vs p_b^{1/db}  <=>  p_c^db vs p_b^dc
-        lhs, rhs = pc**db, pb**dc
+    best, ties = confs[0], [confs[0]]
+    for c in confs[1:]:
+        # p_c^{1/(d_c-1)} vs p_b^{1/(d_b-1)}  <=>  p_c^(d_b-1) vs p_b^(d_c-1)
+        lhs, rhs = stats[c].p ** (best.d - 1), stats[best].p ** (c.d - 1)
         if lhs > rhs:
             best, ties = c, [c]
         elif lhs == rhs:
@@ -121,7 +114,7 @@ def optimize_exponent(confs, denominator="d-1", stats_fn=conf_stats):
 
 
 def _family_report(formula, confs, stats_fn=conf_stats) -> RateReport:
-    argmin, best_stats, ties = optimize_exponent(confs, "d-1", stats_fn)
+    argmin, best_stats, ties = optimize_exponent(confs, stats_fn)
     rows = []
     for c in sorted(confs):
         s = stats_fn(c)
@@ -195,16 +188,6 @@ def special_config_configuration(h, g) -> Configuration:
     return canonical(tuple(vectors))
 
 
-def cmax_exponent(h, g, denominator="d-1") -> float:
-    """p(cmax(h, g+1))^(1/denominator) as a float."""
-    p = cmax_p_closed(h, g)
-    d = h * (g + 1)
-    return 2.0 ** (log2_fraction(p) / _denom_value(d, denominator))
-
-
-def _denom_value(d, denominator):
-    if denominator == "d-1":
-        return d - 1
-    if denominator == "d":
-        return d
-    raise InvalidParams(f"denominator must be one of {EXPONENT_DENOMS}")
+def cmax_exponent(h, g) -> float:
+    """p(cmax(h, g+1))^(1/(d-1)) as a float, with d = h*(g+1)."""
+    return 2.0 ** (log2_fraction(cmax_p_closed(h, g)) / (h * (g + 1) - 1))

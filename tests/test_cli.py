@@ -104,6 +104,7 @@ NAMED_OPTION = {  # argv -> the part of its error message that names the option
     ("entropy", "search", "--n0", "40"): "n0 = 40",  # built 2^40 points
     ("simulate", "--h", "2", "--n", "40", "--seed", "0", "--n0", "40"): "n0 = 40",
     ("entropy", "search", "--trials", "-5"): "trials must be >= 0, got -5",  # exit 0
+    ("entropy", "search", "--n0", "13"): "1594323 cells",  # ran 1000 trials of 2^26 point pairs
     ("simulate", "--h", "2", "--n", "4", "--seed", "0", "--attempts", "0"):
         "attempts must be >= 1, got 0",
     ("rate", "bhg", "--h", "0"): "h = 0",  # "no configurations to optimize over"

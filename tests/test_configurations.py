@@ -216,6 +216,16 @@ def test_upto_and_separable_families():
     assert len(conf.enumerate_sconf(1, 5)) == 1
 
 
+def test_sconf_equals_the_separable_part_of_every_family_up_to_12_cells():
+    for h in range(1, 13):
+        for l in range(1, 12 // h + 1):
+            assert conf.enumerate_sconf(h, l) == \
+                [c for c in conf.enumerate_conf_upto(h, l) if c.is_separable()]
+    with pytest.raises(CapExceeded, match="k\\*l = 30"):
+        conf.enumerate_sconf(10, 3)
+    assert conf.enumerate_sconf(0, 5) == [] and conf.enumerate_sconf(3, 1) == []
+
+
 def conf_stats_exhaustive(c):
     """Reference p(C): direct sum over all 2^d variable assignments."""
     l, d = c.l, c.d

@@ -3,6 +3,7 @@ majorization lemmas, and the critical-exponent pins."""
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -101,29 +102,91 @@ def test_hfold_is_binomial_for_uniform_bits():
         ent.hfold(ent.uniform_bits(1), 0)
 
 
-def test_convolve_tuples_and_cap():
+def convolve_reference(d1, d2):
+    """The dict convolution over point pairs that `hfold` replaced, kept as
+    its independent reference."""
+    out = {}
+    for a, pa in d1.items:
+        for b, pb in d2.items:
+            s = tuple(x + y for x, y in zip(a, b)) if isinstance(a, tuple) else a + b
+            out[s] = out.get(s, 0) + pa * pb
+    return ent.make_distribution(out.items())
+
+
+def hfold_reference(dist, h):
+    out = dist
+    for _ in range(h - 1):
+        out = convolve_reference(out, dist)
+    return out
+
+
+REFERENCE_LAWS = [
+    *(ent.uniform_bits(n0) for n0 in (1, 2, 3)),
+    parse_dist("1/8,1/8,3/8,3/8", 2),  # the rates benchmark's law
+    ent.from_probs([Fraction(1, 2), 0, Fraction(1, 6), Fraction(1, 3)]),
+    ent.make_distribution([(-7, Fraction(1, 4)), (-2, Fraction(1, 2)), (3, Fraction(1, 4))]),
+    ent.make_distribution([((-3, 1), Fraction(2, 3)), ((2, -4), Fraction(1, 9)),
+                           ((0, 0), Fraction(2, 9))]),
+    ent.make_distribution([(2**62, Fraction(1, 2)), (2**62 + 3, Fraction(1, 2))]),  # sums past int64
+]
+
+
+@pytest.mark.parametrize("law", REFERENCE_LAWS)
+def test_hfold_matches_the_pairwise_reference_exactly(law):
+    for h in (1, 2, 3, 4):
+        got = ent.hfold(law, h)
+        assert got == hfold_reference(law, h)
+        assert all(isinstance(p, Fraction) for p in got.probs())
+
+
+def test_hfold_of_a_float_law_matches_the_reference():
+    law = ent.make_distribution(zip(ent.bit_points(2), (0.1, 0.2, 0.3, 0.4)))
+    for h in (1, 2, 3):
+        got, ref = ent.hfold(law, h), hfold_reference(law, h)
+        assert got.support() == ref.support()
+        assert got.probs() == pytest.approx(ref.probs(), rel=1e-14)
+        assert all(isinstance(p, float) for p in got.probs())
+
+
+def test_hfold_tuples_and_cap():
     d = ent.uniform_bits(2)
-    s = ent.convolve(d, d)
+    s = ent.hfold(d, 2)
     assert sum(s.probs()) == 1
     assert s.support()[0] == (0, 0) and (2, 2) in s.support()
     with pytest.raises(CapExceeded):
-        ent.convolve(d, d, cap=3)
+        ent.hfold(d, 2, cap=3)
+    assert ent.hfold(d, 2, cap=9) == s  # the cap bounds the 3 x 3 box
+    with pytest.raises(CapExceeded):
+        ent.hfold(d, 2, cap=8)
+    wide = ent.make_distribution([(0, Fraction(1, 2)), (2**20, Fraction(1, 2))])
+    with pytest.raises(CapExceeded):  # three sums, on a box of 2^21 + 1 cells
+        ent.hfold(wide, 2)
 
 
 # ---------------------------------------------------------------------------
 # Hessian analysis
 
-def uniform_vector(n):
-    return [1.0 / (1 << n)] * (1 << n)
-
-
-def test_sum_powers_f_at_uniform_closed_form():
+def test_renyi_of_uniform_pair_sum_closed_form():
     # c_z factorizes across coordinates: f = (2*4^-a + 2^-a)^n
     for n in (1, 2, 3):
         for alpha in (0.5, 2.0, 3.0):
             expected = (2 * 4.0**-alpha + 2.0**-alpha) ** n
-            assert ent.sum_powers_f(uniform_vector(n), alpha, n) == \
-                pytest.approx(expected, rel=1e-12)
+            assert ent.renyi(ent.hfold(ent.uniform_bits(n), 2), alpha) == \
+                pytest.approx(math.log2(expected) / (1 - alpha), rel=1e-12)
+
+
+def test_float_pair_sum_matches_the_50_digit_reference():
+    # f is invariant under relabelling coordinates, so lexicographic points
+    # and the reference's bitmask order give the same value
+    rng = random.Random(9)
+    for n in (1, 2, 3):
+        weights = [rng.random() + 0.01 for _ in range(1 << n)]
+        p = [w / sum(weights) for w in weights]
+        law = ent.make_distribution(zip(ent.bit_points(n), p))
+        for alpha in (0.5, 2.0, 3.0):
+            expected = float(mp_sum_powers_f(p, alpha, n))
+            assert ent.renyi(ent.hfold(law, 2), alpha) == \
+                pytest.approx(math.log2(expected) / (1 - alpha), rel=1e-12)
 
 
 def mp_sum_powers_f(p, alpha, n):
@@ -271,6 +334,30 @@ def test_sidon_value_at_half_matches_direct_sum():
 # ---------------------------------------------------------------------------
 # searches
 
+def test_search_above_the_box_cap_raises_before_any_trial():
+    # 3^13 lattice points for h = 2 exceed the 2^20 cap; a billion trials would never end
+    with pytest.raises(CapExceeded, match="lattice box of 1594323 cells"):
+        ent.uniform_optimality_search(13, 2.0, 2, trials=10**9, seed=0)
+    with pytest.raises(InvalidParams):
+        ent.uniform_optimality_search(1, 2.0, 0, trials=1, seed=0)
+
+
+def test_search_chunks_match_one_law_at_a_time(monkeypatch):
+    n0, h, trials, seed = 2, 3, 20, 4
+    whole = ent.uniform_optimality_search(n0, 2.5, h, trials, seed)
+    # a cap of three boxes folds the trials in seven chunks, the perturbations in two
+    monkeypatch.setattr(ent, "DEFAULT_SUPPORT_CAP", 3 * (h + 1) ** n0)
+    assert ent.uniform_optimality_search(n0, 2.5, h, trials, seed) == whole
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    points = ent.bit_points(n0)
+    values = [ent.renyi(ent.hfold(ent.make_distribution(zip(points, rng.dirichlet(np.ones(4)))),
+                                  h), 2.5)
+              for _ in range(trials)]
+    assert whole.best_value >= max(values) - 1e-12
+    uniform = ent.renyi(ent.hfold(ent.make_distribution((a, 0.25) for a in points), h), 2.5)
+    assert whole.uniform_value == pytest.approx(uniform, abs=1e-12)
+
+
 def test_uniform_optimality_search_smoke():
     report = ent.uniform_optimality_search(1, 2.0, 2, trials=200, seed=0)
     assert not report.counterexample and report.gap >= 0
@@ -366,8 +453,19 @@ def test_weighted_bit_sum_laws():
         (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
     law = ent.weighted_bit_sum((1, 1, 1, 1))
     assert law == tuple(Fraction(math.comb(4, a), 16) for a in range(5))
-    with pytest.raises(InvalidParams):
-        ent.weighted_bit_sum((1, 0))
+    for coeffs in ((1, 0), (1, -5), (1.5,), (2, "3")):  # (1, -5) raised IndexError, (1.5,) TypeError
+        with pytest.raises(InvalidParams, match="positive integers"):
+            ent.weighted_bit_sum(coeffs)
+    assert ent.weighted_bit_sum(()) == (Fraction(1),)
+
+
+def test_weighted_bit_sum_counts_every_bit_assignment():
+    for d in range(7):
+        for coeffs in product((1, 2, 3), repeat=d):
+            counts = Counter(sum(c * b for c, b in zip(coeffs, bits))
+                             for bits in product((0, 1), repeat=d))
+            assert ent.weighted_bit_sum(coeffs) == \
+                tuple(Fraction(counts[a], 2**d) for a in range(sum(coeffs) + 1))
 
 
 def test_weighted_sums_power_bounded_by_equal_coefficients():

@@ -70,16 +70,14 @@ def test_biased_distribution_rate_is_smaller():
 
 def test_optimize_exponent_exactness_and_ties():
     family = conf.enumerate_conf_upto(2, 2)
-    best, stats, ties = rates.optimize_exponent(family, "d-1")
+    best, stats, ties = rates.optimize_exponent(family)
     assert best == conf.cmax(2, 2)
     assert stats.p == Fraction(3, 8) and stats.d == 4
     # (a|a) vs itself: duplicate list input keeps a single tie entry per class
-    best2, _, ties2 = rates.optimize_exponent(list(family) + list(family), "d-1")
+    best2, _, ties2 = rates.optimize_exponent(list(family) + list(family))
     assert best2 == best
     with pytest.raises(EmptyFamily):
         rates.optimize_exponent([])
-    with pytest.raises(InvalidParams):
-        rates.optimize_exponent(family, "d+1")
 
 
 def test_bhg_report_table_is_exact_at_2_3():
@@ -150,11 +148,11 @@ def test_suboptimality_pinned_numbers():
 
 
 def test_cmax_exponent_denominators():
-    # d denominator reproduces the DR-style exponent at g = 1
+    # the d = 2h denominator reproduces the DR-style exponent at g = 1
     for h in (2, 3):
-        e = rates.cmax_exponent(h, 1, "d")
+        e = float(conf.cmax_p_closed(h, 1)) ** (1 / (2 * h))
         assert math.log2(e) == pytest.approx(-rates.rate_dr(h).rate, abs=1e-12)
-        e1 = rates.cmax_exponent(h, 1, "d-1")
+        e1 = rates.cmax_exponent(h, 1)
         assert math.log2(e1) == pytest.approx(-rates.rate_poltyrev(h).rate, abs=1e-12)
 
 
