@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,31 +38,42 @@ class BhSetFieldVectors:
     elements: tuple  # tuples of FieldElements, each of length h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinaryCode:
-    """A set of equal-length bit-words, the central artifact.  `_bits` holds
-    the same words as a (len, n) uint8 matrix, for the oracle and the text."""
+    """A set of equal-length bit-words, the central artifact, held as one
+    (len, n) uint8 matrix `_bits` of distinct rows in lex order.  `words` is
+    the same words as a sorted tuple of bit-tuples, built on first read.
+    Codes are equal when their words, n, h and source are."""
 
     n: int
-    words: tuple  # sorted tuple of bit-tuples, no duplicates
+    _bits: np.ndarray = field(repr=False)
     h: int | None = None
     source: str = "unknown"
-    _bits: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        assert all(len(w) == self.n for w in self.words)
-        if self._bits is None:
-            object.__setattr__(self, "_bits",
-                               _bit_matrix(self.words).reshape(len(self.words), self.n))
-        assert self._bits.shape == (len(self.words), self.n)
-        assert len(_first_rows(self._bits)) == len(self.words)
+        assert self._bits.ndim == 2 and self._bits.shape[1] == self.n
+        # distinct and sorted: each row is the first copy of itself, in lex order
+        assert np.array_equal(_first_rows(self._bits), np.arange(len(self._bits)))
+
+    @cached_property
+    def words(self):
+        return tuple(map(tuple, self._bits.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, BinaryCode):
+            return NotImplemented
+        return ((self.n, self.h, self.source) == (other.n, other.h, other.source)
+                and np.array_equal(self._bits, other._bits))
+
+    def __hash__(self):
+        return hash((self.n, self.h, self.source, self._bits.tobytes()))
 
     def __len__(self):
-        return len(self.words)
+        return len(self._bits)
 
     @property
     def rate(self):
-        return math.log2(len(self.words)) / self.n if self.words else 0.0
+        return math.log2(len(self)) / self.n if len(self) else 0.0
 
 
 def _bit_word(word):
@@ -107,8 +119,7 @@ def make_binary_code(words, h=None, source="unknown"):
     if not len(bits):
         raise ValueError("empty code")
     bits = bits[_first_rows(bits)]
-    return BinaryCode(n=bits.shape[1], words=tuple(map(tuple, bits.tolist())), h=h,
-                      source=source, _bits=bits)
+    return BinaryCode(n=bits.shape[1], _bits=bits, h=h, source=source)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,10 @@ first key words in place and keeps the duplicated values (a key of several
 words leads with a wrapped mix of all its columns, so that word sees every
 digit); pass two regenerates only a bucket that has some and decodes the rows
 holding them, grouped by their whole key.  Blocks of a level hold about
-_CHUNK rows.  Peak memory is one bucket of keys (about _BUCKET_KEYS uint64s
-on large levels) plus the level below the top.
+_CHUNK rows.  Large levels run pass one on a thread pool, one thread per
+CPU in the process's affinity mask (`taskset -c 0` confines it to one
+core), with output independent of the thread count.  Peak memory is one
+bucket of keys per thread plus the level below the top.
 
 The random-coding pipeline enumerates each population once: pruning reads
 its minimal violations, and `random_coding.construct` its final verdict,
@@ -32,6 +34,8 @@ below on the finished code.
 from __future__ import annotations
 
 import operator
+import os
+import threading
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -44,7 +48,9 @@ from .errors import CapExceeded, InvalidParams
 DEFAULT_ENUM_CAP = 2**26
 DEFAULT_PER_SUM_CAP = 200_000  # B_h[g] column combinations read from one sum
 _CHUNK = 2**16  # rows per generated block: bounds temporaries, amortises numpy calls
-_BUCKET_KEYS = 2**19  # a large level's buckets hold 1-2x this many keys: each sorts in cache
+_BUCKET_KEYS = 2**19  # a large level's buckets hold 1/2-1x this many keys: each sorts in cache
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)  # most pass-one threads: the CPUs this process may use
 _MIX = 0x9E3779B97F4A7C15  # odd: multi-word keys lead with sum(column c * _MIX^c) mod 2^64
 
 
@@ -219,19 +225,26 @@ class _Sums:
     for bit-words, sum(2^i d_i) over their low log2(B) radix-(h+1) digits
     d_i, which never carry.
     Equal sums have equal classes, so each bucket is sorted and scanned for
-    duplicates on its own.  B is the largest power of two, at most m, that
-    leaves _BUCKET_KEYS or more keys per top-level bucket, so a level below
-    2 * _BUCKET_KEYS keys is one bucket.  The elements are relabelled in class
-    order, and a held level is grouped by class through a stable permutation
-    (none for one class or for the elements); the colex copy of the top-1
-    level is dropped once it is grouped.  Bucket r of the top level is, for
+    duplicates on its own.  A top level below 2 * _BUCKET_KEYS keys is one
+    bucket; a larger one has B buckets, B the largest power of two, at most
+    m, that leaves _BUCKET_KEYS / 2 or more keys per bucket, so that two
+    buckets in flight hold no more keys than one bucket of twice that size.
+    A level of 2 * _BUCKET_KEYS keys or more runs pass one (generate, sort in
+    place, keep the duplicated first words) on up to _WORKERS threads, one
+    bucket per task; each thread reuses one key buffer, and when a key is the
+    row's single uint64 column, the rows are generated straight into it.
+    Pass two reads the results in bucket order.  A smaller level, and one
+    with a single bucket to scan, starts no thread.  The elements are
+    relabelled in class order, and a held level is grouped by class through a
+    stable permutation (none for one class or for the elements); the colex
+    copy of the top-1 level is dropped once it is grouped.  Bucket r of the top level is, for
     each class a, one broadcast add of class a's elements onto the group-(r-a)
     rows whose largest index lies below class a, plus one add per element j
     of class a for the group rows ending inside class a at or before j.  A
     bucket with fewer keys than the threshold cannot hold a duplicate and is
     skipped.  The top level is generated a bucket at a time, in blocks of
-    about _CHUNK rows, once per pass.  Peak memory is one bucket of keys plus
-    the held level (twice that while it is grouped)."""
+    about _CHUNK rows, once per pass.  Peak memory is one bucket of keys per
+    thread plus the held level (twice that while it is grouped)."""
 
     def __init__(self, elements, add, h):
         first, self.moduli, radices, self.b, self.classes, self.value = _coordinates(
@@ -240,8 +253,8 @@ class _Sums:
         self.ends = [None, np.arange(1, self.m + 1)]
         for _ in range(h - 1):
             self.ends.append(np.cumsum(self.ends[-1]))
-        self.B = 1
-        while 2 * self.B <= min(multiset_count(self.m, h) // _BUCKET_KEYS, self.m):
+        self.B, count = 1, multiset_count(self.m, h)
+        while count >= 2 * _BUCKET_KEYS and 2 * self.B <= min(2 * count // _BUCKET_KEYS, self.m):
             self.B *= 2
         if self.moduli is not None:  # coordinate 0 mod the largest divisor of q that is at most B
             self.B = max(d for d in range(1, self.B + 1) if radices[0] % d == 0)
@@ -264,10 +277,10 @@ class _Sums:
                                     for c in range(len(radices))])
 
     def _rows(self, parts, prev, out):
-        """Fill `out` with the rows of some parts (e0, e1, g0, g1) of level
-        self.k + 1: elements e0..e1-1, each added to the rows g0..g1-1 of `prev`."""
+        """Fill `out` with the rows of some parts, an array of rows (e0, e1, g0, g1),
+        of level self.k + 1: elements e0..e1-1, each added to the rows g0..g1-1 of `prev`."""
         lo = 0
-        for e0, e1, g0, g1 in parts:
+        for e0, e1, g0, g1 in parts.tolist():
             hi = lo + (e1 - e0) * (g1 - g0)
             part = out[lo:hi]
             np.add(self.first[e0:e1, None], prev[None, g0:g1],
@@ -279,7 +292,9 @@ class _Sums:
 
     def _advance(self):
         """Hold level self.k + 1 in memory, in colex order."""
-        parts = [(j, j + 1, 0, n) for j, n in enumerate(self.ends[self.k].tolist())]
+        last = self.ends[self.k]
+        parts = np.stack([np.arange(self.m), np.arange(1, self.m + 1), np.zeros_like(last), last],
+                         axis=1)
         out = np.empty((self.ends[self.k + 1][-1], self.state.shape[1]), self.state.dtype)
         self.k, self.state = self.k + 1, self._rows(parts, self.state, out)
         self.grouping = self.plan = None
@@ -311,8 +326,9 @@ class _Sums:
         return np.searchsorted(order[goff[c]:goff[c + 1]], numbers)
 
     def _plan(self):
-        """Bucket by bucket, the blocks [rows, parts] of level self.k + 1, about
-        _CHUNK rows each; a part is as in `_rows`, over the grouped held level."""
+        """Bucket by bucket, the blocks (rows, parts) of level self.k + 1, about
+        _CHUNK rows each; parts are as in `_rows`, over the grouped held level,
+        and held as int arrays, as there are about B^2 of them."""
         B, start, goff = self.B, self.start.tolist(), self.grouping[1]
         last = self.ends[self.k]  # last[j]: held rows whose largest index is <= j
         bounds = np.append(0, last)[self.start]  # held rows below each class's first index
@@ -339,11 +355,11 @@ class _Sums:
                         blocks.append([0, []])
                     blocks[-1][0] += (e1 - e0) * (hi - lo)
                     blocks[-1][1].append((e0, e1, lo, hi))
-            self.plan.append(blocks)
+            self.plan.append([(size, np.array(parts)) for size, parts in blocks])
 
     def _numbers(self, parts, hit):
         """The level self.k + 1 row numbers of the rows `hit` of a block made of `parts`."""
-        e0, e1, g0, g1 = np.array(parts).T
+        e0, e1, g0, g1 = parts.T
         w = g1 - g0
         lo = np.cumsum((e1 - e0) * w) - (e1 - e0) * w
         p = np.searchsorted(lo, hit, side="right") - 1
@@ -374,6 +390,47 @@ class _Sums:
             block = self._rows(parts, rows, np.empty((size, rows.shape[1]), rows.dtype))
             yield self._pack(block), lambda hit, parts=parts: self._numbers(parts, hit)
 
+    def _duplicated(self, k, r, t, keys):
+        """Pass one over bucket r of level k: the sorted first key words held by
+        more than t of its rows, found with the key buffer `keys`."""
+        rows, lo = self.grouping[0], 0
+        if k > self.k and rows.shape[1] == 1 and rows.dtype == np.uint64:  # a row is its key
+            for size, parts in self.plan[r]:
+                self._rows(parts, rows, keys[lo:lo + size, None])
+                lo += size
+        else:
+            for words, _ in self._bucket(k, r):
+                keys[lo:lo + len(words[0])] = words[0]
+                lo += len(words[0])
+        keys = keys[:lo]
+        keys.sort()  # in place; only values matter, so any sort kind gives the same result
+        found = []
+        for i in range(0, lo - t, _CHUNK):  # _CHUNK at a time: no mask as long as the bucket
+            j = min(i + _CHUNK, lo - t)
+            found.append(keys[i + t:j + t][keys[i + t:j + t] == keys[i:j]])
+        return np.unique(np.concatenate(found))
+
+    def _pass_one(self, k, t, live, sizes):
+        """`_duplicated` for the buckets `live` of level k, in their order; on a
+        thread pool if the level holds 2 * _BUCKET_KEYS keys or more."""
+        if not live:
+            return []
+        size = max(sizes[r] for r in live)
+        workers = min(_WORKERS, len(live)) if sum(sizes) >= 2 * _BUCKET_KEYS else 1
+        # made by this thread: a pool thread's own buffer would stay in its malloc arena
+        buffers = [np.empty(size, np.uint64) for _ in range(workers)]
+        if workers == 1:
+            return [self._duplicated(k, r, t, buffers[0]) for r in live]
+        from concurrent.futures import ThreadPoolExecutor  # only here: most runs start no pool
+        local = threading.local()
+
+        def scan(r):
+            if not hasattr(local, "keys"):  # each thread takes one buffer and keeps it
+                local.keys = buffers.pop()
+            return self._duplicated(k, r, t, local.keys)
+        with ThreadPoolExecutor(workers) as pool:
+            return list(pool.map(scan, live))
+
     def groups(self, k, threshold):
         """dict sum -> lex-ordered index multisets, for the size-k sums hit at least
         `threshold` times, in lex order of their first multisets; k must not decrease."""
@@ -389,17 +446,9 @@ class _Sums:
             if self.plan is None:
                 self._plan()
             sizes = [sum(size for size, _ in blocks) for blocks in self.plan]
-        t, rows, candidates = threshold - 1, [], []
-        for r, size in enumerate(sizes):
-            if size < threshold:  # too few sums for `threshold` equal ones
-                continue
-            keys, lo = np.empty(size, np.uint64), 0
-            for words, _ in self._bucket(k, r):
-                keys[lo:lo + len(words[0])] = words[0]
-                lo += len(words[0])
-            keys.sort()  # in place; only values matter, so any sort kind gives the same result
-            dup = np.unique(keys[t:][keys[t:] == keys[:size - t]])  # first words only
-            del keys
+        live = [r for r, size in enumerate(sizes) if size >= threshold]  # fewer: no `threshold` equal
+        rows, candidates = [], []
+        for r, dup in zip(live, self._pass_one(k, threshold - 1, live, sizes)):
             if not len(dup):
                 continue
             for words, numbers in self._bucket(k, r):  # pass two: rows whose first word is duplicated

@@ -30,7 +30,7 @@ from .entropy import Distribution, bit_points, uniform_bits
 from .errors import Infeasible, InvalidParams
 from .oracle import (_BIT_WORDS, DEFAULT_ENUM_CAP, DEFAULT_PER_SUM_CAP, Violation,
                      _minimal_violations, find_minimal_violations,
-                     find_minimal_violations_bhg)
+                     find_minimal_violations_bhg, multiset_count)
 
 DEFAULT_MAX_T = 10_000
 DEFAULT_ATTEMPTS = 8
@@ -221,13 +221,15 @@ def _violation_among(indices, top_groups, h, g):
 # end-to-end construction
 
 def max_verifiable_t(h, cap=DEFAULT_ENUM_CAP, ceiling=DEFAULT_MAX_T):
-    """Largest population whose size-h multiset enumeration fits the cap."""
-    from math import comb
-
-    t = 1
-    while comb(t + h, h) <= cap and t < ceiling:
-        t += 1
-    return t
+    """Largest population, 1 to `ceiling`, whose size-h multiset enumeration
+    fits the cap (1 if none does)."""
+    lo, hi = 1, 2  # multiset_count(lo, h) <= cap, or lo = 1; hi is past the answer
+    while hi <= ceiling and multiset_count(hi, h) <= cap:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if multiset_count(mid, h) <= cap else (lo, mid)
+    return max(1, min(ceiling, lo))
 
 
 def construct(h, n, seed, *, g=1, dist=None,

@@ -2,7 +2,9 @@
 
 import operator
 import random
-from itertools import combinations, combinations_with_replacement
+import sys
+import threading
+from itertools import combinations, combinations_with_replacement, count
 
 import numpy as np
 import pytest
@@ -304,13 +306,13 @@ def test_bucketed_engine_matches_reference_on_larger_inputs(h, m, sample, add, m
 
 
 def test_buckets_smaller_than_the_threshold_are_skipped():
-    """Default sizes, B = 4: buckets of fewer than g + 1 sums once raised a
+    """Default sizes, B = 8: buckets of fewer than g + 1 sums once raised a
     shape-mismatch ValueError in the duplicate scan."""
-    elems = [4 * i for i in range(2046)] + [1, 5]  # top bucket 2 holds 1+1, 1+5, 5+5
-    assert oracle._Sums(elems, operator.add, 2).B == 4
+    elems = [4 * i for i in range(2046)] + [1, 5]  # top buckets 2, 6 hold 1+1, 5+5 and 1+5
+    assert oracle._Sums(elems, operator.add, 2).B == 8
     assert oracle.verify_bhg(elems, 2, 4) == oracle.Violation(
         k=2, columns=((0, 8), (1, 7), (2, 6), (3, 5), (4, 4)), sum_value=32)
-    p = 2053  # 4 * (2 p i + (i^2 mod p)) is a Sidon set; class 1 of level 1 is 1, 5, 9
+    p = 2053  # 4 * (2 p i + (i^2 mod p)) is a Sidon set; top bucket 2 holds 1+1, 1+9, 5+5, 9+9
     elems = [4 * (2 * p * i + i * i % p) for i in range(2045)] + [1, 5, 9]
     assert oracle.verify_bhg(elems, 2, 4) is None
     assert oracle.find_minimal_violations_bhg(elems, 2, 4) == []
@@ -324,6 +326,65 @@ def test_sums_classes_follow_the_ambient(monkeypatch):
     assert oracle._Sums(list(range(20)), oracle.residue_add(17), 2).B == 1  # prime above 16
     monkeypatch.setattr(oracle, "_BUCKET_KEYS", 2**19)
     assert oracle._Sums(list(range(1000)), operator.add, 2).B == 1  # 500,500 pair sums
+
+
+POOL_AMBIENTS = {  # collision-rich, so that duplicated sums fall in several top buckets
+    "integers": (lambda rng: [rng.randrange(40) for _ in range(24)], operator.add),
+    "residues": (lambda rng: [rng.randrange(32) for _ in range(24)], oracle.residue_add(32)),
+    "vectors": (lambda rng: [(rng.randrange(4), rng.randrange(4)) for _ in range(24)],
+                oracle.vector_mod_add(4)),
+    "bit-words": (lambda rng: np.array([[rng.randrange(2) for _ in range(6)] for _ in range(24)],
+                                       np.uint8), oracle._BIT_WORDS),
+}
+
+
+@pytest.mark.parametrize("ambient", sorted(POOL_AMBIENTS))
+def test_pass_one_threads_do_not_change_the_output(ambient, small_buckets, monkeypatch):
+    """Violations and groups, in order, are the same on 1, 2 and 3 threads."""
+    sample, add = POOL_AMBIENTS[ambient]
+    elems = sample(random.Random(ambient))
+    duplicated, scan = [], oracle._Sums._duplicated
+
+    def recording(self, k, r, t, keys):
+        dup = scan(self, k, r, t, keys)
+        if k == self.h and len(dup):
+            duplicated.append(r)
+        return dup
+    monkeypatch.setattr(oracle._Sums, "_duplicated", recording)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads switch often: two sharing a key buffer would show
+    try:
+        for h, g in ((2, 1), (2, 2), (3, 1)):
+            results = []
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(oracle, "_WORKERS", workers)
+                duplicated.clear()
+                violations, groups = oracle._minimal_violations(elems, h, g, add=add)
+                results.append((violations, list(groups.items())))
+                assert len(set(duplicated)) > 1  # pass two runs on several top buckets
+            assert results[0][0] and results[1] == results[0] and results[2] == results[0]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("failing_call", [0, 3, 20])
+def test_pass_one_errors_reach_the_caller(failing_call, small_buckets, monkeypatch):
+    """An error in a pass-one thread is raised to the caller, and the pool's
+    threads are gone when it is."""
+    monkeypatch.setattr(oracle, "_WORKERS", 2)
+    calls, rows, raised_on = count(), oracle._Sums._rows, []
+
+    def failing(self, *args):
+        if next(calls) == failing_call:
+            raised_on.append(threading.current_thread())
+            raise MemoryError("row generation failed")
+        return rows(self, *args)
+    monkeypatch.setattr(oracle._Sums, "_rows", failing)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="row generation failed"):
+        oracle.verify_bh(list(range(0, 120, 3)), 2)
+    assert raised_on[0] is not threading.main_thread()
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +444,7 @@ def test_h3_bit_word_buckets_are_even():
     sums._group()
     sums._plan()
     sizes = [sum(size for size, _ in blocks) for blocks in sums.plan]
-    assert sums.B == 64 and min(np.diff(sums.start)) > 0  # every class holds words
+    assert sums.B == 128 and min(np.diff(sums.start)) > 0  # every class holds words
     assert max(sizes) <= 1.5 * np.median(sizes)
 
 

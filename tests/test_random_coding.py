@@ -193,6 +193,25 @@ def test_max_verifiable_t():
     assert oracle.multiset_count(t3 + 1, 3) > oracle.DEFAULT_ENUM_CAP
 
 
+def _linear_max_verifiable_t(h, cap, ceiling):
+    """max_verifiable_t as a linear search: grow t while the next population fits."""
+    t = 1
+    while math.comb(t + h, h) <= cap and t < ceiling:
+        t += 1
+    return t
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 4])
+@pytest.mark.parametrize("cap", [0, 1, 2**10, 2**26])
+def test_max_verifiable_t_matches_the_linear_search(h, cap):
+    assert rc.max_verifiable_t(h, cap) == _linear_max_verifiable_t(h, cap, rc.DEFAULT_MAX_T)
+    t = rc.max_verifiable_t(h, cap, ceiling=math.inf)
+    if h == 1 and cap == 2**26:  # 2^26 linear steps: check where that search stops instead
+        assert oracle.multiset_count(t, h) <= cap < oracle.multiset_count(t + 1, h)
+    else:
+        assert t == _linear_max_verifiable_t(h, cap, math.inf)
+
+
 def test_construct_small_is_deterministic_and_verified():
     code1, stats1 = rc.construct(2, 24, seed=5)
     code2, stats2 = rc.construct(2, 24, seed=5)
