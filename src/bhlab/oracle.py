@@ -19,10 +19,11 @@ first key words in place and keeps the duplicated values (a key of several
 words leads with a wrapped mix of all its columns, so that word sees every
 digit); pass two regenerates only a bucket that has some and decodes the rows
 holding them, grouped by their whole key.  Blocks of a level hold about
-_CHUNK rows.  Large levels run pass one on a thread pool, one thread per
-CPU in the process's affinity mask (`taskset -c 0` confines it to one
-core), with output independent of the thread count.  Peak memory is one
-bucket of keys per thread plus the level below the top.
+_CHUNK rows.  Large levels have half-size buckets and run pass one on a
+thread pool, one thread per CPU in the process's affinity mask (`taskset
+-c 0` confines it to one core), with output independent of the thread
+count.  Peak memory is one bucket of keys per thread plus the level below
+the top.
 
 The random-coding pipeline enumerates each population once: pruning reads
 its minimal violations, and `random_coding.construct` its final verdict,
