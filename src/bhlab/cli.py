@@ -185,9 +185,7 @@ def _cmd_simulate(args, argv):
     dist = parse_dist(args.dist, args.n0) if args.dist else entropy.uniform_bits(args.n0)
     code, stats = random_coding.construct(
         args.h, args.n, args.seed, g=args.g, dist=dist, attempts=args.attempts)
-    print(f"t={stats.t} removed={stats.removed} size={stats.final_size} "
-          f"rate={stats.final_rate:.6f} attempts={stats.attempts}")
-    if args.output:
+    if args.output:  # before the summary: an unwritable path prints only its error
         with open(args.output, "w") as fh:
             fh.write(constructions.code_to_text(code))
         with open(args.output + ".stats.json", "w") as fh:
@@ -198,6 +196,8 @@ def _cmd_simulate(args, argv):
             {"h": args.h, "n": args.n, "n0": args.n0, "g": args.g,
              "dist": args.dist, "attempts": args.attempts},
             [args.output, args.output + ".stats.json"], [args.seed], started))
+    print(f"t={stats.t} removed={stats.removed} size={stats.final_size} "
+          f"rate={stats.final_rate:.6f} attempts={stats.attempts}")
     return 0
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
 
@@ -36,19 +37,30 @@ DEFAULT_MAX_T = 10_000
 DEFAULT_ATTEMPTS = 8
 
 
+def _check_seed(seed):
+    """A seed is one uint64 half of the Philox key: an integer, 0 to 2^64 - 1."""
+    if not isinstance(seed, Integral) or not 0 <= seed < 2**64:
+        raise InvalidParams(f"seed {seed!r} is not an integer in 0..2^64-1")
+
+
 @dataclass(frozen=True)
 class SamplingPlan:
-    """t words of n bits, each n/n0 iid n0-bit blocks drawn from `dist`."""
+    """t words of n bits, each n/n0 iid n0-bit blocks drawn from `dist`.
+    `seed` is the Philox key, the pair (seed, attempt) of `construct`."""
     n: int
     dist: Distribution
     t: int
-    seed: int
+    seed: tuple
 
     def __post_init__(self):
         if self.n % self.dist.n0 != 0:
             raise InvalidParams(f"the law's n0 = {self.dist.n0} does not divide n = {self.n}")
         if self.t < 1:
             raise InvalidParams("t must be >= 1")
+        if not isinstance(self.seed, tuple) or len(self.seed) != 2:
+            raise InvalidParams(f"seed {self.seed!r} is not a (seed, attempt) pair")
+        for half in self.seed:
+            _check_seed(half)
 
 
 @dataclass(frozen=True)
@@ -153,7 +165,8 @@ def _sample_bits(plan: SamplingPlan):
     """The (t, n) uint8 bit matrix of t words, each a concatenation of iid
     blocks; duplicates preserved.  Philox keyed by plan.seed."""
     table, cum = _block_table(plan.dist)
-    rng = np.random.Generator(np.random.Philox(key=plan.seed))
+    # as uint64: numpy would read a tuple holding 2^63 or more as float64
+    rng = np.random.Generator(np.random.Philox(key=np.array(plan.seed, np.uint64)))
     draws = rng.random((plan.t, plan.n // plan.dist.n0))
     choice = np.searchsorted(cum, draws, side="left")
     return table[choice].reshape(plan.t, plan.n)
@@ -248,6 +261,7 @@ def construct(h, n, seed, *, g=1, dist=None,
     the returned code."""
     if attempts < 1:
         raise InvalidParams(f"attempts must be >= 1, got {attempts}")
+    _check_seed(seed)
     dist = uniform_bits(1) if dist is None else dist
     if max_t is None:
         max_t = max_verifiable_t(h, cap=cap)

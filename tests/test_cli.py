@@ -111,6 +111,8 @@ NAMED_OPTION = {  # argv -> the part of its error message that names the option
     ("rate", "bhg", "--h", "2", "--g", "0"): "g = 0",
     ("configs", "enumerate", "--sharp", "--h", "3", "--d", "2"): "d = 2",  # printed 4 classes
     ("entropy", "sidon", "--p", "0", "--alpha", "-1"): "alpha must be >= 0",  # exit 3
+    ("simulate", "--h", "2", "--n", "4", "--seed", "-1"): "seed -1",  # a two's-complement key
+    ("simulate", "--h", "2", "--n", "4", "--seed", str(2**64)): f"seed {2**64}",  # exit 3
 }
 
 
@@ -274,6 +276,16 @@ def test_simulate_writes_verified_code_and_stats(tmp_path, capsys):
     manifest = json.loads((tmp_path / "sim.txt.manifest.json").read_text())
     assert manifest["seeds"] == [5]
     assert manifest["subcommand"] == "simulate"
+
+
+def test_simulate_to_an_unwritable_path_prints_only_its_error(tmp_path, capsys):
+    # the summary line used to be printed before the artifacts failed to open
+    path = tmp_path / "missing" / "sim.txt"
+    code, out, err = run(capsys, "simulate", "--h", "2", "--n", "16", "--seed", "5",
+                         "--output", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno 2]") and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
 
 
 SIMULATE_PINS = {  # argv -> sha256 of stdout, code text and .stats.json

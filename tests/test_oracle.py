@@ -4,7 +4,7 @@ import operator
 import random
 import sys
 import threading
-from itertools import combinations, combinations_with_replacement, count
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -328,6 +328,93 @@ def test_sums_classes_follow_the_ambient(monkeypatch):
     assert oracle._Sums(list(range(1000)), operator.add, 2).B == 1  # 500,500 pair sums
 
 
+def plan_reference(sums):
+    """`_Sums._plan` as a loop over class pairs, parts and pieces: bucket by
+    bucket, the blocks (rows, parts) of the level above the held one."""
+    B, start, (_, goff, order) = sums.B, sums.start.tolist(), sums.grouping
+    goff = list(goff)
+
+    def count(c, numbers):
+        if order is None:
+            return np.clip(numbers - goff[c], 0, goff[c + 1] - goff[c])
+        return np.searchsorted(order[goff[c]:goff[c + 1]], numbers)
+    last = sums.ends[sums.k]
+    bounds = np.append(0, last)[sums.start]
+    below = [count(c, bounds).tolist() for c in range(B)]
+    classes = [a for a in range(B) if start[a] < start[a + 1]]
+    plan = []
+    for r in range(B):
+        parts = []
+        for a in classes:
+            c, s, e = (r - a) % B, start[a], start[a + 1]
+            g0, p, p1 = goff[c], below[c][a], below[c][a + 1]
+            if p:
+                step = max(1, oracle._CHUNK // p)
+                parts.extend((i, min(i + step, e), g0, g0 + p) for i in range(s, e, step))
+            if p1 > p:
+                ends = count(c, last[s:e]).tolist()
+                parts.extend((j, j + 1, g0 + p, g0 + q)
+                             for j, q in zip(range(s, e), ends) if q > p)
+        blocks = []
+        for e0, e1, g0, g1 in parts:
+            for lo in range(g0, g1, oracle._CHUNK):
+                hi = min(lo + oracle._CHUNK, g1)
+                if not blocks or blocks[-1][0] >= oracle._CHUNK:
+                    blocks.append([0, []])
+                blocks[-1][0] += (e1 - e0) * (hi - lo)
+                blocks[-1][1].append((e0, e1, lo, hi))
+        plan.append([(size, np.array(parts)) for size, parts in blocks])
+    return plan
+
+
+def planned_rows(sums, plan):
+    """Per bucket, the sorted colex row numbers that a plan's blocks decode to."""
+    return [np.sort(np.concatenate([sums._numbers(parts, np.arange(size))
+                                    for size, parts in blocks] or [np.zeros(0, int)]))
+            for blocks in plan]
+
+
+def check_plan(elems, add, h):
+    """The array plan of the top level decodes, bucket by bucket, to the rows
+    of the loop plan, lists every top-level row once, and keeps blocks below
+    2 * _CHUNK rows."""
+    sums = oracle._Sums(elems, add, h)
+    while sums.k < h - 1:
+        sums._advance()
+    sums._group()
+    sums._plan()
+    got, expected = planned_rows(sums, sums.plan), planned_rows(sums, plan_reference(sums))
+    assert len(got) == len(expected) == sums.B
+    for rows, reference in zip(got, expected):
+        assert np.array_equal(rows, reference)
+    top = oracle.multiset_count(len(elems), h)
+    assert np.array_equal(np.sort(np.concatenate(got)), np.arange(top))  # each row once
+    for blocks in sums.plan:
+        for size, parts in blocks:
+            assert size == sum((e1 - e0) * (g1 - g0) for e0, e1, g0, g1 in parts.tolist())
+            assert 0 < size < 2 * oracle._CHUNK
+    return sums
+
+
+@pytest.mark.parametrize("ambient", sorted(AMBIENTS))
+def test_array_plan_matches_the_loop_plan(ambient, small_buckets):
+    sample, add = AMBIENTS[ambient]
+    rng = random.Random(ambient)
+    for h in (2, 3, 4):
+        for trial in range(4):
+            check_plan(sample(rng, rng.randint(1, 8 if h < 4 else 6), h), add, h)
+
+
+@pytest.mark.parametrize("B, m, h, chunk", [  # the plan is built _CHUNK // B buckets at a time
+    (1, 120, 2, 2**6), (1, 60, 3, 2**6), (8, 8, 2, 2**6), (8, 12, 3, 2**4),
+    (128, 128, 2, 2**10), (128, 128, 3, 2**6), (1024, 1024, 2, 2**6)])
+def test_array_plan_matches_the_loop_plan_at_scale(B, m, h, chunk, monkeypatch):
+    monkeypatch.setattr(oracle, "_BUCKET_KEYS", 1 if B > 1 else 2**19)
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    rng = random.Random(B)
+    assert check_plan([rng.randrange(4 * m * m) for _ in range(m)], operator.add, h).B == B
+
+
 POOL_AMBIENTS = {  # collision-rich, so that duplicated sums fall in several top buckets
     "integers": (lambda rng: [rng.randrange(40) for _ in range(24)], operator.add),
     "residues": (lambda rng: [rng.randrange(32) for _ in range(24)], oracle.residue_add(32)),
@@ -340,18 +427,25 @@ POOL_AMBIENTS = {  # collision-rich, so that duplicated sums fall in several top
 
 @pytest.mark.parametrize("ambient", sorted(POOL_AMBIENTS))
 def test_pass_one_threads_do_not_change_the_output(ambient, small_buckets, monkeypatch):
-    """Violations and groups, in order, are the same on 1, 2 and 3 threads."""
+    """Violations and groups, in order, are the same on 1, 2 and 3 threads,
+    with pass two on several top buckets, run on the pool's threads."""
     sample, add = POOL_AMBIENTS[ambient]
     elems = sample(random.Random(ambient))
-    duplicated, scan = [], oracle._Sums._duplicated
+    duplicated, hit, scan, hits = [], [], oracle._Sums._duplicated, oracle._Sums._hits
 
-    def recording(self, k, r, t, keys):
-        dup = scan(self, k, r, t, keys)
+    def recording(self, k, r, *args):
+        dup = scan(self, k, r, *args)
         if k == self.h and len(dup):
             duplicated.append(r)
         return dup
+
+    def recording_hits(self, k, r, *args):
+        if k == self.h:
+            hit.append((r, threading.current_thread()))
+        return hits(self, k, r, *args)
     monkeypatch.setattr(oracle._Sums, "_duplicated", recording)
-    interval = sys.getswitchinterval()
+    monkeypatch.setattr(oracle._Sums, "_hits", recording_hits)
+    interval, before = sys.getswitchinterval(), threading.active_count()
     sys.setswitchinterval(1e-6)  # threads switch often: two sharing a key buffer would show
     try:
         for h, g in ((2, 1), (2, 2), (3, 1)):
@@ -359,9 +453,14 @@ def test_pass_one_threads_do_not_change_the_output(ambient, small_buckets, monke
             for workers in (1, 2, 3):
                 monkeypatch.setattr(oracle, "_WORKERS", workers)
                 duplicated.clear()
+                hit.clear()
                 violations, groups = oracle._minimal_violations(elems, h, g, add=add)
                 results.append((violations, list(groups.items())))
                 assert len(set(duplicated)) > 1  # pass two runs on several top buckets
+                assert sorted(r for r, _ in hit) == sorted(duplicated)
+                on_main = {thread is threading.main_thread() for _, thread in hit}
+                assert on_main == {workers == 1}
+                assert threading.active_count() == before
             assert results[0][0] and results[1] == results[0] and results[2] == results[0]
     finally:
         sys.setswitchinterval(interval)
@@ -369,22 +468,37 @@ def test_pass_one_threads_do_not_change_the_output(ambient, small_buckets, monke
 
 @pytest.mark.parametrize("failing_call", [0, 3, 20])
 def test_pass_one_errors_reach_the_caller(failing_call, small_buckets, monkeypatch):
-    """An error in a pass-one thread is raised to the caller, and the pool's
+    """An error in a pool thread, while it generates rows for pass one or
+    regenerates them for pass two, is raised to the caller, and the pool's
     threads are gone when it is."""
     monkeypatch.setattr(oracle, "_WORKERS", 2)
-    calls, rows, raised_on = count(), oracle._Sums._rows, []
+    rows, hits, stage = oracle._Sums._rows, oracle._Sums._hits, threading.local()
+    calls, raised_on = {}, []
 
     def failing(self, *args):
-        if next(calls) == failing_call:
+        now = getattr(stage, "name", "pass one")
+        calls[now] = calls.get(now, -1) + 1
+        if now == failing_stage and calls[now] == failing_call:
             raised_on.append(threading.current_thread())
-            raise MemoryError("row generation failed")
+            raise MemoryError(f"row generation failed in {now}")
         return rows(self, *args)
+
+    def pass_two(self, *args):
+        stage.name = "pass two"
+        try:
+            return hits(self, *args)
+        finally:
+            stage.name = "pass one"
     monkeypatch.setattr(oracle._Sums, "_rows", failing)
+    monkeypatch.setattr(oracle._Sums, "_hits", pass_two)
     before = threading.active_count()
-    with pytest.raises(MemoryError, match="row generation failed"):
-        oracle.verify_bh(list(range(0, 120, 3)), 2)
-    assert raised_on[0] is not threading.main_thread()
-    assert threading.active_count() == before
+    for failing_stage in ("pass one", "pass two"):
+        calls.clear()
+        raised_on.clear()
+        with pytest.raises(MemoryError, match=f"row generation failed in {failing_stage}"):
+            oracle.verify_bh(list(range(0, 120, 3)), 2)
+        assert raised_on[0] is not threading.main_thread()
+        assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,24 @@ def test_sample_code_words_are_pinned():
             == "9ff5f59c7e05bcebd9055f4a40d4ea58fc0a3411375a90e772b932235f052d23")
 
 
+def test_seeds_at_and_above_2_63_give_distinct_codes():
+    # numpy read the key (2^63 + s, attempt) as float64, so these two aliased
+    code, stats = rc.construct(2, 16, 2**63)
+    other, _ = rc.construct(2, 16, 2**63 + 1)
+    assert code.words != other.words and stats.seed == 2**63
+    assert rc.construct(2, 16, 2**64 - 1)[1].seed == 2**64 - 1
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+def test_seeds_outside_uint64_are_rejected(seed):
+    with pytest.raises(InvalidParams, match=f"seed {seed!r}"):
+        rc.construct(2, 16, seed)
+    with pytest.raises(InvalidParams, match=f"seed {seed!r}"):
+        rc.SamplingPlan(n=16, dist=uniform_bits(1), t=4, seed=(seed, 0))
+    with pytest.raises(InvalidParams, match="not a .seed, attempt. pair"):
+        rc.SamplingPlan(n=16, dist=uniform_bits(1), t=4, seed=5)
+
+
 def test_sample_code_ones_fraction_within_5_sigma():
     plan = rc.SamplingPlan(n=64, dist=uniform_bits(1), t=1000, seed=(11, 0))
     words = rc.sample_code(plan)
@@ -265,6 +283,26 @@ PINNED_CONSTRUCT = {  # artifacts must not depend on how the oracle enumerates s
     (3, 1): ("002b24eddc9fc46a0de943ccf83881c92323d2e6edbc9a796593c2c75700d37a",
              "21a9c52fd29a4ee9a6a4b5c727ecfa2f02ab0337570fae4cb7b3a117e216739f"),
 }
+
+
+def test_pool_sized_population_is_pinned(monkeypatch):
+    # at t = t_exact = 2112 the top level holds 2.2M pair sums: the oracle scans
+    # it in buckets on its thread pool (on one thread under `taskset -c 0`),
+    # and both passes run in several buckets; the pins predate the pool's pass two
+    buckets, hits = set(), oracle._Sums._hits
+
+    def recording(self, k, r, *args):
+        buckets.add((k, r))
+        return hits(self, k, r, *args)
+    monkeypatch.setattr(oracle._Sums, "_hits", recording)
+    code, stats = rc.construct(2, 22, seed=1, max_t=2112)
+    assert stats.t == stats.t_exact == 2112 and stats.removed == 647
+    assert oracle.multiset_count(stats.t, 2) >= 2 * oracle._BUCKET_KEYS
+    assert len({r for k, r in buckets if k == 2}) > 1
+    stats_json = json.dumps(stats.to_json(), indent=2, sort_keys=True) + "\n"
+    assert (_sha256(code_to_text(code)), _sha256(stats_json)) == (
+        "a005c027a44da71ac67940b81eaeeae33605e8c262b3cc149fcc8cf7531d5952",
+        "7d5ac94e2ee1049a76f71cfd866553529f5c6e94a2ac9b977df280fb209602a6")
 
 
 def _keep_every_word(monkeypatch, words):
