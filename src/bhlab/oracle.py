@@ -14,17 +14,16 @@ bits sum to at most h, so no digit carries).  Level k (the size-k multisets)
 is level k-1 plus one element per vectorised add, reduced mod q at every
 level and packed into uint64 key words (more than one only when the sums need
 over 64 bits).  A level is scanned in buckets by a sum class (equal sums share
-a class), each bucket in two passes: pass one sorts the bucket's first key
-words in place and keeps the duplicated values (a key of several words leads
-with a wrapped mix of all its columns, so that word sees every digit); pass
-two regenerates only a bucket that has some and decodes the rows holding
-them, grouped by their whole key.  The plan of a level's blocks (about
-_CHUNK rows each) is built with array operations over the class pairs.
-Large levels have half-size buckets and run both passes of each bucket as
-one task on a thread pool, one thread per CPU in the process's affinity
-mask (`taskset -c 0` confines it to one core); results are read in bucket
-order, so the output does not depend on the thread count.  Peak memory is
-one bucket of keys per thread plus the level below the top.
+a class), one bucket at a time and in two passes: pass one sorts the bucket's
+first key words in place and keeps the duplicated values (a key of several
+words leads with a wrapped mix of all its columns, so that word sees every
+digit); pass two regenerates only a bucket that has some and decodes the rows
+holding them, grouped by their whole key.  Blocks of a level hold about
+_CHUNK rows, planned with array operations over all pairs of sum classes.
+Large levels have half-size buckets and run pass one on a thread pool, one
+thread per CPU in the process's affinity mask (`taskset -c 0` confines it to
+one core), with output independent of the thread count.  Peak memory is one
+bucket of keys per thread plus the level below the top.
 
 The random-coding pipeline enumerates each population once: pruning reads
 its minimal violations, and `random_coding.construct` its final verdict,
@@ -52,7 +51,7 @@ DEFAULT_PER_SUM_CAP = 200_000  # B_h[g] column combinations read from one sum
 _CHUNK = 2**16  # rows per generated block: bounds temporaries, amortises numpy calls
 _BUCKET_KEYS = 2**19  # a large level's buckets hold 1/2-1x this many keys: each sorts in cache
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)  # most pool threads: the CPUs this process may use
+            else os.cpu_count() or 1)  # most pass-one threads: the CPUs this process may use
 _MIX = 0x9E3779B97F4A7C15  # odd: multi-word keys lead with sum(column c * _MIX^c) mod 2^64
 
 
@@ -212,45 +211,22 @@ def _coordinates(elements, add, h):
     return arr, np.full(width, q, arr.dtype), [q] * width, None, _residue_classes, value
 
 
-# the plan of `_Sums`: parts (e0, e1, g0, g1) as int arrays
-
-def _runs(counts):
-    """(owner, rank) of each slot of np.repeat(np.arange(len(counts)), counts):
-    the item the slot belongs to, and its rank among that item's slots."""
-    owner = np.repeat(np.arange(len(counts)), counts)
-    return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
-
-
 def _skew(v):
     """[r, a] -> v[(r - a) % len(v)], as a view: row r is v rotated by r and reversed."""
     return np.lib.stride_tricks.sliding_window_view(np.tile(v, 2), len(v))[1:, ::-1]
 
 
-def _sizes(parts):
-    """The rows of each part (e0, e1, g0, g1) of `_Sums._rows`."""
+def _cut(parts):
+    """(the part each piece comes from, the pieces): `parts` cut, in order,
+    into pieces of at most _CHUNK rows: runs of _CHUNK // (g1 - g0) elements,
+    or single elements onto _CHUNK rows at a time."""
     e0, e1, g0, g1 = parts.T
-    return np.multiply(e1 - e0, g1 - g0, dtype=np.int64)
-
-
-def _cut(parts, big):
-    """(the part each piece comes from, the pieces): `parts` with each `big`
-    one cut, in place and in order, into pieces of at most _CHUNK rows: runs
-    of _CHUNK // (g1 - g0) elements, or, if that is 0, single elements onto
-    _CHUNK rows at a time."""
-    e0, e1, g0, g1 = parts[big].T
-    step, across = np.maximum(1, _CHUNK // (g1 - g0)), -(-(g1 - g0) // _CHUNK)
-    counts = np.ones(len(parts), np.intp)
-    counts[big] = -(-(e1 - e0) // step) * across
-    part, i = _runs(counts)
-    pieces = parts[part]
-    cut = counts[part] > 1
-    which = (np.cumsum(big) - 1)[part[cut]]  # the cut part's index among the big ones
-    step, (run, row) = step[which], np.divmod(i[cut], across[which])
-    e0, e1, g0, g1 = pieces[cut].T
-    e0, g0 = e0 + run * step, g0 + row * _CHUNK
-    pieces[cut] = np.stack([e0, np.minimum(e0 + step, e1), g0, np.minimum(g0 + _CHUNK, g1)],
-                           axis=1)
-    return part, pieces
+    run, across = np.maximum(1, _CHUNK // (g1 - g0)), -(-(g1 - g0) // _CHUNK)
+    part = np.repeat(np.arange(len(parts)), -(-(e1 - e0) // run) * across)
+    e0, e1, g0, g1, run, across = (x[part] for x in (e0, e1, g0, g1, run, across))
+    i, row = np.divmod(np.arange(len(part)) - np.searchsorted(part, part), across)
+    e0, g0 = e0 + i * run, g0 + row * _CHUNK
+    return part, np.stack([e0, np.minimum(e0 + run, e1), g0, np.minimum(g0 + _CHUNK, g1)], axis=1)
 
 
 class _Sums:
@@ -272,26 +248,22 @@ class _Sums:
     bucket; a larger one has B buckets, B the largest power of two, at most
     m, that leaves _BUCKET_KEYS / 2 or more keys per bucket, so that two
     buckets in flight hold no more keys than one bucket of twice that size.
-    A level of 2 * _BUCKET_KEYS keys or more runs on up to _WORKERS threads,
-    one bucket per task: pass one (generate, sort in place, keep the
-    duplicated first words), then, if it kept any, pass two (regenerate, keep
-    the rows holding them).  Each thread reuses one key buffer and one block
-    buffer, and when a key is the row's single uint64 column, pass one
-    generates the rows straight into the key buffer.  The caller reads the
-    tasks' results in bucket order.  A smaller level, and one with a single
-    bucket to scan, starts no thread.
-
-    The elements are relabelled in class order, and a held level is grouped
-    by class through a stable permutation (none for one class or for the
-    elements); the colex copy of the top-1 level is dropped once it is
-    grouped.  Bucket r of the top level is, for each class a, broadcast adds
-    of class a's elements onto the group-(r-a) rows whose largest index lies
-    below class a, plus one add per element j of class a for the group rows
-    ending inside class a at or before j.  `_plan` builds these parts for
-    all class pairs (a, r - a) at once, with array operations, and cuts them
-    into blocks of fewer than 2 * _CHUNK rows.  A bucket with fewer keys
-    than the threshold cannot hold a duplicate and is skipped.  The top
-    level is generated a bucket at a time, once per pass.  Peak memory is
+    A level of 2 * _BUCKET_KEYS keys or more runs pass one (generate, sort in
+    place, keep the duplicated first words) on up to _WORKERS threads, one
+    bucket per task; each thread reuses one key buffer, and when a key is the
+    row's single uint64 column, the rows are generated straight into it.
+    Pass two reads the results in bucket order.  A smaller level, and one
+    with a single bucket to scan, starts no thread.  The elements are
+    relabelled in class order, and a held level is grouped by class through a
+    stable permutation (none for one class or for the elements); the colex
+    copy of the top-1 level is dropped once it is grouped.  Bucket r of the
+    top level is, for each class a, broadcast adds of class a's elements onto
+    the group-(r-a) rows whose largest index lies below class a, plus one add
+    per element j of class a for the group rows ending inside class a at or
+    before j; `_plan` builds these parts for all class pairs with array
+    operations.  A bucket with fewer keys than the threshold cannot hold a
+    duplicate and is skipped.  The top level is generated a bucket at a time,
+    in blocks of fewer than 2 * _CHUNK rows, once per pass.  Peak memory is
     one bucket of keys per thread plus the held level (twice that while it
     is grouped)."""
 
@@ -360,7 +332,7 @@ class _Sums:
             rows = rows[order]
         if self.k == self.h - 1:  # `_advance` never reads the colex top-1 level
             self.state = None
-        self.grouping = rows, goff, order
+        self.grouping = rows, goff.tolist(), order
 
     def _number(self, g):
         """The colex row numbers of grouped held rows g."""
@@ -369,63 +341,64 @@ class _Sums:
 
     def _plan(self):
         """Bucket by bucket, the blocks (rows, parts) of level self.k + 1; parts
-        are as in `_rows`, over the grouped held level, and are built with array
-        operations over the grid of buckets r and classes a, where bucket r
-        adds class a's elements to group c = r - a mod B, about _CHUNK cells
-        (a slice of buckets) at a time, which bounds the temporaries.  A block
-        holds a bucket's parts whose first rows lie in one stretch of _CHUNK
-        rows of the slice, so it has fewer than 2 * _CHUNK rows."""
-        # element and held-row indices as int32, half the memory to touch (2^31
-        # held rows would take 16 GiB); row counts stay int64
-        B, (start, goff, last) = self.B, (x.astype(np.int32) for x in (
-            self.start, self.grouping[1], self.ends[self.k]))
-        held, _, order = self.grouping
-        if order is not None:  # class * n + colex number increases along the grouped rows
-            n = len(held)
-            keys = np.repeat(np.arange(B) * n, np.diff(goff)) + order
+        are as in `_rows`, over the grouped held level.  They are built with
+        array operations over the cells (r, a) of buckets r and classes a, where
+        bucket r adds class a's elements to group c = r - a mod B (read through
+        `_skew`), about _CHUNK cells (a slice of buckets) at a time, which bounds
+        the temporaries.  The rect parts (a class onto the group rows below it)
+        and the diagonal ones (an element onto the group rows ending inside its
+        class) are blocked separately: parts of more than _CHUNK rows are cut,
+        and a block holds a bucket's parts that start in one stretch of _CHUNK
+        rows, so it has fewer than 2 * _CHUNK rows."""
+        # int32 indices, half the memory to touch (2^31 held rows would take 16 GiB)
+        held, goff, order = self.grouping
+        B, (start, goff, last) = self.B, (np.array(x, np.int32) for x in (
+            self.start, goff, self.ends[self.k]))  # last[j]: held rows whose largest index is <= j
+        size, bounds = np.diff(start), np.append(np.int32(0), last)[start]  # rows below class a
+        if order is not None:  # c * len(held) + colex number increases along the grouped rows
+            base = np.arange(B, dtype=np.int64) * len(held)
+            keys = np.repeat(base, np.diff(goff)) + order
 
         def count(pick, numbers):
             """How many rows of groups `pick(v)` have a colex row number below
             `numbers`; `pick` maps a per-group vector v to the groups wanted."""
-            lo = pick(goff[:-1])
             if order is None:
-                return np.clip(numbers - lo, 0, pick(np.diff(goff)))
-            return np.searchsorted(keys, pick(np.arange(B) * n) + numbers) - lo
-        # last[j]: held rows whose largest index is <= j; bounds[a]: those below class a
-        bounds, step, self.plan = np.append(np.int32(0), last)[start], max(1, _CHUNK // B), []
+                return np.clip(numbers - pick(goff[:-1]), 0, pick(np.diff(goff)))
+            return np.searchsorted(keys, pick(base) + numbers) - pick(goff[:-1])
+        self.plan, step = [], max(1, _CHUNK // B)
         for r0 in range(0, B, step):
             def skew(v):  # [r - r0, a] -> v[c], for the slice's buckets r
                 return _skew(v)[r0:r0 + step]
             below = count(skew, bounds[:-1])  # group-c rows below class a
-            # class a's elements onto the p group-c rows whose largest index lies below class a
-            cell = np.flatnonzero((below > 0) & (np.diff(start) > 0))
-            r, a = np.divmod(cell.astype(np.int32), B)
-            p, g0 = below.ravel()[cell], skew(goff[:-1]).ravel()[cell]
-            runs = (r0 + r, start[a], start[a + 1], g0, g0 + p)
-            # each element j of class a onto the group-c rows ending inside class a at or before j
-            cell = np.flatnonzero(count(skew, bounds[1:]) > below)
-            pair, j = _runs(np.diff(start)[cell % B])
-            r, a = np.divmod(cell[pair], B)
-            r, p, j = r0 + r, below.ravel()[cell][pair], start[a] + j
-            c = (r - a) % B
-            q = count(lambda v: v[c], last[j])
-            diagonal = [x[q > p] for x in (r, j, j + 1, goff[c] + p, goff[c] + q)]
-            plan = [[] for _ in range(min(step, B - r0))]
-            for bucket, *kind in (runs, diagonal):  # each in bucket order
-                if not len(bucket):
-                    continue
-                parts = np.stack(kind, axis=1)
-                rows = _sizes(parts)
-                if rows.max() > _CHUNK:
-                    part, parts = _cut(parts, rows > _CHUNK)
-                    bucket, rows = bucket[part], _sizes(parts)
+            rect = np.flatnonzero((below > 0) & (size > 0))  # class a's elements onto them
+            diag = np.flatnonzero(count(skew, bounds[1:]) > below)  # rows ending inside class a
+            n, below, a = len(below), below.ravel(), rect % B
+            g0 = skew(goff[:-1]).ravel()[rect]
+            rects = np.stack([start[a], start[a + 1], g0, g0 + below[rect]], axis=1)
+            # each element j of class a onto the group-c rows ending at or before j
+            diag = np.repeat(diag, size[diag % B])
+            j = start[diag % B] + np.arange(len(diag)) - np.searchsorted(diag, diag)
+            c = (r0 + diag // B - diag % B) % B
+            p, q = below[diag], count(lambda v: v[c], last[j])
+            keep = q > p
+            diag, j, c, p, q = diag[keep], j[keep], c[keep], p[keep], q[keep]
+            diags = np.stack([j, j + 1, goff[c] + p, goff[c] + q], axis=1)
+            plan = [[] for _ in range(n)]
+            for cells, parts, rows in ((rect, rects, size[a].astype(np.int64) * below[rect]),
+                                       (diag, diags, q - p)):
+                if rows.max(initial=0) > _CHUNK:
+                    piece, parts = _cut(parts)
+                    e0, e1, g0, g1 = parts.T
+                    cells, rows = cells[piece], (e1 - e0) * (g1 - g0)
                 offset = np.cumsum(rows) - rows
-                cuts = np.flatnonzero(np.diff(bucket) | np.diff(offset // _CHUNK)) + 1
-                firsts = np.append(0, cuts)  # a new bucket, or a new stretch of _CHUNK rows
-                blocks = [(n, parts[lo:hi]) for n, lo, hi in zip(
+                buckets = np.searchsorted(cells, np.arange(n + 1) * B)  # each one's first part
+                stretches = np.searchsorted(offset, np.arange(0, rows.sum(), _CHUNK))
+                firsts = np.union1d(buckets, stretches)  # a new bucket, or a new stretch of
+                firsts = firsts[firsts < len(parts)]  # _CHUNK rows, starts a block
+                blocks = [(total, parts[i:j]) for total, i, j in zip(
                     np.add.reduceat(rows, firsts).tolist(), firsts.tolist(),
                     firsts[1:].tolist() + [len(parts)])]
-                at = np.searchsorted(bucket[firsts], np.arange(r0, r0 + len(plan) + 1)).tolist()
+                at = np.searchsorted(firsts, buckets).tolist()
                 plan = [have + blocks[i:j] for have, i, j in zip(plan, at, at[1:])]
             self.plan += plan
 
@@ -452,29 +425,26 @@ class _Sums:
             words.append(key)
         return words
 
-    def _bucket(self, k, r, out):
-        """(key words, row-number function) per block of bucket r of level k; a
-        generated block is written to `out`, a buffer of 2 * _CHUNK rows, so
-        its key words last until the next block."""
+    def _bucket(self, k, r):
+        """(key words, row-number function) per block of bucket r of level k."""
         rows, goff, _ = self.grouping
         if k == self.k:  # held: one block
             yield self._pack(rows[goff[r]:goff[r + 1]]), lambda hit: self._number(hit + goff[r])
             return
         for size, parts in self.plan[r]:
-            block = self._rows(parts, rows, out[:size])
+            block = self._rows(parts, rows, np.empty((size, rows.shape[1]), rows.dtype))
             yield self._pack(block), lambda hit, parts=parts: self._numbers(parts, hit)
 
-    def _duplicated(self, k, r, t, keys, out):
+    def _duplicated(self, k, r, t, keys):
         """Pass one over bucket r of level k: the sorted first key words held by
-        more than t of its rows, found with the key buffer `keys` (and the
-        block buffer `out` of `_bucket`)."""
+        more than t of its rows, found with the key buffer `keys`."""
         rows, lo = self.grouping[0], 0
         if k > self.k and rows.shape[1] == 1 and rows.dtype == np.uint64:  # a row is its key
             for size, parts in self.plan[r]:
                 self._rows(parts, rows, keys[lo:lo + size, None])
                 lo += size
         else:
-            for words, _ in self._bucket(k, r, out):
+            for words, _ in self._bucket(k, r):
                 keys[lo:lo + len(words[0])] = words[0]
                 lo += len(words[0])
         keys = keys[:lo]
@@ -485,40 +455,24 @@ class _Sums:
             found.append(keys[i + t:j + t][keys[i + t:j + t] == keys[i:j]])
         return np.unique(np.concatenate(found))
 
-    def _hits(self, k, r, dup, out):
-        """Pass two over bucket r of level k: the row numbers and key words of
-        its rows whose first key word is in `dup`, regenerated in `out`."""
-        rows, words = [], []
-        for block, numbers in self._bucket(k, r, out):
-            hit = np.flatnonzero(np.isin(block[0], dup))
-            rows.append(numbers(hit))
-            words.append([w[hit] for w in block])
-        return np.concatenate(rows), [np.concatenate(w) for w in zip(*words)]
-
-    def _scan(self, k, t, live, sizes):
-        """Both passes over the buckets `live` of level k, read in their order:
-        per bucket, `_hits` for the first key words held by more than t rows, or
-        None if there are none; on a thread pool, one task per bucket, if the
-        level holds 2 * _BUCKET_KEYS keys or more."""
+    def _pass_one(self, k, t, live, sizes):
+        """`_duplicated` for the buckets `live` of level k, in their order; on a
+        thread pool if the level holds 2 * _BUCKET_KEYS keys or more."""
         if not live:
             return []
         size = max(sizes[r] for r in live)
         workers = min(_WORKERS, len(live)) if sum(sizes) >= 2 * _BUCKET_KEYS else 1
-        # a key buffer and a block buffer per thread, made by this thread: a pool
-        # thread's own buffers would stay in its malloc arena
-        held = self.grouping[0]
-        buffers = [(np.empty(size, np.uint64), np.empty((2 * _CHUNK, held.shape[1]), held.dtype))
-                   for _ in range(workers)]
+        # made by this thread: a pool thread's own buffer would stay in its malloc arena
+        buffers = [np.empty(size, np.uint64) for _ in range(workers)]
+        if workers == 1:
+            return [self._duplicated(k, r, t, buffers[0]) for r in live]
+        from concurrent.futures import ThreadPoolExecutor  # only here: most runs start no pool
         local = threading.local()
 
         def scan(r):
-            if not hasattr(local, "buffers"):  # each thread takes a pair and keeps it
-                local.buffers = buffers.pop()
-            dup = self._duplicated(k, r, t, *local.buffers)
-            return self._hits(k, r, dup, local.buffers[1]) if len(dup) else None
-        if workers == 1:
-            return [scan(r) for r in live]
-        from concurrent.futures import ThreadPoolExecutor  # only here: most runs start no pool
+            if not hasattr(local, "keys"):  # each thread takes one buffer and keeps it
+                local.keys = buffers.pop()
+            return self._duplicated(k, r, t, local.keys)
         with ThreadPoolExecutor(workers) as pool:
             return list(pool.map(scan, live))
 
@@ -538,10 +492,16 @@ class _Sums:
                 self._plan()
             sizes = [sum(size for size, _ in blocks) for blocks in self.plan]
         live = [r for r, size in enumerate(sizes) if size >= threshold]  # fewer: no `threshold` equal
-        found = [hits for hits in self._scan(k, threshold - 1, live, sizes) if hits is not None]
-        if not found:
+        rows, candidates = [], []
+        for r, dup in zip(live, self._pass_one(k, threshold - 1, live, sizes)):
+            if not len(dup):
+                continue
+            for words, numbers in self._bucket(k, r):  # pass two: rows whose first word is duplicated
+                hit = np.flatnonzero(np.isin(words[0], dup))
+                rows.append(numbers(hit))
+                candidates.append([w[hit] for w in words])
+        if not rows:
             return {}
-        rows, candidates = zip(*found)
         whole = np.stack([np.concatenate(w) for w in zip(*candidates)], axis=1)
         labels = np.unique(whole, axis=0, return_inverse=True)[1].reshape(-1)
         keep = np.bincount(labels)[labels] >= threshold

@@ -4,7 +4,7 @@ import operator
 import random
 import sys
 import threading
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, count
 
 import numpy as np
 import pytest
@@ -427,25 +427,18 @@ POOL_AMBIENTS = {  # collision-rich, so that duplicated sums fall in several top
 
 @pytest.mark.parametrize("ambient", sorted(POOL_AMBIENTS))
 def test_pass_one_threads_do_not_change_the_output(ambient, small_buckets, monkeypatch):
-    """Violations and groups, in order, are the same on 1, 2 and 3 threads,
-    with pass two on several top buckets, run on the pool's threads."""
+    """Violations and groups, in order, are the same on 1, 2 and 3 threads."""
     sample, add = POOL_AMBIENTS[ambient]
     elems = sample(random.Random(ambient))
-    duplicated, hit, scan, hits = [], [], oracle._Sums._duplicated, oracle._Sums._hits
+    duplicated, scan = [], oracle._Sums._duplicated
 
-    def recording(self, k, r, *args):
-        dup = scan(self, k, r, *args)
+    def recording(self, k, r, t, keys):
+        dup = scan(self, k, r, t, keys)
         if k == self.h and len(dup):
             duplicated.append(r)
         return dup
-
-    def recording_hits(self, k, r, *args):
-        if k == self.h:
-            hit.append((r, threading.current_thread()))
-        return hits(self, k, r, *args)
     monkeypatch.setattr(oracle._Sums, "_duplicated", recording)
-    monkeypatch.setattr(oracle._Sums, "_hits", recording_hits)
-    interval, before = sys.getswitchinterval(), threading.active_count()
+    interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # threads switch often: two sharing a key buffer would show
     try:
         for h, g in ((2, 1), (2, 2), (3, 1)):
@@ -453,14 +446,9 @@ def test_pass_one_threads_do_not_change_the_output(ambient, small_buckets, monke
             for workers in (1, 2, 3):
                 monkeypatch.setattr(oracle, "_WORKERS", workers)
                 duplicated.clear()
-                hit.clear()
                 violations, groups = oracle._minimal_violations(elems, h, g, add=add)
                 results.append((violations, list(groups.items())))
                 assert len(set(duplicated)) > 1  # pass two runs on several top buckets
-                assert sorted(r for r, _ in hit) == sorted(duplicated)
-                on_main = {thread is threading.main_thread() for _, thread in hit}
-                assert on_main == {workers == 1}
-                assert threading.active_count() == before
             assert results[0][0] and results[1] == results[0] and results[2] == results[0]
     finally:
         sys.setswitchinterval(interval)
@@ -468,37 +456,22 @@ def test_pass_one_threads_do_not_change_the_output(ambient, small_buckets, monke
 
 @pytest.mark.parametrize("failing_call", [0, 3, 20])
 def test_pass_one_errors_reach_the_caller(failing_call, small_buckets, monkeypatch):
-    """An error in a pool thread, while it generates rows for pass one or
-    regenerates them for pass two, is raised to the caller, and the pool's
+    """An error in a pass-one thread is raised to the caller, and the pool's
     threads are gone when it is."""
     monkeypatch.setattr(oracle, "_WORKERS", 2)
-    rows, hits, stage = oracle._Sums._rows, oracle._Sums._hits, threading.local()
-    calls, raised_on = {}, []
+    calls, rows, raised_on = count(), oracle._Sums._rows, []
 
     def failing(self, *args):
-        now = getattr(stage, "name", "pass one")
-        calls[now] = calls.get(now, -1) + 1
-        if now == failing_stage and calls[now] == failing_call:
+        if next(calls) == failing_call:
             raised_on.append(threading.current_thread())
-            raise MemoryError(f"row generation failed in {now}")
+            raise MemoryError("row generation failed")
         return rows(self, *args)
-
-    def pass_two(self, *args):
-        stage.name = "pass two"
-        try:
-            return hits(self, *args)
-        finally:
-            stage.name = "pass one"
     monkeypatch.setattr(oracle._Sums, "_rows", failing)
-    monkeypatch.setattr(oracle._Sums, "_hits", pass_two)
     before = threading.active_count()
-    for failing_stage in ("pass one", "pass two"):
-        calls.clear()
-        raised_on.clear()
-        with pytest.raises(MemoryError, match=f"row generation failed in {failing_stage}"):
-            oracle.verify_bh(list(range(0, 120, 3)), 2)
-        assert raised_on[0] is not threading.main_thread()
-        assert threading.active_count() == before
+    with pytest.raises(MemoryError, match="row generation failed"):
+        oracle.verify_bh(list(range(0, 120, 3)), 2)
+    assert raised_on[0] is not threading.main_thread()
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------

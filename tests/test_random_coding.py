@@ -106,8 +106,9 @@ def test_choose_t_reads_the_block_length_from_the_law():
 
 
 def test_sampling_rejects_a_law_off_the_bit_blocks():
-    with pytest.raises(InvalidParams):
-        rc.sample_code(rc.SamplingPlan(n=4, dist=from_probs([Fraction(1, 3)] * 3), t=3, seed=0))
+    with pytest.raises(InvalidParams, match="point outside"):
+        rc.sample_code(rc.SamplingPlan(n=4, dist=from_probs([Fraction(1, 3)] * 3), t=3,
+                                       seed=(0, 0)))
 
 
 def test_construct_rejects_no_attempts():
@@ -288,13 +289,15 @@ PINNED_CONSTRUCT = {  # artifacts must not depend on how the oracle enumerates s
 def test_pool_sized_population_is_pinned(monkeypatch):
     # at t = t_exact = 2112 the top level holds 2.2M pair sums: the oracle scans
     # it in buckets on its thread pool (on one thread under `taskset -c 0`),
-    # and both passes run in several buckets; the pins predate the pool's pass two
-    buckets, hits = set(), oracle._Sums._hits
+    # and pass two runs in several buckets; the pins predate the array plan
+    buckets, scan = set(), oracle._Sums._duplicated
 
     def recording(self, k, r, *args):
-        buckets.add((k, r))
-        return hits(self, k, r, *args)
-    monkeypatch.setattr(oracle._Sums, "_hits", recording)
+        dup = scan(self, k, r, *args)
+        if len(dup):
+            buckets.add((k, r))
+        return dup
+    monkeypatch.setattr(oracle._Sums, "_duplicated", recording)
     code, stats = rc.construct(2, 22, seed=1, max_t=2112)
     assert stats.t == stats.t_exact == 2112 and stats.removed == 647
     assert oracle.multiset_count(stats.t, 2) >= 2 * oracle._BUCKET_KEYS
