@@ -177,8 +177,20 @@ def hessian_entry(n, alpha, d) -> float:
     return first + second
 
 
+def _cube_size(n, power):
+    """2^n, for an array of (2^n)^power entries over {0,1}^n, checked before
+    anything is allocated: n >= 0 and the entries within DEFAULT_SUPPORT_CAP."""
+    if n < 0:
+        raise InvalidParams(f"n = {n} must be >= 0")
+    if power * n >= DEFAULT_SUPPORT_CAP.bit_length():  # (2^n)^power > cap
+        raise CapExceeded(f"{2**power}^n entries for n = {n} exceed cap {DEFAULT_SUPPORT_CAP}")
+    return 1 << n
+
+
 def hessian_matrix(n, alpha) -> np.ndarray:
-    size = 1 << n
+    if not alpha >= 0:  # as `renyi`
+        raise InvalidParams(f"alpha must be >= 0, got {alpha}")
+    size = _cube_size(n, 2)
     by_distance = [hessian_entry(n, alpha, d) for d in range(n + 1)]
     mat = np.empty((size, size))
     for x in range(size):
@@ -210,7 +222,9 @@ def quadratic_form_closed(n, alpha, m) -> float:
 
 
 def parity_vector(n, m) -> np.ndarray:
-    size = 1 << n
+    size = _cube_size(n, 1)
+    if not 0 <= m <= n:
+        raise InvalidParams(f"m = {m} outside 0..{n}")
     mask = (1 << m) - 1
     return np.array([(-1.0) ** (x & mask).bit_count() for x in range(size)])
 

@@ -5,10 +5,11 @@ residues under `residue_add(m)`, vectors over Z_q under `vector_mod_add(q)`.
 Sums are reported in the caller's encoding: an int, a residue, a tuple.
 Binary codes (`verify_code_*`, and the random-coding pipeline) enter as one
 (m, n) uint8 bit matrix whose rows are read as radix-(h+1) digits; their sums
-are reported as the words' base-(h+1) encodings (`encode_binary_words`).
+are reported as the words' base-(h+1) integers, first bit most significant.
 
 One numpy engine, `_Sums`, serves every ambient.  An element is a row of
-unsigned ints: the base-2^b digits of its offset from the least element, its
+unsigned ints: its offset from the least element (one uint64 column; integers
+whose h-fold sums span more than 2^64 values raise CapExceeded), its
 residues, or its bits as radix-(h+1) digits packed into uint64 columns (k <= h
 bits sum to at most h, so no digit carries).  Level k (the size-k multisets)
 is level k-1 plus one element per vectorised add, reduced mod q at every
@@ -57,31 +58,6 @@ _MIX = 0x9E3779B97F4A7C15  # odd: multi-word keys lead with sum(column c * _MIX^
 
 # ---------------------------------------------------------------------------
 # element encodings
-
-def encode_binary_words(words, h):
-    """Bit-words -> integers in base h+1 so k<=h word sums add without carry.
-    (The verifiers read bit-words as digit rows instead; see `_digit_rows`.)
-
-    Returns (encoded list, fits_uint64) where fits_uint64 says that sums of
-    two encodings stay below 2^64.  Bits must be 0 or 1 (of any integer
-    type); they are read as Python ints, so numpy bits cannot wrap.  Words
-    must share one length: (1,) and (0, 1) would both encode to 1.
-    """
-    if h < 1:
-        raise InvalidParams(f"h = {h} must be >= 1")
-    base, encoded = h + 1, []
-    n = len(words[0]) if len(words) else 0
-    for w in words:
-        if not {0, 1}.issuperset(w):
-            raise InvalidParams(f"word {w!r} has a bit other than 0/1")
-        if len(w) != n:
-            raise InvalidParams(f"word {w!r} does not have the first word's length {n}")
-        v = 0
-        for bit in bytes(tuple(w)):  # Python ints, whatever integer type the bits had
-            v = v * base + bit
-        encoded.append(v)
-    return encoded, 2 * ((base**n - 1) // h) < 2**64  # two all-ones words
-
 
 @dataclass(frozen=True)
 class ModularAdd:
@@ -138,13 +114,9 @@ def _as_int(x):
 _BIT_WORDS = object()  # the `add=` ambient of a (m, n) 0/1 uint8 matrix of bit-words
 
 
-def _low_bits(rows, B):
-    """Integers: the low log2(B) bits of digit 0 (carries move only multiples of 2^b)."""
-    return (rows[:, 0] & np.uint64(B - 1)).astype(np.intp)
-
-
 def _residue_classes(rows, B):
-    """Residues and vectors: coordinate 0 mod B, a divisor of q."""
+    """Coordinate 0 mod B: an integer's offset (B a power of two, so its low
+    bits), or a residue's or vector's coordinate 0 (B a divisor of q)."""
     return (rows[:, 0] % B).astype(np.intp)
 
 
@@ -175,25 +147,23 @@ def _digit_rows(bits, h):
 
     def value(combo):
         return sum(x * s for i in combo for x, s in zip(rows[i].tolist(), scales))
-    return rows, None, [radix**w for w in widths], None, classes, value
+    return rows, None, [radix**w for w in widths], classes, value
 
 
 def _coordinates(elements, add, h):
-    """(level-1 rows, per-column modulus or None, per-column key radix, digit
-    width b or None, class map (rows, B) -> classes in Z_B that adds like the
-    sums, sum of an index multiset in the caller's encoding)."""
+    """(level-1 rows, per-column modulus or None, per-column key radix, class
+    map (rows, B) -> classes in Z_B that adds like the sums, sum of an index
+    multiset in the caller's encoding)."""
     if add is _BIT_WORDS:
         return _digit_rows(elements, h)
     if add is operator.add:
         values = [_as_int(e) for e in elements]
         lo = min(values, default=0)
         span = h * (max(values, default=0) - lo) + 1  # every k <= h sum offset is below it
-        b = 64 if span <= 2**64 else 64 - h.bit_length()  # so h digits < 2^b fit a uint64
-        limbs = -(-(span - 1).bit_length() // b) or 1
-        rows = np.array([[(v - lo) >> (b * i) & (2**b - 1) for i in range(limbs)]
-                         for v in values], dtype=np.uint64).reshape(-1, limbs)
-        radices = [2**b] * (limbs - 1) + [((span - 1) >> (b * (limbs - 1))) + 1]
-        return rows, None, radices, b, _low_bits, lambda combo: sum(values[i] for i in combo)
+        if span > 2**64:
+            raise CapExceeded(f"the {h}-fold sums of these integers span {span} > 2^64 values")
+        rows = np.array([v - lo for v in values], dtype=np.uint64).reshape(-1, 1)
+        return rows, None, [span], _residue_classes, lambda combo: sum(values[i] for i in combo)
     if not isinstance(add, ModularAdd):
         raise InvalidParams("add must be operator.add, residue_add(m) or vector_mod_add(q)")
     q = _as_int(add.modulus)
@@ -208,7 +178,7 @@ def _coordinates(elements, add, h):
         total = tuple(sum(col) % q for col in zip(*(rows[i] for i in combo)))
         return total if add.vector else total[0]
     arr = np.array(rows, dtype=np.min_scalar_type(2 * q - 2)).reshape(-1, width)
-    return arr, np.full(width, q, arr.dtype), [q] * width, None, _residue_classes, value
+    return arr, np.full(width, q, arr.dtype), [q] * width, _residue_classes, value
 
 
 def _skew(v):
@@ -239,10 +209,9 @@ class _Sums:
     top are held in memory one at a time, in colex order.
 
     A level is scanned in B buckets, by a class in Z_B that adds like the
-    sums: the low log2(B) bits of digit 0 (carries move only multiples of
-    2^b), coordinate 0 mod the largest divisor of q that is at most B, or,
-    for bit-words, sum(2^i d_i) over their low log2(B) radix-(h+1) digits
-    d_i, which never carry.
+    sums: an integer's offset mod B, coordinate 0 mod the largest divisor of q
+    that is at most B, or, for bit-words, sum(2^i d_i) over their low log2(B)
+    radix-(h+1) digits d_i, which never carry.
     Equal sums have equal classes, so each bucket is sorted and scanned for
     duplicates on its own.  A top level below 2 * _BUCKET_KEYS keys is one
     bucket; a larger one has B buckets, B the largest power of two, at most
@@ -268,8 +237,7 @@ class _Sums:
     is grouped)."""
 
     def __init__(self, elements, add, h):
-        first, self.moduli, radices, self.b, self.classes, self.value = _coordinates(
-            elements, add, h)
+        first, self.moduli, radices, self.classes, self.value = _coordinates(elements, add, h)
         self.h, self.m = h, len(first)
         self.ends = [None, np.arange(1, self.m + 1)]
         for _ in range(h - 1):
@@ -413,10 +381,7 @@ class _Sums:
         return self.ends[self.k + 1][j] - self.ends[self.k][j] + self._number(g)
 
     def _pack(self, block):
-        """The uint64 key words of some rows (normalising digit carries in place)."""
-        for i in range(block.shape[1] - 1 if self.b else 0):
-            block[:, i + 1] += block[:, i] >> np.uint64(self.b)
-            block[:, i] &= np.uint64(2**self.b - 1)
+        """The uint64 key words of some rows."""
         words = []
         for (c, _), *rest in self.packing:  # a word's first column has weight 1
             key = block[:, c].astype(np.uint64, copy=bool(rest))
@@ -577,19 +542,19 @@ def _no_common_index(cols, g):
             yield combo
 
 
-def _minimal_violations(elements, h, g, *, add=operator.add, cap=DEFAULT_ENUM_CAP,
-                        per_sum_cap=None):
+def _minimal_violations(elements, h, g, *, add=operator.add, cap=DEFAULT_ENUM_CAP):
     """(minimal violations, k = h groups).
 
     Minimal violations are g+1 distinct equal-sum index multisets with no index
     common to all columns, for every k in 1..h, in lex order; for g = 1 that is a
     disjoint pair.  The k = h groups (sums hit >= g+1 times) are the ones they
-    were read from.  per_sum_cap=None skips the per-sum combination cap."""
+    were read from.  For g > 1, a sum whose multisets have more than
+    DEFAULT_PER_SUM_CAP (g+1)-subsets raises CapExceeded."""
     out, groups, sums = [], {}, _capped_sums(elements, h, add, cap)
     for k in range(1, h + 1):
         groups = sums.groups(k, g + 1)
         for s, cols in groups.items():
-            if per_sum_cap is not None and comb(len(cols), g + 1) > per_sum_cap:
+            if g > 1 and comb(len(cols), g + 1) > DEFAULT_PER_SUM_CAP:
                 raise CapExceeded(f"{len(cols)} multisets share one sum")
             out.extend(Violation(k=k, columns=combo, sum_value=s)
                        for combo in _no_common_index(cols, g))
@@ -602,11 +567,10 @@ def find_minimal_violations(elements, h, *, add=operator.add, cap=DEFAULT_ENUM_C
     return _minimal_violations(elements, h, 1, add=add, cap=cap)[0]
 
 
-def find_minimal_violations_bhg(elements, h, g, *, add=operator.add, cap=DEFAULT_ENUM_CAP,
-                                per_sum_cap=DEFAULT_PER_SUM_CAP):
+def find_minimal_violations_bhg(elements, h, g, *, add=operator.add, cap=DEFAULT_ENUM_CAP):
     """Minimal B_h[g] violations: g+1 distinct equal-sum index multisets with
     no index common to all columns, every k in 1..h, lex order."""
-    return _minimal_violations(elements, h, g, add=add, cap=cap, per_sum_cap=per_sum_cap)[0]
+    return _minimal_violations(elements, h, g, add=add, cap=cap)[0]
 
 
 # convenience wrappers over BinaryCode

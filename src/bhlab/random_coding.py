@@ -29,9 +29,8 @@ from .configurations import (automorphism_count, conf_stats_general,
 from .constructions import _bit_matrix, _first_rows, make_binary_code
 from .entropy import Distribution, bit_points, uniform_bits
 from .errors import Infeasible, InvalidParams
-from .oracle import (_BIT_WORDS, DEFAULT_ENUM_CAP, DEFAULT_PER_SUM_CAP, Violation,
-                     _minimal_violations, find_minimal_violations,
-                     find_minimal_violations_bhg, multiset_count)
+from .oracle import (_BIT_WORDS, DEFAULT_ENUM_CAP, Violation, _minimal_violations,
+                     find_minimal_violations, find_minimal_violations_bhg, multiset_count)
 
 DEFAULT_MAX_T = 10_000
 DEFAULT_ATTEMPTS = 8
@@ -172,11 +171,6 @@ def _sample_bits(plan: SamplingPlan):
     return table[choice].reshape(plan.t, plan.n)
 
 
-def sample_code(plan: SamplingPlan):
-    """`_sample_bits` as a list of t bit-tuples of Python ints."""
-    return list(map(tuple, _sample_bits(plan).tolist()))
-
-
 # ---------------------------------------------------------------------------
 # pruning
 
@@ -206,15 +200,6 @@ def prune(words, h, g=1, cap=DEFAULT_ENUM_CAP):
     else:
         violations = find_minimal_violations_bhg(bits, h, g, add=_BIT_WORDS, cap=cap)
     return _remove_one_per_violation(violations, len(bits))
-
-
-def _prune(bits, h, g, cap):
-    """`prune` on a bit matrix, plus the k = h groups of sums hit more than g
-    times (over the whole population) that its violations were read from."""
-    violations, top_groups = _minimal_violations(
-        bits, h, g, add=_BIT_WORDS, cap=cap,
-        per_sum_cap=None if g == 1 else DEFAULT_PER_SUM_CAP)
-    return (*_remove_one_per_violation(violations, len(bits)), top_groups)
 
 
 def _violation_among(indices, top_groups, h, g):
@@ -271,7 +256,9 @@ def construct(h, n, seed, *, g=1, dist=None,
     t = min(t_exact, max_t)
     for attempt in range(attempts):
         bits = _sample_bits(SamplingPlan(n=n, dist=dist, t=t, seed=(seed, attempt)))
-        kept, by_k, removed, top_groups = _prune(bits, h, g, cap)
+        # as `prune`, keeping the k = h groups (sums hit more than g times) it read
+        violations, top_groups = _minimal_violations(bits, h, g, add=_BIT_WORDS, cap=cap)
+        kept, by_k, removed = _remove_one_per_violation(violations, len(bits))
         kept = np.array(kept, np.intp)
         first_kept = kept[_first_rows(bits[kept])]  # least kept index of each distinct kept word
         if 2 * len(first_kept) < t:

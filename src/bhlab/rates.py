@@ -133,7 +133,8 @@ def rate_bhg(h, g) -> RateReport:
 
 
 def rate_bhg_distribution(h, g, dist) -> RateReport:
-    """Same minimization with per-block probabilities from `dist`."""
+    """Same minimization with per-block probabilities from `dist`; the rate is
+    per n0-bit block, not per bit: `uniform_bits(2)` gives twice `rate_bhg(2, 1)`."""
     if h < 1 or g < 1:
         raise InvalidParams(f"h and g must be >= 1, got h = {h}, g = {g}")
     return _family_report(f"bhg-dist(h={h},g={g})", enumerate_conf_upto(h, g + 1),

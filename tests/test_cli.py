@@ -113,6 +113,9 @@ NAMED_OPTION = {  # argv -> the part of its error message that names the option
     ("entropy", "sidon", "--p", "0", "--alpha", "-1"): "alpha must be >= 0",  # exit 3
     ("simulate", "--h", "2", "--n", "4", "--seed", "-1"): "seed -1",  # a two's-complement key
     ("simulate", "--h", "2", "--n", "4", "--seed", str(2**64)): f"seed {2**64}",  # exit 3
+    ("entropy", "hessian", "--n", "-1"): "n = -1",  # "negative shift count"
+    ("entropy", "hessian", "--alpha", "-1"): "alpha must be >= 0",  # printed a matrix
+    ("entropy", "hessian", "--n", "14"): "n = 14",  # a 2 GB matrix, filled entry by entry
 }
 
 

@@ -246,6 +246,41 @@ def test_hessian_entry_pinned_value():
         ent.hessian_entry(2, 2, 3)
 
 
+class _Unreachable:
+    """Stands in for numpy and `hessian_entry`: any use fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"{name} was reached before the checks")
+
+    def __call__(self, *args):
+        raise AssertionError("an entry was computed before the checks")
+
+
+@pytest.mark.parametrize("name, args, error, names", [
+    ("hessian_matrix", (-1, 2.0), InvalidParams, "n = -1"),  # was "negative shift count"
+    ("hessian_matrix", (2, -1.0), InvalidParams, "alpha"),  # was accepted
+    ("hessian_matrix", (2, math.nan), InvalidParams, "alpha"),
+    ("hessian_matrix", (11, 2.0), CapExceeded, "n = 11"),  # 4^11 entries, 4x the cap
+    ("hessian_matrix", (16, 2.0), CapExceeded, "n = 16"),  # would ask for 32 GB
+    ("parity_vector", (-1, 0), InvalidParams, "n = -1"),
+    ("parity_vector", (3, 4), InvalidParams, "m = 4"),
+    ("parity_vector", (3, -1), InvalidParams, "m = -1"),
+    ("parity_vector", (21, 1), CapExceeded, "n = 21"),
+])
+def test_hypercube_arrays_check_n_before_allocating(name, args, error, names, monkeypatch):
+    monkeypatch.setattr(ent, "np", _Unreachable())
+    monkeypatch.setattr(ent, "hessian_entry", _Unreachable())
+    with pytest.raises(error, match=names):
+        getattr(ent, name)(*args)
+
+
+def test_hypercube_arrays_reach_the_support_cap():
+    # 4^10 Hessian entries and 2^20 parity entries are exactly DEFAULT_SUPPORT_CAP
+    assert ent._cube_size(10, 2) ** 2 == ent._cube_size(20, 1) == ent.DEFAULT_SUPPORT_CAP
+    assert ent.hessian_matrix(0, 2.0).shape == (1, 1)
+    assert ent.parity_vector(3, 0).tolist() == [1.0] * 8
+
+
 def test_hessian_symmetry_and_ones_eigenvector():
     for n in (1, 2, 3, 4):
         mat = ent.hessian_matrix(n, 2.5)

@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 from itertools import combinations, combinations_with_replacement, count
+from math import comb
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from bhlab.constructions import (bose_chowla, field_vectors_to_binary, make_bina
 from bhlab.entropy import uniform_bits
 from bhlab.errors import CapExceeded, InvalidParams
 from bhlab.random_coding import SamplingPlan, _sample_bits, prune
+from helpers import encode_binary_words
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +72,7 @@ def test_encode_binary_words_is_carry_free():
     rng = random.Random(5)
     for h in (2, 3):
         words = list({w for w in random_words(rng, 12, 6)})
-        enc, fits = oracle.encode_binary_words(words, h)
+        enc, fits = encode_binary_words(words, h)
         assert fits
         # multiset word-sums collide exactly when encoded integer sums collide
         for combo1 in combinations_with_replacement(range(len(words)), h):
@@ -84,14 +86,14 @@ def test_encode_binary_words_is_carry_free():
 
 def test_encode_binary_words_uint64_flag():
     ones = [tuple([1] * 40)]
-    assert oracle.encode_binary_words(ones, 2)[1]  # 2*(3^40-1)/2 < 2^64
+    assert encode_binary_words(ones, 2)[1]  # 2*(3^40-1)/2 < 2^64
     ones = [tuple([1] * 41)]
-    assert not oracle.encode_binary_words(ones, 2)[1]
+    assert not encode_binary_words(ones, 2)[1]
 
 
 def test_known_failure_is_the_textbook_violation():
     words = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    enc, _ = oracle.encode_binary_words(words, 2)
+    enc, _ = encode_binary_words(words, 2)
     v = oracle.verify_bh(enc, 2)
     assert v is not None and v.k == 2
     assert v.columns == ((0, 3), (1, 2))  # 00+11 = 01+10
@@ -118,7 +120,7 @@ def test_verdicts_match_reference_on_random_codes(h):
     for trial in range(30):
         m = rng.randint(2, 9)
         words = sorted({tuple(rng.randint(0, 1) for _ in range(4)) for _ in range(m)})
-        enc, _ = oracle.encode_binary_words(words, h)
+        enc, _ = encode_binary_words(words, h)
         for g in (1, 2, 3):
             got = oracle.verify_bhg(enc, h, g)
             assert (got is None) == ref_is_bhg(enc, h, g, int_add)
@@ -207,27 +209,34 @@ def _ints(rng, m, h):
     return [rng.randint(-6, 9) for _ in range(m)]
 
 
-def _big_ints(rng, m, h):  # h-fold sums span more than 2^64: several key words
-    return [rng.randint(0, 2) * 2**70 + rng.randint(0, 3) * 2**40 + rng.randint(0, 2)
-            for _ in range(m)]
-
-
 def _bit_words(rng, m, h):
     words = [tuple(rng.randint(0, 1) for _ in range(4)) for _ in range(m)]
-    return oracle.encode_binary_words(words, h)[0]
+    return encode_binary_words(words, h)[0]
 
 
-def _long_bit_words(rng, m, h):  # 48 bits: (h+1)^47 > 2^64 for every h >= 2
+def _long_bit_words(rng, m, h):  # 48 bits: (h+1)^47 > 2^64 for every h >= 2, two key words
     words = [(rng.randint(0, 1),) * 2 + (1,) * 44 + (rng.randint(0, 1), rng.randint(0, 1))
              for _ in range(m)]
-    return oracle.encode_binary_words(words, h)[0]
+    return np.array(words, np.uint8)
+
+
+def reference_input(elems, add, h):
+    """(elements, add) for the reference: a bit matrix as the words' base-(h+1)
+    integers, whose sums are the ones the oracle reports for it."""
+    if add is oracle._BIT_WORDS:
+        return encode_binary_words(elems.tolist(), h)[0], operator.add
+    return elems, add
+
+
+def pick(elems, indices):
+    """Some elements, of a list or of the rows of a bit matrix."""
+    return elems[indices] if isinstance(elems, np.ndarray) else [elems[i] for i in indices]
 
 
 AMBIENTS = {  # name -> (element sampler, add)
     "ints": (_ints, operator.add),
-    "big-ints": (_big_ints, operator.add),
     "bit-words": (_bit_words, operator.add),
-    "long-bit-words": (_long_bit_words, operator.add),
+    "long-bit-words": (_long_bit_words, oracle._BIT_WORDS),
     "residues": (lambda rng, m, h: [rng.randrange(7) for _ in range(m)], oracle.residue_add(7)),
     "residues-12": (lambda rng, m, h: [rng.randrange(12) for _ in range(m)],
                     oracle.residue_add(12)),  # composite: classes mod 2, 3, 4 or 6
@@ -247,16 +256,18 @@ def test_engine_matches_brute_force_reference(ambient):
     for h in (1, 2, 3, 4):
         for trial in range(4):
             elems = sample(rng, rng.randint(1, 8 if h < 4 else 6), h)
+            ref, ref_add = reference_input(elems, add, h)
             for g in (1, 2, 3, 4):
-                assert oracle.verify_bhg(elems, h, g, add=add) == ref_verify_bhg(elems, h, g, add)
+                assert (oracle.verify_bhg(elems, h, g, add=add)
+                        == ref_verify_bhg(ref, h, g, ref_add))
                 assert (oracle.find_minimal_violations_bhg(elems, h, g, add=add)
-                        == ref_minimal_bhg(elems, h, g, add))
-            assert oracle.verify_bh(elems, h, add=add) == ref_verify_bhg(elems, h, 1, add)
+                        == ref_minimal_bhg(ref, h, g, ref_add))
+            assert oracle.verify_bh(elems, h, add=add) == ref_verify_bhg(ref, h, 1, ref_add)
             assert (oracle.find_minimal_violations(elems, h, add=add)
-                    == ref_minimal_bhg(elems, h, 1, add))
+                    == ref_minimal_bhg(ref, h, 1, ref_add))
             for d in range(h, 2 * h + 2):
                 assert (oracle.verify_bh_sharp(elems, h, d, add=add)
-                        == ref_verify_bh_sharp(elems, h, d, add))
+                        == ref_verify_bh_sharp(ref, h, d, ref_add))
 
 
 LARGER = pytest.mark.parametrize("h, m, sample, add", [
@@ -290,11 +301,12 @@ def test_bucketed_engine_matches_brute_force_reference(ambient, small_buckets):
     sample, add = AMBIENTS[ambient]
     elems = sample(random.Random(1), 8, 2)
     assert oracle._Sums(elems, add, 2).B > 1
-    for elems in ([], elems[:1], elems[:1] * 2):
+    for elems in (pick(elems, []), pick(elems, [0]), pick(elems, [0, 0])):
         for h in (1, 2, 3):
-            assert oracle.verify_bh(elems, h, add=add) == ref_verify_bhg(elems, h, 1, add)
+            ref, ref_add = reference_input(elems, add, h)
+            assert oracle.verify_bh(elems, h, add=add) == ref_verify_bhg(ref, h, 1, ref_add)
             assert (oracle.find_minimal_violations(elems, h, add=add)
-                    == ref_minimal_bhg(elems, h, 1, add))
+                    == ref_minimal_bhg(ref, h, 1, ref_add))
 
 
 @LARGER
@@ -502,24 +514,32 @@ def bit_populations(draw):
 @settings(max_examples=150, deadline=None)
 @given(bit_populations(), st.booleans())
 def test_digit_rows_match_the_base_h_plus_1_integers(population, small_buckets):
-    """Violation lists (order and sum values) and the k = h groups are those
-    of the words' `encode_binary_words` integers."""
+    """Violation lists (order and sum values), the k = h groups and the
+    verdicts are the brute-force reference's over the words' base-(h+1)
+    integers; a sum past the per-sum cap (g > 1) raises CapExceeded."""
     h, g, words = population
     bits = np.array(words, np.uint8).reshape(len(words), -1 if words else 0)
-    encoded = oracle.encode_binary_words(words, h)[0]
+    encoded = encode_binary_words(words, h)[0]
+    levels = [ref_groups(encoded, k, int_add) for k in range(1, h + 1)]
+    capped = g > 1 and any(comb(len(cols), g + 1) > oracle.DEFAULT_PER_SUM_CAP
+                           for level in levels for cols in level.values())
     with pytest.MonkeyPatch.context() as mp:
         if small_buckets:
             mp.setattr(oracle, "_BUCKET_KEYS", 1)
             mp.setattr(oracle, "_CHUNK", 4)
-        violations, groups = oracle._minimal_violations(bits, h, g, add=oracle._BIT_WORDS)
-        expected, expected_groups = oracle._minimal_violations(encoded, h, g)
-        assert violations == expected
-        assert list(groups.items()) == list(expected_groups.items())
+        if capped:
+            with pytest.raises(CapExceeded, match="share one sum"):
+                oracle._minimal_violations(bits, h, g, add=oracle._BIT_WORDS)
+        else:
+            violations, groups = oracle._minimal_violations(bits, h, g, add=oracle._BIT_WORDS)
+            assert violations == ref_minimal_bhg(encoded, h, g, int_add)
+            assert list(groups.items()) == [(s, cols) for s, cols in levels[-1].items()
+                                            if len(cols) > g]
         assert (oracle.verify_bhg(bits, h, g, add=oracle._BIT_WORDS)
-                == oracle.verify_bhg(encoded, h, g))
+                == ref_verify_bhg(encoded, h, g, int_add))
         for d in (h, h + 1, 2 * h):
             assert (oracle.verify_bh_sharp(bits, h, d, add=oracle._BIT_WORDS)
-                    == oracle.verify_bh_sharp(encoded, h, d))
+                    == ref_verify_bh_sharp(encoded, h, d, int_add))
 
 
 def test_h3_bit_word_buckets_are_even():
@@ -549,12 +569,14 @@ def test_misuse_raises_invalid_params():
 def test_numpy_int_bits_do_not_wrap_the_encoding():
     s = power_map(7, 2)
     words = field_vectors_to_binary(s).words
-    enc, _ = oracle.encode_binary_words(words, 2)
-    int8, _ = oracle.encode_binary_words([np.array(w, dtype=np.int8) for w in words], 2)
-    assert int8 == enc
-    assert oracle.verify_bh(int8, 2) is None  # was Violation(k=2, sum=-76)
-    with pytest.raises(InvalidParams):
-        oracle.encode_binary_words([(0, 2, 1)], 2)
+    int8 = [np.array(w, dtype=np.int8) for w in words]
+    code = make_binary_code(int8, h=2)
+    assert code.words == make_binary_code(words, h=2).words
+    assert oracle.verify_code_bh(code, 2) is None  # was Violation(k=2, sum=-76)
+    assert prune(int8, 2) == (list(range(len(words))), {}, 0)
+    for bad in (make_binary_code, lambda words: prune(words, 2)):
+        with pytest.raises(InvalidParams):
+            bad([(0, 2, 1)])
 
 
 def test_words_of_unequal_length_are_rejected():
@@ -562,11 +584,36 @@ def test_words_of_unequal_length_are_rejected():
     # and a pruned word
     words = [(1,), (0, 1), (1, 1)]
     with pytest.raises(InvalidParams):
-        oracle.encode_binary_words(words[:2], 2)
+        prune(words[:2], 2)
     with pytest.raises(InvalidParams):
         prune(words, 2)
     with pytest.raises(InvalidParams):  # was a bare AssertionError
         make_binary_code(words)
+
+
+def test_integer_sums_may_span_at_most_2_64():
+    """An integer is one uint64 offset from the least element: its h-fold
+    sums may span 2^64 values, and no more."""
+    assert oracle.verify_bh([0, 2**63 - 1, 5], 2) is None
+    assert oracle.verify_bh([2**63 - 1, 0, 2**63 - 1], 2) == oracle.Violation(
+        k=2, columns=((0, 0), (0, 2)), sum_value=2**64 - 2)  # the top sum does not wrap
+    with pytest.raises(CapExceeded, match="2-fold sums"):
+        oracle.verify_bh([0, 2**63], 2)
+    with pytest.raises(CapExceeded):
+        oracle.find_minimal_violations([-1, 2**63 - 1], 2)
+
+
+def test_per_sum_cap_applies_exactly_when_g_exceeds_1():
+    """Copies of one element share their k = 1 sum.  At g = 1, all
+    comb(633, 2) = 200,028 disjoint pairs of 633 copies are listed, past
+    DEFAULT_PER_SUM_CAP; at g = 2, 108 copies give comb(108, 3) = 204,156
+    column triples, which raise CapExceeded."""
+    assert comb(633, 2) > oracle.DEFAULT_PER_SUM_CAP and comb(108, 3) > oracle.DEFAULT_PER_SUM_CAP
+    assert len(oracle.find_minimal_violations_bhg([7] * 633, 1, 1)) == comb(633, 2)
+    with pytest.raises(CapExceeded, match="108 multisets share one sum"):
+        oracle.find_minimal_violations_bhg([7] * 108, 1, 2)
+    with pytest.raises(CapExceeded, match="108 multisets share one sum"):
+        oracle._minimal_violations([7] * 108, 1, 2)
 
 
 def test_vector_and_residue_adders():

@@ -16,6 +16,7 @@ from bhlab.cli import parse_dist
 from bhlab.constructions import code_to_text
 from bhlab.entropy import from_probs, uniform_bits
 from bhlab.errors import Infeasible, InvalidParams
+from helpers import encode_binary_words, sample_code
 
 
 def test_sampling_plan_validation():
@@ -35,7 +36,7 @@ def test_expected_violations_matches_exhaustive_average():
     words_space = list(product((0, 1), repeat=n))
     total = 0
     for assignment in product(words_space, repeat=t):
-        enc, _ = oracle.encode_binary_words(list(assignment), h)
+        enc, _ = encode_binary_words(list(assignment), h)
         total += len(oracle.find_minimal_violations(enc, h))
     empirical = Fraction(total, len(words_space) ** t)
     rows = rc._class_weights(h, 1, uniform_bits(1))
@@ -50,7 +51,7 @@ def test_expected_violations_lower_bounds_bhg_count():
     words_space = list(product((0, 1), repeat=n))
     total = 0
     for assignment in product(words_space, repeat=t):
-        enc, _ = oracle.encode_binary_words(list(assignment), h)
+        enc, _ = encode_binary_words(list(assignment), h)
         total += len(oracle.find_minimal_violations_bhg(enc, h, g))
     empirical = Fraction(total, len(words_space) ** t)
     rows = rc._class_weights(h, g, uniform_bits(1))
@@ -107,8 +108,8 @@ def test_choose_t_reads_the_block_length_from_the_law():
 
 def test_sampling_rejects_a_law_off_the_bit_blocks():
     with pytest.raises(InvalidParams, match="point outside"):
-        rc.sample_code(rc.SamplingPlan(n=4, dist=from_probs([Fraction(1, 3)] * 3), t=3,
-                                       seed=(0, 0)))
+        sample_code(rc.SamplingPlan(n=4, dist=from_probs([Fraction(1, 3)] * 3), t=3,
+                                    seed=(0, 0)))
 
 
 def test_construct_rejects_no_attempts():
@@ -118,13 +119,13 @@ def test_construct_rejects_no_attempts():
 
 def test_sample_code_determinism_and_law():
     plan = rc.SamplingPlan(n=8, dist=uniform_bits(1), t=50, seed=(3, 0))
-    w1, w2 = rc.sample_code(plan), rc.sample_code(plan)
+    w1, w2 = sample_code(plan), sample_code(plan)
     assert w1 == w2
     other = rc.SamplingPlan(n=8, dist=uniform_bits(1), t=50, seed=(3, 1))
-    assert rc.sample_code(other) != w1
+    assert sample_code(other) != w1
     # point mass yields t copies of one word
     point = from_probs([0, 1])
-    mono = rc.sample_code(rc.SamplingPlan(n=4, dist=point, t=7, seed=(0, 0)))
+    mono = sample_code(rc.SamplingPlan(n=4, dist=point, t=7, seed=(0, 0)))
     assert mono == [(1, 1, 1, 1)] * 7
 
 
@@ -135,9 +136,9 @@ def _sha256(text):
 def test_sample_code_words_are_pinned():
     # sha256 of repr(words): the sampled words are these exact tuples of Python
     # ints, whatever way the sampler builds them
-    uniform = rc.sample_code(rc.SamplingPlan(n=40, dist=uniform_bits(1), t=3000, seed=(5, 0)))
+    uniform = sample_code(rc.SamplingPlan(n=40, dist=uniform_bits(1), t=3000, seed=(5, 0)))
     law = parse_dist("1/8,1/8,3/8,3/8", 2)
-    blocks = rc.sample_code(rc.SamplingPlan(n=30, dist=law, t=3000, seed=(7, 1)))
+    blocks = sample_code(rc.SamplingPlan(n=30, dist=law, t=3000, seed=(7, 1)))
     assert {type(bit) for word in uniform + blocks for bit in word} == {int}
     assert (_sha256(repr(uniform))
             == "f39abd29b7f958addd9ee18ea12f8fa32e23ba4df1188667a654417b2035a1da")
@@ -165,7 +166,7 @@ def test_seeds_outside_uint64_are_rejected(seed):
 
 def test_sample_code_ones_fraction_within_5_sigma():
     plan = rc.SamplingPlan(n=64, dist=uniform_bits(1), t=1000, seed=(11, 0))
-    words = rc.sample_code(plan)
+    words = sample_code(plan)
     total_bits = 64 * 1000
     ones = sum(sum(w) for w in words)
     sigma = math.sqrt(total_bits) / 2
@@ -175,7 +176,7 @@ def test_sample_code_ones_fraction_within_5_sigma():
 def test_sample_code_blocks():
     dist = uniform_bits(2)
     plan = rc.SamplingPlan(n=6, dist=dist, t=20, seed=(1, 0))
-    words = rc.sample_code(plan)
+    words = sample_code(plan)
     assert all(len(w) == 6 for w in words)
 
 
@@ -184,7 +185,7 @@ def test_prune_removes_the_textbook_violation():
     kept, by_k, removed = rc.prune(words, 2)
     assert removed == 1 and kept == [1, 2, 3]
     assert by_k == {2: 1}
-    enc, _ = oracle.encode_binary_words([words[i] for i in kept], 2)
+    enc, _ = encode_binary_words([words[i] for i in kept], 2)
     assert oracle.verify_bh(enc, 2) is None
 
 
@@ -198,10 +199,10 @@ def test_prune_kills_duplicates_via_k1():
 def test_prune_output_always_passes_oracle():
     for seed in range(4):
         plan = rc.SamplingPlan(n=10, dist=uniform_bits(1), t=60, seed=(seed, 0))
-        words = rc.sample_code(plan)
+        words = sample_code(plan)
         kept, by_k, removed = rc.prune(words, 2)
         assert removed <= sum(by_k.values())
-        enc, _ = oracle.encode_binary_words(sorted({words[i] for i in kept}), 2)
+        enc, _ = encode_binary_words(sorted({words[i] for i in kept}), 2)
         assert oracle.verify_bh(enc, 2) is None
 
 
@@ -333,12 +334,11 @@ def test_construct_derived_verdict_counts_equal_kept_words_once(monkeypatch):
 
 
 def test_construct_and_verify_never_read_words_one_at_a_time(monkeypatch):
-    # the population stays a bit matrix: neither the base-(h+1) Horner loop
-    # nor the per-word bit check runs on the simulate or verify path
+    # the population stays a bit matrix: the per-word bit check does not run
+    # on the simulate or verify path
     def per_word(*args, **kwargs):
         raise AssertionError("a per-word path ran")
 
-    monkeypatch.setattr(oracle, "encode_binary_words", per_word)
     monkeypatch.setattr(constructions, "_bit_word", per_word)
     for h, g, n, t in [(2, 1, 20, 1098), (2, 2, 20, 3067), (3, 1, 20, 217)]:
         code, stats = rc.construct(h, n, seed=7, g=g, max_t=t)
