@@ -19,9 +19,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NotAPrimePower, NotAGenerator, SizeCapExceeded, ZeroTarget
+from .errors import CapExceeded, NotAPrimePower, NotAGenerator, ZeroTarget
 
-DEFAULT_SIZE_CAP = 2**20
+DEFAULT_SIZE_CAP = 2**20  # field order q of `make_field`
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +256,17 @@ class FiniteField:
         return f"FiniteField(p={self.p}, e={self.e}, modulus={self.modulus})"
 
 
+def make_field(q):
+    """Field of order q = p^e with the least monic irreducible modulus;
+    CapExceeded past DEFAULT_SIZE_CAP, checked before the cache is read."""
+    if q > DEFAULT_SIZE_CAP:
+        raise CapExceeded(f"field order {q} exceeds cap {DEFAULT_SIZE_CAP}")
+    return _field(*prime_power_decompose(q))
+
+
 @lru_cache(maxsize=None)
-def _least_irreducible(p, e):
+def _field(p, e):
+    """GF(p^e) modulo the least monic irreducible of degree e."""
     for n in range(p**e):
         coeffs = []
         m = n
@@ -266,41 +275,30 @@ def _least_irreducible(p, e):
             coeffs.append(r)
         f = tuple(coeffs) + (1,)
         if _is_irreducible(f, p):
-            return f
+            return FiniteField(p, e, f)
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
-@lru_cache(maxsize=None)
-def make_field(q, size_cap=DEFAULT_SIZE_CAP):
-    """Field of order q = p^e with the least monic irreducible modulus."""
-    if q > size_cap:
-        raise SizeCapExceeded(f"field order {q} exceeds cap {size_cap}")
-    p, e = prime_power_decompose(q)
-    return FiniteField(p, e, _least_irreducible(p, e))
-
-
-def element_order(a, group_order, factors=None):
+def element_order(a, group_order):
     """Multiplicative order of a nonzero element, given the group order."""
     if a.is_zero():
         raise ZeroDivisionError("zero has no multiplicative order")
-    if factors is None:
-        factors = _factorize(group_order)
     order = group_order
     one = a.field.one()
-    for r in set(factors):
+    for r in set(_factorize(group_order)):
         while order % r == 0 and a ** (order // r) == one:
             order //= r
     return order
 
 
-def find_degree_h_primitive(base_q, h, size_cap=DEFAULT_SIZE_CAP):
+def find_degree_h_primitive(base_q, h):
     """Least element of GF(q^h) generating the full multiplicative group.
 
     Full multiplicative order q^h - 1 forces degree exactly h over GF(q):
     a proper subfield GF(q^k) could only host orders up to q^k - 1.
     """
     q = base_q**h
-    field = make_field(q, size_cap=size_cap)
+    field = make_field(q)
     group_order = q - 1
     factors = set(_factorize(group_order))
     one = field.one()
@@ -346,7 +344,7 @@ def discrete_logs(alpha, targets):
     field = alpha.field
     p, n = field.p, field.order - 1
     if field.order > 2**31:
-        raise SizeCapExceeded(f"discrete logs need field order <= 2^31, got {field.order}")
+        raise CapExceeded(f"discrete logs need field order <= 2^31, got {field.order}")
     if element_order(alpha, n) != n:
         raise NotAGenerator("alpha does not generate the multiplicative group")
     m = min(n, math.isqrt((n - 1) * max(1, len(targets))) + 1)

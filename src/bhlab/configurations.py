@@ -63,8 +63,8 @@ import numpy as np
 
 from .errors import CapExceeded, InvalidParams
 
-DEFAULT_CELL_CAP = 18    # k*l
-DEFAULT_EXACT_CAP = 24   # d(C) for exhaustive p(C)
+DEFAULT_CELL_CAP = 18    # k*l of an enumerated shape
+DEFAULT_EXACT_CAP = 24   # d(C) for exhaustive p(C); d(C)*n0 <= 2x this for a general law
 _WEIGHTS_CACHED = 16384  # (class, law) p(C) weights kept per process; the
                          # shapes with k*l <= 18 have 8774 classes together
 
@@ -179,11 +179,11 @@ def _multiplicity_free(k, l, limit):
     return [Configuration(rows) for rows in level if all(0 in r for r in rows)]
 
 
-def enumerate_conf(k, l, cap=DEFAULT_CELL_CAP, max_vectors=None):
+def enumerate_conf(k, l, max_vectors=None):
     """All configuration classes of shape (k, l) with at most `max_vectors`
     vectors (default k*l), sorted."""
-    if k * l > cap:
-        raise CapExceeded(f"k*l = {k * l} exceeds cap {cap}")
+    if k * l > DEFAULT_CELL_CAP:
+        raise CapExceeded(f"k*l = {k * l} exceeds cap {DEFAULT_CELL_CAP}")
     if k < 1 or l < 2:
         return []
     limit = max_vectors if max_vectors is not None else k * l
@@ -192,33 +192,33 @@ def enumerate_conf(k, l, cap=DEFAULT_CELL_CAP, max_vectors=None):
     return sorted(set(_separable(k, l, limit)) | set(_multiplicity_free(k, l, limit)))
 
 
-def enumerate_conf_upto(h, l, cap=DEFAULT_CELL_CAP):
+def enumerate_conf_upto(h, l):
     out = []
     for k in range(1, h + 1):
-        out.extend(enumerate_conf(k, l, cap=cap))
+        out.extend(enumerate_conf(k, l))
     return sorted(out)
 
 
-def enumerate_sconf(h, l, cap=DEFAULT_CELL_CAP):
+def enumerate_sconf(h, l):
     """Separable classes only: no variable shared between columns.  Read
     from `_separable` per k (Conf(1, l) is cmax(1, l) alone), growing no
     multiplicity-free class."""
-    if h >= 1 and h * l > cap:
-        raise CapExceeded(f"k*l = {h * l} exceeds cap {cap}")
+    if h >= 1 and h * l > DEFAULT_CELL_CAP:
+        raise CapExceeded(f"k*l = {h * l} exceeds cap {DEFAULT_CELL_CAP}")
     return sorted(c for k in range(1, h + 1) if l >= 2
                   for c in ([cmax(1, l)] if k == 1 else _separable(k, l, k * l)))
 
 
-def enumerate_conf_sharp(h, d, cap=DEFAULT_CELL_CAP):
+def enumerate_conf_sharp(h, d):
     """The B_h^#[d] family: for k <= h and L = d - h + k, the classes with
     d(C) >= L + 1 whose every column deletion leaves at most L variables.
 
     A member's columns each hold d(C) - L >= 1 private variables, disjoint
     across columns, so l <= L + 1, and at most k of them, so d(C) <= L + k.
-    Shapes with k*l < L + 1 hold no member; any other with k*l > cap raises
-    CapExceeded before enumeration starts.  A returned family is never empty:
-    with k = max(1, h - d + 1) it holds the L + 1 columns of k copies of one
-    variable each, which is cmax(1, d - h + 2) when d >= h.
+    Shapes with k*l < L + 1 hold no member; any other with k*l > DEFAULT_CELL_CAP
+    raises CapExceeded before enumeration starts.  A returned family is never
+    empty: with k = max(1, h - d + 1) it holds the L + 1 columns of k copies of
+    one variable each, which is cmax(1, d - h + 2) when d >= h.
 
     d < h is accepted here: the definition still reads (only the k with
     L >= 1 contribute), and the pinned d < h families check it on small
@@ -233,13 +233,13 @@ def enumerate_conf_sharp(h, d, cap=DEFAULT_CELL_CAP):
     for k in range(1, h + 1):
         L = d - h + k
         for l in range(max(2, -(-(L + 1) // k)), L + 2):
-            if k * l > cap:
+            if k * l > DEFAULT_CELL_CAP:
                 raise CapExceeded(f"B_h^#[d] shape (k, l) = ({k}, {l}) has "
-                                  f"k*l = {k * l} above cap {cap}")
+                                  f"k*l = {k * l} above cap {DEFAULT_CELL_CAP}")
             shapes.append((k, l, L))
     out = []
     for k, l, L in shapes:
-        out.extend(c for c in enumerate_conf(k, l, cap=cap, max_vectors=L + k)
+        out.extend(c for c in enumerate_conf(k, l, max_vectors=L + k)
                    if c.d > L and all(c.delete_column_distinct(j) <= L for j in range(l)))
     return sorted(out, key=lambda c: (c.k, c.l, c.vectors))
 
@@ -297,10 +297,10 @@ def _coinciding_weight(vectors, support):
     return counts.item()
 
 
-def conf_stats(c: Configuration, cap=DEFAULT_EXACT_CAP) -> ConfStats:
+def conf_stats(c: Configuration) -> ConfStats:
     """Exact p(C) over iid uniform bits: weights (1, 1) over denominator 2."""
-    if c.d > cap:
-        raise CapExceeded(f"d(C) = {c.d} exceeds exact-computation cap {cap}")
+    if c.d > DEFAULT_EXACT_CAP:
+        raise CapExceeded(f"d(C) = {c.d} exceeds exact-computation cap {DEFAULT_EXACT_CAP}")
     count = _coinciding_weight(c.vectors, _UNIFORM_BITS)
     return ConfStats(d=c.d, p=Fraction(count, 2**c.d))
 
@@ -309,7 +309,7 @@ def _as_point(a):
     return a if isinstance(a, tuple) else (a,)
 
 
-def conf_stats_general(c: Configuration, dist, cap=DEFAULT_EXACT_CAP) -> ConfStats:
+def conf_stats_general(c: Configuration, dist) -> ConfStats:
     """p(C) when variables are iid draws from a finitely supported dist.
 
     `dist` is a sequence of (point, probability) pairs; points are integers
@@ -323,7 +323,7 @@ def conf_stats_general(c: Configuration, dist, cap=DEFAULT_EXACT_CAP) -> ConfSta
     """
     support = [(_as_point(a), p) for a, p in dist]
     n0 = len(support[0][0])
-    if c.d * n0 > 2 * cap:
+    if c.d * n0 > 2 * DEFAULT_EXACT_CAP:
         raise CapExceeded(f"d(C)*n0 = {c.d * n0} exceeds cap")
     if not all(isinstance(x, Integral) for a, _ in support for x in a):
         raise InvalidParams("support points must be integers or integer tuples")

@@ -16,7 +16,6 @@ from functools import cached_property
 import numpy as np
 
 from . import algebra
-from .algebra import DEFAULT_SIZE_CAP
 from .errors import (CharacteristicTooSmall, DegenerateModulus, InvalidParams,
                      NonPrimeFieldUnsupported)
 
@@ -125,7 +124,7 @@ def make_binary_code(words, h=None, source="unknown"):
 # ---------------------------------------------------------------------------
 # constructions
 
-def bose_chowla(q, h, size_cap=DEFAULT_SIZE_CAP):
+def bose_chowla(q, h):
     """The B_h-set {d_i} in Z/(q^h-1)Z with alpha^{d_i} = alpha + x_i, x_i in GF(q)."""
     if h < 2:
         raise InvalidParams(f"bose-chowla needs h >= 2, got h = {h} "
@@ -133,18 +132,18 @@ def bose_chowla(q, h, size_cap=DEFAULT_SIZE_CAP):
     m = q**h - 1
     if m < 2:
         raise DegenerateModulus(f"modulus q^h-1 = {m} is degenerate")
-    alpha = algebra.find_degree_h_primitive(q, h, size_cap=size_cap)
+    alpha = algebra.find_degree_h_primitive(q, h)
     targets = [alpha + x for x in algebra.subfield_elements(alpha, q)]
     residues = tuple(sorted(d.representative for d in algebra.discrete_logs(alpha, targets)))
     assert len(residues) == q
     return BhSetResidues(modulus=m, elements=residues, h=h)
 
 
-def power_map(q, h, size_cap=DEFAULT_SIZE_CAP):
+def power_map(q, h):
     """The B_h-set {(x, x^2, ..., x^h) : x in GF(q)}; needs char(GF(q)) > h."""
     if h < 1:
         raise InvalidParams("h must be >= 1")
-    f = algebra.make_field(q, size_cap=size_cap)
+    f = algebra.make_field(q)
     if f.p <= h:
         raise CharacteristicTooSmall(f"characteristic {f.p} <= h = {h}")
     elements = tuple(tuple(x**i for i in range(1, h + 1)) for x in f)

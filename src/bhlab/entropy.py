@@ -11,9 +11,10 @@ preserve total mass.
 Every law of a sum of independent draws comes from one fold, `_fold`: a dense
 array over the lattice box of the sum, one shifted-slice add per support point
 per draw, a leading row axis for many laws per call; exact integer weights on
-an object array for rational laws, float64 otherwise.  The cap bounds that
-array (rows times prod(h * span + 1)), not the support: {0, 2^20} raises
-CapExceeded at h = 2.  Every float Renyi value comes from `_renyi_rows`.
+an object array for rational laws, float64 otherwise.  DEFAULT_SUPPORT_CAP,
+read at each call, bounds that array (rows times prod(h * span + 1)), not the
+support: {0, 2^20} raises CapExceeded at h = 2.  Every float Renyi value comes
+from `_renyi_rows`.
 """
 
 from __future__ import annotations
@@ -28,9 +29,11 @@ import numpy as np
 
 from .errors import CapExceeded, InvalidDistribution, InvalidParams
 
-DEFAULT_SUPPORT_CAP = 2**20
+DEFAULT_SUPPORT_CAP = 2**20  # cells of a fold's array, points of bit_points, hypercube entries
 FLOAT_MASS_TOL = 1e-12
 SHANNON_ALPHA_TOL = 1e-9
+ROOT_TOL = 1e-10  # bracket width at which `critical_alphas` stops bisecting
+WITNESS_TOL = 1e-12  # bracket width at which `perturbation_witness` stops its line search
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +98,7 @@ def from_probs(probs) -> Distribution:
     return make_distribution(list(enumerate(probs)))
 
 
-def _fold(draws, cap=DEFAULT_SUPPORT_CAP):
+def _fold(draws):
     """Law of the sum of independent draws, dense over the lattice box.
 
     Each draw is (points, weights): (s, n0) integer support points and (rows, s)
@@ -104,8 +107,9 @@ def _fold(draws, cap=DEFAULT_SUPPORT_CAP):
     rows, dtype = draws[0][1].shape[0], draws[0][1].dtype
     spans = [(points.max(axis=0) - points.min(axis=0)).tolist() for points, _ in draws]
     cells = rows * math.prod(sum(axis) + 1 for axis in zip(*spans))
-    if cells > cap:
-        raise CapExceeded(f"lattice box of {cells // rows} cells x {rows} row(s) exceeds cap {cap}")
+    if cells > DEFAULT_SUPPORT_CAP:
+        raise CapExceeded(f"lattice box of {cells // rows} cells x {rows} row(s) "
+                          f"exceeds cap {DEFAULT_SUPPORT_CAP}")
     law = np.ones((rows,) + (1,) * len(spans[0]), dtype)
     for (points, weights), span in zip(draws, spans):
         box = law.shape[1:]
@@ -122,16 +126,17 @@ def _fold(draws, cap=DEFAULT_SUPPORT_CAP):
 
 def _renyi_rows(probs, alpha) -> np.ndarray:
     """H_alpha in bits of each law along the last axis of a float array, zero
-    entries carrying no mass; alpha in [0, inf], limit branches at 1 and inf."""
+    entries carrying no mass; alpha in [0, inf], limit branches at 1 and inf.
+    A point mass gives +0.0, not -0.0: adding 0.0 changes no other value."""
     if not alpha >= 0:
         raise InvalidParams("alpha must be >= 0")
     if alpha == 0:
         return np.log2(np.count_nonzero(probs, axis=-1))
     if alpha == math.inf:
-        return -np.log2(probs.max(axis=-1))
+        return -np.log2(probs.max(axis=-1)) + 0.0
     if abs(alpha - 1) <= SHANNON_ALPHA_TOL:
-        return -(probs * np.log2(probs, out=np.zeros_like(probs), where=probs > 0)).sum(axis=-1)
-    return np.log2((probs**alpha).sum(axis=-1)) / (1 - alpha)
+        return -(probs * np.log2(probs, out=np.zeros_like(probs), where=probs > 0)).sum(axis=-1) + 0.0
+    return np.log2((probs**alpha).sum(axis=-1)) / (1 - alpha) + 0.0
 
 
 def renyi(dist: Distribution, alpha) -> float:
@@ -141,13 +146,13 @@ def renyi(dist: Distribution, alpha) -> float:
     if (2 <= alpha < math.inf and alpha == int(alpha)
             and all(isinstance(p, (int, Fraction)) for p in probs)):
         total = sum(Fraction(p) ** int(alpha) for p in probs)
-        return (math.log2(total.numerator) - math.log2(total.denominator)) / (1 - alpha)
+        return (math.log2(total.numerator) - math.log2(total.denominator)) / (1 - alpha) + 0.0
     return float(_renyi_rows(np.array([probs], dtype=float), alpha)[0])
 
 
-def hfold(dist: Distribution, h, cap=DEFAULT_SUPPORT_CAP) -> Distribution:
+def hfold(dist: Distribution, h) -> Distribution:
     """Distribution of the sum of h independent copies; CapExceeded when the
-    lattice box prod(h * span + 1) exceeds `cap`."""
+    lattice box prod(h * span + 1) exceeds DEFAULT_SUPPORT_CAP."""
     if h < 1:
         raise InvalidParams("h must be >= 1")
     probs = dist.probs()
@@ -157,7 +162,7 @@ def hfold(dist: Distribution, h, cap=DEFAULT_SUPPORT_CAP) -> Distribution:
                        dtype=object if exact else float)
     # Python ints: sums of large points must not wrap in int64
     points = np.array([a if isinstance(a, tuple) else (a,) for a in dist.support()], dtype=object)
-    low, law = _fold([(points, weights)] * h, cap)
+    low, law = _fold([(points, weights)] * h)
     sums = (np.indices(law.shape[1:]).reshape(points.shape[1], -1).T + low).tolist()
     masses = [Fraction(w, denom**h) if exact else w for w in law.ravel().tolist()]
     tuples = isinstance(dist.items[0][0], tuple)
@@ -190,13 +195,11 @@ def _cube_size(n, power):
 def hessian_matrix(n, alpha) -> np.ndarray:
     if not alpha >= 0:  # as `renyi`
         raise InvalidParams(f"alpha must be >= 0, got {alpha}")
-    size = _cube_size(n, 2)
-    by_distance = [hessian_entry(n, alpha, d) for d in range(n + 1)]
-    mat = np.empty((size, size))
-    for x in range(size):
-        for y in range(size):
-            mat[x, y] = by_distance[(x ^ y).bit_count()]
-    return mat
+    size = _cube_size(n, 2)  # before numpy is touched
+    x = np.arange(size)
+    by_distance = np.array([hessian_entry(n, alpha, d) for d in range(n + 1)])
+    popcount = np.array([v.bit_count() for v in range(size)])
+    return by_distance[popcount[x[:, None] ^ x]]  # entry (x, y) at distance |x ^ y|
 
 
 def g_alpha(n, alpha, m) -> float:
@@ -237,11 +240,11 @@ def local_max_h(alpha) -> float:
 # ---------------------------------------------------------------------------
 # two-point critical exponents
 
-def _bisect(func, lo, hi, tol=1e-10):
+def _bisect(func, lo, hi):
     flo = func(lo)
     if flo == 0:
         return lo
-    while hi - lo > tol:
+    while hi - lo > ROOT_TOL:
         mid = (lo + hi) / 2
         if (func(mid) > 0) == (flo > 0):
             lo = mid
@@ -250,10 +253,10 @@ def _bisect(func, lo, hi, tol=1e-10):
     return (lo + hi) / 2
 
 
-def critical_alphas(tol=1e-10):
+def critical_alphas():
     """Roots of 2^a*a - 4a + 2 in [1.1, 2] and 2^a - 4a + 2 in [3, 4]."""
-    low = _bisect(lambda a: 2.0**a * a - 4 * a + 2, 1.1, 2.0, tol)
-    high = _bisect(lambda a: 2.0**a - 4 * a + 2, 3.0, 4.0, tol)
+    low = _bisect(lambda a: 2.0**a * a - 4 * a + 2, 1.1, 2.0)
+    high = _bisect(lambda a: 2.0**a - 4 * a + 2, 3.0, 4.0)
     return low, high
 
 
@@ -325,7 +328,7 @@ def uniform_optimality_search(n0, alpha, h, trials, seed) -> SearchReport:
                         counterexample=gap < -1e-12)
 
 
-def perturbation_witness(n, alpha, tol=1e-12):
+def perturbation_witness(n, alpha):
     """Golden-section line search for eps > 0 along the full parity direction
     that increases H_alpha(X+X) over uniform on {0,1}^n (exists for alpha > 2
     and odd n).  Returns (eps, uniform entropy, perturbed entropy)."""
@@ -341,7 +344,7 @@ def perturbation_witness(n, alpha, tol=1e-12):
     a, b = 0.0, 1.0 / size  # keep all coordinates non-negative
     c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = objective(c), objective(d)
-    while b - a > tol:
+    while b - a > WITNESS_TOL:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -385,7 +388,11 @@ def shift_add_C(s, c) -> tuple:
 
 
 def majorized_by(p, q) -> bool:
-    """True iff p is majorized by q: all prefix sums of T(p) are <= T(q)'s."""
+    """True iff p is majorized by q: all prefix sums of T(p) are <= T(q)'s.
+    InvalidParams names the first negative entry, of p and then of q."""
+    bad = next((x for x in chain(p, q) if x < 0), None)
+    if bad is not None:
+        raise InvalidParams(f"negative entry {bad}: majorization needs non-negative sequences")
     tp, tq = rearrange_T(p), rearrange_T(q)
     length = max(len(tp), len(tq))
     run_p = run_q = 0

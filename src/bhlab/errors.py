@@ -9,10 +9,6 @@ class NotAPrimePower(BhLabError):
     pass
 
 
-class SizeCapExceeded(BhLabError):
-    pass
-
-
 class ZeroTarget(BhLabError):
     pass
 

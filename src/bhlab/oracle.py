@@ -47,7 +47,7 @@ import numpy as np
 from .constructions import BinaryCode
 from .errors import CapExceeded, InvalidParams
 
-DEFAULT_ENUM_CAP = 2**26
+DEFAULT_ENUM_CAP = 2**26  # size-h multisets one oracle call may enumerate
 DEFAULT_PER_SUM_CAP = 200_000  # B_h[g] column combinations read from one sum
 _CHUNK = 2**16  # rows per generated block: bounds temporaries, amortises numpy calls
 _BUCKET_KEYS = 2**19  # a large level's buckets hold 1/2-1x this many keys: each sorts in cache
@@ -486,42 +486,43 @@ class _Sums:
 # ---------------------------------------------------------------------------
 # verifiers: return None on pass, a Violation otherwise
 
-def _capped_sums(elements, h, add, cap):
+def _capped_sums(elements, h, add):
+    """The multiset sums of `elements`; CapExceeded past DEFAULT_ENUM_CAP size-h multisets."""
     elements = elements if add is _BIT_WORDS else list(elements)
     if h < 1:
         raise InvalidParams(f"h = {h} must be >= 1")
-    if multiset_count(len(elements), h) > cap:
+    if multiset_count(len(elements), h) > DEFAULT_ENUM_CAP:
         raise CapExceeded(f"{multiset_count(len(elements), h)} size-{h} multisets over "
-                          f"{len(elements)} elements exceeds cap {cap}")
+                          f"{len(elements)} elements exceeds cap {DEFAULT_ENUM_CAP}")
     return _Sums(elements, add, h)
 
 
-def verify_bh(elements, h, *, add=operator.add, cap=DEFAULT_ENUM_CAP):
+def verify_bh(elements, h, *, add=operator.add):
     """Pass iff every size-h multiset sum is hit by exactly one multiset."""
-    return _verify_bhg(elements, h, 1, add, cap)
+    return _verify_bhg(elements, h, 1, add)
 
 
-def verify_bhg(elements, h, g, *, add=operator.add, cap=DEFAULT_ENUM_CAP):
+def verify_bhg(elements, h, g, *, add=operator.add):
     """Pass iff every sum value is hit by at most g multisets."""
     if g < 1:
         raise InvalidParams("g must be >= 1")
-    return _verify_bhg(elements, h, g, add, cap)
+    return _verify_bhg(elements, h, g, add)
 
 
-def _verify_bhg(elements, h, g, add, cap):
-    groups = _capped_sums(elements, h, add, cap).groups(h, g + 1)
+def _verify_bhg(elements, h, g, add):
+    groups = _capped_sums(elements, h, add).groups(h, g + 1)
     if not groups:
         return None
     s, cols = min(groups.items(), key=lambda kv: kv[1][:g + 1])
     return Violation(k=h, columns=tuple(cols[:g + 1]), sum_value=s)
 
 
-def verify_bh_sharp(elements, h, d, *, add=operator.add, cap=DEFAULT_ENUM_CAP):
+def verify_bh_sharp(elements, h, d, *, add=operator.add):
     """Pass iff for every sum, all decompositions use at most d distinct codewords."""
     if d < h:
         raise InvalidParams(f"d = {d} < h = {h}")
     # any sum with support > d is hit by >= 2 multisets, so restrict to duplicates
-    groups = _capped_sums(elements, h, add, cap).groups(h, 2)
+    groups = _capped_sums(elements, h, add).groups(h, 2)
     for s in sorted(groups, key=lambda s: groups[s][:2]):
         if len({i for col in groups[s] for i in col}) > d:
             return Violation(k=h, columns=tuple(groups[s]), sum_value=s)
@@ -542,7 +543,7 @@ def _no_common_index(cols, g):
             yield combo
 
 
-def _minimal_violations(elements, h, g, *, add=operator.add, cap=DEFAULT_ENUM_CAP):
+def _minimal_violations(elements, h, g, *, add=operator.add):
     """(minimal violations, k = h groups).
 
     Minimal violations are g+1 distinct equal-sum index multisets with no index
@@ -550,7 +551,7 @@ def _minimal_violations(elements, h, g, *, add=operator.add, cap=DEFAULT_ENUM_CA
     disjoint pair.  The k = h groups (sums hit >= g+1 times) are the ones they
     were read from.  For g > 1, a sum whose multisets have more than
     DEFAULT_PER_SUM_CAP (g+1)-subsets raises CapExceeded."""
-    out, groups, sums = [], {}, _capped_sums(elements, h, add, cap)
+    out, groups, sums = [], {}, _capped_sums(elements, h, add)
     for k in range(1, h + 1):
         groups = sums.groups(k, g + 1)
         for s, cols in groups.items():
@@ -562,26 +563,26 @@ def _minimal_violations(elements, h, g, *, add=operator.add, cap=DEFAULT_ENUM_CA
     return out, groups
 
 
-def find_minimal_violations(elements, h, *, add=operator.add, cap=DEFAULT_ENUM_CAP):
+def find_minimal_violations(elements, h, *, add=operator.add):
     """All disjoint equal-sum index-multiset pairs, every k in 1..h, lex order."""
-    return _minimal_violations(elements, h, 1, add=add, cap=cap)[0]
+    return _minimal_violations(elements, h, 1, add=add)[0]
 
 
-def find_minimal_violations_bhg(elements, h, g, *, add=operator.add, cap=DEFAULT_ENUM_CAP):
+def find_minimal_violations_bhg(elements, h, g, *, add=operator.add):
     """Minimal B_h[g] violations: g+1 distinct equal-sum index multisets with
     no index common to all columns, every k in 1..h, lex order."""
-    return _minimal_violations(elements, h, g, add=add, cap=cap)[0]
+    return _minimal_violations(elements, h, g, add=add)[0]
 
 
 # convenience wrappers over BinaryCode
 
-def verify_code_bh(code: BinaryCode, h, cap=DEFAULT_ENUM_CAP):
-    return verify_bh(code._bits, h, add=_BIT_WORDS, cap=cap)
+def verify_code_bh(code: BinaryCode, h):
+    return verify_bh(code._bits, h, add=_BIT_WORDS)
 
 
-def verify_code_bhg(code: BinaryCode, h, g, cap=DEFAULT_ENUM_CAP):
-    return verify_bhg(code._bits, h, g, add=_BIT_WORDS, cap=cap)
+def verify_code_bhg(code: BinaryCode, h, g):
+    return verify_bhg(code._bits, h, g, add=_BIT_WORDS)
 
 
-def verify_code_bh_sharp(code: BinaryCode, h, d, cap=DEFAULT_ENUM_CAP):
-    return verify_bh_sharp(code._bits, h, d, add=_BIT_WORDS, cap=cap)
+def verify_code_bh_sharp(code: BinaryCode, h, d):
+    return verify_bh_sharp(code._bits, h, d, add=_BIT_WORDS)

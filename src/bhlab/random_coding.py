@@ -28,11 +28,12 @@ from .configurations import (automorphism_count, conf_stats_general,
                              enumerate_conf_upto)
 from .constructions import _bit_matrix, _first_rows, make_binary_code
 from .entropy import Distribution, bit_points, uniform_bits
+from . import oracle
 from .errors import Infeasible, InvalidParams
-from .oracle import (_BIT_WORDS, DEFAULT_ENUM_CAP, Violation, _minimal_violations,
-                     find_minimal_violations, find_minimal_violations_bhg, multiset_count)
+from .oracle import (_BIT_WORDS, Violation, _minimal_violations, find_minimal_violations,
+                     find_minimal_violations_bhg, multiset_count)
 
-DEFAULT_MAX_T = 10_000
+DEFAULT_MAX_T = 10_000  # largest population `construct` samples unless given max_t
 DEFAULT_ATTEMPTS = 8
 
 
@@ -189,16 +190,16 @@ def _remove_one_per_violation(violations, m):
     return kept, by_k, removed
 
 
-def prune(words, h, g=1, cap=DEFAULT_ENUM_CAP):
+def prune(words, h, g=1):
     """Remove the least index of each still-alive minimal violation, scanning
     violations in lexicographic order; single pass suffices because removals
     never create violations.  Returns (kept index list, violations by k,
     removed count)."""
     bits = _bit_matrix(words)
     if g == 1:
-        violations = find_minimal_violations(bits, h, add=_BIT_WORDS, cap=cap)
+        violations = find_minimal_violations(bits, h, add=_BIT_WORDS)
     else:
-        violations = find_minimal_violations_bhg(bits, h, g, add=_BIT_WORDS, cap=cap)
+        violations = find_minimal_violations_bhg(bits, h, g, add=_BIT_WORDS)
     return _remove_one_per_violation(violations, len(bits))
 
 
@@ -218,26 +219,24 @@ def _violation_among(indices, top_groups, h, g):
 # ---------------------------------------------------------------------------
 # end-to-end construction
 
-def max_verifiable_t(h, cap=DEFAULT_ENUM_CAP, ceiling=DEFAULT_MAX_T):
-    """Largest population, 1 to `ceiling`, whose size-h multiset enumeration
-    fits the cap (1 if none does)."""
-    lo, hi = 1, 2  # multiset_count(lo, h) <= cap, or lo = 1; hi is past the answer
-    while hi <= ceiling and multiset_count(hi, h) <= cap:
+def max_verifiable_t(h):
+    """Largest population, 1 to DEFAULT_MAX_T, whose size-h multiset
+    enumeration fits oracle.DEFAULT_ENUM_CAP (1 if none does)."""
+    lo, hi = 1, 2  # multiset_count(lo, h) fits the enum cap, or lo = 1; hi is past the answer
+    while hi <= DEFAULT_MAX_T and multiset_count(hi, h) <= oracle.DEFAULT_ENUM_CAP:
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if multiset_count(mid, h) <= cap else (lo, mid)
-    return max(1, min(ceiling, lo))
+        lo, hi = (mid, hi) if multiset_count(mid, h) <= oracle.DEFAULT_ENUM_CAP else (lo, mid)
+    return max(1, min(DEFAULT_MAX_T, lo))
 
 
-def construct(h, n, seed, *, g=1, dist=None,
-              attempts=DEFAULT_ATTEMPTS, max_t=None,
-              cap=DEFAULT_ENUM_CAP):
+def construct(h, n, seed, *, g=1, dist=None, attempts=DEFAULT_ATTEMPTS, max_t=None):
     """choose_t -> sample -> prune -> verify; retries with the (seed, attempt)
     substream when the pruned code falls below t/2.  Words are n/n0 blocks
     drawn from `dist` (default: uniform bits), n0 = dist.n0.  The population
-    is clamped to max_t (default: largest the pruning oracle can enumerate
-    within its cap); the exact recommendation is recorded in the stats.
+    is clamped to max_t (default: `max_verifiable_t`, the largest the pruning
+    oracle can enumerate); the exact recommendation is recorded in the stats.
 
     The multiset sums of each population are enumerated once.  The final
     verdict is derived from pruning's k = h duplicate-sum groups, restricted
@@ -249,7 +248,7 @@ def construct(h, n, seed, *, g=1, dist=None,
     _check_seed(seed)
     dist = uniform_bits(1) if dist is None else dist
     if max_t is None:
-        max_t = max_verifiable_t(h, cap=cap)
+        max_t = max_verifiable_t(h)
     t_exact = choose_t(h, n, g=g, dist=dist)
     if t_exact < 1:
         raise Infeasible(f"expected violations exceed t/2 already at t = 1 (h={h}, n={n})")
@@ -257,7 +256,7 @@ def construct(h, n, seed, *, g=1, dist=None,
     for attempt in range(attempts):
         bits = _sample_bits(SamplingPlan(n=n, dist=dist, t=t, seed=(seed, attempt)))
         # as `prune`, keeping the k = h groups (sums hit more than g times) it read
-        violations, top_groups = _minimal_violations(bits, h, g, add=_BIT_WORDS, cap=cap)
+        violations, top_groups = _minimal_violations(bits, h, g, add=_BIT_WORDS)
         kept, by_k, removed = _remove_one_per_violation(violations, len(bits))
         kept = np.array(kept, np.intp)
         first_kept = kept[_first_rows(bits[kept])]  # least kept index of each distinct kept word

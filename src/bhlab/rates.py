@@ -171,11 +171,9 @@ def poltyrev_special_config(h, g) -> SpecialConfigReport:
     p = Fraction(comb(2 * h, h), 2 ** (2 * h + g - 1))
     d = 2 * h - 1 + g
     exponent = 2.0 ** (log2_fraction(p) / (d - 1))
-    cp = cmax_p_closed(h, g)
-    cd = h * (g + 1)
-    c_exponent = 2.0 ** (log2_fraction(cp) / (cd - 1))
     return SpecialConfigReport(h=h, g=g, p=p, d=d, exponent=exponent,
-                               cmax_p=cp, cmax_d=cd, cmax_exponent=c_exponent)
+                               cmax_p=cmax_p_closed(h, g), cmax_d=h * (g + 1),
+                               cmax_exponent=cmax_exponent(h, g))
 
 
 def special_config_configuration(h, g) -> Configuration:

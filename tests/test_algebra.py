@@ -6,7 +6,7 @@ import random
 import pytest
 
 from bhlab import algebra
-from bhlab.errors import NotAGenerator, NotAPrimePower, SizeCapExceeded, ZeroTarget
+from bhlab.errors import CapExceeded, NotAGenerator, NotAPrimePower, ZeroTarget
 
 
 def frobenius_degree(a, base_q):
@@ -53,11 +53,12 @@ def test_prime_power_decompose():
             algebra.prime_power_decompose(bad)
 
 
-def test_field_size_cap():
-    with pytest.raises(SizeCapExceeded):
+def test_field_size_cap(monkeypatch):
+    with pytest.raises(CapExceeded):
         algebra.make_field(2**21)
-    big = algebra.make_field(2**31 + 11, size_cap=2**32)  # int64 discrete logs would wrap
-    with pytest.raises(SizeCapExceeded):
+    monkeypatch.setattr(algebra, "DEFAULT_SIZE_CAP", 2**32)
+    big = algebra.make_field(2**31 + 11)  # int64 discrete logs would wrap
+    with pytest.raises(CapExceeded):
         algebra.discrete_logs(big.from_int(2), [big.one()])
 
 

@@ -116,6 +116,7 @@ NAMED_OPTION = {  # argv -> the part of its error message that names the option
     ("entropy", "hessian", "--n", "-1"): "n = -1",  # "negative shift count"
     ("entropy", "hessian", "--alpha", "-1"): "alpha must be >= 0",  # printed a matrix
     ("entropy", "hessian", "--n", "14"): "n = 14",  # a 2 GB matrix, filled entry by entry
+    ("entropy", "majorize", "--p-seq=1/2,1/2", "--q-seq=2,-1"): "negative entry -1",  # "true"
 }
 
 
@@ -373,6 +374,17 @@ def test_entropy_subcommands(capsys):
 
     code, out, _ = run(capsys, "entropy", "hessian", "--n", "1", "--alpha", "2")
     assert code == 0 and len(out.strip().splitlines()) == 2
+
+
+@pytest.mark.parametrize("alpha", ["0", "0.5", "1", "2", "3", "inf"])
+def test_renyi_of_a_point_mass_prints_positive_zero(capsys, alpha):
+    code, out, _ = run(capsys, "entropy", "renyi", "--dist", "1,0", "--alpha", alpha)
+    assert code == 0 and out == "0.0000000000\n"  # printed -0.0000000000 at 1, 2, 3, inf
+
+
+def test_rate_dist_of_a_point_mass_prints_positive_zero(capsys):
+    code, out, _ = run(capsys, "rate", "dist", "--h", "3", "--dist", "1,0")
+    assert code == 0 and out == "distribution rate 0.000000\n"  # printed -0.000000
 
 
 def test_entropy_majorize_exit_codes(capsys):

@@ -306,12 +306,14 @@ def test_general_statistics_on_awkward_laws():
             assert abs(p - exact) <= 1e-12 * exact
 
 
-def test_general_statistics_cap_is_checked_before_any_state_array():
+def test_general_statistics_cap_is_checked_before_any_state_array(monkeypatch):
     c = conf.cmax(2, 2)  # d = 4; with n0 = 2, d*n0 = 8
     # no array could hold the column differences this support reaches
     far = [((0, 0), Fraction(1, 2)), ((10**18, 10**18), Fraction(1, 2))]
-    with pytest.raises(CapExceeded):
-        conf.conf_stats_general(c, far, cap=3)
+    with monkeypatch.context() as m:
+        m.setattr(conf, "DEFAULT_EXACT_CAP", 3)
+        with pytest.raises(CapExceeded):
+            conf.conf_stats_general(c, far)
     with pytest.raises((ValueError, MemoryError)):
         conf.conf_stats_general(c, far)
 
@@ -549,7 +551,7 @@ def test_float_and_rational_laws_share_a_dp_entry_yet_keep_their_types():
         conf.conf_stats_general(c, [(float(a), p) for a, p in exact])
 
 
-def test_caps_hold_on_a_warm_cache():
+def test_caps_hold_on_a_warm_cache(monkeypatch):
     _cold()
     for _ in ("cold", "warm"):
         classes = conf.enumerate_conf(2, 3)
@@ -557,11 +559,14 @@ def test_caps_hold_on_a_warm_cache():
         c = classes[-1]
         conf.conf_stats(c)
         conf.conf_stats_general(c, PAIRS)
-        with pytest.raises(CapExceeded):
-            conf.enumerate_conf(2, 3, cap=5)
-        with pytest.raises(CapExceeded):
-            conf.enumerate_conf_sharp(2, 3, cap=5)
-        with pytest.raises(CapExceeded):
-            conf.conf_stats(c, cap=c.d - 1)
-        with pytest.raises(CapExceeded):
-            conf.conf_stats_general(c, PAIRS, cap=c.d - 1)
+        with monkeypatch.context() as m:
+            m.setattr(conf, "DEFAULT_CELL_CAP", 5)
+            with pytest.raises(CapExceeded):
+                conf.enumerate_conf(2, 3)
+            with pytest.raises(CapExceeded):
+                conf.enumerate_conf_sharp(2, 3)
+            m.setattr(conf, "DEFAULT_EXACT_CAP", c.d - 1)
+            with pytest.raises(CapExceeded):
+                conf.conf_stats(c)
+            with pytest.raises(CapExceeded):
+                conf.conf_stats_general(c, PAIRS)

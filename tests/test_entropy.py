@@ -85,6 +85,16 @@ def test_renyi_branches_on_a_biased_law():
         ent.renyi(d, -1)
 
 
+@pytest.mark.parametrize("alpha", [0, 0.5, 1, 2, 3, math.inf])
+@pytest.mark.parametrize("probs", [(1,), (Fraction(1), 0), (1.0, 0.0)])
+def test_renyi_of_a_point_mass_is_positive_zero(probs, alpha):
+    # rational laws take the exact branch at alpha = 2, 3; float ones `_renyi_rows`
+    value = ent.renyi(ent.from_probs(probs), alpha)
+    assert value == 0 and math.copysign(1.0, value) == 1.0
+    rows = ent._renyi_rows(np.array([[1.0, 0.0], [0.0, 1.0]]), alpha)
+    assert (rows == 0).all() and (np.copysign(1.0, rows) == 1.0).all()
+
+
 def test_renyi_nonincreasing_in_alpha():
     rng = random.Random(2)
     for _ in range(20):
@@ -148,16 +158,20 @@ def test_hfold_of_a_float_law_matches_the_reference():
         assert all(isinstance(p, float) for p in got.probs())
 
 
-def test_hfold_tuples_and_cap():
+def test_hfold_tuples_and_cap(monkeypatch):
     d = ent.uniform_bits(2)
     s = ent.hfold(d, 2)
     assert sum(s.probs()) == 1
     assert s.support()[0] == (0, 0) and (2, 2) in s.support()
-    with pytest.raises(CapExceeded):
-        ent.hfold(d, 2, cap=3)
-    assert ent.hfold(d, 2, cap=9) == s  # the cap bounds the 3 x 3 box
-    with pytest.raises(CapExceeded):
-        ent.hfold(d, 2, cap=8)
+    with monkeypatch.context() as m:
+        m.setattr(ent, "DEFAULT_SUPPORT_CAP", 3)
+        with pytest.raises(CapExceeded):
+            ent.hfold(d, 2)
+        m.setattr(ent, "DEFAULT_SUPPORT_CAP", 9)
+        assert ent.hfold(d, 2) == s  # the cap bounds the 3 x 3 box
+        m.setattr(ent, "DEFAULT_SUPPORT_CAP", 8)
+        with pytest.raises(CapExceeded):
+            ent.hfold(d, 2)
     wide = ent.make_distribution([(0, Fraction(1, 2)), (2**20, Fraction(1, 2))])
     with pytest.raises(CapExceeded):  # three sums, on a box of 2^21 + 1 cells
         ent.hfold(wide, 2)
@@ -237,6 +251,16 @@ def test_hessian_matches_finite_differences(n, alpha):
     got = ent.hessian_matrix(n, alpha)
     ref = fd_hessian(n, alpha)
     assert np.allclose(got, ref, rtol=1e-6, atol=0)
+
+
+def test_hessian_matrix_matches_the_entrywise_definition():
+    for n in range(5):
+        for alpha in (0, 0.5, 1.2, 2, 3, 3.7):
+            by_distance = [ent.hessian_entry(n, alpha, d) for d in range(n + 1)]
+            ref = np.array([[by_distance[(x ^ y).bit_count()] for y in range(2**n)]
+                            for x in range(2**n)])
+            got = ent.hessian_matrix(n, alpha)
+            assert got.dtype == np.float64 and np.array_equal(got, ref)
 
 
 def test_hessian_entry_pinned_value():
@@ -443,6 +467,14 @@ def test_majorized_by_pinned():
     assert not ent.majorized_by((1, 0), (Fraction(1, 2), Fraction(1, 2)))
     quarter = Fraction(1, 4)
     assert ent.majorized_by((quarter,) * 4, (quarter, Fraction(1, 2), quarter))
+
+
+def test_majorized_by_rejects_a_negative_entry():
+    # majorization is defined on non-negative sequences; this pair printed "true"
+    with pytest.raises(InvalidParams, match="negative entry -1"):
+        ent.majorized_by((Fraction(1, 2), Fraction(1, 2)), (2, -1))
+    with pytest.raises(InvalidParams, match="negative entry -1/3"):  # p's entry comes first
+        ent.majorized_by((Fraction(-1, 3), 1), (2, -1))
 
 
 def random_sequence(rng, max_len=8):

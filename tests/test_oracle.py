@@ -623,13 +623,14 @@ def test_vector_and_residue_adders():
     assert oracle.verify_bh(elems, 2, add=oracle.vector_mod_add(5)) is None
 
 
-def test_invalid_parameters_and_caps():
+def test_invalid_parameters_and_caps(monkeypatch):
     with pytest.raises(InvalidParams):
         oracle.verify_bhg([0, 1], 2, 0)
     with pytest.raises(InvalidParams):
         oracle.verify_bh_sharp([0, 1], 3, 2)
+    monkeypatch.setattr(oracle, "DEFAULT_ENUM_CAP", 100)
     with pytest.raises(CapExceeded):
-        oracle.verify_bh(list(range(100)), 2, cap=100)
+        oracle.verify_bh(list(range(100)), 2)
 
 
 def test_violation_json_shape():

@@ -223,9 +223,11 @@ def _linear_max_verifiable_t(h, cap, ceiling):
 
 @pytest.mark.parametrize("h", [1, 2, 3, 4])
 @pytest.mark.parametrize("cap", [0, 1, 2**10, 2**26])
-def test_max_verifiable_t_matches_the_linear_search(h, cap):
-    assert rc.max_verifiable_t(h, cap) == _linear_max_verifiable_t(h, cap, rc.DEFAULT_MAX_T)
-    t = rc.max_verifiable_t(h, cap, ceiling=math.inf)
+def test_max_verifiable_t_matches_the_linear_search(h, cap, monkeypatch):
+    monkeypatch.setattr(oracle, "DEFAULT_ENUM_CAP", cap)
+    assert rc.max_verifiable_t(h) == _linear_max_verifiable_t(h, cap, rc.DEFAULT_MAX_T)
+    monkeypatch.setattr(rc, "DEFAULT_MAX_T", math.inf)
+    t = rc.max_verifiable_t(h)
     if h == 1 and cap == 2**26:  # 2^26 linear steps: check where that search stops instead
         assert oracle.multiset_count(t, h) <= cap < oracle.multiset_count(t + 1, h)
     else:

@@ -130,6 +130,8 @@ def test_special_config_closed_form_matches_enumeration_at_small_h():
         assert stats.d == report.d == 2 * h - 1 + g
         assert stats.p == report.p
         assert report.cmax_p == conf.cmax_p_closed(h, g)
+        assert report.cmax_exponent == 2.0 ** (rates.log2_fraction(report.cmax_p)
+                                               / (report.cmax_d - 1))
     # at (2,2) the special configuration is one of the seven (2,3) classes
     assert rates.special_config_configuration(2, 2) in conf.enumerate_conf(2, 3)
 
