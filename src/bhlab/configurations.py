@@ -182,10 +182,10 @@ def _multiplicity_free(k, l, limit):
 def enumerate_conf(k, l, max_vectors=None):
     """All configuration classes of shape (k, l) with at most `max_vectors`
     vectors (default k*l), sorted."""
+    if k < 1 or l < 2:  # before the cap: two negative arguments multiply past it
+        return []
     if k * l > DEFAULT_CELL_CAP:
         raise CapExceeded(f"k*l = {k * l} exceeds cap {DEFAULT_CELL_CAP}")
-    if k < 1 or l < 2:
-        return []
     limit = max_vectors if max_vectors is not None else k * l
     if k == 1:  # one symbol per column, distinct columns: all-distinct only
         return [cmax(1, l)] if limit >= l else []

@@ -16,10 +16,15 @@ is level k-1 plus one element per vectorised add, reduced mod q at every
 level and packed into uint64 key words (more than one only when the sums need
 over 64 bits).  A level is scanned in buckets by a sum class (equal sums share
 a class), one bucket at a time and in two passes: pass one sorts the bucket's
-first key words in place and keeps the duplicated values (a key of several
-words leads with a wrapped mix of all its columns, so that word sees every
-digit); pass two regenerates only a bucket that has some and decodes the rows
-holding them, grouped by their whole key.  Blocks of a level hold about
+first key words in place and keeps the values held by threshold or more rows
+(a key of several words leads with a wrapped mix of all its columns, so that
+word sees every digit); pass two regenerates only a bucket that has some and
+decodes the rows holding them, grouped by their whole key.  Pass one keeps
+whole uint64 words at threshold 2 and their low 32 bits, which sort in about
+half the time, at threshold 3 or more: a bucket of a large level holds fewer
+than 2^20 keys, so false 32-bit triples average at most C(2^20, 3) / 2^64,
+about 0.01 per bucket, each costing a pass-two regeneration, never a wrong
+answer (false pairs would average about 32).  Blocks of a level hold about
 _CHUNK rows, planned with array operations over all pairs of sum classes.
 Large levels have half-size buckets and run pass one on a thread pool, one
 thread per CPU in the process's affinity mask (`taskset -c 0` confines it to
@@ -218,10 +223,16 @@ class _Sums:
     m, that leaves _BUCKET_KEYS / 2 or more keys per bucket, so that two
     buckets in flight hold no more keys than one bucket of twice that size.
     A level of 2 * _BUCKET_KEYS keys or more runs pass one (generate, sort in
-    place, keep the duplicated first words) on up to _WORKERS threads, one
-    bucket per task; each thread reuses one key buffer, and when a key is the
-    row's single uint64 column, the rows are generated straight into it.
-    Pass two reads the results in bucket order.  A smaller level, and one
+    place, keep the first words held by threshold or more rows) on up to
+    _WORKERS threads, one bucket per task; each thread reuses one key buffer:
+    uint64 at threshold 2, and at threshold 3 or more uint32, the low 32 bits
+    of word 0, where false triples average at most C(2^20, 3) / 2^64 per
+    bucket (see `_pass_one`).  When a key is the row's single uint64 column,
+    the rows are generated straight into the buffer, at uint32 from uint32
+    copies of the elements and the held level made once per level (not for
+    residues, whose sums are reduced before they are truncated).  Pass two
+    reads the results in bucket order, selects rows by the same width of word
+    0 and groups them by their whole key.  A smaller level, and one
     with a single bucket to scan, starts no thread.  The elements are
     relabelled in class order, and a held level is grouped by class through a
     stable permutation (none for one class or for the elements); the colex
@@ -234,7 +245,8 @@ class _Sums:
     duplicate and is skipped.  The top level is generated a bucket at a time,
     in blocks of fewer than 2 * _CHUNK rows, once per pass.  Peak memory is
     one bucket of keys per thread plus the held level (twice that while it
-    is grouped)."""
+    is grouped, and one and a half times during a uint32 pass one that
+    generates keys directly)."""
 
     def __init__(self, elements, add, h):
         first, self.moduli, radices, self.classes, self.value = _coordinates(elements, add, h)
@@ -265,14 +277,15 @@ class _Sums:
             self.packing.insert(0, [(c, np.uint64(pow(_MIX, c, 2**64)))
                                     for c in range(len(radices))])
 
-    def _rows(self, parts, prev, out):
+    def _rows(self, parts, first, prev, out):
         """Fill `out` with the rows of some parts, an array of rows (e0, e1, g0, g1),
-        of level self.k + 1: elements e0..e1-1, each added to the rows g0..g1-1 of `prev`."""
+        of level self.k + 1: elements e0..e1-1 of `first` (self.first, or a copy
+        of it in the dtype of `out`), each added to the rows g0..g1-1 of `prev`."""
         lo = 0
         for e0, e1, g0, g1 in parts.tolist():
             hi = lo + (e1 - e0) * (g1 - g0)
             part = out[lo:hi]
-            np.add(self.first[e0:e1, None], prev[None, g0:g1],
+            np.add(first[e0:e1, None], prev[None, g0:g1],
                    out=part.reshape(e1 - e0, g1 - g0, -1))
             if self.moduli is not None:  # below the modulus, part - moduli wraps above part
                 np.minimum(part, part - self.moduli, out=part)
@@ -285,7 +298,7 @@ class _Sums:
         parts = np.stack([np.arange(self.m), np.arange(1, self.m + 1), np.zeros_like(last), last],
                          axis=1)
         out = np.empty((self.ends[self.k + 1][-1], self.state.shape[1]), self.state.dtype)
-        self.k, self.state = self.k + 1, self._rows(parts, self.state, out)
+        self.k, self.state = self.k + 1, self._rows(parts, self.first, self.state, out)
         self.grouping = self.plan = None
 
     def _group(self):
@@ -397,16 +410,20 @@ class _Sums:
             yield self._pack(rows[goff[r]:goff[r + 1]]), lambda hit: self._number(hit + goff[r])
             return
         for size, parts in self.plan[r]:
-            block = self._rows(parts, rows, np.empty((size, rows.shape[1]), rows.dtype))
+            out = np.empty((size, rows.shape[1]), rows.dtype)
+            block = self._rows(parts, self.first, rows, out)
             yield self._pack(block), lambda hit, parts=parts: self._numbers(parts, hit)
 
-    def _duplicated(self, k, r, t, keys):
-        """Pass one over bucket r of level k: the sorted first key words held by
-        more than t of its rows, found with the key buffer `keys`."""
-        rows, lo = self.grouping[0], 0
-        if k > self.k and rows.shape[1] == 1 and rows.dtype == np.uint64:  # a row is its key
+    def _duplicated(self, k, r, t, keys, direct):
+        """Pass one over bucket r of level k: the sorted first key words, in the
+        dtype of the key buffer `keys`, held by more than t of its rows.  With
+        `direct` = (elements, held rows) in that dtype, a row is its key and is
+        generated straight into `keys`; otherwise word 0 is packed and, into a
+        uint32 buffer, truncated to its low 32 bits."""
+        lo = 0
+        if direct is not None:
             for size, parts in self.plan[r]:
-                self._rows(parts, rows, keys[lo:lo + size, None])
+                self._rows(parts, *direct, keys[lo:lo + size, None])
                 lo += size
         else:
             for words, _ in self._bucket(k, r):
@@ -422,22 +439,40 @@ class _Sums:
 
     def _pass_one(self, k, t, live, sizes):
         """`_duplicated` for the buckets `live` of level k, in their order; on a
-        thread pool if the level holds 2 * _BUCKET_KEYS keys or more."""
+        thread pool if the level holds 2 * _BUCKET_KEYS keys or more.
+
+        Keys are uint64 at t = 1 and their low 32 bits at t >= 2, where a sort
+        costs about half as much per key.  Keeping every 32-bit value that more
+        than t rows hold still keeps every duplicated key, so pass one stays a
+        superset filter.  A bucket of a large level holds fewer than 2^20 keys
+        (unless m or q limits B), so false 32-bit triples average at most
+        C(2^20, 3) / 2^64, about 0.01 per bucket, and about 2.7 in one bucket
+        of all DEFAULT_ENUM_CAP keys; each costs a pass-two regeneration, never
+        a wrong answer.  False pairs would average about 32 per bucket, and
+        locating them costs more than the narrower sort saves, hence t = 1
+        keeps uint64."""
         if not live:
             return []
+        dtype, held = (np.uint64 if t == 1 else np.uint32), self.grouping[0]
+        direct = None  # a row is its key: the top level of one uint64 column
+        if k > self.k and held.shape[1] == 1 and held.dtype == np.uint64:
+            if t == 1:
+                direct = self.first, held
+            elif self.moduli is None:  # sums mod 2^32 add like the sums; residues do not
+                direct = self.first.astype(dtype), held.astype(dtype)
         size = max(sizes[r] for r in live)
         workers = min(_WORKERS, len(live)) if sum(sizes) >= 2 * _BUCKET_KEYS else 1
         # made by this thread: a pool thread's own buffer would stay in its malloc arena
-        buffers = [np.empty(size, np.uint64) for _ in range(workers)]
+        buffers = [np.empty(size, dtype) for _ in range(workers)]
         if workers == 1:
-            return [self._duplicated(k, r, t, buffers[0]) for r in live]
+            return [self._duplicated(k, r, t, buffers[0], direct) for r in live]
         from concurrent.futures import ThreadPoolExecutor  # only here: most runs start no pool
         local = threading.local()
 
         def scan(r):
             if not hasattr(local, "keys"):  # each thread takes one buffer and keeps it
                 local.keys = buffers.pop()
-            return self._duplicated(k, r, t, local.keys)
+            return self._duplicated(k, r, t, local.keys, direct)
         with ThreadPoolExecutor(workers) as pool:
             return list(pool.map(scan, live))
 
@@ -462,7 +497,7 @@ class _Sums:
             if not len(dup):
                 continue
             for words, numbers in self._bucket(k, r):  # pass two: rows whose first word is duplicated
-                hit = np.flatnonzero(np.isin(words[0], dup))
+                hit = np.flatnonzero(np.isin(words[0].astype(dup.dtype, copy=False), dup))
                 rows.append(numbers(hit))
                 candidates.append([w[hit] for w in words])
         if not rows:

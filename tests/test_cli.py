@@ -242,6 +242,10 @@ def test_configs_enumerate(capsys):
                          "--h", "2", "--d", "2")
     assert code == 0 and "total 4" in err
 
+    for k, l in (("-3", "-7"), ("0", "5")):  # an empty shape, before the cell cap
+        code, out, err = run(capsys, "configs", "enumerate", "--k", k, "--l", l)
+        assert (code, out, err) == (0, "", "total 0\n")
+
 
 def test_rate_formulas(capsys):
     code, out, _ = run(capsys, "rate", "poltyrev", "--h", "2")

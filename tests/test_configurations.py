@@ -226,6 +226,14 @@ def test_sconf_equals_the_separable_part_of_every_family_up_to_12_cells():
     assert conf.enumerate_sconf(0, 5) == [] and conf.enumerate_sconf(3, 1) == []
 
 
+def test_an_empty_shape_has_no_classes_whatever_its_cell_count():
+    # two negative arguments multiply past DEFAULT_CELL_CAP; the shape is still empty
+    for k, l in ((-3, -7), (0, 5), (-1, 30), (4, 1), (-20, -1)):
+        assert conf.enumerate_conf(k, l) == []
+    with pytest.raises(CapExceeded, match="k\\*l = 21"):
+        conf.enumerate_conf(3, 7)
+
+
 def conf_stats_exhaustive(c):
     """Reference p(C): direct sum over all 2^d variable assignments."""
     l, d = c.l, c.d

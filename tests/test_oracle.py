@@ -444,8 +444,8 @@ def test_pass_one_threads_do_not_change_the_output(ambient, small_buckets, monke
     elems = sample(random.Random(ambient))
     duplicated, scan = [], oracle._Sums._duplicated
 
-    def recording(self, k, r, t, keys):
-        dup = scan(self, k, r, t, keys)
+    def recording(self, k, r, *args):
+        dup = scan(self, k, r, *args)
         if k == self.h and len(dup):
             duplicated.append(r)
         return dup
@@ -484,6 +484,54 @@ def test_pass_one_errors_reach_the_caller(failing_call, small_buckets, monkeypat
         oracle.verify_bh(list(range(0, 120, 3)), 2)
     assert raised_on[0] is not threading.main_thread()
     assert threading.active_count() == before
+
+
+Q32 = 2**38 + 5  # > 2^32 and divisible by 3: residues fall in 3 classes, so 3 top buckets
+HIGH_AMBIENTS = {  # name -> (s -> an element with s * 2^32 in it, add)
+    "integers": (lambda s: s << 32, operator.add),
+    "z_q": (lambda s: (Q32 - (s << 32),), oracle.vector_mod_add(Q32)),
+    "z_q^2": (lambda s: (Q32 - (s << 32), 0), oracle.vector_mod_add(Q32)),  # three key words
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("ambient", sorted(HIGH_AMBIENTS))
+def test_32_bit_key_collisions_never_reach_an_answer(ambient, workers, small_buckets,
+                                                     monkeypatch):
+    """At g >= 2 pass one keeps the low 32 bits of each key.  Here every pair
+    sum shares them: s * 2^32 for the integers, and -s * 2^32 mod q, whose
+    sums all wrap, for the residues (low 32 bits q mod 2^32 once reduced, 2q
+    mod 2^32 if they were not).  Every bucket is flagged and answers stay exact."""
+    monkeypatch.setattr(oracle, "_WORKERS", workers)
+    element, add = HIGH_AMBIENTS[ambient]
+    flagged, scan = [], oracle._Sums._duplicated
+
+    def recording(self, k, r, t, *args):
+        dup = scan(self, k, r, t, *args)
+        if k == self.h and t >= 2:
+            flagged.append(len(dup) > 0)
+        return dup
+    monkeypatch.setattr(oracle._Sums, "_duplicated", recording)
+    # Sidon set {0, 1, 3, 7, 12, 20} plus 4, shifted by 1: sums 9, 10 and 26 are
+    # hit twice, none three times
+    elems = [element(s) for s in (1, 2, 4, 5, 8, 13, 21)]
+    assert oracle.verify_bhg(elems, 2, 2, add=add) is None
+    assert flagged and all(flagged)
+    assert oracle.find_minimal_violations_bhg(elems, 2, 2, add=add) == []
+    assert ref_verify_bhg(elems, 2, 1, add) is not None
+    assert oracle.verify_bh(elems, 2, add=add) == ref_verify_bhg(elems, 2, 1, add)
+    for g in (1, 2):
+        assert (oracle.find_minimal_violations_bhg(elems, 2, g, add=add)
+                == ref_minimal_bhg(elems, 2, g, add))
+    elems.append(element(7))  # 1 + 8 = 2 + 7 = 4 + 5
+    violation = oracle.verify_bhg(elems, 2, 2, add=add)
+    assert violation == ref_verify_bhg(elems, 2, 2, add)
+    assert violation.columns == ((0, 4), (1, 7), (2, 3))
+    assert violation.sum_value == add(element(1), element(8))
+    assert (oracle.find_minimal_violations_bhg(elems, 2, 2, add=add)
+            == ref_minimal_bhg(elems, 2, 2, add) == [violation])
+    if ambient != "integers":  # all offsets are 0 mod 2^32: one class, no pool
+        assert oracle._Sums(elems, add, 2).B == 3
 
 
 # ---------------------------------------------------------------------------
