@@ -30,13 +30,14 @@ most L variables, so each column holds d(C) - L >= 1 private variables.  These
 are disjoint, so l <= d(C) / (d(C) - L) <= L + 1, and at most k per column, so
 d(C) <= L + k.
 
-Both p(C) functions share one exact DP (`_coinciding_weight`).  The law
+Both p(C) functions read one exact weight (`_coinciding_weight`).  The law
 becomes integer weights over one common denominator D (uniform bits are
 weights (1, 1) over D = 2), so p(C) = W / D^d, where W sums the weight
-products of the assignments whose l column sums coincide.  The DP state is
-the (l-1)*n0 column differences s_j - s_0, one dense numpy object array of
-Python ints; each vector adds one weighted, shifted slice per support point,
-and the array only spans the differences that can still return to zero.
+products of the assignments whose l column sums coincide.  Vector v moves the
+(l-1)*n0 column differences s_j - s_0 by (v_j - v_0) * x when it draws point
+x, so W is the weight at 0 of a sum of independent draws, one per vector:
+`entropy._fold` at 0, whose boxes span only the differences that can still
+return to zero.
 
 `_coinciding_weight` is memoised per process: it keeps the integer weight W
 per (class vectors, tuple of (point, weight) pairs).  Callers check their
@@ -61,6 +62,7 @@ from numbers import Integral, Rational
 
 import numpy as np
 
+from .entropy import _fold
 from .errors import CapExceeded, InvalidParams
 
 DEFAULT_CELL_CAP = 18    # k*l of an enumerated shape
@@ -264,37 +266,13 @@ def _coinciding_weight(vectors, support):
     ints, integer weight) pairs and an assignment weighs the product of its
     points' weights.  Memoised per (vectors, support).
 
-    After t vectors the difference array spans the box that the first t
-    vectors reach and the remaining ones can still bring back to zero, so
-    the first and the last box are the zero state alone.
-    """
+    Vector v moves the column differences s_j - s_0 by (v_j - v_0) * x for the
+    point x it draws, so the weight is the fold of one draw per vector at 0."""
     l = len(vectors[0])
-    shifts = np.array([[[(v[j] - v[0]) * x for j in range(1, l) for x in point]
+    points = np.array([[[(v[j] - v[0]) * x for j in range(1, l) for x in point]
                         for point, _ in support] for v in vectors], dtype=object)
-    zero = np.zeros((1, shifts.shape[2]), dtype=object)
-    reach_lo = np.concatenate([zero, shifts.min(axis=1).cumsum(axis=0)])
-    reach_hi = np.concatenate([zero, shifts.max(axis=1).cumsum(axis=0)])
-    lo = np.maximum(reach_lo, reach_hi - reach_hi[-1])
-    hi = np.minimum(reach_hi, reach_lo - reach_lo[-1])
-    if (lo > hi).any():
-        return 0  # column sums that can never coincide
-    lo, hi = lo.tolist(), hi.tolist()
-    counts = np.ones((1,) * len(lo[0]), dtype=object)
-    for t, step in enumerate(shifts.tolist()):
-        nxt = np.zeros([b - a + 1 for a, b in zip(lo[t + 1], hi[t + 1])], dtype=object)
-        for shift, (_, weight) in zip(step, support):
-            src, dst = [], []
-            for a, b, s, a1, b1 in zip(lo[t], hi[t], shift, lo[t + 1], hi[t + 1]):
-                start, stop = max(a + s, a1), min(b + s, b1)
-                if start > stop:
-                    break
-                src.append(slice(start - s - a, stop - s - a + 1))
-                dst.append(slice(start - a1, stop - a1 + 1))
-            else:
-                moved = counts[tuple(src)]
-                nxt[tuple(dst)] += moved if weight == 1 else moved * weight
-        counts = nxt
-    return counts.item()
+    weights = np.array([[w for _, w in support]], dtype=object)
+    return _fold(points, weights, at=(0,) * points.shape[2])[1].item()
 
 
 def conf_stats(c: Configuration) -> ConfStats:

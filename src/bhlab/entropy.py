@@ -11,10 +11,13 @@ preserve total mass.
 Every law of a sum of independent draws comes from one fold, `_fold`: a dense
 array over the lattice box of the sum, one shifted-slice add per support point
 per draw, a leading row axis for many laws per call; exact integer weights on
-an object array for rational laws, float64 otherwise.  DEFAULT_SUPPORT_CAP,
-read at each call, bounds that array (rows times prod(h * span + 1)), not the
-support: {0, 2^20} raises CapExceeded at h = 2.  Every float Renyi value comes
-from `_renyi_rows`.
+an object array for rational laws, float64 otherwise.  Its callers are
+`hfold`, `weighted_bit_sum`, the uniform-optimality search and witness, and
+p(C) (`configurations`), which folds one draw per vector at a single point.
+DEFAULT_SUPPORT_CAP, read at each call, bounds the law that `_fold` returns
+(rows times prod(h * span + 1) for a whole law, rows for a single point), not
+the support nor the boxes on the way: {0, 2^20} raises CapExceeded at h = 2.
+Every float Renyi value comes from `_renyi_rows`.
 """
 
 from __future__ import annotations
@@ -98,27 +101,46 @@ def from_probs(probs) -> Distribution:
     return make_distribution(list(enumerate(probs)))
 
 
-def _fold(draws):
+def _fold(points, weights, at=None):
     """Law of the sum of independent draws, dense over the lattice box.
 
-    Each draw is (points, weights): (s, n0) integer support points and (rows, s)
-    weights, one law per row; draws share rows, n0 and dtype.  Returns (low,
-    law), where law[r][i] is row r's weight of the sum low + i."""
-    rows, dtype = draws[0][1].shape[0], draws[0][1].dtype
-    spans = [(points.max(axis=0) - points.min(axis=0)).tolist() for points, _ in draws]
-    cells = rows * math.prod(sum(axis) + 1 for axis in zip(*spans))
+    `points` is a (draws, s, n0) integer array, one row of s support points per
+    draw; `weights` is a (rows, s) array that every draw shares, one law per
+    row.  Returns (low, law), where law[r][i] is row r's weight of the sum
+    low + i.  Each step's box is what the draws so far reach; given `at`, only
+    the sums from which the remaining draws can still reach `at`, so the law
+    returned is the one cell at `at` (zero if no sum reaches it)."""
+    rows, n0 = weights.shape[0], points.shape[2]
+    zero = np.zeros((1, n0), dtype=object)  # Python ints: reaches must not wrap in int64
+    lo = np.concatenate([zero, np.cumsum(points.min(axis=1), axis=0, dtype=object)])
+    hi = np.concatenate([zero, np.cumsum(points.max(axis=1), axis=0, dtype=object)])
+    if at is not None:
+        lo, hi = np.maximum(lo, hi - (hi[-1] - at)), np.minimum(hi, lo - (lo[-1] - at))
+        if (lo > hi).any():
+            return np.array(at, dtype=object), np.zeros((rows,) + (1,) * n0, weights.dtype)
+    low, lo, hi = lo[-1], lo.tolist(), hi.tolist()
+    cells = rows * math.prod(b - a + 1 for a, b in zip(lo[-1], hi[-1]))
     if cells > DEFAULT_SUPPORT_CAP:
         raise CapExceeded(f"lattice box of {cells // rows} cells x {rows} row(s) "
                           f"exceeds cap {DEFAULT_SUPPORT_CAP}")
-    law = np.ones((rows,) + (1,) * len(spans[0]), dtype)
-    for (points, weights), span in zip(draws, spans):
-        box = law.shape[1:]
-        nxt = np.zeros((rows,) + tuple(n + s for n, s in zip(box, span)), dtype)
-        for point, weight in zip((points - points.min(axis=0)).tolist(), weights.T):
-            nxt[(slice(None),) + tuple(slice(a, a + n) for a, n in zip(point, box))] += \
-                law * weight.reshape((rows,) + (1,) * len(box))
+    units = [all(w == 1 for w in column) for column in weights.T.tolist()]  # add, no multiply
+    scales = weights.T.reshape((-1, rows) + (1,) * n0)
+    law = np.ones((rows,) + (1,) * n0, weights.dtype)
+    for t, draw in enumerate(points.tolist()):
+        nxt = np.zeros([rows] + [b - a + 1 for a, b in zip(lo[t + 1], hi[t + 1])], weights.dtype)
+        for point, unit, scale in zip(draw, units, scales):
+            src, dst = [slice(None)], [slice(None)]
+            for a, b, s, a1, b1 in zip(lo[t], hi[t], point, lo[t + 1], hi[t + 1]):
+                start, stop = max(a + s, a1), min(b + s, b1)  # clipped to the next box
+                if start > stop:
+                    break
+                src.append(slice(start - s - a, stop - s - a + 1))
+                dst.append(slice(start - a1, stop - a1 + 1))
+            else:
+                moved = law[tuple(src)]
+                nxt[tuple(dst)] += moved if unit else moved * scale
         law = nxt
-    return sum(points.min(axis=0) for points, _ in draws), law
+    return low, law
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +184,7 @@ def hfold(dist: Distribution, h) -> Distribution:
                        dtype=object if exact else float)
     # Python ints: sums of large points must not wrap in int64
     points = np.array([a if isinstance(a, tuple) else (a,) for a in dist.support()], dtype=object)
-    low, law = _fold([(points, weights)] * h)
+    low, law = _fold(np.broadcast_to(points, (h,) + points.shape), weights)
     sums = (np.indices(law.shape[1:]).reshape(points.shape[1], -1).T + low).tolist()
     masses = [Fraction(w, denom**h) if exact else w for w in law.ravel().tolist()]
     tuples = isinstance(dist.items[0][0], tuple)
@@ -264,7 +286,7 @@ def sidon_two_point(p, alpha):
     """(f(p), f'(1/2), f''(1/2)) for f(p) = p^{2a} + (2p(1-p))^a + (1-p)^{2a}."""
     if not 0 <= p <= 1:
         raise InvalidParams("p must lie in [0, 1]")
-    if alpha < 0:  # as `renyi`; at p = 0 or 1 a zero mass would be raised to a negative power
+    if not alpha >= 0:  # as `renyi`; at p = 0 or 1 a zero mass would be raised to a negative power
         raise InvalidParams(f"alpha must be >= 0, got {alpha}")
     value = p ** (2 * alpha) + (2 * p * (1 - p)) ** alpha + (1 - p) ** (2 * alpha)
     second = -(2.0 ** (3 - 2 * alpha)) * (2.0**alpha - 4 * alpha + 2) * alpha
@@ -289,9 +311,15 @@ class SearchReport:
     sampling_law: str = "dirichlet-uniform-simplex"
 
 
+def _check_seed(seed):
+    """A seed is one uint64 half of a Philox key: an integer, 0 to 2^64 - 1."""
+    if not isinstance(seed, Integral) or not 0 <= seed < 2**64:
+        raise InvalidParams(f"seed {seed!r} is not an integer in 0..2^64-1")
+
+
 def _sum_renyi(points, probs, h, alpha) -> np.ndarray:
     """H_alpha of the h-fold sum of each row of `probs`, a float law on `points`."""
-    law = _fold([(points, probs)] * h)[1]
+    law = _fold(np.broadcast_to(points, (h,) + points.shape), probs)[1]
     return _renyi_rows(law.reshape(len(probs), -1), alpha)
 
 
@@ -299,7 +327,9 @@ def uniform_optimality_search(n0, alpha, h, trials, seed) -> SearchReport:
     """Dirichlet-uniform random distributions plus parity perturbations of
     uniform; reports the best H_alpha(h-fold sum) found against uniform's.
     Trials are drawn and folded in chunks of DEFAULT_SUPPORT_CAP // (h+1)^n0
-    rows, the stream of one draw at a time."""
+    rows, the stream of one draw at a time; `seed` is the Philox key, an
+    integer in 0..2^64-1 as for `random_coding.construct`."""
+    _check_seed(seed)
     if trials < 0:
         raise InvalidParams(f"trials must be >= 0, got {trials}")
     if h < 1:
@@ -411,5 +441,6 @@ def weighted_bit_sum(coeffs) -> tuple:
         raise InvalidParams(f"coefficients must be positive integers, got {coeffs}")
     if not coeffs:
         return (Fraction(1),)
-    law = _fold([(np.array([[0], [c]]), np.ones((1, 2), dtype=object)) for c in coeffs])[1]
+    points = np.array([[[0], [c]] for c in coeffs], dtype=object)
+    law = _fold(points, np.ones((1, 2), dtype=object))[1]
     return tuple(Fraction(w, 2 ** len(coeffs)) for w in law[0].tolist())

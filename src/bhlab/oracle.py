@@ -586,6 +586,8 @@ def _minimal_violations(elements, h, g, *, add=operator.add):
     disjoint pair.  The k = h groups (sums hit >= g+1 times) are the ones they
     were read from.  For g > 1, a sum whose multisets have more than
     DEFAULT_PER_SUM_CAP (g+1)-subsets raises CapExceeded."""
+    if g < 1:  # threshold g + 1 = 1 would group every sum
+        raise InvalidParams("g must be >= 1")
     out, groups, sums = [], {}, _capped_sums(elements, h, add)
     for k in range(1, h + 1):
         groups = sums.groups(k, g + 1)

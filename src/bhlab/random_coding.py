@@ -20,14 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral
 
 import numpy as np
 
 from .configurations import (automorphism_count, conf_stats_general,
                              enumerate_conf_upto)
 from .constructions import _bit_matrix, _first_rows, make_binary_code
-from .entropy import Distribution, bit_points, uniform_bits
+from .entropy import Distribution, _check_seed, bit_points, uniform_bits
 from . import oracle
 from .errors import Infeasible, InvalidParams
 from .oracle import (_BIT_WORDS, Violation, _minimal_violations, find_minimal_violations,
@@ -35,12 +34,6 @@ from .oracle import (_BIT_WORDS, Violation, _minimal_violations, find_minimal_vi
 
 DEFAULT_MAX_T = 10_000  # largest population `construct` samples unless given max_t
 DEFAULT_ATTEMPTS = 8
-
-
-def _check_seed(seed):
-    """A seed is one uint64 half of the Philox key: an integer, 0 to 2^64 - 1."""
-    if not isinstance(seed, Integral) or not 0 <= seed < 2**64:
-        raise InvalidParams(f"seed {seed!r} is not an integer in 0..2^64-1")
 
 
 @dataclass(frozen=True)

@@ -134,11 +134,14 @@ def rate_bhg(h, g) -> RateReport:
 
 def rate_bhg_distribution(h, g, dist) -> RateReport:
     """Same minimization with per-block probabilities from `dist`; the rate is
-    per n0-bit block, not per bit: `uniform_bits(2)` gives twice `rate_bhg(2, 1)`."""
+    per n0-bit block, not per bit: `uniform_bits(2)` gives twice `rate_bhg(2, 1)`.
+    A float probability is read as the binary fraction it holds, so the table,
+    argmin and ties stay exact."""
     if h < 1 or g < 1:
         raise InvalidParams(f"h and g must be >= 1, got h = {h}, g = {g}")
+    exact = tuple((a, Fraction(p)) for a, p in dist.items)
     return _family_report(f"bhg-dist(h={h},g={g})", enumerate_conf_upto(h, g + 1),
-                          stats_fn=lambda c: conf_stats_general(c, dist.items))
+                          stats_fn=lambda c: conf_stats_general(c, exact))
 
 
 def rate_bh_sharp(h, d) -> RateReport:

@@ -111,6 +111,9 @@ NAMED_OPTION = {  # argv -> the part of its error message that names the option
     ("rate", "bhg", "--h", "2", "--g", "0"): "g = 0",
     ("configs", "enumerate", "--sharp", "--h", "3", "--d", "2"): "d = 2",  # printed 4 classes
     ("entropy", "sidon", "--p", "0", "--alpha", "-1"): "alpha must be >= 0",  # exit 3
+    ("entropy", "sidon", "--alpha", "nan"): "alpha must be >= 0",  # printed f=nan, exit 0
+    ("entropy", "search", "--seed", "-1"): "seed -1",  # numpy's "key must be positive ..."
+    ("entropy", "search", "--seed", str(2**64)): f"seed {2**64}",  # a key past uint64, exit 0
     ("simulate", "--h", "2", "--n", "4", "--seed", "-1"): "seed -1",  # a two's-complement key
     ("simulate", "--h", "2", "--n", "4", "--seed", str(2**64)): f"seed {2**64}",  # exit 3
     ("entropy", "hessian", "--n", "-1"): "n = -1",  # "negative shift count"

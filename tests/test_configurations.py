@@ -11,6 +11,7 @@ import pytest
 
 from bhlab import configurations as conf
 from bhlab import rates
+from bhlab.entropy import uniform_bits
 from bhlab.errors import CapExceeded, InvalidParams
 
 PARTITION_NUMBERS = {1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11}
@@ -334,6 +335,14 @@ def test_cmax_and_closed_form_probability():
     assert conf.cmax_p_closed(2, 1) == Fraction(3, 8)
     assert conf.cmax_p_closed(1, 5) == Fraction(1, 32)
     assert conf.cmax_p_closed(2, 2) == Fraction(5, 32)
+
+
+def test_general_law_at_its_largest_middle_box():
+    # uniform 3-bit blocks are three independent bits, so p is p(cmax(4, 4))^3; its
+    # fold passes 1,953,125 cells, above DEFAULT_SUPPORT_CAP, which bounds only the law
+    # returned (one cell here), not every step's box
+    stats = conf.conf_stats_general(conf.cmax(4, 4), uniform_bits(3).items)
+    assert stats.p == conf.cmax_p_closed(4, 3) ** 3
 
 
 def test_cmax_and_one_symbol_columns_need_no_search():

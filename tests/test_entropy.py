@@ -177,6 +177,44 @@ def test_hfold_tuples_and_cap(monkeypatch):
         ent.hfold(wide, 2)
 
 
+def fold_reference(points, weights):
+    """{sum: row weights} of `_fold`'s draws, over every choice of one point per draw."""
+    out = {}
+    for choice in product(range(points.shape[1]), repeat=points.shape[0]):
+        total = tuple(sum(points[t, i, x] for t, i in enumerate(choice))
+                      for x in range(points.shape[2]))
+        mass = [math.prod(row[i] for i in choice) for row in weights.tolist()]
+        out[total] = [a + b for a, b in zip(out.get(total, [0] * len(mass)), mass)]
+    return out
+
+
+def test_fold_at_a_point_is_the_unpruned_fold_there():
+    rng = random.Random(19)
+    for _ in range(40):
+        draws, s, n0, rows = (rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 2),
+                              rng.randint(1, 3))
+        points = np.array([[[rng.randint(-4, 3) for _ in range(n0)] for _ in range(s)]
+                           for _ in range(draws)], dtype=object)
+        weights = np.array([[rng.choice((0, 1, 1, 2, 5)) for _ in range(s)]
+                            for _ in range(rows)], dtype=object)
+        low, law = ent._fold(points, weights)
+        reference = fold_reference(points, weights)
+        for index in np.ndindex(law.shape[1:]):
+            total = tuple(int(a + i) for a, i in zip(low, index))
+            assert law[(slice(None),) + index].tolist() == reference.get(total, [0] * rows)
+        for _ in range(6):  # inside the box, or past it on some axis: no sum reaches it
+            at = tuple(rng.randint(-4 * draws - 2, 3 * draws + 2) for _ in range(n0))
+            at_low, cell = ent._fold(points, weights, at=at)
+            assert tuple(at_low) == at and cell.shape == (rows,) + (1,) * n0
+            assert cell.ravel().tolist() == reference.get(at, [0] * rows)
+    # an `at` inside the box that no sum reaches: two draws of even points
+    points = np.array([[[0], [2]]] * 2, dtype=object)
+    for weights in (np.array([[1, 1]], dtype=object), np.array([[0.5, 0.5], [0.25, 0.75]])):
+        assert ent._fold(points, weights, at=(1,))[1].ravel().tolist() == [0] * len(weights)
+        assert ent._fold(points, weights, at=(2,))[1].ravel().tolist() == \
+            (2 * weights[:, 0] * weights[:, 1]).tolist()
+
+
 # ---------------------------------------------------------------------------
 # Hessian analysis
 

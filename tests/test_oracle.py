@@ -614,6 +614,17 @@ def test_misuse_raises_invalid_params():
         oracle.verify_bh([(0, 1), (1,)], 2, add=oracle.vector_mod_add(3))
 
 
+def test_pruning_rejects_g_below_1_before_enumerating(monkeypatch):
+    # threshold g + 1 = 1 grouped every sum: 2000 integers took 33 s and 1.1 GB at
+    # g = 0 and returned [], and prune kept both copies of (0, 0)
+    monkeypatch.setattr(oracle, "_capped_sums", lambda *args: pytest.fail("enumerated"))
+    for g in (0, -1):
+        with pytest.raises(InvalidParams, match="g must be >= 1"):
+            oracle.find_minimal_violations_bhg(list(range(2000)), 2, g)
+        with pytest.raises(InvalidParams, match="g must be >= 1"):
+            prune([(0, 0), (0, 0), (1, 1)], 2, g=g)
+
+
 def test_numpy_int_bits_do_not_wrap_the_encoding():
     s = power_map(7, 2)
     words = field_vectors_to_binary(s).words

@@ -99,6 +99,15 @@ def test_bhg_distribution_report_reduces_to_uniform():
     assert u.argmin == rates.rate_bhg(2, 1).argmin
 
 
+def test_bhg_distribution_reads_a_float_law_as_its_binary_fractions():
+    # a float law raised AttributeError: 'float' object has no attribute 'numerator'
+    as_float = rates.rate_bhg_distribution(2, 1, from_probs([0.25, 0.75]))
+    exact = rates.rate_bhg_distribution(2, 1, from_probs([Fraction(1, 4), Fraction(3, 4)]))
+    assert as_float.to_json() == exact.to_json()
+    report = rates.rate_bhg_distribution(2, 1, from_probs([0.1, 0.9]))
+    assert report.table and all(type(r.p) is Fraction for r in report.table)
+
+
 @pytest.mark.parametrize("h,g", [(0, 1), (2, 0), (-1, 2)])
 def test_bhg_distribution_rejects_h_or_g_below_1_naming_both(h, g):
     # it used to raise EmptyFamily, "no configurations to optimize over"
