@@ -214,6 +214,15 @@ def _pad(coeffs, e):
     return tuple(coeffs) + (0,) * (e - len(coeffs))
 
 
+def _digits(n, p, e):
+    """The e base-p digits of n, least significant first."""
+    digits = []
+    for _ in range(e):
+        n, r = divmod(n, p)
+        digits.append(r)
+    return tuple(digits)
+
+
 class FiniteField:
     """GF(p^e) with a deterministically chosen irreducible modulus."""
 
@@ -235,11 +244,7 @@ class FiniteField:
 
     def from_int(self, n):
         """Inverse of FieldElement.to_int."""
-        coeffs = []
-        for _ in range(self.e):
-            n, r = divmod(n, self.p)
-            coeffs.append(r)
-        return FieldElement(self, tuple(coeffs))
+        return FieldElement(self, _digits(n, self.p, self.e))
 
     def zero(self):
         return self.element(())
@@ -268,12 +273,7 @@ def make_field(q):
 def _field(p, e):
     """GF(p^e) modulo the least monic irreducible of degree e."""
     for n in range(p**e):
-        coeffs = []
-        m = n
-        for _ in range(e):
-            m, r = divmod(m, p)
-            coeffs.append(r)
-        f = tuple(coeffs) + (1,)
+        f = _digits(n, p, e) + (1,)
         if _is_irreducible(f, p):
             return FiniteField(p, e, f)
     raise AssertionError("no irreducible polynomial found")  # unreachable

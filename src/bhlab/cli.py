@@ -243,8 +243,17 @@ def _cmd_entropy(args, argv):
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that reports a usage error as the CLI reports every
+    other one: one "error:" line, exit 2.  `add_subparsers` builds each
+    subparser from this class too."""
+
+    def error(self, message):
+        self.exit(2, f"error: {self.prog}: {message} (see {self.prog} -h)\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="bhlab")
+    parser = _Parser(prog="bhlab")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -266,8 +275,9 @@ def build_parser():
     p.add_argument("action", choices=["enumerate"])
     p.add_argument("--k", type=int)
     p.add_argument("--l", type=int)
-    p.add_argument("--sconf", action="store_true")
-    p.add_argument("--sharp", action="store_true")
+    family = p.add_mutually_exclusive_group()
+    family.add_argument("--sconf", action="store_true")
+    family.add_argument("--sharp", action="store_true")
     p.add_argument("--h", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--json", action="store_true")

@@ -58,12 +58,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 from math import comb, factorial, lcm, prod
-from numbers import Integral, Rational
 
 import numpy as np
 
-from .entropy import _fold
-from .errors import CapExceeded, InvalidParams
+from .entropy import FLOAT_MASS_TOL, _as_fraction, _as_point, _check_points, _exact, _fold
+from .errors import CapExceeded, InvalidDistribution, InvalidParams
 
 DEFAULT_CELL_CAP = 18    # k*l of an enumerated shape
 DEFAULT_EXACT_CAP = 24   # d(C) for exhaustive p(C); d(C)*n0 <= 2x this for a general law
@@ -283,35 +282,33 @@ def conf_stats(c: Configuration) -> ConfStats:
     return ConfStats(d=c.d, p=Fraction(count, 2**c.d))
 
 
-def _as_point(a):
-    return a if isinstance(a, tuple) else (a,)
-
-
 def conf_stats_general(c: Configuration, dist) -> ConfStats:
     """p(C) when variables are iid draws from a finitely supported dist.
 
-    `dist` is a sequence of (point, probability) pairs; points are integers
-    or integer tuples, probabilities rational or float.  Equivalence stays
-    the combinatorial one; only p(C) depends on the distribution.
+    `dist` is a sequence of (point, probability) pairs; points are all
+    integers or all integer tuples of one length, probabilities rational or
+    float, non-negative, with a total within FLOAT_MASS_TOL of 1 (else
+    InvalidDistribution).  Equivalence stays the combinatorial one; only
+    p(C) depends on the distribution.
 
     Probabilities become integer weights over their common denominator D
     and p = (weight at the zero state) / D^d exactly; zero-mass points are
     dropped.  A float probability is read as the exact binary fraction it
     holds, and then p is that exact value rounded once to a float.
     """
-    support = [(_as_point(a), p) for a, p in dist]
-    n0 = len(support[0][0])
+    dist = list(dist)
+    _check_points([a for a, _ in dist])
+    exact = [_as_fraction(p) for _, p in dist]
+    if any(q < 0 for q in exact) or not abs(sum(exact) - 1) <= FLOAT_MASS_TOL:
+        raise InvalidDistribution(f"masses must be >= 0 with total 1, got total {float(sum(exact))}")
+    n0 = len(_as_point(dist[0][0]))
     if c.d * n0 > 2 * DEFAULT_EXACT_CAP:
         raise CapExceeded(f"d(C)*n0 = {c.d * n0} exceeds cap")
-    if not all(isinstance(x, Integral) for a, _ in support for x in a):
-        raise InvalidParams("support points must be integers or integer tuples")
-    rational = [isinstance(p, Rational) for _, p in support]
-    exact = [Fraction(p if r else float(p)) for (_, p), r in zip(support, rational)]
     denom = lcm(*(q.denominator for q in exact))
-    weighted = tuple((tuple(map(int, a)), q.numerator * (denom // q.denominator))
-                     for (a, _), q in zip(support, exact) if q)
-    p = Fraction(_coinciding_weight(c.vectors, weighted) if weighted else 0, denom**c.d)
-    return ConfStats(d=c.d, p=p if all(rational) else float(p))
+    weighted = tuple((tuple(map(int, _as_point(a))), q.numerator * (denom // q.denominator))
+                     for (a, _), q in zip(dist, exact) if q)
+    p = Fraction(_coinciding_weight(c.vectors, weighted), denom**c.d)
+    return ConfStats(d=c.d, p=p if all(_exact(q) for _, q in dist) else float(p))
 
 
 def cmax_p_closed(d, g) -> Fraction:

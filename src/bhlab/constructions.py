@@ -153,8 +153,13 @@ def power_map(q, h):
 # ---------------------------------------------------------------------------
 # binary embeddings
 
-def _to_bits(value, width):
-    return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
+def _binary_rows(values, width):
+    """The (m, c * width) bit matrix of an (m, c) table of non-negative ints,
+    each value big-endian in `width` bits.  Python ints throughout, so a value
+    of 64 bits or more embeds."""
+    values = np.array(values, dtype=object).reshape(len(values), -1)
+    shifts = np.arange(width - 1, -1, -1).astype(object)
+    return (values[:, :, None] >> shifts & 1).reshape(len(values), -1).astype(np.uint8)
 
 
 def residues_to_binary(s: BhSetResidues) -> BinaryCode:
@@ -169,8 +174,7 @@ def residues_to_binary(s: BhSetResidues) -> BinaryCode:
         raise DegenerateModulus(f"modulus {m} < 2")
     width = max(1, (m - 2).bit_length())
     width = max(width, max(s.elements).bit_length())
-    words = [_to_bits(r, width) for r in s.elements]
-    return make_binary_code(words, h=s.h, source=f"residues-mod-{m}")
+    return make_binary_code(_binary_rows(s.elements, width), h=s.h, source=f"residues-mod-{m}")
 
 
 def field_vectors_to_binary(s: BhSetFieldVectors) -> BinaryCode:
@@ -180,13 +184,8 @@ def field_vectors_to_binary(s: BhSetFieldVectors) -> BinaryCode:
         raise NonPrimeFieldUnsupported("binary embedding defined for prime q only")
     q = f.order
     width = max(1, (q - 1).bit_length())
-    words = []
-    for vec in s.elements:
-        bits = []
-        for coord in vec:
-            bits.extend(_to_bits(coord.to_int(), width))
-        words.append(tuple(bits))
-    return make_binary_code(words, h=s.h, source=f"gf{q}-vectors")
+    coords = [[c.to_int() for c in vec] for vec in s.elements]
+    return make_binary_code(_binary_rows(coords, width), h=s.h, source=f"gf{q}-vectors")
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
-from numbers import Integral
+from numbers import Integral, Rational
 
 import numpy as np
 
@@ -42,9 +42,44 @@ WITNESS_TOL = 1e-12  # bracket width at which `perturbation_witness` stops its l
 # ---------------------------------------------------------------------------
 # distributions
 
+def _exact(p):
+    """Whether a mass is exact: a rational number (int, bool, numpy integer,
+    Fraction), as opposed to a float."""
+    return isinstance(p, Rational)
+
+
+def _as_fraction(p):
+    """A mass as a Fraction of Python ints: an exact one as it is (a numpy
+    integer would keep its fixed width inside a Fraction), a float as the
+    binary fraction it holds."""
+    return Fraction(int(p.numerator), int(p.denominator)) if _exact(p) else Fraction(float(p))
+
+
+def _as_point(a):
+    return a if isinstance(a, tuple) else (a,)
+
+
+def _check_points(points):
+    """InvalidDistribution unless the points are all integers or all integer
+    tuples of one positive length, the points every fold can read."""
+    kinds = {len(a) if isinstance(a, tuple) else None for a in points}  # None: an integer
+    if len(kinds) > 1 or 0 in kinds or not all(
+            isinstance(x, Integral) for a in points for x in _as_point(a)):
+        raise InvalidDistribution("points must be integers, or integer tuples of one positive length")
+
+
+def log2_fraction(x: Fraction) -> float:
+    """log2 of a positive rational, from its numerator and denominator, so a
+    value below the smallest float still has a finite log."""
+    if x <= 0:
+        raise InvalidParams("log of non-positive rational")
+    return math.log2(x.numerator) - math.log2(x.denominator)
+
+
 @dataclass(frozen=True)
 class Distribution:
-    """Finitely supported distribution; points are ints or int tuples."""
+    """Finitely supported distribution; points are all ints or all int tuples
+    of one length."""
 
     items: tuple  # tuple of (point, probability), points unique
 
@@ -52,10 +87,11 @@ class Distribution:
         pts = [a for a, _ in self.items]
         if len(set(pts)) != len(pts):
             raise InvalidDistribution("duplicate support points")
+        _check_points(pts)
         total = sum(p for _, p in self.items)
         if any(p < 0 for _, p in self.items):
             raise InvalidDistribution("negative probability")
-        if all(isinstance(p, (int, Fraction)) for _, p in self.items):
+        if all(_exact(p) for _, p in self.items):
             if total != 1:
                 raise InvalidDistribution(f"total mass {total} != 1")
         elif abs(total - 1) > FLOAT_MASS_TOL:
@@ -76,8 +112,9 @@ class Distribution:
 
 def make_distribution(pairs) -> Distribution:
     """Drop zero-mass points, merge nothing, keep insertion-free sorted order."""
-    items = tuple(sorted((a, p) for a, p in pairs if p != 0))
-    return Distribution(items)
+    pairs = [(a, p) for a, p in pairs if p != 0]
+    _check_points([a for a, _ in pairs])  # before sorting: an int and a tuple do not compare
+    return Distribution(tuple(sorted(pairs)))
 
 
 def bit_points(n0) -> tuple:
@@ -165,10 +202,9 @@ def renyi(dist: Distribution, alpha) -> float:
     """H_alpha in bits: exact powers for integer alpha >= 2 on a rational law,
     `_renyi_rows` for every other alpha in [0, inf]."""
     probs = [p for p in dist.probs() if p > 0]
-    if (2 <= alpha < math.inf and alpha == int(alpha)
-            and all(isinstance(p, (int, Fraction)) for p in probs)):
-        total = sum(Fraction(p) ** int(alpha) for p in probs)
-        return (math.log2(total.numerator) - math.log2(total.denominator)) / (1 - alpha) + 0.0
+    if 2 <= alpha < math.inf and alpha == int(alpha) and all(map(_exact, probs)):
+        total = sum(_as_fraction(p) ** int(alpha) for p in probs)
+        return log2_fraction(total) / (1 - alpha) + 0.0
     return float(_renyi_rows(np.array([probs], dtype=float), alpha)[0])
 
 
@@ -178,12 +214,12 @@ def hfold(dist: Distribution, h) -> Distribution:
     if h < 1:
         raise InvalidParams("h must be >= 1")
     probs = dist.probs()
-    exact = all(isinstance(p, (int, Fraction)) for p in probs)
-    denom = math.lcm(*(Fraction(p).denominator for p in probs)) if exact else 1
+    exact = all(map(_exact, probs))
+    denom = math.lcm(*(_as_fraction(p).denominator for p in probs)) if exact else 1
     weights = np.array([[int(p * denom) if exact else p for p in probs]],
                        dtype=object if exact else float)
     # Python ints: sums of large points must not wrap in int64
-    points = np.array([a if isinstance(a, tuple) else (a,) for a in dist.support()], dtype=object)
+    points = np.array([_as_point(a) for a in dist.support()], dtype=object)
     low, law = _fold(np.broadcast_to(points, (h,) + points.shape), weights)
     sums = (np.indices(law.shape[1:]).reshape(points.shape[1], -1).T + low).tolist()
     masses = [Fraction(w, denom**h) if exact else w for w in law.ravel().tolist()]

@@ -37,7 +37,7 @@ class InvalidParams(BhLabError):
     pass
 
 
-class InvalidDistribution(BhLabError):
+class InvalidDistribution(InvalidParams):
     pass
 
 

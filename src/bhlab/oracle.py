@@ -21,10 +21,8 @@ first key words in place and keeps the values held by threshold or more rows
 word sees every digit); pass two regenerates only a bucket that has some and
 decodes the rows holding them, grouped by their whole key.  Pass one keeps
 whole uint64 words at threshold 2 and their low 32 bits, which sort in about
-half the time, at threshold 3 or more: a bucket of a large level holds fewer
-than 2^20 keys, so false 32-bit triples average at most C(2^20, 3) / 2^64,
-about 0.01 per bucket, each costing a pass-two regeneration, never a wrong
-answer (false pairs would average about 32).  Blocks of a level hold about
+half the time, at threshold 3 or more; `_pass_one` counts the false 32-bit
+matches, which cost time, never a wrong answer.  Blocks of a level hold about
 _CHUNK rows, planned with array operations over all pairs of sum classes.
 Large levels have half-size buckets and run pass one on a thread pool, one
 thread per CPU in the process's affinity mask (`taskset -c 0` confines it to
@@ -226,8 +224,7 @@ class _Sums:
     place, keep the first words held by threshold or more rows) on up to
     _WORKERS threads, one bucket per task; each thread reuses one key buffer:
     uint64 at threshold 2, and at threshold 3 or more uint32, the low 32 bits
-    of word 0, where false triples average at most C(2^20, 3) / 2^64 per
-    bucket (see `_pass_one`).  When a key is the row's single uint64 column,
+    of word 0 (see `_pass_one`).  When a key is the row's single uint64 column,
     the rows are generated straight into the buffer, at uint32 from uint32
     copies of the elements and the held level made once per level (not for
     residues, whose sums are reduced before they are truncated).  Pass two
@@ -548,7 +545,7 @@ def _verify_bhg(elements, h, g, add):
     groups = _capped_sums(elements, h, add).groups(h, g + 1)
     if not groups:
         return None
-    s, cols = min(groups.items(), key=lambda kv: kv[1][:g + 1])
+    s, cols = next(iter(groups.items()))  # the least first multiset: `groups` is in that order
     return Violation(k=h, columns=tuple(cols[:g + 1]), sum_value=s)
 
 
@@ -558,9 +555,9 @@ def verify_bh_sharp(elements, h, d, *, add=operator.add):
         raise InvalidParams(f"d = {d} < h = {h}")
     # any sum with support > d is hit by >= 2 multisets, so restrict to duplicates
     groups = _capped_sums(elements, h, add).groups(h, 2)
-    for s in sorted(groups, key=lambda s: groups[s][:2]):
-        if len({i for col in groups[s] for i in col}) > d:
-            return Violation(k=h, columns=tuple(groups[s]), sum_value=s)
+    for s, cols in groups.items():  # in lex order of their first multisets
+        if len({i for col in cols for i in col}) > d:
+            return Violation(k=h, columns=tuple(cols), sum_value=s)
     return None
 
 

@@ -18,6 +18,7 @@ streams are reproducible across runs and portable across languages.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -79,15 +80,6 @@ class ConstructionStats:
 # ---------------------------------------------------------------------------
 # population size from the exact expectation criterion
 
-def _falling_factorial(t, d):
-    out = 1
-    for i in range(d):
-        out *= t - i
-        if out <= 0:
-            return 0
-    return out
-
-
 def _class_weights(h, g, dist):
     """(d(C), violations-per-population-weight, per-block probability) rows."""
     rows = []
@@ -102,16 +94,30 @@ def expected_violations(t, rows, blocks) -> Fraction:
     total = Fraction(0)
     for d, inv_aut, p in rows:
         if p:
-            total += _falling_factorial(t, d) * inv_aut * p**blocks
+            total += math.perm(t, d) * inv_aut * p**blocks
     return total
 
 
+def _largest(ok, limit):
+    """The largest t in 1..limit with ok(t), or 1 if there is none, for a
+    test that holds on a prefix of 1, 2, ...: doubling, then bisection."""
+    lo, hi = 1, 2  # ok(lo) or lo = 1; hi is past the answer
+    while hi <= limit and ok(hi):
+        lo, hi = hi, 2 * hi
+    hi = min(hi, limit + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if ok(mid) else (lo, mid)
+    return lo
+
+
 def choose_t(h, n, g=1, dist=None) -> int:
-    """Largest t with E(t) <= t/2 (0 if even t = 1 fails, with no violation
-    classes this never happens for n >= 1).  Doubling plus binary search;
-    E(t)/t is nondecreasing so the feasible set is a prefix.  Words are n/n0
-    blocks drawn from `dist` (default: uniform bits), n0 = dist.n0; uniform
-    n0-bit blocks run as n uniform bits, since p_n0(C) = p_1(C)^n0."""
+    """Largest t with E(t) <= t/2, found by `_largest`: E(t)/t is
+    nondecreasing, so the feasible set is a prefix, and it holds t = 1, since
+    every class has d(C) >= 2 variables and E(1) = 0 (one word has no
+    injective assignment).  Words are n/n0 blocks drawn from `dist` (default:
+    uniform bits), n0 = dist.n0; uniform n0-bit blocks run as n uniform bits,
+    since p_n0(C) = p_1(C)^n0."""
     if min(h, g, n) < 1:
         raise InvalidParams("h, g and n must be >= 1")  # g = 0: t would double forever
     dist = uniform_bits(1) if dist is None else dist
@@ -122,22 +128,7 @@ def choose_t(h, n, g=1, dist=None) -> int:
     rows = _class_weights(h, g, dist)
     blocks = n // dist.n0
 
-    def ok(t):
-        return expected_violations(t, rows, blocks) * 2 <= t
-
-    if not ok(1):
-        return 0
-    lo = 1
-    while ok(lo * 2):
-        lo *= 2
-    hi = lo * 2  # ok(lo), not ok(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _largest(lambda t: expected_violations(t, rows, blocks) * 2 <= t, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +206,7 @@ def _violation_among(indices, top_groups, h, g):
 def max_verifiable_t(h):
     """Largest population, 1 to DEFAULT_MAX_T, whose size-h multiset
     enumeration fits oracle.DEFAULT_ENUM_CAP (1 if none does)."""
-    lo, hi = 1, 2  # multiset_count(lo, h) fits the enum cap, or lo = 1; hi is past the answer
-    while hi <= DEFAULT_MAX_T and multiset_count(hi, h) <= oracle.DEFAULT_ENUM_CAP:
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if multiset_count(mid, h) <= oracle.DEFAULT_ENUM_CAP else (lo, mid)
-    return max(1, min(DEFAULT_MAX_T, lo))
+    return _largest(lambda t: multiset_count(t, h) <= oracle.DEFAULT_ENUM_CAP, DEFAULT_MAX_T)
 
 
 def construct(h, n, seed, *, g=1, dist=None, attempts=DEFAULT_ATTEMPTS, max_t=None):
@@ -243,8 +228,6 @@ def construct(h, n, seed, *, g=1, dist=None, attempts=DEFAULT_ATTEMPTS, max_t=No
     if max_t is None:
         max_t = max_verifiable_t(h)
     t_exact = choose_t(h, n, g=g, dist=dist)
-    if t_exact < 1:
-        raise Infeasible(f"expected violations exceed t/2 already at t = 1 (h={h}, n={n})")
     t = min(t_exact, max_t)
     for attempt in range(attempts):
         bits = _sample_bits(SamplingPlan(n=n, dist=dist, t=t, seed=(seed, attempt)))

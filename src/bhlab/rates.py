@@ -7,7 +7,6 @@ only in the reported rate values (bits per symbol, base-2 logs throughout).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -15,14 +14,8 @@ from math import comb
 from .configurations import (Configuration, cmax, cmax_p_closed, conf_stats,
                              conf_stats_general, enumerate_conf_sharp,
                              enumerate_conf_upto)
-from .entropy import Distribution, hfold, renyi
+from .entropy import Distribution, _as_fraction, hfold, log2_fraction, renyi
 from .errors import EmptyFamily, InvalidParams
-
-
-def log2_fraction(x: Fraction) -> float:
-    if x <= 0:
-        raise InvalidParams("log of non-positive rational")
-    return math.log2(x.numerator) - math.log2(x.denominator)
 
 
 @dataclass(frozen=True)
@@ -66,20 +59,18 @@ class RateReport:
 # closed-form rates
 
 def _binomial_rate(h, denominator) -> float:
+    if h < 1:
+        raise InvalidParams("h must be >= 1")
     return log2_fraction(Fraction(4**h, comb(2 * h, h))) / denominator
 
 
 def rate_dr(h) -> RateReport:
     """log2(4^h / binom(2h,h)) / (2h)."""
-    if h < 1:
-        raise InvalidParams("h must be >= 1")
     return RateReport(formula="dr", rate=_binomial_rate(h, 2 * h))
 
 
 def rate_poltyrev(h) -> RateReport:
     """log2(4^h / binom(2h,h)) / (2h - 1)."""
-    if h < 1:
-        raise InvalidParams("h must be >= 1")
     return RateReport(formula="poltyrev", rate=_binomial_rate(h, 2 * h - 1))
 
 
@@ -139,7 +130,7 @@ def rate_bhg_distribution(h, g, dist) -> RateReport:
     argmin and ties stay exact."""
     if h < 1 or g < 1:
         raise InvalidParams(f"h and g must be >= 1, got h = {h}, g = {g}")
-    exact = tuple((a, Fraction(p)) for a, p in dist.items)
+    exact = tuple((a, _as_fraction(p)) for a, p in dist.items)
     return _family_report(f"bhg-dist(h={h},g={g})", enumerate_conf_upto(h, g + 1),
                           stats_fn=lambda c: conf_stats_general(c, exact))
 

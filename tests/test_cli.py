@@ -110,6 +110,8 @@ NAMED_OPTION = {  # argv -> the part of its error message that names the option
     ("rate", "bhg", "--h", "0"): "h = 0",  # "no configurations to optimize over"
     ("rate", "bhg", "--h", "2", "--g", "0"): "g = 0",
     ("configs", "enumerate", "--sharp", "--h", "3", "--d", "2"): "d = 2",  # printed 4 classes
+    ("configs", "enumerate", "--sconf", "--sharp", "--h", "2", "--d", "3", "--k", "2", "--l", "3"):
+        "not allowed with",  # printed the 4 sharp classes, ignoring --sconf, --k and --l
     ("entropy", "sidon", "--p", "0", "--alpha", "-1"): "alpha must be >= 0",  # exit 3
     ("entropy", "sidon", "--alpha", "nan"): "alpha must be >= 0",  # printed f=nan, exit 0
     ("entropy", "search", "--seed", "-1"): "seed -1",  # numpy's "key must be positive ..."
@@ -355,12 +357,12 @@ def test_manifest_replay_reproduces_artifacts(tmp_path, capsys):
         assert cli.main(argv) == 0
         capsys.readouterr()
         out_path = argv[argv.index("--output") + 1]
-        manifest = json.loads(open(out_path + ".manifest.json").read())
-        before = {p: open(p, "rb").read() for p in manifest["artifacts"]}
+        manifest = json.loads(Path(out_path + ".manifest.json").read_text())
+        before = {p: Path(p).read_bytes() for p in manifest["artifacts"]}
         assert cli.main(manifest["argv"]) == 0
         capsys.readouterr()
         for p, content in before.items():
-            assert open(p, "rb").read() == content, f"replay changed {p}"
+            assert Path(p).read_bytes() == content, f"replay changed {p}"
 
 
 def test_entropy_subcommands(capsys):

@@ -11,8 +11,8 @@ import pytest
 
 from bhlab import configurations as conf
 from bhlab import rates
-from bhlab.entropy import uniform_bits
-from bhlab.errors import CapExceeded, InvalidParams
+from bhlab.entropy import from_probs, uniform_bits
+from bhlab.errors import CapExceeded, InvalidDistribution, InvalidParams
 
 PARTITION_NUMBERS = {1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11}
 
@@ -325,6 +325,30 @@ def test_general_statistics_cap_is_checked_before_any_state_array(monkeypatch):
             conf.conf_stats_general(c, far)
     with pytest.raises((ValueError, MemoryError)):
         conf.conf_stats_general(c, far)
+
+
+@pytest.mark.parametrize("dist", [
+    [(0, Fraction(-1, 2)), (1, Fraction(3, 2))],  # returned p = 59/8
+    [(0, Fraction(1, 3)), (1, Fraction(1, 3))],  # returned p = 2/27
+    [(0, 0.25), (1, 0.25)],
+    [],  # IndexError
+    [((0, 0), Fraction(1, 2)), ((1,), Fraction(1, 2))],  # IndexError
+], ids=["negative", "short", "short-float", "empty", "ragged"])
+def test_general_statistics_refuse_what_is_not_a_law(dist):
+    with pytest.raises(InvalidDistribution):
+        conf.conf_stats_general(conf.cmax(2, 2), dist)
+
+
+def test_general_statistics_read_float_totals_within_the_tolerance():
+    # 0.1 and 0.9 read as binary fractions sum to 1 + 2^-55, which an exact test refuses
+    exact = [(0, Fraction(0.1)), (1, Fraction(0.9))]
+    assert sum(p for _, p in exact) == Fraction(36028797018963969, 36028797018963968)
+    c = conf.cmax(2, 2)
+    as_float = conf.conf_stats_general(c, [(0, 0.1), (1, 0.9)]).p
+    as_fraction = conf.conf_stats_general(c, exact).p
+    assert type(as_float) is float and as_float == float(as_fraction) > 0
+    report = rates.rate_bhg_distribution(2, 1, from_probs([0.1, 0.9]))
+    assert report.rate > 0 and type(report.table[0].p) is Fraction
 
 
 def test_cmax_and_closed_form_probability():

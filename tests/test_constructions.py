@@ -101,6 +101,13 @@ def test_residue_embedding_width():
     assert constructions.residues_to_binary(s2).n == 2  # residue 2 bumps width 1 -> 2
 
 
+def test_residues_of_more_than_64_bits_embed():
+    s = constructions.BhSetResidues(modulus=2**70 + 1, elements=(1, 2**69 + 3), h=2)
+    code = constructions.residues_to_binary(s)
+    assert code.n == 70
+    assert code.words == tuple(tuple(map(int, format(r, "070b"))) for r in s.elements)
+
+
 @pytest.mark.parametrize("q,h", [(5, 2), (7, 2), (5, 3)])
 def test_field_vector_embedding_preserves_bh(q, h):
     code = constructions.field_vectors_to_binary(constructions.power_map(q, h))

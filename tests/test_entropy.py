@@ -12,7 +12,7 @@ import pytest
 
 from bhlab import entropy as ent
 from bhlab.cli import parse_dist
-from bhlab.configurations import cmax_p_closed
+from bhlab.configurations import cmax, cmax_p_closed, conf_stats_general
 from bhlab.errors import CapExceeded, InvalidDistribution, InvalidParams
 
 
@@ -58,6 +58,40 @@ def test_distribution_block_length():
     assert ent.make_distribution([((0, 1, 1), Fraction(1))]).n0 == 3
     assert parse_dist("1/8,1/8,3/8,3/8", 2).n0 == 2
     assert parse_dist("3/4,1/4").n0 == 1
+
+
+HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize("items", [
+    (((0, 0), HALF), ((1,), HALF)),  # ragged tuples: IndexError in every fold
+    ((0.0, HALF), (1.0, HALF)),  # float points: TypeError in hfold
+    ((0, HALF), ((1, 1), HALF)),  # an int beside a tuple: n0 = 1
+    (((0, 0.5), HALF), ((1, 1), HALF)),  # a float coordinate
+    (((), 1),),  # a tuple of no coordinates
+], ids=["ragged", "float", "mixed", "float-coordinate", "empty-tuple"])
+def test_points_no_fold_can_read_are_refused_by_either_entry(items):
+    with pytest.raises(InvalidDistribution, match="integer tuples of one positive length"):
+        ent.Distribution(items)
+    with pytest.raises(InvalidDistribution, match="integer tuples of one positive length"):
+        ent.make_distribution(items)  # sorting an int beside a tuple raised TypeError
+    with pytest.raises(InvalidDistribution, match="integer tuples of one positive length"):
+        conf_stats_general(cmax(2, 2), list(items))
+    assert issubclass(InvalidDistribution, InvalidParams)  # so the CLI exits 2
+
+
+@pytest.mark.parametrize("one, zero", [(np.int64(1), np.int64(0)), (True, False)],
+                         ids=["int64", "bool"])
+def test_integer_masses_of_any_integer_type_are_exact(one, zero, monkeypatch):
+    # an exact total: 1 + 10^-15 is inside the float tolerance, so this tells the rules apart
+    with pytest.raises(InvalidDistribution):
+        ent.Distribution(((0, one), (1, Fraction(1, 10**15))))
+    law = ent.Distribution(((0, one), (1, zero)))
+    assert all(type(p) is Fraction for p in ent.hfold(law, 2).probs())
+    assert all(type(p) is Fraction for p in ent.hfold(ent.Distribution(((0, one),)), 2).probs())
+    assert type(conf_stats_general(cmax(2, 2), law.items).p) is Fraction
+    monkeypatch.setattr(ent, "_renyi_rows", None)  # the float branch would now fail
+    assert ent.renyi(law, 2) == ent.renyi(law, 3) == 0.0
 
 
 def test_search_rejects_negative_trials():

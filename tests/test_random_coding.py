@@ -213,6 +213,18 @@ def test_max_verifiable_t():
     assert oracle.multiset_count(t3 + 1, 3) > oracle.DEFAULT_ENUM_CAP
 
 
+@pytest.mark.parametrize("law", [uniform_bits(1), from_probs([Fraction(1, 4), Fraction(3, 4)])],
+                         ids=["uniform", "biased"])
+def test_one_word_expects_no_violation(law):
+    # every class has d(C) >= 2 variables, so E(1) = 0 and t = 1 always passes choose_t
+    for h in range(1, 5):
+        for g in range(1, 4):
+            rows = rc._class_weights(h, g, law)
+            assert min(d for d, _, _ in rows) >= 2
+            for n in (1, 8, 40):
+                assert rc.expected_violations(1, rows, n) == 0
+
+
 def _linear_max_verifiable_t(h, cap, ceiling):
     """max_verifiable_t as a linear search: grow t while the next population fits."""
     t = 1
