@@ -248,6 +248,8 @@ def enumerate_conf_sharp(h, d):
 def cmax(h, l):
     """The all-distinct configuration: d = h*l.  Column permutations only
     permute its unit vectors, so the sorted tuple is already canonical."""
+    if h < 1 or l < 2:
+        raise InvalidParams(f"cmax needs h >= 1 and l >= 2, got h = {h}, l = {l}")
     units = [tuple(1 if i == j else 0 for i in range(l)) for j in range(l)]
     return Configuration(tuple(sorted(units * h)))
 
@@ -313,6 +315,8 @@ def conf_stats_general(c: Configuration, dist) -> ConfStats:
 
 def cmax_p_closed(d, g) -> Fraction:
     """p(C_max(d, g+1)) = 2^{-d(g+1)} * sum_i binom(d,i)^{g+1}, exactly."""
+    if d < 1 or g < 1:
+        raise InvalidParams(f"C_max(d, g+1) needs d >= 1 and g >= 1, got d = {d}, g = {g}")
     total = sum(comb(d, i) ** (g + 1) for i in range(d + 1))
     return Fraction(total, 2 ** (d * (g + 1)))
 

@@ -27,7 +27,11 @@ class BhSetResidues:
     h: int
 
     def __post_init__(self):
-        assert len(set(self.elements)) == len(self.elements)
+        if len(set(self.elements)) != len(self.elements):
+            raise InvalidParams("residues must be distinct")
+        for e in self.elements:
+            if not 0 <= e < self.modulus:
+                raise InvalidParams(f"element {e} is not a residue mod {self.modulus}")
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,12 @@ whose h-fold sums span more than 2^64 values raise CapExceeded), its
 residues, or its bits as radix-(h+1) digits packed into uint64 columns (k <= h
 bits sum to at most h, so no digit carries).  Level k (the size-k multisets)
 is level k-1 plus one element per vectorised add, reduced mod q at every
-level and packed into uint64 key words (more than one only when the sums need
-over 64 bits).  A level is scanned in buckets by a sum class (equal sums share
-a class), one bucket at a time and in two passes: pass one sorts the bucket's
-first key words in place and keeps the values held by threshold or more rows
-(a key of several words leads with a wrapped mix of all its columns, so that
-word sees every digit); pass two regenerates only a bucket that has some and
-decodes the rows holding them, grouped by their whole key.  Pass one keeps
-whole uint64 words at threshold 2 and their low 32 bits, which sort in about
+level, so a row is its sum exactly.  A level is scanned in buckets by a sum
+class (equal sums share a class), one bucket at a time and in two passes:
+pass one sorts the bucket's keys, one uint64 per row (see `_Sums`), in place
+and keeps the values held by threshold or more rows; pass two regenerates
+only a bucket that has some and groups the rows holding them.  Pass one
+keeps whole keys at threshold 2 and their low 32 bits, which sort in about
 half the time, at threshold 3 or more; `_pass_one` counts the false 32-bit
 matches, which cost time, never a wrong answer.  Blocks of a level hold about
 _CHUNK rows, planned with array operations over all pairs of sum classes.
@@ -56,7 +54,7 @@ _CHUNK = 2**16  # rows per generated block: bounds temporaries, amortises numpy 
 _BUCKET_KEYS = 2**19  # a large level's buckets hold 1/2-1x this many keys: each sorts in cache
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)  # most pass-one threads: the CPUs this process may use
-_MIX = 0x9E3779B97F4A7C15  # odd: multi-word keys lead with sum(column c * _MIX^c) mod 2^64
+_MIX = 0x9E3779B97F4A7C15  # odd: the multiplier of a row's key (see `_Sums`)
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +148,13 @@ def _digit_rows(bits, h):
 
     def value(combo):
         return sum(x * s for i in combo for x, s in zip(rows[i].tolist(), scales))
-    return rows, None, [radix**w for w in widths], classes, value
+    return rows, None, classes, value
 
 
 def _coordinates(elements, add, h):
-    """(level-1 rows, per-column modulus or None, per-column key radix, class
-    map (rows, B) -> classes in Z_B that adds like the sums, sum of an index
-    multiset in the caller's encoding)."""
+    """(level-1 rows, per-column modulus or None, class map (rows, B) ->
+    classes in Z_B that adds like the sums, sum of an index multiset in the
+    caller's encoding)."""
     if add is _BIT_WORDS:
         return _digit_rows(elements, h)
     if add is operator.add:
@@ -166,7 +164,7 @@ def _coordinates(elements, add, h):
         if span > 2**64:
             raise CapExceeded(f"the {h}-fold sums of these integers span {span} > 2^64 values")
         rows = np.array([v - lo for v in values], dtype=np.uint64).reshape(-1, 1)
-        return rows, None, [span], _residue_classes, lambda combo: sum(values[i] for i in combo)
+        return rows, None, _residue_classes, lambda combo: sum(values[i] for i in combo)
     if not isinstance(add, ModularAdd):
         raise InvalidParams("add must be operator.add, residue_add(m) or vector_mod_add(q)")
     q = _as_int(add.modulus)
@@ -181,7 +179,7 @@ def _coordinates(elements, add, h):
         total = tuple(sum(col) % q for col in zip(*(rows[i] for i in combo)))
         return total if add.vector else total[0]
     arr = np.array(rows, dtype=np.min_scalar_type(2 * q - 2)).reshape(-1, width)
-    return arr, np.full(width, q, arr.dtype), [q] * width, _residue_classes, value
+    return arr, np.full(width, q, arr.dtype), _residue_classes, value
 
 
 def _skew(v):
@@ -202,8 +200,21 @@ def _cut(parts):
     return part, np.stack([e0, np.minimum(e0 + run, e1), g0, np.minimum(g0 + _CHUNK, g1)], axis=1)
 
 
+def _key(block):
+    """The uint64 keys of some rows (see `_Sums`); a view of a one-column uint64 block."""
+    key = block[:, 0].astype(np.uint64, copy=block.shape[1] > 1)
+    for c in range(1, block.shape[1]):
+        key += block[:, c] * np.uint64(pow(_MIX, c, 2**64))
+    return key
+
+
 class _Sums:
-    """The size-k multiset sums of one element list, k = 1..h, as uint64 keys.
+    """The size-k multiset sums of one element list, k = 1..h, as rows.
+
+    A row's key is one uint64 word, sum(column c * _MIX^c) mod 2^64: the row
+    itself for one column.  Pass one finds duplicated keys; pass two groups
+    the rows that hold them, which are the exact sums, so a key shared by
+    distinct sums costs time, never a wrong answer.
 
     Level k lists the size-k index multisets in colex order: those with
     largest index j are every level-(k-1) row whose largest index is <= j (the
@@ -221,15 +232,15 @@ class _Sums:
     m, that leaves _BUCKET_KEYS / 2 or more keys per bucket, so that two
     buckets in flight hold no more keys than one bucket of twice that size.
     A level of 2 * _BUCKET_KEYS keys or more runs pass one (generate, sort in
-    place, keep the first words held by threshold or more rows) on up to
-    _WORKERS threads, one bucket per task; each thread reuses one key buffer:
-    uint64 at threshold 2, and at threshold 3 or more uint32, the low 32 bits
-    of word 0 (see `_pass_one`).  When a key is the row's single uint64 column,
-    the rows are generated straight into the buffer, at uint32 from uint32
-    copies of the elements and the held level made once per level (not for
-    residues, whose sums are reduced before they are truncated).  Pass two
-    reads the results in bucket order, selects rows by the same width of word
-    0 and groups them by their whole key.  A smaller level, and one
+    place, keep the keys held by threshold or more rows) on up to _WORKERS
+    threads, one bucket per task; each thread reuses one key buffer: uint64
+    at threshold 2, and at threshold 3 or more uint32, the low 32 bits of the
+    key (see `_pass_one`).  When a row is one uint64 column, and so its own
+    key, the rows are generated straight into the buffer, at uint32 from
+    uint32 copies of the elements and the held level made once per level (not
+    for residues, whose sums are reduced before they are truncated).  Pass two
+    reads the results in bucket order, selects rows by the same width of key
+    and groups them with `np.unique`.  A smaller level, and one
     with a single bucket to scan, starts no thread.  The elements are
     relabelled in class order, and a held level is grouped by class through a
     stable permutation (none for one class or for the elements); the colex
@@ -246,7 +257,7 @@ class _Sums:
     generates keys directly)."""
 
     def __init__(self, elements, add, h):
-        first, self.moduli, radices, self.classes, self.value = _coordinates(elements, add, h)
+        first, self.moduli, self.classes, self.value = _coordinates(elements, add, h)
         self.h, self.m = h, len(first)
         self.ends = [None, np.arange(1, self.m + 1)]
         for _ in range(h - 1):
@@ -255,7 +266,7 @@ class _Sums:
         while count >= 2 * _BUCKET_KEYS and 2 * self.B <= min(2 * count // _BUCKET_KEYS, self.m):
             self.B *= 2
         if self.moduli is not None:  # coordinate 0 mod the largest divisor of q that is at most B
-            self.B = max(d for d in range(1, self.B + 1) if radices[0] % d == 0)
+            self.B = max(d for d in range(1, self.B + 1) if int(self.moduli[0]) % d == 0)
         cls = self.classes(first, self.B)
         self.perm = np.argsort(cls, kind="stable")  # relabelled index -> caller's index
         self.start = np.searchsorted(cls[self.perm], np.arange(self.B + 1))  # class a: start[a]..
@@ -263,16 +274,6 @@ class _Sums:
         self.k, self.state = 1, self.first  # the highest level held in memory
         self.grouping = None  # (rows, group offsets, permutation or None) of the held level
         self.plan = None  # the blocks of level self.k + 1, bucket by bucket
-        self.packing, scale = [], 1  # uint64 key words as [(column, weight)], each < 2^64
-        for c, r in enumerate(radices):
-            if not self.packing or scale * r > 2**64:
-                self.packing.append([])
-                scale = 1
-            self.packing[-1].append((c, np.uint64(scale)))
-            scale *= r
-        if len(self.packing) > 1:  # pass one reads word 0 only: a wrapped mix of every column
-            self.packing.insert(0, [(c, np.uint64(pow(_MIX, c, 2**64)))
-                                    for c in range(len(radices))])
 
     def _rows(self, parts, first, prev, out):
         """Fill `out` with the rows of some parts, an array of rows (e0, e1, g0, g1),
@@ -390,42 +391,32 @@ class _Sums:
         g = g0[p] + (hit - lo[p]) % w[p]
         return self.ends[self.k + 1][j] - self.ends[self.k][j] + self._number(g)
 
-    def _pack(self, block):
-        """The uint64 key words of some rows."""
-        words = []
-        for (c, _), *rest in self.packing:  # a word's first column has weight 1
-            key = block[:, c].astype(np.uint64, copy=bool(rest))
-            for c, w in rest:
-                key += block[:, c] * w
-            words.append(key)
-        return words
-
     def _bucket(self, k, r):
-        """(key words, row-number function) per block of bucket r of level k."""
+        """(rows, row-number function) per block of bucket r of level k."""
         rows, goff, _ = self.grouping
         if k == self.k:  # held: one block
-            yield self._pack(rows[goff[r]:goff[r + 1]]), lambda hit: self._number(hit + goff[r])
+            yield rows[goff[r]:goff[r + 1]], lambda hit: self._number(hit + goff[r])
             return
         for size, parts in self.plan[r]:
             out = np.empty((size, rows.shape[1]), rows.dtype)
-            block = self._rows(parts, self.first, rows, out)
-            yield self._pack(block), lambda hit, parts=parts: self._numbers(parts, hit)
+            yield (self._rows(parts, self.first, rows, out),
+                   lambda hit, parts=parts: self._numbers(parts, hit))
 
     def _duplicated(self, k, r, t, keys, direct):
-        """Pass one over bucket r of level k: the sorted first key words, in the
-        dtype of the key buffer `keys`, held by more than t of its rows.  With
-        `direct` = (elements, held rows) in that dtype, a row is its key and is
-        generated straight into `keys`; otherwise word 0 is packed and, into a
-        uint32 buffer, truncated to its low 32 bits."""
+        """Pass one over bucket r of level k: the sorted keys, in the dtype of
+        the key buffer `keys`, held by more than t of its rows.  With `direct` =
+        (elements, held rows) in that dtype, a row is its key and is generated
+        straight into `keys`; otherwise keys are made by `_key` and, into a
+        uint32 buffer, truncated to their low 32 bits."""
         lo = 0
         if direct is not None:
             for size, parts in self.plan[r]:
                 self._rows(parts, *direct, keys[lo:lo + size, None])
                 lo += size
         else:
-            for words, _ in self._bucket(k, r):
-                keys[lo:lo + len(words[0])] = words[0]
-                lo += len(words[0])
+            for block, _ in self._bucket(k, r):
+                keys[lo:lo + len(block)] = _key(block)
+                lo += len(block)
         keys = keys[:lo]
         keys.sort()  # in place; only values matter, so any sort kind gives the same result
         found = []
@@ -493,14 +484,13 @@ class _Sums:
         for r, dup in zip(live, self._pass_one(k, threshold - 1, live, sizes)):
             if not len(dup):
                 continue
-            for words, numbers in self._bucket(k, r):  # pass two: rows whose first word is duplicated
-                hit = np.flatnonzero(np.isin(words[0].astype(dup.dtype, copy=False), dup))
+            for block, numbers in self._bucket(k, r):  # pass two: rows whose key is duplicated
+                hit = np.flatnonzero(np.isin(_key(block).astype(dup.dtype, copy=False), dup))
                 rows.append(numbers(hit))
-                candidates.append([w[hit] for w in words])
+                candidates.append(block[hit])
         if not rows:
             return {}
-        whole = np.stack([np.concatenate(w) for w in zip(*candidates)], axis=1)
-        labels = np.unique(whole, axis=0, return_inverse=True)[1].reshape(-1)
+        labels = np.unique(np.concatenate(candidates), axis=0, return_inverse=True)[1].reshape(-1)
         keep = np.bincount(labels)[labels] >= threshold
         rows, labels, cols = np.concatenate(rows)[keep], labels[keep], []
         for level in range(k, 1, -1):  # decode rows to multisets, largest index first

@@ -206,6 +206,8 @@ def _violation_among(indices, top_groups, h, g):
 def max_verifiable_t(h):
     """Largest population, 1 to DEFAULT_MAX_T, whose size-h multiset
     enumeration fits oracle.DEFAULT_ENUM_CAP (1 if none does)."""
+    if h < 1:
+        raise InvalidParams(f"h = {h} must be >= 1")
     return _largest(lambda t: multiset_count(t, h) <= oracle.DEFAULT_ENUM_CAP, DEFAULT_MAX_T)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .configurations import (Configuration, cmax, cmax_p_closed, conf_stats,
+from .configurations import (Configuration, canonical, cmax, cmax_p_closed, conf_stats,
                              conf_stats_general, enumerate_conf_sharp,
                              enumerate_conf_upto)
 from .entropy import Distribution, _as_fraction, hfold, log2_fraction, renyi
@@ -172,8 +172,8 @@ def poltyrev_special_config(h, g) -> SpecialConfigReport:
 
 def special_config_configuration(h, g) -> Configuration:
     """The block configuration itself, for small h (exact cross-checks)."""
-    from .configurations import canonical
-
+    if h < 1 or g < 1:
+        raise InvalidParams("h and g must be >= 1")
     l = g + 1
     vectors = [tuple(1 if j == 0 else 0 for j in range(l)) for _ in range(h)]
     vectors.extend(tuple(0 if j == 0 else 1 for j in range(l)) for _ in range(h - 1))

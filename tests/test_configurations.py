@@ -10,7 +10,7 @@ from math import comb
 import pytest
 
 from bhlab import configurations as conf
-from bhlab import rates
+from bhlab import random_coding, rates
 from bhlab.entropy import from_probs, uniform_bits
 from bhlab.errors import CapExceeded, InvalidDistribution, InvalidParams
 
@@ -367,6 +367,24 @@ def test_general_law_at_its_largest_middle_box():
     # returned (one cell here), not every step's box
     stats = conf.conf_stats_general(conf.cmax(4, 4), uniform_bits(3).items)
     assert stats.p == conf.cmax_p_closed(4, 3) ** 3
+
+
+SHAPELESS = [  # (module, helper, args) with h < 1, g < 1 or l < 2
+    (rates, "cmax_exponent", (0, 1)), (rates, "cmax_exponent", (2, 0)),
+    (rates, "cmax_exponent", (1, 0)), (rates, "special_config_configuration", (2, 0)),
+    (rates, "special_config_configuration", (0, 1)), (conf, "cmax", (2, 1)),
+    (conf, "cmax", (0, 2)), (conf, "cmax_p_closed", (-1, 1)), (conf, "cmax_p_closed", (2, 0)),
+    (random_coding, "max_verifiable_t", (0,)),
+]
+
+
+@pytest.mark.parametrize("module,helper,args", SHAPELESS,
+                         ids=[f"{helper}{args}" for _, helper, args in SHAPELESS])
+def test_class_helpers_refuse_shapes_that_do_not_exist(module, helper, args):
+    # these returned 1.0, Conf(bc), Conf(ab) or 10000, or raised ZeroDivisionError,
+    # IndexError (in repr) or TypeError
+    with pytest.raises(InvalidParams):
+        getattr(module, helper)(*args)
 
 
 def test_cmax_and_one_symbol_columns_need_no_search():

@@ -101,6 +101,14 @@ def test_residue_embedding_width():
     assert constructions.residues_to_binary(s2).n == 2  # residue 2 bumps width 1 -> 2
 
 
+@pytest.mark.parametrize("elements", [(1, 7), (1, -1), (0, 5), (1, 1), (2, 0, 2)])
+def test_residue_sets_hold_distinct_reduced_residues(elements):
+    # (1, 7) and (1, -1) used to embed as ((0,0,1), (1,1,1)) and ((0,1), (1,1)) mod 5,
+    # and a repeat was caught by an assert, which python -O drops
+    with pytest.raises(InvalidParams):
+        constructions.BhSetResidues(modulus=5, elements=elements, h=2)
+
+
 def test_residues_of_more_than_64_bits_embed():
     s = constructions.BhSetResidues(modulus=2**70 + 1, elements=(1, 2**69 + 3), h=2)
     code = constructions.residues_to_binary(s)

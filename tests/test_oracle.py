@@ -214,7 +214,7 @@ def _bit_words(rng, m, h):
     return encode_binary_words(words, h)[0]
 
 
-def _long_bit_words(rng, m, h):  # 48 bits: (h+1)^47 > 2^64 for every h >= 2, two key words
+def _long_bit_words(rng, m, h):  # 48 bits: (h+1)^47 > 2^64 for every h >= 2, two columns
     words = [(rng.randint(0, 1),) * 2 + (1,) * 44 + (rng.randint(0, 1), rng.randint(0, 1))
              for _ in range(m)]
     return np.array(words, np.uint8)
@@ -243,7 +243,7 @@ AMBIENTS = {  # name -> (element sampler, add)
     "z3^2": (lambda rng, m, h: [(rng.randrange(3), rng.randrange(3)) for _ in range(m)],
              oracle.vector_mod_add(3)),
     "z5^30": (lambda rng, m, h: [(rng.randrange(5), rng.randrange(2), 1) * 10 for _ in range(m)],
-              oracle.vector_mod_add(5)),  # 5^30 > 2^64: two key words
+              oracle.vector_mod_add(5)),  # 5^30 > 2^64: a key mixes 30 columns
 }
 
 
@@ -490,7 +490,7 @@ Q32 = 2**38 + 5  # > 2^32 and divisible by 3: residues fall in 3 classes, so 3 t
 HIGH_AMBIENTS = {  # name -> (s -> an element with s * 2^32 in it, add)
     "integers": (lambda s: s << 32, operator.add),
     "z_q": (lambda s: (Q32 - (s << 32),), oracle.vector_mod_add(Q32)),
-    "z_q^2": (lambda s: (Q32 - (s << 32), 0), oracle.vector_mod_add(Q32)),  # three key words
+    "z_q^2": (lambda s: (Q32 - (s << 32), 0), oracle.vector_mod_add(Q32)),  # a mixed key
 }
 
 
@@ -534,6 +534,38 @@ def test_32_bit_key_collisions_never_reach_an_answer(ambient, workers, small_buc
         assert oracle._Sums(elems, add, 2).B == 3
 
 
+def test_64_bit_key_collisions_never_reach_an_answer(monkeypatch):
+    """Distinct rows may share their whole uint64 key: (2 * _MIX, 0), (0, 2)
+    and (-3 * _MIX, 5), mod 2^64, all have key 2 * _MIX.  Pass one flags it
+    at level 1, at full width (g = 1) and truncated (g = 2), and pass two,
+    which groups the rows themselves, finds no equal sums there."""
+    q, mix = 2**62 - 1, oracle._MIX
+    add = oracle.vector_mod_add(q)
+    elems = [(2 * mix % 2**64, 0), (0, 2), (-3 * mix % 2**64, 5)]
+    assert all(0 <= x < q for e in elems for x in e)  # reduced: the rows are these vectors
+    sums = oracle._Sums(elems, add, 1)
+    assert len(set(oracle._key(sums.first).tolist())) == 1
+    flagged, scan = [], oracle._Sums._duplicated
+
+    def recording(self, k, r, t, *args):
+        dup = scan(self, k, r, t, *args)
+        if k == 1:
+            flagged.append(len(dup) > 0)
+        return dup
+    monkeypatch.setattr(oracle._Sums, "_duplicated", recording)
+    # the first pair, then all three: at g = 2 a flag needs three rows
+    for population, gs in ((elems[:2], (1,)), (elems, (1, 2))):
+        flagged.clear()
+        assert oracle.verify_bh(population, 1, add=add) is None
+        assert ref_verify_bhg(population, 1, 1, add) is None
+        assert flagged == [True]
+        for g in gs:
+            flagged.clear()
+            assert (oracle.find_minimal_violations_bhg(population, 2, g, add=add)
+                    == ref_minimal_bhg(population, 2, g, add))
+            assert flagged == [True]
+
+
 # ---------------------------------------------------------------------------
 # bit-words as radix-(h+1) digit rows
 
@@ -543,7 +575,7 @@ KEY_WORD_DIGITS = {1: 64, 2: 40, 3: 32, 4: 27}  # digits in one uint64 column
 @st.composite
 def bit_populations(draw):
     """(h, g, words): collision-rich bit-words, repeats included, of a length
-    that is small or on either side of one uint64 key word."""
+    that is small or on either side of one uint64 column."""
     h = draw(st.integers(1, 4), label="h")
     g = draw(st.integers(1, 3), label="g")
     edge = KEY_WORD_DIGITS[h]
