@@ -10,6 +10,7 @@ equal sums in the source group.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -27,11 +28,16 @@ class BhSetResidues:
     h: int
 
     def __post_init__(self):
-        if len(set(self.elements)) != len(self.elements):
-            raise InvalidParams("residues must be distinct")
-        for e in self.elements:
+        try:  # held as Python ints: the embedding reads `int.bit_length`
+            residues = tuple(operator.index(e) for e in self.elements)
+        except TypeError:
+            raise InvalidParams(f"elements {self.elements!r} are not all integers") from None
+        for e in residues:
             if not 0 <= e < self.modulus:
                 raise InvalidParams(f"element {e} is not a residue mod {self.modulus}")
+        if len(set(residues)) != len(residues):
+            raise InvalidParams("residues must be distinct")
+        object.__setattr__(self, "elements", residues)
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,15 @@ Binary codes (`verify_code_*`, and the random-coding pipeline) enter as one
 (m, n) uint8 bit matrix whose rows are read as radix-(h+1) digits; their sums
 are reported as the words' base-(h+1) integers, first bit most significant.
 
-One numpy engine, `_Sums`, serves every ambient.  An element is a row of
-unsigned ints: its offset from the least element (one uint64 column; integers
-whose h-fold sums span more than 2^64 values raise CapExceeded), its
-residues, or its bits as radix-(h+1) digits packed into uint64 columns (k <= h
-bits sum to at most h, so no digit carries).  Level k (the size-k multisets)
-is level k-1 plus one element per vectorised add, reduced mod q at every
-level, so a row is its sum exactly.  A level is scanned in buckets by a sum
+One numpy engine, `_Sums`, serves every ambient.  An element, and a sum, is
+a row of C unsigned ints: its offset from the least element (one uint64
+column; integers whose h-fold sums span more than 2^64 values raise
+CapExceeded), its residues, or its bits as radix-(h+1) digits packed into
+uint64 columns (k <= h bits sum to at most h, so no digit carries).  Level k
+(the size-k multisets) is level k-1 plus one element per vectorised add,
+reduced mod q at every level, so a row is its sum exactly.  Every level is
+held column-major, as a (C, N) array, so that each add, reduction and key
+mix runs along one contiguous column.  A level is scanned in buckets by a sum
 class (equal sums share a class), one bucket at a time and in two passes:
 pass one sorts the bucket's keys, one uint64 per row (see `_Sums`), in place
 and keeps the values held by threshold or more rows; pass two regenerates
@@ -118,7 +120,7 @@ _BIT_WORDS = object()  # the `add=` ambient of a (m, n) 0/1 uint8 matrix of bit-
 def _residue_classes(rows, B):
     """Coordinate 0 mod B: an integer's offset (B a power of two, so its low
     bits), or a residue's or vector's coordinate 0 (B a divisor of q)."""
-    return (rows[:, 0] % B).astype(np.intp)
+    return (rows[0] % B).astype(np.intp)
 
 
 def _digit_rows(bits, h):
@@ -132,29 +134,29 @@ def _digit_rows(bits, h):
     while radix ** (per + 1) <= 2**64:
         per += 1
     widths = [min(per, n - lo) for lo in range(0, n, per)] or [0]
-    rows, digits = np.empty((m, len(widths)), np.uint64), bits[:, ::-1]
+    rows, digits = np.empty((len(widths), m), np.uint64), bits[:, ::-1]
     for c, w in enumerate(widths):
         powers = np.uint64(radix) ** np.arange(w, dtype=np.uint64)
-        rows[:, c] = digits[:, c * per:c * per + w] @ powers
+        rows[c] = digits[:, c * per:c * per + w] @ powers
     scales = [radix ** (per * c) for c in range(len(widths))]
 
     def classes(block, B):
         """The low log2(B) digits d_i of column 0 as sum(2^i d_i) mod B."""
-        col, out = block[:, 0], np.zeros(len(block), np.intp)
+        col, out = block[0], np.zeros(block.shape[1], np.intp)
         for i in range(B.bit_length() - 1):
             col, digit = np.divmod(col, np.uint64(radix))
             out += digit.astype(np.intp) << i
         return out & (B - 1)
 
     def value(combo):
-        return sum(x * s for i in combo for x, s in zip(rows[i].tolist(), scales))
+        return sum(x * s for i in combo for x, s in zip(rows[:, i].tolist(), scales))
     return rows, None, classes, value
 
 
 def _coordinates(elements, add, h):
-    """(level-1 rows, per-column modulus or None, class map (rows, B) ->
-    classes in Z_B that adds like the sums, sum of an index multiset in the
-    caller's encoding)."""
+    """(level-1 rows as a column-major (C, m) array, the modulus as a scalar
+    of its dtype or None, class map (rows, B) -> classes in Z_B that adds like
+    the sums, sum of an index multiset in the caller's encoding)."""
     if add is _BIT_WORDS:
         return _digit_rows(elements, h)
     if add is operator.add:
@@ -163,7 +165,7 @@ def _coordinates(elements, add, h):
         span = h * (max(values, default=0) - lo) + 1  # every k <= h sum offset is below it
         if span > 2**64:
             raise CapExceeded(f"the {h}-fold sums of these integers span {span} > 2^64 values")
-        rows = np.array([v - lo for v in values], dtype=np.uint64).reshape(-1, 1)
+        rows = np.array([v - lo for v in values], dtype=np.uint64).reshape(1, -1)
         return rows, None, _residue_classes, lambda combo: sum(values[i] for i in combo)
     if not isinstance(add, ModularAdd):
         raise InvalidParams("add must be operator.add, residue_add(m) or vector_mod_add(q)")
@@ -178,8 +180,8 @@ def _coordinates(elements, add, h):
     def value(combo):
         total = tuple(sum(col) % q for col in zip(*(rows[i] for i in combo)))
         return total if add.vector else total[0]
-    arr = np.array(rows, dtype=np.min_scalar_type(2 * q - 2)).reshape(-1, width)
-    return arr, np.full(width, q, arr.dtype), _residue_classes, value
+    arr = np.array(list(zip(*rows)), dtype=np.min_scalar_type(2 * q - 2)).reshape(width, -1)
+    return arr, arr.dtype.type(q), _residue_classes, value
 
 
 def _skew(v):
@@ -201,20 +203,50 @@ def _cut(parts):
 
 
 def _key(block):
-    """The uint64 keys of some rows (see `_Sums`); a view of a one-column uint64 block."""
-    key = block[:, 0].astype(np.uint64, copy=block.shape[1] > 1)
-    for c in range(1, block.shape[1]):
-        key += block[:, c] * np.uint64(pow(_MIX, c, 2**64))
+    """The uint64 keys of a (C, N) block of rows (see `_Sums`); a view of a
+    one-column uint64 block."""
+    key = block[0].astype(np.uint64, copy=len(block) > 1)
+    for c in range(1, len(block)):
+        key += block[c] * np.uint64(pow(_MIX, c, 2**64))
     return key
 
 
+def _distinct(a):
+    """The distinct values of a sorted 1-D array.  Not `np.unique`: numpy 2.4's
+    1-D `unique` (and so `union1d`) calls `np.ma.is_masked`, which imports
+    `numpy.ma`, 16-19 ms and about 1 MB, on a process's first call."""
+    keep = np.ones(len(a), bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
+def _among(keys, values):
+    """The indices of the `keys` that are in `values`, sorted and distinct.  Not
+    `np.isin`, which dedupes more than about 55 values with 1-D `np.unique`
+    (see `_distinct`): one comparison per value up to 256 values, where that is
+    the faster, and a binary search beyond."""
+    if len(values) > 256:
+        return np.flatnonzero(values.take(np.searchsorted(values, keys), mode="clip") == keys)
+    hit = np.zeros(len(keys), bool)
+    for v in values:
+        hit |= keys == v
+    return np.flatnonzero(hit)
+
+
 class _Sums:
-    """The size-k multiset sums of one element list, k = 1..h, as rows.
+    """The size-k multiset sums of one element list, k = 1..h, as rows of C
+    columns, each level held column-major as a (C, rows) array.
 
     A row's key is one uint64 word, sum(column c * _MIX^c) mod 2^64: the row
     itself for one column.  Pass one finds duplicated keys; pass two groups
     the rows that hold them, which are the exact sums, so a key shared by
-    distinct sums costs time, never a wrong answer.
+    distinct sums costs time, never a wrong answer.  A key adds like the sum
+    wherever the sum has no modulus (integer offsets, bit-word digits):
+    key(x + y) = key(x) + key(y) mod 2^64, and so mod 2^32.  There pass one
+    generates the top level as its keys, one column whatever C is, from the
+    keys of the elements and of the held level.  A modular ambient generates
+    its reduced rows and keys them, except that a one-column uint64 residue,
+    its own key, is generated straight into a uint64 key buffer.
 
     Level k lists the size-k index multisets in colex order: those with
     largest index j are every level-(k-1) row whose largest index is <= j (the
@@ -235,12 +267,9 @@ class _Sums:
     place, keep the keys held by threshold or more rows) on up to _WORKERS
     threads, one bucket per task; each thread reuses one key buffer: uint64
     at threshold 2, and at threshold 3 or more uint32, the low 32 bits of the
-    key (see `_pass_one`).  When a row is one uint64 column, and so its own
-    key, the rows are generated straight into the buffer, at uint32 from
-    uint32 copies of the elements and the held level made once per level (not
-    for residues, whose sums are reduced before they are truncated).  Pass two
-    reads the results in bucket order, selects rows by the same width of key
-    and groups them with `np.unique`.  A smaller level, and one
+    key (see `_pass_one`).  Pass two reads the results in bucket order,
+    selects rows (the top level's regenerated) by the same width of key and
+    groups them with `np.unique`.  A smaller level, and one
     with a single bucket to scan, starts no thread.  The elements are
     relabelled in class order, and a held level is grouped by class through a
     stable permutation (none for one class or for the elements); the colex
@@ -252,41 +281,42 @@ class _Sums:
     operations.  A bucket with fewer keys than the threshold cannot hold a
     duplicate and is skipped.  The top level is generated a bucket at a time,
     in blocks of fewer than 2 * _CHUNK rows, once per pass.  Peak memory is
-    one bucket of keys per thread plus the held level (twice that while it
-    is grouped, and one and a half times during a uint32 pass one that
-    generates keys directly)."""
+    one bucket of keys per thread plus the held level: twice that while it
+    is grouped, and at most 1.75 times (two columns, uint32 keys) while pass
+    one makes its keys."""
 
     def __init__(self, elements, add, h):
-        first, self.moduli, self.classes, self.value = _coordinates(elements, add, h)
-        self.h, self.m = h, len(first)
+        first, self.modulus, self.classes, self.value = _coordinates(elements, add, h)
+        self.h, self.m = h, first.shape[1]
         self.ends = [None, np.arange(1, self.m + 1)]
         for _ in range(h - 1):
             self.ends.append(np.cumsum(self.ends[-1]))
         self.B, count = 1, multiset_count(self.m, h)
         while count >= 2 * _BUCKET_KEYS and 2 * self.B <= min(2 * count // _BUCKET_KEYS, self.m):
             self.B *= 2
-        if self.moduli is not None:  # coordinate 0 mod the largest divisor of q that is at most B
-            self.B = max(d for d in range(1, self.B + 1) if int(self.moduli[0]) % d == 0)
+        if self.modulus is not None:  # coordinate 0 mod the largest divisor of q that is at most B
+            self.B = max(d for d in range(1, self.B + 1) if int(self.modulus) % d == 0)
         cls = self.classes(first, self.B)
         self.perm = np.argsort(cls, kind="stable")  # relabelled index -> caller's index
         self.start = np.searchsorted(cls[self.perm], np.arange(self.B + 1))  # class a: start[a]..
-        self.first = first[self.perm]
+        self.first = first[:, self.perm]
         self.k, self.state = 1, self.first  # the highest level held in memory
         self.grouping = None  # (rows, group offsets, permutation or None) of the held level
         self.plan = None  # the blocks of level self.k + 1, bucket by bucket
 
     def _rows(self, parts, first, prev, out):
-        """Fill `out` with the rows of some parts, an array of rows (e0, e1, g0, g1),
-        of level self.k + 1: elements e0..e1-1 of `first` (self.first, or a copy
-        of it in the dtype of `out`), each added to the rows g0..g1-1 of `prev`."""
+        """Fill `out`, (C, rows), with the rows of some parts, an array of rows
+        (e0, e1, g0, g1), of level self.k + 1: elements e0..e1-1 of `first`
+        (self.first, or the elements' keys), each added to the rows g0..g1-1 of
+        `prev` (the held rows, or their keys), one coordinate at a time."""
         lo = 0
         for e0, e1, g0, g1 in parts.tolist():
             hi = lo + (e1 - e0) * (g1 - g0)
-            part = out[lo:hi]
-            np.add(first[e0:e1, None], prev[None, g0:g1],
-                   out=part.reshape(e1 - e0, g1 - g0, -1))
-            if self.moduli is not None:  # below the modulus, part - moduli wraps above part
-                np.minimum(part, part - self.moduli, out=part)
+            part = out[:, lo:hi]
+            np.add(first[:, e0:e1, None], prev[:, None, g0:g1],
+                   out=part.reshape(len(part), e1 - e0, g1 - g0))
+            if self.modulus is not None:  # below the modulus, part - modulus wraps above part
+                np.minimum(part, part - self.modulus, out=part)
             lo = hi
         return out
 
@@ -295,7 +325,7 @@ class _Sums:
         last = self.ends[self.k]
         parts = np.stack([np.arange(self.m), np.arange(1, self.m + 1), np.zeros_like(last), last],
                          axis=1)
-        out = np.empty((self.ends[self.k + 1][-1], self.state.shape[1]), self.state.dtype)
+        out = np.empty((len(self.state), self.ends[self.k + 1][-1]), self.state.dtype)
         self.k, self.state = self.k + 1, self._rows(parts, self.first, self.state, out)
         self.grouping = self.plan = None
 
@@ -303,12 +333,12 @@ class _Sums:
         """Group the held level by class, each group in colex order."""
         rows, order = self.state, None  # no permutation: an identity one costs peak memory
         if self.k == 1 or self.B == 1:  # the elements are relabelled in class order
-            goff = self.start if self.k == 1 else np.array([0, len(rows)])
+            goff = self.start if self.k == 1 else np.array([0, rows.shape[1]])
         else:
             cls = self.classes(rows, self.B)
             order = np.argsort(cls, kind="stable")
             goff = np.append(0, np.bincount(cls, minlength=self.B).cumsum())
-            rows = rows[order]
+            rows = rows[:, order]
         if self.k == self.h - 1:  # `_advance` never reads the colex top-1 level
             self.state = None
         self.grouping = rows, goff.tolist(), order
@@ -334,8 +364,8 @@ class _Sums:
         B, (start, goff, last) = self.B, (np.array(x, np.int32) for x in (
             self.start, goff, self.ends[self.k]))  # last[j]: held rows whose largest index is <= j
         size, bounds = np.diff(start), np.append(np.int32(0), last)[start]  # rows below class a
-        if order is not None:  # c * len(held) + colex number increases along the grouped rows
-            base = np.arange(B, dtype=np.int64) * len(held)
+        if order is not None:  # c * (held rows) + colex number increases along the grouped rows
+            base = np.arange(B, dtype=np.int64) * held.shape[1]
             keys = np.repeat(base, np.diff(goff)) + order
 
         def count(pick, numbers):
@@ -372,8 +402,9 @@ class _Sums:
                 offset = np.cumsum(rows) - rows
                 buckets = np.searchsorted(cells, np.arange(n + 1) * B)  # each one's first part
                 stretches = np.searchsorted(offset, np.arange(0, rows.sum(), _CHUNK))
-                firsts = np.union1d(buckets, stretches)  # a new bucket, or a new stretch of
-                firsts = firsts[firsts < len(parts)]  # _CHUNK rows, starts a block
+                # a new bucket, or a new stretch of _CHUNK rows, starts a block
+                firsts = _distinct(np.sort(np.concatenate([buckets, stretches])))
+                firsts = firsts[firsts < len(parts)]
                 blocks = [(total, parts[i:j]) for total, i, j in zip(
                     np.add.reduceat(rows, firsts).tolist(), firsts.tolist(),
                     firsts[1:].tolist() + [len(parts)])]
@@ -395,35 +426,35 @@ class _Sums:
         """(rows, row-number function) per block of bucket r of level k."""
         rows, goff, _ = self.grouping
         if k == self.k:  # held: one block
-            yield rows[goff[r]:goff[r + 1]], lambda hit: self._number(hit + goff[r])
+            yield rows[:, goff[r]:goff[r + 1]], lambda hit: self._number(hit + goff[r])
             return
         for size, parts in self.plan[r]:
-            out = np.empty((size, rows.shape[1]), rows.dtype)
+            out = np.empty((len(rows), size), rows.dtype)
             yield (self._rows(parts, self.first, rows, out),
                    lambda hit, parts=parts: self._numbers(parts, hit))
 
     def _duplicated(self, k, r, t, keys, direct):
         """Pass one over bucket r of level k: the sorted keys, in the dtype of
         the key buffer `keys`, held by more than t of its rows.  With `direct` =
-        (elements, held rows) in that dtype, a row is its key and is generated
-        straight into `keys`; otherwise keys are made by `_key` and, into a
-        uint32 buffer, truncated to their low 32 bits."""
+        (elements, held rows) as one-row arrays of keys in that dtype, the keys
+        are generated straight into `keys`; otherwise they are made from the
+        rows by `_key` and, into a uint32 buffer, truncated to their low 32 bits."""
         lo = 0
         if direct is not None:
             for size, parts in self.plan[r]:
-                self._rows(parts, *direct, keys[lo:lo + size, None])
+                self._rows(parts, *direct, keys[None, lo:lo + size])
                 lo += size
         else:
             for block, _ in self._bucket(k, r):
-                keys[lo:lo + len(block)] = _key(block)
-                lo += len(block)
+                keys[lo:lo + block.shape[1]] = _key(block)
+                lo += block.shape[1]
         keys = keys[:lo]
         keys.sort()  # in place; only values matter, so any sort kind gives the same result
         found = []
         for i in range(0, lo - t, _CHUNK):  # _CHUNK at a time: no mask as long as the bucket
             j = min(i + _CHUNK, lo - t)
             found.append(keys[i + t:j + t][keys[i + t:j + t] == keys[i:j]])
-        return np.unique(np.concatenate(found))
+        return _distinct(np.concatenate(found))
 
     def _pass_one(self, k, t, live, sizes):
         """`_duplicated` for the buckets `live` of level k, in their order; on a
@@ -438,16 +469,17 @@ class _Sums:
         of all DEFAULT_ENUM_CAP keys; each costs a pass-two regeneration, never
         a wrong answer.  False pairs would average about 32 per bucket, and
         locating them costs more than the narrower sort saves, hence t = 1
-        keeps uint64."""
+        keeps uint64.  Where keys add like the sums (see `_Sums`), so do their
+        low 32 bits: the top level's keys of either width are generated from
+        the element and held-level keys in that width, made once per call."""
         if not live:
             return []
         dtype, held = (np.uint64 if t == 1 else np.uint32), self.grouping[0]
-        direct = None  # a row is its key: the top level of one uint64 column
-        if k > self.k and held.shape[1] == 1 and held.dtype == np.uint64:
-            if t == 1:
-                direct = self.first, held
-            elif self.moduli is None:  # sums mod 2^32 add like the sums; residues do not
-                direct = self.first.astype(dtype), held.astype(dtype)
+        direct = None  # the top level generated as its keys (see `_Sums`)
+        if k > self.k and self.modulus is None:
+            direct = tuple(_key(a).astype(dtype, copy=False)[None] for a in (self.first, held))
+        elif k > self.k and t == 1 and held.dtype == np.uint64 and len(held) == 1:
+            direct = self.first, held  # a reduced residue of one uint64 column is its own key
         size = max(sizes[r] for r in live)
         workers = min(_WORKERS, len(live)) if sum(sizes) >= 2 * _BUCKET_KEYS else 1
         # made by this thread: a pool thread's own buffer would stay in its malloc arena
@@ -485,12 +517,13 @@ class _Sums:
             if not len(dup):
                 continue
             for block, numbers in self._bucket(k, r):  # pass two: rows whose key is duplicated
-                hit = np.flatnonzero(np.isin(_key(block).astype(dup.dtype, copy=False), dup))
+                hit = _among(_key(block).astype(dup.dtype, copy=False), dup)
                 rows.append(numbers(hit))
-                candidates.append(block[hit])
+                candidates.append(block[:, hit])
         if not rows:
             return {}
-        labels = np.unique(np.concatenate(candidates), axis=0, return_inverse=True)[1].reshape(-1)
+        labels = np.unique(np.concatenate(candidates, axis=1), axis=1,
+                           return_inverse=True)[1].reshape(-1)
         keep = np.bincount(labels)[labels] >= threshold
         rows, labels, cols = np.concatenate(rows)[keep], labels[keep], []
         for level in range(k, 1, -1):  # decode rows to multisets, largest index first

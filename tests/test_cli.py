@@ -43,6 +43,27 @@ def test_module_entry_point_runs_without_warning():
     assert usage.returncode == 2 and "Traceback" not in usage.stderr
 
 
+def test_oracle_runs_do_not_import_numpy_ma(tmp_path):
+    """numpy 2.4's 1-D `np.unique` imports `numpy.ma` on its first call, 16-19 ms
+    and about 1 MB; neither a verify nor a simulate with many violations pays it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    script = """if True:
+        import sys
+        from bhlab import cli
+        for argv in ("construct bose-chowla --q 13 --h 2 --binary --output bc.txt",
+                     "verify bh --h 2 --input bc.txt", "simulate --h 2 --n 12 --seed 1",
+                     "simulate --h 2 --g 2 --n 12 --seed 1"):
+            assert cli.main(argv.split()) == 0, argv
+        print("numpy.ma" in sys.modules)
+    """
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "construct", "bose-chowla")[0] == 2  # missing --q/--h

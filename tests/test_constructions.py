@@ -1,6 +1,7 @@
 """Explicit constructions checked against an independent sum-collision scan."""
 
 import hashlib
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -107,6 +108,22 @@ def test_residue_sets_hold_distinct_reduced_residues(elements):
     # and a repeat was caught by an assert, which python -O drops
     with pytest.raises(InvalidParams):
         constructions.BhSetResidues(modulus=5, elements=elements, h=2)
+
+
+@pytest.mark.parametrize("elements", [(1.5, 2), (2.0, 3), (Fraction(2), 3), ("1", 2), ([1], 2)])
+def test_residue_sets_hold_integers(elements):
+    # (1.5, 2) and (2.0, 3) passed the range check and raised TypeError in the embedding
+    with pytest.raises(InvalidParams, match="not all integers"):
+        constructions.BhSetResidues(modulus=5, elements=elements, h=2)
+
+
+def test_residue_sets_accept_any_integer_type():
+    s = constructions.BhSetResidues(modulus=5, elements=(np.int64(1), np.uint8(2)), h=2)
+    plain = constructions.BhSetResidues(modulus=5, elements=(1, 2), h=2)
+    assert constructions.residues_to_binary(s) == constructions.residues_to_binary(plain)
+    built = constructions.bose_chowla(7, 2)
+    assert constructions.BhSetResidues(built.modulus, built.elements, built.h) == built
+    assert len(constructions.residues_to_binary(built)) == 7
 
 
 def test_residues_of_more_than_64_bits_embed():

@@ -434,6 +434,9 @@ POOL_AMBIENTS = {  # collision-rich, so that duplicated sums fall in several top
                 oracle.vector_mod_add(4)),
     "bit-words": (lambda rng: np.array([[rng.randrange(2) for _ in range(6)] for _ in range(24)],
                                        np.uint8), oracle._BIT_WORDS),
+    "long-bit-words": (lambda rng: np.array(  # 48 bits: two uint64 columns at h = 2 and 3
+        [[rng.randrange(2) for _ in range(2)] + [1, 0] * 20 + [rng.randrange(2) for _ in range(6)]
+         for _ in range(24)], np.uint8), oracle._BIT_WORDS),
 }
 
 
@@ -564,6 +567,71 @@ def test_64_bit_key_collisions_never_reach_an_answer(monkeypatch):
             assert (oracle.find_minimal_violations_bhg(population, 2, g, add=add)
                     == ref_minimal_bhg(population, 2, g, add))
             assert flagged == [True]
+
+
+def _column_digit_words(rng, m, h):
+    """48-bit words whose random bits include digit 0 of column 0 (bit 47) and
+    of column 1 at h = 2 and 3 (bits 7 and 15), so that with _MIX = 1 distinct
+    words share keys."""
+    words = np.ones((m, 48), np.uint8)
+    words[:, [0, 7, 15, 46, 47]] = [[rng.randrange(2) for _ in range(5)] for _ in range(m)]
+    return words
+
+
+@pytest.mark.parametrize("ambient", ["long-bit-words", "z3^2", "z5^30"])
+def test_rows_that_share_a_key_keep_their_own_sums(ambient, monkeypatch):
+    """With _MIX = 1 a key is the sum of a row's columns, so distinct rows of
+    several columns share keys at every level; pass two groups the rows
+    themselves, and verdicts and violation lists stay the reference's."""
+    monkeypatch.setattr(oracle, "_MIX", 1)
+    sample, add = AMBIENTS[ambient]
+    if ambient == "long-bit-words":
+        sample = _column_digit_words
+    rng, shared = random.Random(ambient), 0
+    for h in (1, 2, 3):
+        for trial in range(4):
+            elems = sample(rng, rng.randint(2, 8), h)
+            ref, ref_add = reference_input(elems, add, h)
+            first = oracle._Sums(elems, add, h).first
+            rows, keys = set(map(tuple, first.T.tolist())), set(oracle._key(first).tolist())
+            shared += len(rows) > len(keys)
+            for g in (1, 2):
+                assert (oracle.verify_bhg(elems, h, g, add=add)
+                        == ref_verify_bhg(ref, h, g, ref_add))
+                assert (oracle.find_minimal_violations_bhg(elems, h, g, add=add)
+                        == ref_minimal_bhg(ref, h, g, ref_add))
+    assert shared  # some distinct elements share a key
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(AMBIENTS)), st.integers(2, 4), st.integers(3, 8),
+       st.integers(1, 3), st.booleans(), st.randoms(use_true_random=False))
+def test_keys_generated_from_keys_are_the_rows_keys(ambient, h, m, t, small, rng):
+    """Pass one's sorted top-level keys, uint64 at t = 1 and their low 32 bits
+    at t >= 2, are `_key` of the rows the level holds.  Without a modulus they
+    are generated from the keys of the elements and of the held level, which
+    a modular ambient never does."""
+    sample, add = AMBIENTS[ambient]
+    elems = sample(rng, m, h)
+    scan, from_keys = oracle._Sums._duplicated, []
+
+    def recording(self, k, r, t, keys, direct):
+        dup = scan(self, k, r, t, keys, direct)
+        if k > self.k:
+            rows = np.concatenate([block for block, _ in self._bucket(k, r)], axis=1)
+            expected = np.sort(oracle._key(rows).astype(keys.dtype))
+            assert np.array_equal(keys[:len(expected)], expected)
+            from_keys.append(direct is not None and direct[0] is not self.first)
+        return dup
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle._Sums, "_duplicated", recording)
+        if small:
+            mp.setattr(oracle, "_BUCKET_KEYS", 1)
+            mp.setattr(oracle, "_CHUNK", 4)
+        oracle._Sums(elems, add, h).groups(h, t + 1)
+    assert from_keys or small  # one bucket of at least 6 rows: it is scanned
+    modular = isinstance(add, oracle.ModularAdd)
+    assert from_keys == [not modular] * len(from_keys)
 
 
 # ---------------------------------------------------------------------------
