@@ -221,16 +221,10 @@ def _distinct(a):
 
 
 def _among(keys, values):
-    """The indices of the `keys` that are in `values`, sorted and distinct.  Not
-    `np.isin`, which dedupes more than about 55 values with 1-D `np.unique`
-    (see `_distinct`): one comparison per value up to 256 values, where that is
-    the faster, and a binary search beyond."""
-    if len(values) > 256:
-        return np.flatnonzero(values.take(np.searchsorted(values, keys), mode="clip") == keys)
-    hit = np.zeros(len(keys), bool)
-    for v in values:
-        hit |= keys == v
-    return np.flatnonzero(hit)
+    """The indices of the `keys` that are in the sorted, distinct `values`, by one
+    binary search.  Not `np.isin`, which dedupes more than about 55 values with
+    1-D `np.unique` (see `_distinct`)."""
+    return np.flatnonzero(values.take(np.searchsorted(values, keys), mode="clip") == keys)
 
 
 class _Sums:

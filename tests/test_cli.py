@@ -45,12 +45,15 @@ def test_module_entry_point_runs_without_warning():
 
 def test_oracle_runs_do_not_import_numpy_ma(tmp_path):
     """numpy 2.4's 1-D `np.unique` imports `numpy.ma` on its first call, 16-19 ms
-    and about 1 MB; neither a verify nor a simulate with many violations pays it."""
+    and about 1 MB; neither a verify nor a simulate with many violations pays it.
+    Skipped where `import numpy` itself loads `numpy.ma` (numpy 1.x)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     script = """if True:
         import sys
+        import numpy
+        print("numpy.ma" in sys.modules)
         from bhlab import cli
         for argv in ("construct bose-chowla --q 13 --h 2 --binary --output bc.txt",
                      "verify bh --h 2 --input bc.txt", "simulate --h 2 --n 12 --seed 1",
@@ -61,7 +64,10 @@ def test_oracle_runs_do_not_import_numpy_ma(tmp_path):
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, cwd=tmp_path, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "False"
+    with_numpy, after_runs = done.stdout.splitlines()[-2:]
+    if with_numpy == "True":
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert after_runs == "False"
 
 
 def test_usage_errors_exit_2(capsys):
