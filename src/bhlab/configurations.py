@@ -24,6 +24,23 @@ Each kind has its own generator, and `enumerate_conf` returns their union:
     (B. D. McKay, "Isomorph-free exhaustive generation", J. Algorithms 26,
     1998).  The only class of both kinds is the all-distinct one.
 
+Canonical forms and automorphism counts come from one code-block engine
+(`_encoded`, `_sorted_codes`).  Vector v of a configuration with entries
+below b becomes the base-b code sum_j v_j b^(l-1-j), which sorts as the
+tuple does; a configuration shorter than the deepest of its block is padded
+with rows of code b^l, which sort last under every column order.  One
+matrix product gives every row's code under a block of column orders, each
+configuration's codes are sorted per order, and `_least` keeps the
+lexicographically least sorted row, fixing a few row positions at a time
+(as many codes as one int64 key holds); its digits are the canonical
+vectors.  `automorphism_count` counts the orders whose sorted codes equal
+those of the identity.  The generators stream children through
+`_canonical_all` _BLOCK configurations at a time, never holding a level as
+a list; one step holds at most about _STEP_CODES codes, so past 7 columns
+(or for deep configurations) the l! orders come in blocks and the running
+least is kept.  Codes must fit int64: b^l >= 2^63 raises CapExceeded rather
+than wrap into another class's name.
+
 `enumerate_conf_sharp` bounds the B_h^#[d] family by its definition: with
 L = d - h + k, a member has d(C) >= L + 1 and every column deletion leaves at
 most L variables, so each column holds d(C) - L >= 1 private variables.  These
@@ -56,8 +73,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
-from math import comb, factorial, lcm, prod
+from itertools import chain, combinations_with_replacement, islice, permutations
+from math import comb, factorial, gcd, lcm, prod
 
 import numpy as np
 
@@ -112,8 +129,118 @@ class Configuration:
 
 def canonical(vectors):
     """Least representative over simultaneous column permutations."""
-    return Configuration(tuple(min(sorted(zip(*cols))
-                                   for cols in permutations(zip(*vectors)))))
+    return Configuration(_canonical_all([vectors])[0])
+
+
+# ---------------------------------------------------------------------------
+# the code-block engine
+
+_STEP_CODES = 1 << 18  # codes one engine step holds (2 MiB of int64)
+_BLOCK = 32            # configurations the generators canonicalise per call
+_TABLE_COLUMNS = 7     # the orders of up to 7 columns come from one cached table
+_TOP = np.iinfo(np.int64).max
+
+
+@lru_cache(maxsize=None)
+def _place_table(m):
+    """Rows (0, 1 + s(0), ..., 1 + s(m-1)) over all m! orders s of range(m)."""
+    orders = np.array(list(permutations(range(m))), dtype=np.intp).reshape(-1, m)
+    table = np.hstack([np.zeros((len(orders), 1), dtype=np.intp), 1 + orders])
+    table.flags.writeable = False  # one cached array serves every caller
+    return table
+
+
+def _place_rows(l, size):
+    """Every column order of range(l), in blocks of at most `size` rows of
+    indices into the place values (b^l, b^(l-1), ..., 1): the pad flag takes
+    b^l, and column c the place of its position s(c).  Past 7 columns, each
+    choice of positions for the first l - 7 columns heads the table of the
+    last 7."""
+    m = min(l, _TABLE_COLUMNS)
+    table = _place_table(m)
+    for head in permutations(range(l), l - m):
+        rows = table
+        if head:
+            rest = np.array([0] + [1 + s for s in range(l) if s not in head], dtype=np.intp)[table]
+            rows = np.hstack([rest[:, :1], np.tile(1 + np.array(head), (len(rest), 1)), rest[:, 1:]])
+        for start in range(0, len(rows), size):
+            yield rows[start:start + size]
+
+
+def _encoded(configs):
+    """(digits, places): configurations of one l as an (n, depth, l + 1) array
+    of rows, each row a pad flag and then the vector, with the place values
+    (b^l, b^(l-1), ..., 1), b = 1 + the largest entry.  A vector's code, its
+    digits times the places, sorts as the vector does, and a pad row (flag
+    1, vector 0) codes to b^l, above every vector under every column order.
+    Each configuration is padded to the deepest one's row count."""
+    l = len(configs[0][0])
+    counts = np.array([len(c) for c in configs])
+    real = np.arange(counts.max()) < counts[:, None]
+    digits = np.zeros(real.shape + (l + 1,), dtype=np.int64)
+    digits[:, :, 0] = ~real
+    digits[real, 1:] = np.fromiter(chain.from_iterable(chain.from_iterable(configs)),
+                                   dtype=np.int64, count=counts.sum() * l).reshape(-1, l)
+    if digits.min() < 0:
+        raise InvalidParams("multiplicity vectors hold no negative entry")
+    base = 1 + int(digits[:, :, 1:].max())
+    if base ** l >= 2 ** 63:
+        raise CapExceeded(f"codes of {l} digits in base {base} exceed 63 bits")
+    return digits, np.array([base ** e for e in range(l, -1, -1)], dtype=np.int64)
+
+
+def _sorted_codes(digits, places):
+    """Yield (first, codes), one step of at most about _STEP_CODES codes at a
+    time: codes[i, p] is the ascending code row of configuration first + i
+    under the p-th column order of the step's block of orders.  A block of
+    configurations comes under all its orders before the next block starts."""
+    n, depth, width = digits.shape
+    columns = digits.transpose(0, 2, 1)
+    orders = min(factorial(width - 1), max(1, _STEP_CODES // depth))
+    per_step = max(1, _STEP_CODES // (depth * orders))
+    for first in range(0, n, per_step):
+        for rows in _place_rows(width - 1, orders):
+            codes = np.matmul(places[rows], columns[first:first + per_step])
+            codes.sort(axis=2)
+            yield first, codes
+
+
+def _least(codes, top):
+    """Each configuration's lexicographically least code row, (n, p, depth) ->
+    (n, depth), for codes below `top`: fixed a few row positions at a time,
+    as many as one int64 holds as base-`top` digits."""
+    span = 1
+    while top ** (span + 1) <= 2 ** 63:
+        span += 1
+    alive = np.ones(codes.shape[:2], dtype=bool)
+    for start in range(0, codes.shape[2], span):
+        part = codes[:, :, start:start + span]
+        keys = part @ np.array([top ** e for e in range(part.shape[2] - 1, -1, -1)], dtype=np.int64)
+        alive &= keys == np.where(alive, keys, _TOP).min(axis=1, keepdims=True)
+    return codes[np.arange(len(codes)), alive.argmax(axis=1)]
+
+
+def _canonical_all(configs):
+    """`canonical`'s vector tuple for each of `configs` (vector tuples of one
+    length l), canonicalised together a step at a time."""
+    digits, places = _encoded(configs)
+    top = int(places[0]) + 1
+    least, started = np.empty(digits.shape[:2], dtype=np.int64), -1
+    for first, codes in _sorted_codes(digits, places):
+        rows, best = slice(first, first + len(codes)), _least(codes, top)
+        if first == started:  # a later block of orders for the same configurations
+            best = _least(np.stack([least[rows], best], axis=1), top)
+        least[rows], started = best, first
+    codes, base, places = least.tolist(), int(places[-2]), places[1:].tolist()
+    vector = {x: tuple(x // p % base for p in places) for x in set(chain.from_iterable(codes))}
+    return [tuple(map(vector.__getitem__, row[:len(c)])) for row, c in zip(codes, configs)]
+
+
+def _canonical_stream(configs):
+    """`_canonical_all` over an iterable, _BLOCK configurations at a time."""
+    configs = iter(configs)
+    while block := list(islice(configs, _BLOCK)):
+        yield from _canonical_all(block)
 
 
 @dataclass(frozen=True)
@@ -136,10 +263,11 @@ def _partitions(k, largest):
 
 def _separable(k, l, limit):
     """Separable classes: a multiset of l partitions of k, one per column."""
-    for parts in combinations_with_replacement(tuple(_partitions(k, k)), l):
-        if sum(map(len, parts)) <= limit:
-            yield canonical(tuple(tuple(m if i == j else 0 for i in range(l))
-                                  for j, part in enumerate(parts) for m in part))
+    columns = (tuple(tuple(m if i == j else 0 for i in range(l))
+                     for j, part in enumerate(parts) for m in part)
+               for parts in combinations_with_replacement(tuple(_partitions(k, k)), l)
+               if sum(map(len, parts)) <= limit)
+    return map(Configuration, _canonical_stream(columns))
 
 
 def _picks(mults, budget):
@@ -175,8 +303,8 @@ def _multiplicity_free(k, l, limit):
     still gain a 0 and are rejected only at the last column."""
     level = {((1,),) * k}
     for _ in range(1, l):
-        level = {canonical(child).vectors for rows in level
-                 for child in _children(rows, k, limit)}
+        level = set(_canonical_stream(child for rows in level
+                                      for child in _children(rows, k, limit)))
     return [Configuration(rows) for rows in level if all(0 in r for r in rows)]
 
 
@@ -268,7 +396,12 @@ def _coinciding_weight(vectors, support):
     points' weights.  Memoised per (vectors, support).
 
     Vector v moves the column differences s_j - s_0 by (v_j - v_0) * x for the
-    point x it draws, so the weight is the fold of one draw per vector at 0."""
+    point x it draws, so the weight is the fold of one draw per vector at 0.
+    Each point coordinate is first divided by its gcd over the support: a sum
+    of them is zero exactly when the divided sum is, and the fold's boxes then
+    grow with the lattice the points span, not with their spacing."""
+    scales = [gcd(*column) or 1 for column in zip(*(point for point, _ in support))]
+    support = [(tuple(x // g for x, g in zip(point, scales)), w) for point, w in support]
     l = len(vectors[0])
     points = np.array([[[(v[j] - v[0]) * x for j in range(1, l) for x in point]
                         for point, _ in support] for v in vectors], dtype=object)
@@ -325,8 +458,10 @@ def automorphism_count(c: Configuration) -> int:
     """Symmetries of C: column permutations fixing the vector multiset,
     times consistent variable permutations.  Used to turn injective
     variable-to-index assignments into unordered violation counts."""
-    rows = sorted(c.vectors)
-    fixing = sum(sorted(zip(*cols)) == rows for cols in permutations(zip(*c.vectors)))
+    digits, places = _encoded([c.vectors])
+    identity = np.sort(digits @ places, axis=1)
+    fixing = sum(int((codes == identity[:, None]).all(axis=2).sum())
+                 for _, codes in _sorted_codes(digits, places))
     return fixing * prod(factorial(m) for m in Counter(c.vectors).values())
 
 

@@ -1,9 +1,16 @@
-"""Test-only views of bit-words, shared by the oracle and random-coding tests.
+"""Test-only references shared by the test modules.
 
 `encode_binary_words` is the tests' independent reference for the oracle's
 digit rows: a word's sums, read as base-(h+1) integers, are the sums that the
 oracle reports.  `sample_code` is the sampler's bit matrix as Python tuples.
+`canonical_reference` and `automorphism_reference` try every column order
+with Python tuples, as the configurations module did before its code-block
+engine.
 """
+
+from collections import Counter
+from itertools import permutations
+from math import factorial, prod
 
 from bhlab.errors import InvalidParams
 from bhlab.random_coding import SamplingPlan, _sample_bits
@@ -36,3 +43,16 @@ def encode_binary_words(words, h):
 def sample_code(plan: SamplingPlan):
     """`_sample_bits` as a list of t bit-tuples of Python ints."""
     return list(map(tuple, _sample_bits(plan).tolist()))
+
+
+def canonical_reference(vectors):
+    """The least sorted vector tuple over every column order."""
+    return tuple(min(sorted(zip(*cols)) for cols in permutations(zip(*vectors))))
+
+
+def automorphism_reference(vectors):
+    """Column orders that fix the vector multiset, times the relabellings of
+    equal vectors."""
+    rows = sorted(vectors)
+    fixing = sum(sorted(zip(*cols)) == rows for cols in permutations(zip(*vectors)))
+    return fixing * prod(factorial(m) for m in Counter(vectors).values())

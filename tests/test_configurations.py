@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -13,6 +15,7 @@ from bhlab import configurations as conf
 from bhlab import random_coding, rates
 from bhlab.entropy import from_probs, uniform_bits
 from bhlab.errors import CapExceeded, InvalidDistribution, InvalidParams
+from helpers import automorphism_reference, canonical_reference
 
 PARTITION_NUMBERS = {1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11}
 
@@ -317,8 +320,10 @@ def test_general_statistics_on_awkward_laws():
 
 def test_general_statistics_cap_is_checked_before_any_state_array(monkeypatch):
     c = conf.cmax(2, 2)  # d = 4; with n0 = 2, d*n0 = 8
-    # no array could hold the column differences this support reaches
-    far = [((0, 0), Fraction(1, 2)), ((10**18, 10**18), Fraction(1, 2))]
+    # no array could hold the column differences this support reaches; its
+    # coordinates have gcd 1, so dividing them by it does not bring them close
+    far = [((0, 0), Fraction(1, 2)), ((1, 1), Fraction(1, 4)),
+           ((10**18, 10**18), Fraction(1, 4))]
     with monkeypatch.context() as m:
         m.setattr(conf, "DEFAULT_EXACT_CAP", 3)
         with pytest.raises(CapExceeded):
@@ -367,6 +372,21 @@ def test_general_law_at_its_largest_middle_box():
     # returned (one cell here), not every step's box
     stats = conf.conf_stats_general(conf.cmax(4, 4), uniform_bits(3).items)
     assert stats.p == conf.cmax_p_closed(4, 3) ** 3
+
+
+def test_general_law_boxes_follow_the_lattice_not_the_spacing():
+    # the fold's boxes grew with K (0.14 s at K = 1000); each coordinate is now
+    # divided by its gcd over the support, and a zero coordinate stays zero
+    started = time.monotonic()
+    for K in (1, 1000, 10**4, 10**12):
+        law = [((0, 0), Fraction(1, 2)), ((K, K), Fraction(1, 2))]
+        assert conf.conf_stats_general(conf.cmax(2, 2), law).p == Fraction(3, 8)
+    assert time.monotonic() - started < 0.5
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    for law, divided in [([((0, -6), half), ((0, 4), half)], [((0, -3), half), ((0, 2), half)]),
+                         ([(-3, quarter), (9, 3 * quarter)], [(-1, quarter), (3, 3 * quarter)])]:
+        for c in conf.enumerate_conf(2, 3):
+            assert conf.conf_stats_general(c, law).p == conf.conf_stats_general(c, divided).p
 
 
 SHAPELESS = [  # (module, helper, args) with h < 1, g < 1 or l < 2
@@ -430,6 +450,50 @@ def test_two_column_cmax_root_is_monotone_in_d():
             # prev_p^(1/(2 prev_d)) <= p^(1/(2d))
             assert prev_p**d <= p**prev_d
         prev_p, prev_d = p, d
+
+
+def test_engine_steps_and_order_blocks_do_not_change_the_classes(monkeypatch):
+    # a step of 7 codes splits every batch and, from l = 4, the l! orders; a
+    # 3-column table makes orders from prefixes of the first l - 3 columns
+    rng = random.Random(5)
+    batches = [[tuple(tuple(rng.randint(0, 3) for _ in range(l)) for _ in range(rng.randint(1, 6)))
+                for _ in range(rng.randint(1, 9))] for l in (1, 2, 3, 4, 5, 6) for _ in range(4)]
+    monkeypatch.setattr(conf, "_STEP_CODES", 7)
+    monkeypatch.setattr(conf, "_TABLE_COLUMNS", 3)
+    for batch in batches:
+        assert conf._canonical_all(batch) == [canonical_reference(c) for c in batch]
+        for c in batch[:2]:
+            assert conf.automorphism_count(conf.Configuration(c)) == automorphism_reference(c)
+    for shape in [(2, 4), (3, 3)]:
+        assert _digest(conf.enumerate_conf(*shape)) == PINNED_CONF[shape]
+
+
+def test_codes_that_would_pass_63_bits_raise():
+    fits = ((2**21 - 2, 0, 1), (0, 2**21 - 2, 5))  # base 2^21 - 1: (2^21 - 1)^3 < 2^63
+    assert conf.canonical(fits).vectors == canonical_reference(fits)
+    assert conf.canonical(((2**62,), (7,))).vectors == ((7,), (2**62,))
+    for wide in (((2**21 - 1, 0, 1),), ((3,) * 40, (0,) * 40), ((2**62, 0),)):
+        with pytest.raises(CapExceeded, match="63 bits"):
+            conf.canonical(wide)
+        with pytest.raises(CapExceeded, match="63 bits"):
+            conf.automorphism_count(conf.Configuration(wide))
+    with pytest.raises(InvalidParams):
+        conf.canonical(((1, -1), (0, 2)))
+
+
+def test_eight_columns_canonicalise_within_the_step_bound():
+    # cmax(8, 8) under all 8! orders is 2,580,480 codes (20 MiB); a step holds
+    # 2^18 codes, and its sorted block plus the running least fit in 8 MiB
+    c = conf.cmax(8, 8)
+    shuffled = tuple(v[3:] + v[:3] for v in reversed(c.vectors))
+    tracemalloc.start()
+    try:
+        assert conf.canonical(shuffled) == c
+        assert conf.automorphism_count(c) == factorial(8) * factorial(8) ** 8
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * conf._STEP_CODES
 
 
 def test_canonicalization_is_idempotent_and_injective():
