@@ -141,6 +141,7 @@ def _cmd_configs(args, argv):
         _require(args, "k", "l", what="configs enumerate")
         confs = conf_mod.enumerate_conf(args.k, args.l)
     records = []
+    conf_mod.precompute_stats(confs)
     for c in confs:
         stats = conf_mod.conf_stats(c)
         records.append(conf_mod.conf_to_json(c, stats))

@@ -47,34 +47,42 @@ most L variables, so each column holds d(C) - L >= 1 private variables.  These
 are disjoint, so l <= d(C) / (d(C) - L) <= L + 1, and at most k per column, so
 d(C) <= L + k.
 
-Both p(C) functions read one exact weight (`_coinciding_weight`).  The law
+Both p(C) functions read one exact weight (`_coinciding_weights`).  The law
 becomes integer weights over one common denominator D (uniform bits are
 weights (1, 1) over D = 2), so p(C) = W / D^d, where W sums the weight
 products of the assignments whose l column sums coincide.  Vector v moves the
 (l-1)*n0 column differences s_j - s_0 by (v_j - v_0) * x when it draws point
 x, so W is the weight at 0 of a sum of independent draws, one per vector:
 `entropy._fold` at 0, whose boxes span only the differences that can still
-return to zero.
+return to zero.  The classes of one l under one law fold as the rows of one
+call: a class is a row of draws indexed into a table of its family's
+distinct vectors, and the fold batches alike rows, so a draw that many
+classes make at one step is one add over all of them.
 
-`_coinciding_weight` is memoised per process: it keeps the integer weight W
-per (class vectors, tuple of (point, weight) pairs).  Callers check their
-caps first and divide by D^d themselves, so a float law and the equal
-rational law share one entry, yet one returns a float and the other a
+W is memoised per process (`_WEIGHTS`), per (class vectors, tuple of (point,
+weight) pairs).  `precompute_stats` folds a whole family's missing weights
+together; `rates` (`rate_bhg`, `rate_bhg_distribution`, `rate_bh_sharp`),
+`random_coding`'s E(t) and `bhlab configs enumerate` call it first, and
+then `conf_stats` and `conf_stats_general` read one class at a time: each
+checks its caps first and divides by D^d itself, so a float law and the
+equal rational law share one entry, yet one returns a float and the other a
 Fraction.  `rates._family_report` asks for each class's p(C) twice, once to
 optimise and once for the table (perfbench's self-test pins both traced
-calls); the second call is a lookup.  The memo holds more entries than
-every shape under DEFAULT_CELL_CAP has classes together, so no family under
-the default cap evicts an entry before its table pass reads it.
+calls); after `precompute_stats` both calls are lookups.  A class the memo
+lacks is folded alone.  The memo holds more entries than every shape under
+DEFAULT_CELL_CAP has classes together, so no family under the default cap
+evicts an entry before its table pass reads it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, combinations_with_replacement, islice, permutations
 from math import comb, factorial, gcd, lcm, prod
+from operator import mul
 
 import numpy as np
 
@@ -83,6 +91,7 @@ from .errors import CapExceeded, InvalidDistribution, InvalidParams
 
 DEFAULT_CELL_CAP = 18    # k*l of an enumerated shape
 DEFAULT_EXACT_CAP = 24   # d(C) for exhaustive p(C); d(C)*n0 <= 2x this for a general law
+_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 _WEIGHTS_CACHED = 16384  # (class, law) p(C) weights kept per process; the
                          # shapes with k*l <= 18 have 8774 classes together
 
@@ -105,11 +114,15 @@ class Configuration:
 
     def columns(self):
         """Columns as sorted tuples of variable ids (0-based by vector order)."""
+        return self._columns
+
+    @cached_property
+    def _columns(self):  # built once per instance, for every JSON record of it
         cols = []
-        for j in range(self.l):
+        for column in zip(*self.vectors):
             col = []
-            for var, vec in enumerate(self.vectors):
-                col.extend([var] * vec[j])
+            for var, m in enumerate(column):
+                col += [var] * m
             cols.append(tuple(col))
         return tuple(cols)
 
@@ -120,11 +133,10 @@ class Configuration:
         """Number of distinct variables left after deleting column j."""
         return sum(1 for v in self.vectors if any(x for i, x in enumerate(v) if i != j))
 
-    def __repr__(self):
-        letters = "abcdefghijklmnopqrstuvwxyz"
-        cols = ["".join(letters[v] if v < 26 else f"v{v}" for v in col)
-                for col in self.columns()]
-        return f"Conf({'|'.join(cols)})"
+    def __repr__(self):  # variable v is letter v, or v<v> from the 27th on, once per occurrence
+        names = _LETTERS if self.d <= len(_LETTERS) else [*_LETTERS] + [
+            f"v{v}" for v in range(len(_LETTERS), self.d)]
+        return f"Conf({'|'.join(''.join(map(mul, names, column)) for column in zip(*self.vectors))})"
 
 
 def canonical(vectors):
@@ -388,33 +400,106 @@ def cmax(h, l):
 _UNIFORM_BITS = (((0,), 1), ((1,), 1))  # (point, integer weight) over denominator 2
 
 
-@lru_cache(maxsize=_WEIGHTS_CACHED)
-def _coinciding_weight(vectors, support):
-    """Total weight of the assignments of support points to `vectors` under
-    which the l column sums coincide; `support` is a tuple of (n0-tuple of
-    ints, integer weight) pairs and an assignment weighs the product of its
-    points' weights.  Memoised per (vectors, support).
+class _Memo:
+    """The per-process memo of p(C) weights: the integer weight W per (class
+    vectors, support), the least recently used dropped past `size` entries;
+    `misses` counts the weights folded since the last `clear`."""
+
+    def __init__(self, size):
+        self.size, self.entries, self.misses = size, OrderedDict(), 0
+
+    def clear(self):
+        self.entries.clear()
+        self.misses = 0
+
+
+_WEIGHTS = _Memo(_WEIGHTS_CACHED)
+
+
+def _coinciding_weights(classes, support):
+    """Total weight, for each of `classes` (vector tuples), of the assignments
+    of support points to its vectors under which the l column sums coincide;
+    `support` is a tuple of (n0-tuple of ints, integer weight) pairs and an
+    assignment weighs the product of its points' weights.  Read from the
+    memo; the classes it lacks are folded together, one `_fold` per l."""
+    entries, found, missing = _WEIGHTS.entries, {}, {}
+    for vectors in classes:
+        if (vectors, support) in entries:
+            entries.move_to_end((vectors, support))
+            found[vectors] = entries[vectors, support]
+        else:  # by l, each class once
+            missing.setdefault(len(vectors[0]), {})[vectors] = None
+    for group in missing.values():
+        found.update(zip(group, _fold_weights(list(group), support)))
+        _WEIGHTS.misses += len(group)
+        entries.update(((vectors, support), found[vectors]) for vectors in group)
+    while len(entries) > _WEIGHTS.size:
+        entries.popitem(last=False)
+    return [found[vectors] for vectors in classes]
+
+
+def _fold_weights(classes, support):
+    """`_coinciding_weights` for classes of one l: the rows of one `_fold` at
+    0, a row per class and a draw per vector.
 
     Vector v moves the column differences s_j - s_0 by (v_j - v_0) * x for the
-    point x it draws, so the weight is the fold of one draw per vector at 0.
-    Each point coordinate is first divided by its gcd over the support: a sum
-    of them is zero exactly when the divided sum is, and the fold's boxes then
-    grow with the lattice the points span, not with their spacing."""
+    point x it draws, so a class's weight is the fold of one draw per vector
+    at 0.  Each point coordinate is first divided by its gcd over the support:
+    a sum of them is zero exactly when the divided sum is, and the fold's
+    boxes then grow with the lattice the points span, not with their
+    spacing.  Cells are int64 when the total weight to the power of the
+    largest d stays below 2^63, so that no cell can wrap, and Python ints
+    otherwise."""
     scales = [gcd(*column) or 1 for column in zip(*(point for point, _ in support))]
-    support = [(tuple(x // g for x, g in zip(point, scales)), w) for point, w in support]
-    l = len(vectors[0])
-    points = np.array([[[(v[j] - v[0]) * x for j in range(1, l) for x in point]
-                        for point, _ in support] for v in vectors], dtype=object)
-    weights = np.array([[w for _, w in support]], dtype=object)
-    return _fold(points, weights, at=(0,) * points.shape[2])[1].item()
+    points = [[x // g for x, g in zip(point, scales)] for point, _ in support]
+    wide = max(abs(x) for point in points for x in point) >= 2**32  # times entries, fits int64
+    index, longest = {}, max(map(len, classes))
+    ids = np.array([[index.setdefault(v, len(index)) for v in c] + [-1] * (longest - len(c))
+                    for c in classes])
+    table = np.array([[[(v[j] - v[0]) * x for j in range(1, len(v)) for x in point]
+                       for point in points] for v in index], dtype=object if wide else np.int64)
+    total = sum(w for _, w in support)
+    weights = np.array([[w for _, w in support]],
+                       dtype=np.int64 if total ** longest < 2**63 else object)
+    return _fold((table, ids), weights, at=(0,) * table.shape[2])[1].reshape(-1).tolist()
+
+
+def precompute_stats(classes, dist=None):
+    """Fold the p(C) weights of `classes` together into the per-process memo,
+    under uniform bits (`dist` None, as `conf_stats`) or under `dist` (as
+    `conf_stats_general` reads it), so those calls then only read it.
+    Classes above the exact cap are left to them, and they refuse them."""
+    classes = list(classes)
+    if not classes:
+        return
+    if dist is None:
+        support, largest = _UNIFORM_BITS, DEFAULT_EXACT_CAP
+    else:
+        support, _, n0 = _integer_law(list(dist))
+        largest = 2 * DEFAULT_EXACT_CAP // n0
+    _coinciding_weights([c.vectors for c in classes if c.d <= largest], support)
 
 
 def conf_stats(c: Configuration) -> ConfStats:
     """Exact p(C) over iid uniform bits: weights (1, 1) over denominator 2."""
     if c.d > DEFAULT_EXACT_CAP:
         raise CapExceeded(f"d(C) = {c.d} exceeds exact-computation cap {DEFAULT_EXACT_CAP}")
-    count = _coinciding_weight(c.vectors, _UNIFORM_BITS)
+    [count] = _coinciding_weights([c.vectors], _UNIFORM_BITS)
     return ConfStats(d=c.d, p=Fraction(count, 2**c.d))
+
+
+def _integer_law(dist):
+    """(support, D, n0) for a law as `conf_stats_general` reads it: the
+    (point tuple, integer weight) pairs of its non-zero masses over their
+    common denominator D; InvalidDistribution for what is not a law."""
+    _check_points([a for a, _ in dist])
+    exact = [_as_fraction(p) for _, p in dist]
+    if any(q < 0 for q in exact) or not abs(sum(exact) - 1) <= FLOAT_MASS_TOL:
+        raise InvalidDistribution(f"masses must be >= 0 with total 1, got total {float(sum(exact))}")
+    denom = lcm(*(q.denominator for q in exact))
+    support = tuple((tuple(map(int, _as_point(a))), q.numerator * (denom // q.denominator))
+                    for (a, _), q in zip(dist, exact) if q)
+    return support, denom, len(_as_point(dist[0][0]))
 
 
 def conf_stats_general(c: Configuration, dist) -> ConfStats:
@@ -432,17 +517,11 @@ def conf_stats_general(c: Configuration, dist) -> ConfStats:
     holds, and then p is that exact value rounded once to a float.
     """
     dist = list(dist)
-    _check_points([a for a, _ in dist])
-    exact = [_as_fraction(p) for _, p in dist]
-    if any(q < 0 for q in exact) or not abs(sum(exact) - 1) <= FLOAT_MASS_TOL:
-        raise InvalidDistribution(f"masses must be >= 0 with total 1, got total {float(sum(exact))}")
-    n0 = len(_as_point(dist[0][0]))
+    support, denom, n0 = _integer_law(dist)
     if c.d * n0 > 2 * DEFAULT_EXACT_CAP:
         raise CapExceeded(f"d(C)*n0 = {c.d * n0} exceeds cap")
-    denom = lcm(*(q.denominator for q in exact))
-    weighted = tuple((tuple(map(int, _as_point(a))), q.numerator * (denom // q.denominator))
-                     for (a, _), q in zip(dist, exact) if q)
-    p = Fraction(_coinciding_weight(c.vectors, weighted), denom**c.d)
+    [weight] = _coinciding_weights([c.vectors], support)
+    p = Fraction(weight, denom**c.d)
     return ConfStats(d=c.d, p=p if all(_exact(q) for _, q in dist) else float(p))
 
 

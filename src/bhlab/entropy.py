@@ -10,10 +10,13 @@ preserve total mass.
 
 Every law of a sum of independent draws comes from one fold, `_fold`: a dense
 array over the lattice box of the sum, one shifted-slice add per support point
-per draw, a leading row axis for many laws per call; exact integer weights on
-an object array for rational laws, float64 otherwise.  Its callers are
-`hfold`, `weighted_bit_sum`, the uniform-optimality search and witness, and
-p(C) (`configurations`), which folds one draw per vector at a single point.
+per draw, a leading row axis for many laws per call; exact integer weights
+(int64 where no cell can reach 2^63, Python ints otherwise) for rational
+laws, float64 otherwise.  Rows may share their draws or each make their own,
+taken from a table of distinct draws.  Its callers are `hfold`,
+`weighted_bit_sum`, the uniform-optimality search and witness, and p(C)
+(`configurations`), which folds a row per class and a draw per vector at a
+single point.
 DEFAULT_SUPPORT_CAP, read at each call, bounds the law that `_fold` returns
 (rows times prod(h * span + 1) for a whole law, rows for a single point), not
 the support nor the boxes on the way: {0, 2^20} raises CapExceeded at h = 2.
@@ -33,6 +36,10 @@ import numpy as np
 from .errors import CapExceeded, InvalidDistribution, InvalidParams
 
 DEFAULT_SUPPORT_CAP = 2**20  # cells of a fold's array, points of bit_points, hypercube entries
+_BATCH_CELLS = 2**14  # cells a batch of rows with their own points holds at a step, past one row
+_ADD_CELLS = 2048     # the fixed cost of one add, in int64 cell-adds (a quarter on object cells)
+_BLOCK_ROWS = 128     # rows with their own points whose boxes one pass of `_fold` holds
+_PLAN_ROWS = 16       # fewer rows fold one at a time: choosing batches costs more than it saves
 FLOAT_MASS_TOL = 1e-12
 SHANNON_ALPHA_TOL = 1e-9
 ROOT_TOL = 1e-10  # bracket width at which `critical_alphas` stops bisecting
@@ -141,32 +148,202 @@ def from_probs(probs) -> Distribution:
 def _fold(points, weights, at=None):
     """Law of the sum of independent draws, dense over the lattice box.
 
-    `points` is a (draws, s, n0) integer array, one row of s support points per
-    draw; `weights` is a (rows, s) array that every draw shares, one law per
-    row.  Returns (low, law), where law[r][i] is row r's weight of the sum
-    low + i.  Each step's box is what the draws so far reach; given `at`, only
-    the sums from which the remaining draws can still reach `at`, so the law
-    returned is the one cell at `at` (zero if no sum reaches it)."""
-    rows, n0 = weights.shape[0], points.shape[2]
-    zero = np.zeros((1, n0), dtype=object)  # Python ints: reaches must not wrap in int64
-    lo = np.concatenate([zero, np.cumsum(points.min(axis=1), axis=0, dtype=object)])
-    hi = np.concatenate([zero, np.cumsum(points.max(axis=1), axis=0, dtype=object)])
-    if at is not None:
-        lo, hi = np.maximum(lo, hi - (hi[-1] - at)), np.minimum(hi, lo - (lo[-1] - at))
-        if (lo > hi).any():
+    `points` is a (draws, s, n0) integer array, one row of s support points
+    per draw, that every row shares; or a pair (table, ids) that gives each
+    row its own points: row r draws the row table[ids[r, t]] of a
+    (distinct draws, s, n0) integer table at step t, or makes an identity
+    draw where ids[r, t] = -1, so rows with fewer draws pad with -1.
+    `weights` is a (rows, s) array that every draw shares, one law per row,
+    or with per-row points one (1, s) law for every row.  Returns (low, law),
+    where law[r][i] is row r's weight of the sum low + i.  Each step's box
+    is the union of what the rows' draws so far reach; given `at`, only the
+    sums from which each row's remaining draws can still reach `at`, so the
+    law returned is the one cell at `at` (zero for a row none of whose sums
+    reaches it).
+
+    Cells hold `weights.dtype`.  numpy int64 adds wrap silently, so a caller
+    passes int64 weights only where (total weight)^draws stays below 2^63,
+    which bounds every cell, and Python ints (object) otherwise; reaches are
+    Python ints wherever int64 could wrap.
+
+    Per-row points fold in batches.  The rows are ordered by draw count and
+    then by draws, and taken _BLOCK_ROWS at a time; `_batches` splits each
+    block of at least _PLAN_ROWS rows (smaller ones fold row by row) into
+    runs from all its rows' boxes before any add, keeping a run whole only
+    where it costs no more than its two halves folded apart and its union
+    boxes hold at most _BATCH_CELLS cells (one row always folds, as alone).
+    Within a batch, before each draw, the rows that draw the same points are
+    made contiguous, so each add is one basic slice over a group of rows
+    (`_fold_batch`)."""
+    if isinstance(points, tuple):
+        (table, ids), rows = points, len(points[1])
+    else:
+        table, ids, rows = points, None, len(weights)
+    if ids is not None and rows == 1:  # one row: the shared case
+        table, ids = table[ids[0][ids[0] >= 0]], None
+    n0 = table.shape[2]
+    if table.dtype != object:  # Python ints where a reach or its distance to `at` could wrap
+        reach = int(np.abs(table).max(initial=0)) * (len(table) if ids is None else ids.shape[1])
+        if 4 * (reach + max(map(abs, at or (0,)))) >= 2**63:
+            table = table.astype(object)
+    steps = [bound(table, axis=1) for bound in (np.min, np.max)]  # what each table row reaches
+    if ids is None:
+        lo, hi = _boxes(steps, None, at)
+        if (lo[0, -1] > hi[0, -1]).any():  # no sum reaches `at`
             return np.array(at, dtype=object), np.zeros((rows,) + (1,) * n0, weights.dtype)
-    low, lo, hi = lo[-1], lo.tolist(), hi.tolist()
-    cells = rows * math.prod(b - a + 1 for a, b in zip(lo[-1], hi[-1]))
+        low, top = lo[0, -1].tolist(), hi[0, -1].tolist()
+    else:  # a last step row for the id -1, an identity draw, which reaches 0
+        steps = [np.concatenate([step, np.zeros_like(step[:1])]) for step in steps]
+        if at is None:
+            low, top = (bound(step[ids].sum(axis=1), axis=0).tolist()
+                        for bound, step in zip((np.min, np.max), steps))
+        else:
+            low = top = list(at)
+    cells = rows * math.prod(b - a + 1 for a, b in zip(low, top))
     if cells > DEFAULT_SUPPORT_CAP:
         raise CapExceeded(f"lattice box of {cells // rows} cells x {rows} row(s) "
                           f"exceeds cap {DEFAULT_SUPPORT_CAP}")
+    if ids is None:
+        return np.array(low, dtype=object), _fold_batch(
+            table, None, np.arange(len(table))[None], weights, lo[0], hi[0])
+    keys = [(sum(k >= 0 for k in row), row) for row in ids.tolist()]
+    order = np.array(sorted(range(rows), key=keys.__getitem__))  # by draw count, then by draws
+    ids, weights = ids[order], np.broadcast_to(weights, (rows, weights.shape[1]))[order]
+    ends = np.where(ids >= 0, np.arange(1, ids.shape[1] + 1), 1).max(axis=1)  # steps to fold
+    law = np.zeros((rows,) + tuple(b - a + 1 for a, b in zip(low, top)), weights.dtype)
+    per_add = _ADD_CELLS if weights.dtype != object else _ADD_CELLS // 4
+    resting = (table == 0).all(axis=(0, 2)).tolist()  # points that move no row
+    for start in range(0, rows, _BLOCK_ROWS):  # rows whose boxes are held at once
+        block = np.arange(start, min(start + _BLOCK_ROWS, rows))
+        lo, hi = _boxes(steps, ids[block], at)
+        live = (lo[:, -1] <= hi[:, -1]).all(axis=1)  # some sum of the row's draws reaches `at`
+        if not live.all():
+            block, lo, hi = block[live], lo[live], hi[live]
+        runs = (_batches(lo, hi, ids[block], resting, per_add) if len(block) >= _PLAN_ROWS
+                else [(row, row + 1) for row in range(len(block))])
+        for first, last in runs:
+            batch, draws = block[first:last], ends[block[first:last]].max()
+            blo = lo[first:last, :draws + 1].min(axis=0)
+            bhi = hi[first:last, :draws + 1].max(axis=0)
+            blo[-1], bhi[-1] = low, top  # every batch ends on the union of all rows' last boxes
+            law[order[batch]] = _fold_batch(table, resting, ids[batch, :draws], weights[batch],
+                                            blo, bhi)
+    return np.array(low, dtype=object), law
+
+
+def _boxes(steps, ids, at):
+    """(lo, hi), each (rows, draws + 1, n0): the box of the sums that each
+    row's first draws reach, and given `at`, of those from which its
+    remaining draws can still reach `at`.  `steps` holds the least and the
+    largest point of each draw in the table; the rows are one that makes
+    every draw in order when `ids` is None."""
+    lo, hi = (np.cumsum(step[None] if ids is None else step[ids], axis=1) for step in steps)
+    lo, hi = (np.concatenate([np.zeros_like(b[:, :1]), b], axis=1) for b in (lo, hi))
+    if at is not None:
+        lo, hi = np.maximum(lo, hi - (hi[:, -1:] - at)), np.minimum(hi, lo - (lo[:, -1:] - at))
+    return lo, hi
+
+
+def _batches(lo, hi, ids, resting, per_add):
+    """Runs [first, last) of the rows, in order, that fold as one batch.
+
+    `lo`, `hi` are each row's box at each step, `ids` its draw at each step
+    (-1 an identity draw) and `resting` flags the points that are 0 in every
+    draw.  A bottom-up pass over aligned runs of 1, 2, 4, ... rows prices
+    each run as one batch in cell-adds: `per_add` for each add, which is one
+    per moving point per group of rows that draw alike, one per resting point
+    and one for the identity draws at each step, and one more per step to
+    regroup a run of several rows; plus one cell per point, row and cell of
+    the run's union box at each step.  A run folds whole when its price is
+    at most the best price of its two halves and its boxes stay within
+    _BATCH_CELLS cells; otherwise its halves fold apart, down to one row,
+    which is the fold of that row alone.  Prices are int64: a box counts at
+    most _BATCH_CELLS + 1 cells, which no batch of several rows may hold
+    anyway."""
+    n, steps = ids.shape
+    if lo.dtype == object:  # reaches past int64: boxes far too large to share
+        return [(row, row + 1) for row in range(n)]
+    size, cap = 1 << (n - 1).bit_length(), _BATCH_CELLS + 1  # cells past the bound count as cap
+    low, top = np.full((2, size, steps, lo.shape[2]), [[[[2**62]]], [[[-2**62]]]])
+    low[:n], top[:n] = lo[:, 1:], hi[:, 1:]  # pad rows: no draws, no box
+    key, members = np.full((size, 1, steps), -2), (np.arange(size) < n).astype(np.int64)
+    key[:n, 0] = ids
+    fixed, keep = sum(resting), []
+    moving = len(resting) - fixed
+    while True:
+        ranked = np.sort(key, axis=1)
+        drawn = ranked >= 0
+        new = np.ones(ranked.shape, bool)
+        new[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+        running = drawn.any(axis=1)  # the run draws at this step
+        adds = (moving * (new & drawn).sum(axis=1) + (fixed + (members > 1)[:, None]) * running
+                + ((ranked == -1).any(axis=1) & running))
+        extent = np.minimum(np.maximum(top - low + 1, 0), cap)
+        cells = np.ones(extent.shape[:2], np.int64)
+        for axis in range(extent.shape[2]):
+            cells = np.minimum(cells * extent[:, :, axis], cap)
+        boxes = members[:, None] * cells * running
+        price = per_add * adds.sum(axis=1) + len(resting) * boxes.sum(axis=1)
+        if keep:
+            halves = best[0::2] + best[1::2]
+            whole = (price <= halves) & (boxes.max(axis=1) <= _BATCH_CELLS)
+            best = np.where(whole, price, halves)
+        else:
+            whole, best = np.ones(len(price), bool), price
+        keep.append(whole)
+        if len(best) == 1:
+            break
+        low, top = np.minimum(low[0::2], low[1::2]), np.maximum(top[0::2], top[1::2])
+        key, members = np.concatenate([key[0::2], key[1::2]], axis=1), members[0::2] + members[1::2]
+    runs, stack = [], [(len(keep) - 1, 0)]
+    while stack:
+        level, j = stack.pop()
+        first = j << level
+        if first >= n:
+            continue
+        if keep[level][j]:
+            runs.append((first, min(first + (1 << level), n)))
+        else:
+            stack += [(level - 1, 2 * j + 1), (level - 1, 2 * j)]
+    return runs
+
+
+def _fold_batch(table, resting, ids, weights, lo, hi):
+    """`_fold`'s adds for one batch of rows, each row's law in row order over
+    the last of the boxes `lo`, `hi`.  Row r draws the points table[ids[r, t]]
+    at step t, or makes an identity draw where that id is -1; one row of
+    `ids` is shared by every row.  With a row of ids per row, a point that
+    `resting` flags is 0 in every draw of the table, so its add spans every
+    row that draws at a step."""
+    rows, n0 = len(weights), table.shape[2]
     units = [all(w == 1 for w in column) for column in weights.T.tolist()]  # add, no multiply
-    scales = weights.T.reshape((-1, rows) + (1,) * n0)
-    law = np.ones((rows,) + (1,) * n0, weights.dtype)
-    for t, draw in enumerate(points.tolist()):
+    scales = weights.T.reshape(weights.shape[::-1] + (1,) * n0)
+    law, order = np.ones((rows,) + (1,) * n0, weights.dtype), np.arange(rows)
+    lo, hi, table, origin = lo.tolist(), hi.tolist(), table.tolist(), (0,) * n0
+    shared = ids[0].tolist() if len(ids) == 1 else None
+    for t in range(len(lo) - 1):
+        if shared is not None:  # every row draws alike
+            adds = ([(0, rows, point, unit, scale) for point, unit, scale
+                     in zip(table[shared[t]], units, scales)] if shared[t] >= 0
+                    else [(0, rows, origin, True, None)])
+        else:
+            key = ids[order, t]
+            if (key[1:] < key[:-1]).any():
+                turn = np.argsort(key, kind="stable")
+                law, order, key, scales = law[turn], order[turn], key[turn], scales[:, turn]
+            first = [0] + (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()
+            groups = [(a, b, table[k]) for a, b, k in zip(first, first[1:] + [rows],
+                                                          key[first].tolist()) if k >= 0]
+            drawing = groups[0][0] if groups else rows  # rows before it make an identity draw
+            adds = [(0, drawing, origin, True, None)] if drawing else []
+            for i, (rest, unit, scale) in enumerate(zip(resting, units, scales)):
+                if rest:
+                    adds.append((drawing, rows, origin, unit, scale))
+                else:
+                    adds += [(a, b, draw[i], unit, scale) for a, b, draw in groups]
         nxt = np.zeros([rows] + [b - a + 1 for a, b in zip(lo[t + 1], hi[t + 1])], weights.dtype)
-        for point, unit, scale in zip(draw, units, scales):
-            src, dst = [slice(None)], [slice(None)]
+        for first, last, point, unit, scale in adds:
+            src, dst = [slice(first, last)], [slice(first, last)]
             for a, b, s, a1, b1 in zip(lo[t], hi[t], point, lo[t + 1], hi[t + 1]):
                 start, stop = max(a + s, a1), min(b + s, b1)  # clipped to the next box
                 if start > stop:
@@ -175,9 +352,11 @@ def _fold(points, weights, at=None):
                 dst.append(slice(start - a1, stop - a1 + 1))
             else:
                 moved = law[tuple(src)]
-                nxt[tuple(dst)] += moved if unit else moved * scale
+                nxt[tuple(dst)] += moved if unit else moved * scale[first:last]
         law = nxt
-    return low, law
+    out = np.empty_like(law)
+    out[order] = law
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .configurations import (automorphism_count, conf_stats_general,
-                             enumerate_conf_upto)
+                             enumerate_conf_upto, precompute_stats)
 from .constructions import _bit_matrix, _first_rows, make_binary_code
 from .entropy import Distribution, _check_seed, bit_points, uniform_bits
 from . import oracle
@@ -82,8 +82,9 @@ class ConstructionStats:
 
 def _class_weights(h, g, dist):
     """(d(C), violations-per-population-weight, per-block probability) rows."""
-    rows = []
-    for c in enumerate_conf_upto(h, g + 1):
+    rows, family = [], enumerate_conf_upto(h, g + 1)
+    precompute_stats(family, dist.items)
+    for c in family:
         stats = conf_stats_general(c, dist.items)
         rows.append((c.d, Fraction(1, automorphism_count(c)), Fraction(stats.p)))
     return rows

@@ -13,7 +13,7 @@ from math import comb
 
 from .configurations import (Configuration, canonical, cmax, cmax_p_closed, conf_stats,
                              conf_stats_general, enumerate_conf_sharp,
-                             enumerate_conf_upto)
+                             enumerate_conf_upto, precompute_stats)
 from .entropy import Distribution, _as_fraction, hfold, log2_fraction, renyi
 from .errors import EmptyFamily, InvalidParams
 
@@ -120,7 +120,9 @@ def rate_bhg(h, g) -> RateReport:
     """min over Conf(<= h, g+1) of -log2(p) / (d - 1)."""
     if h < 1 or g < 1:
         raise InvalidParams(f"h and g must be >= 1, got h = {h}, g = {g}")
-    return _family_report(f"bhg(h={h},g={g})", enumerate_conf_upto(h, g + 1))
+    family = enumerate_conf_upto(h, g + 1)
+    precompute_stats(family)
+    return _family_report(f"bhg(h={h},g={g})", family)
 
 
 def rate_bhg_distribution(h, g, dist) -> RateReport:
@@ -131,7 +133,9 @@ def rate_bhg_distribution(h, g, dist) -> RateReport:
     if h < 1 or g < 1:
         raise InvalidParams(f"h and g must be >= 1, got h = {h}, g = {g}")
     exact = tuple((a, _as_fraction(p)) for a, p in dist.items)
-    return _family_report(f"bhg-dist(h={h},g={g})", enumerate_conf_upto(h, g + 1),
+    family = enumerate_conf_upto(h, g + 1)
+    precompute_stats(family, exact)
+    return _family_report(f"bhg-dist(h={h},g={g})", family,
                           stats_fn=lambda c: conf_stats_general(c, exact))
 
 
@@ -139,7 +143,9 @@ def rate_bh_sharp(h, d) -> RateReport:
     """min over Conf#(<= h)[d], a family that is never empty for d >= h."""
     if d < h:
         raise InvalidParams(f"d = {d} < h = {h}")
-    return _family_report(f"bhsharp(h={h},d={d})", enumerate_conf_sharp(h, d))
+    family = enumerate_conf_sharp(h, d)
+    precompute_stats(family)
+    return _family_report(f"bhsharp(h={h},d={d})", family)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,16 @@ digit rows: a word's sums, read as base-(h+1) integers, are the sums that the
 oracle reports.  `sample_code` is the sampler's bit matrix as Python tuples.
 `canonical_reference` and `automorphism_reference` try every column order
 with Python tuples, as the configurations module did before its code-block
-engine.
+engine.  `coinciding_weight_reference` folds one class at a time, on Python
+ints, as the configurations module did before it folded a family's classes
+as the rows of one fold.
 """
 
 from collections import Counter
 from itertools import permutations
-from math import factorial, prod
+from math import factorial, gcd, prod
+
+import numpy as np
 
 from bhlab.errors import InvalidParams
 from bhlab.random_coding import SamplingPlan, _sample_bits
@@ -56,3 +60,36 @@ def automorphism_reference(vectors):
     rows = sorted(vectors)
     fixing = sum(sorted(zip(*cols)) == rows for cols in permutations(zip(*vectors)))
     return fixing * prod(factorial(m) for m in Counter(vectors).values())
+
+
+def coinciding_weight_reference(vectors, support):
+    """The total weight of the assignments of `support` points, (point tuple,
+    integer weight) pairs, to `vectors` under which the l column sums
+    coincide: one draw per vector of the column differences, folded at 0."""
+    scales = [gcd(*column) or 1 for column in zip(*(point for point, _ in support))]
+    support = [(tuple(x // g for x, g in zip(point, scales)), w) for point, w in support]
+    l = len(vectors[0])
+    points = np.array([[[(v[j] - v[0]) * x for j in range(1, l) for x in point]
+                        for point, _ in support] for v in vectors], dtype=object)
+    n0, zero = points.shape[2], np.zeros((1, points.shape[2]), dtype=object)
+    lo = np.concatenate([zero, np.cumsum(points.min(axis=1), axis=0)])
+    hi = np.concatenate([zero, np.cumsum(points.max(axis=1), axis=0)])
+    lo, hi = np.maximum(lo, hi - hi[-1]), np.minimum(hi, lo - lo[-1])
+    if (lo > hi).any():
+        return 0
+    lo, hi = lo.tolist(), hi.tolist()
+    law = np.ones((1,) * n0, dtype=object)
+    for t, draw in enumerate(points.tolist()):
+        nxt = np.zeros([b - a + 1 for a, b in zip(lo[t + 1], hi[t + 1])], dtype=object)
+        for point, (_, weight) in zip(draw, support):
+            src, dst = [], []
+            for a, b, s, a1, b1 in zip(lo[t], hi[t], point, lo[t + 1], hi[t + 1]):
+                start, stop = max(a + s, a1), min(b + s, b1)
+                if start > stop:
+                    break
+                src.append(slice(start - s - a, stop - s - a + 1))
+                dst.append(slice(start - a1, stop - a1 + 1))
+            else:
+                nxt[tuple(dst)] += law[tuple(src)] * weight
+        law = nxt
+    return law.item()

@@ -8,14 +8,17 @@ import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, factorial
+from unittest import mock
 
+import numpy as np
 import pytest
 
 from bhlab import configurations as conf
+from bhlab import entropy as ent
 from bhlab import random_coding, rates
 from bhlab.entropy import from_probs, uniform_bits
 from bhlab.errors import CapExceeded, InvalidDistribution, InvalidParams
-from helpers import automorphism_reference, canonical_reference
+from helpers import automorphism_reference, canonical_reference, coinciding_weight_reference
 
 PARTITION_NUMBERS = {1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11}
 
@@ -389,6 +392,60 @@ def test_general_law_boxes_follow_the_lattice_not_the_spacing():
             assert conf.conf_stats_general(c, law).p == conf.conf_stats_general(c, divided).p
 
 
+def test_weights_stay_exact_where_int64_cells_would_wrap():
+    # a one-point support of weight W puts all W^d of a class at the zero
+    # state; int64 cells hold W^d only below 2^63, and 2^63 itself would wrap
+    d3, d2 = conf.cmax(1, 3).vectors, ((0, 1, 1), (1, 0, 0))
+    for w in (2**21 - 1, 2**21, 2**40):
+        assert conf._coinciding_weights([d3, d2], (((0,), w),)) == [w**3, w**2]
+    # a law whose total weight to the power d reaches 2^63
+    law = [(0, Fraction(2**21 - 1, 2**21)), (1, Fraction(1, 2**21))]
+    support = conf._integer_law(law)[0]
+    family = conf.enumerate_conf_upto(1, 3) + conf.enumerate_conf(2, 3)
+    conf.precompute_stats(family, law)
+    for c in family:
+        assert conf.conf_stats_general(c, law).p == \
+            Fraction(coinciding_weight_reference(c.vectors, support), 2**(21 * c.d))
+
+
+def _planned(family, law=None, cells=ent._BATCH_CELLS):
+    """Every call of the fold's batch planner while `family`'s weights fold
+    together, planned however few rows a block holds: (lo, hi, ids, runs)."""
+    calls, plan = [], ent._batches
+
+    def spy(lo, hi, ids, resting, per_add):
+        calls.append((lo, hi, ids, plan(lo, hi, ids, resting, per_add)))
+        return calls[-1][-1]
+
+    _cold()
+    with mock.patch.multiple(ent, _batches=spy, _PLAN_ROWS=1, _BATCH_CELLS=cells):
+        conf.precompute_stats(family, law)
+    return calls
+
+
+@pytest.mark.parametrize("cells,rows", [(ent._BATCH_CELLS, 64), (2**10, 8)])
+def test_batches_keep_the_cell_bound_and_split_where_union_boxes_do_not_pay(cells, rows):
+    calls = _planned(conf.enumerate_conf_upto(4, 4), cells=cells)
+    for lo, hi, ids, runs in calls:
+        assert [a for a, _ in runs] == [0] + [b for _, b in runs[:-1]] and runs[-1][1] == len(ids)
+        for a, b in [run for run in runs if run[1] - run[0] > 1]:
+            steps = 1 + np.flatnonzero((ids[a:b] >= 0).any(axis=0)).max()
+            extents = hi[a:b, 1:steps].max(axis=0) - lo[a:b, 1:steps].min(axis=0) + 1
+            assert (b - a) * np.prod(extents, axis=1).max() <= cells
+    assert max(b - a for _, _, _, runs in calls for a, b in runs) >= rows  # alike rows batch
+    # a law with no zero point spreads each class's boxes over other axes: apart
+    no_zero = [((1, 2), Fraction(1, 3)), ((2, -1), Fraction(1, 6)), ((3, 3), Fraction(1, 2))]
+    calls = _planned(conf.enumerate_conf_upto(2, 4), no_zero)
+    assert calls and all(b - a == 1 for _, _, _, runs in calls for a, b in runs)
+
+
+def test_reprs_and_columns_past_26_variables():
+    c = conf.cmax(3, 9)  # 27 variables
+    assert repr(c) == "Conf(yzv26|vwx|stu|pqr|mno|jkl|ghi|def|abc)"
+    assert c.columns()[:2] == ((24, 25, 26), (21, 22, 23))
+    assert c.columns() is c.columns()  # built once
+
+
 SHAPELESS = [  # (module, helper, args) with h < 1, g < 1 or l < 2
     (rates, "cmax_exponent", (0, 1)), (rates, "cmax_exponent", (2, 0)),
     (rates, "cmax_exponent", (1, 0)), (rates, "special_config_configuration", (2, 0)),
@@ -612,11 +669,11 @@ def test_json_export_shape():
 # per-process memo of p(C) weights
 
 def _cold():
-    conf._coinciding_weight.cache_clear()
+    conf._WEIGHTS.clear()
 
 
 def _dp_runs():
-    return conf._coinciding_weight.cache_info().misses
+    return conf._WEIGHTS.misses
 
 
 def test_each_class_runs_the_dp_once_per_process():

@@ -241,6 +241,26 @@ def test_fold_at_a_point_is_the_unpruned_fold_there():
             at_low, cell = ent._fold(points, weights, at=at)
             assert tuple(at_low) == at and cell.shape == (rows,) + (1,) * n0
             assert cell.ravel().tolist() == reference.get(at, [0] * rows)
+        # per-row points: row r draws table[ids[r, t]], -1 an identity draw, under
+        # its own law or one law for every row
+        table, longest = points[rng.choices(range(draws), k=rng.randint(1, 3))], rng.randint(1, 4)
+        ids = np.array([[rng.randrange(len(table))] + [rng.randrange(-1, len(table))
+                                                       for _ in range(longest - 1)]
+                        for _ in range(rng.randint(2, 4))])
+        own = weights[:1] if rng.random() < 0.5 else np.array(
+            [weights[rng.randrange(rows)].tolist() for _ in ids], dtype=object)
+        references = [fold_reference(table[[k for k in row if k >= 0]], own[r % len(own)][None])
+                      for r, row in enumerate(ids.tolist())]
+        low, law = ent._fold((table, ids), own)
+        for r, reference in enumerate(references):
+            for total, mass in reference.items():
+                assert law[(r,) + tuple(int(a - b) for a, b in zip(total, low))] == mass[0]
+            assert law[r].sum() == sum(mass[0] for mass in reference.values())
+        for _ in range(6):
+            at = tuple(rng.randint(-4 * draws - 2, 3 * draws + 2) for _ in range(n0))
+            at_low, cell = ent._fold((table, ids), own, at=at)
+            assert tuple(at_low) == at and cell.shape == (len(ids),) + (1,) * n0
+            assert cell.ravel().tolist() == [reference.get(at, [0])[0] for reference in references]
     # an `at` inside the box that no sum reaches: two draws of even points
     points = np.array([[[0], [2]]] * 2, dtype=object)
     for weights in (np.array([[1, 1]], dtype=object), np.array([[0.5, 0.5], [0.25, 0.75]])):

@@ -1,15 +1,18 @@
 """Property tests: the explicit constructions are B_h-sets for every small
 (q, h), verified by the oracle in their native ambient and as binary codes;
 the configuration engine names classes and counts automorphisms as the
-tuple-by-tuple references do."""
+tuple-by-tuple references do; a family's p(C) weights, folded together,
+are the ones that one class at a time gives."""
+
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bhlab import algebra, configurations, oracle
+from bhlab import algebra, configurations, entropy, oracle
 from bhlab.constructions import (bose_chowla, field_vectors_to_binary, power_map,
                                  residues_to_binary)
-from helpers import automorphism_reference, canonical_reference
+from helpers import automorphism_reference, canonical_reference, coinciding_weight_reference
 
 PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31)
 MULTISET_BUDGET = 2**21  # keeps each example well under a second
@@ -52,3 +55,48 @@ def test_one_engine_batch_matches_the_references(data):
     for c in batch:
         assert (configurations.automorphism_count(configurations.Configuration(c))
                 == automorphism_reference(c))
+
+
+# (point, integer weight) supports as `conf_stats` and `conf_stats_general` pass
+# them: uniform bits, 2-bit blocks of a rational law, a law with no zero point,
+# negative coordinates, and a float law, whose weights need Python ints
+WEIGHT_LAWS = [
+    configurations._UNIFORM_BITS,
+    (((0, 0), 1), ((0, 1), 1), ((1, 0), 3), ((1, 1), 3)),
+    (((1, 2), 2), ((2, -1), 1), ((3, 3), 3)),
+    (((-2,), 1), ((1,), 1), ((3,), 2)),
+    configurations._integer_law([(0, 0.3), (1, 0.7)])[0],
+]
+
+
+def _runs(n, lengths):
+    """[first, last) runs that cover range(n), of the given lengths in turn."""
+    ends = [0]
+    while ends[-1] < n:
+        ends.append(min(n, ends[-1] + lengths[len(ends) % len(lengths)]))
+    return list(zip(ends, ends[1:]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_family_weights_folded_together_match_the_per_class_fold(data):
+    support = data.draw(st.sampled_from(WEIGHT_LAWS), label="support")
+    family = []
+    for l in data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=2), label="ls"):
+        vector = st.tuples(*[st.integers(0, data.draw(st.integers(1, 2), label="top"))] * l)
+        classes = st.lists(vector, min_size=1, max_size=5).map(lambda c: tuple(sorted(c)))
+        family += data.draw(st.lists(classes, min_size=1, max_size=16), label="classes")
+    # batches as the fold's prices choose them under a cell bound small enough
+    # that batches split, in blocks of a few rows or of many, planned however
+    # few rows they hold; or runs of given lengths, so that rows that draw
+    # alike or not share batches
+    bounds = {"_BATCH_CELLS": data.draw(st.sampled_from([1, 64, 2**14]), label="batch cells"),
+              "_BLOCK_ROWS": data.draw(st.sampled_from([2, 5, 128]), label="block rows"),
+              "_PLAN_ROWS": 1}
+    runs = data.draw(st.none() | st.lists(st.integers(1, 6), min_size=1, max_size=4), label="runs")
+    if runs:
+        bounds["_batches"] = lambda lo, hi, ids, s, per_add: _runs(len(ids), runs)
+    configurations._WEIGHTS.clear()
+    with mock.patch.multiple(entropy, **bounds):
+        folded = configurations._coinciding_weights(family, support)
+    assert folded == [coinciding_weight_reference(c, support) for c in family]
