@@ -56,8 +56,8 @@ x, so W is the weight at 0 of a sum of independent draws, one per vector:
 `entropy._fold` at 0, whose boxes span only the differences that can still
 return to zero.  The classes of one l under one law fold as the rows of one
 call: a class is a row of draws indexed into a table of its family's
-distinct vectors, and the fold batches alike rows, so a draw that many
-classes make at one step is one add over all of them.
+distinct vectors, and from 20 classes on the fold batches alike rows, so a
+draw that many classes make at one step is one add over all of them.
 
 W is memoised per process (`_WEIGHTS`), per (class vectors, tuple of (point,
 weight) pairs).  `precompute_stats` folds a whole family's missing weights
@@ -79,7 +79,7 @@ from __future__ import annotations
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, combinations_with_replacement, islice, permutations
 from math import comb, factorial, gcd, lcm, prod
 from operator import mul
@@ -114,10 +114,6 @@ class Configuration:
 
     def columns(self):
         """Columns as sorted tuples of variable ids (0-based by vector order)."""
-        return self._columns
-
-    @cached_property
-    def _columns(self):  # built once per instance, for every JSON record of it
         cols = []
         for column in zip(*self.vectors):
             col = []
@@ -447,20 +443,15 @@ def _fold_weights(classes, support):
     at 0.  Each point coordinate is first divided by its gcd over the support:
     a sum of them is zero exactly when the divided sum is, and the fold's
     boxes then grow with the lattice the points span, not with their
-    spacing.  Cells are int64 when the total weight to the power of the
-    largest d stays below 2^63, so that no cell can wrap, and Python ints
-    otherwise."""
+    spacing.  Weights are Python ints, so no cell can wrap."""
     scales = [gcd(*column) or 1 for column in zip(*(point for point, _ in support))]
     points = [[x // g for x, g in zip(point, scales)] for point, _ in support]
-    wide = max(abs(x) for point in points for x in point) >= 2**32  # times entries, fits int64
     index, longest = {}, max(map(len, classes))
     ids = np.array([[index.setdefault(v, len(index)) for v in c] + [-1] * (longest - len(c))
                     for c in classes])
     table = np.array([[[(v[j] - v[0]) * x for j in range(1, len(v)) for x in point]
-                       for point in points] for v in index], dtype=object if wide else np.int64)
-    total = sum(w for _, w in support)
-    weights = np.array([[w for _, w in support]],
-                       dtype=np.int64 if total ** longest < 2**63 else object)
+                       for point in points] for v in index], dtype=object)
+    weights = np.array([[w for _, w in support]], dtype=object)
     return _fold((table, ids), weights, at=(0,) * table.shape[2])[1].reshape(-1).tolist()
 
 

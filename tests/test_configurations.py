@@ -134,8 +134,8 @@ PAIRS = [((0, 0), Fraction(1, 8)), ((0, 1), Fraction(1, 8)),
 THREE_POINTS = [(0, Fraction(1, 5)), (1, Fraction(1, 2)), (3, Fraction(3, 10))]
 
 # sha256 of repr([(repr(c), s.d, s.p) for c in Conf(<= h, l)]) under each law,
-# recorded from the two dict-of-tuples p(C) DPs that `_coinciding_weight`
-# replaced (commit 28ad7d7); None is `conf_stats`, a list `conf_stats_general`
+# recorded from the two dict-of-tuples p(C) DPs that the fold at 0 replaced
+# (commit 28ad7d7); None is `conf_stats`, a list `conf_stats_general`
 PINNED_STATS = [
     (4, 4, None, "e595efed9937d01201c72eb1fa5949ab2106ff15db2f9da4d664df3c91b6a703"),
     (3, 4, None, "fcc2045bf9402c7d216bf756c3feefbbaf0def2603779dcac3cf5001ce51493e"),
@@ -392,20 +392,29 @@ def test_general_law_boxes_follow_the_lattice_not_the_spacing():
             assert conf.conf_stats_general(c, law).p == conf.conf_stats_general(c, divided).p
 
 
-def test_weights_stay_exact_where_int64_cells_would_wrap():
+def test_weights_stay_exact_past_int64():
     # a one-point support of weight W puts all W^d of a class at the zero
-    # state; int64 cells hold W^d only below 2^63, and 2^63 itself would wrap
+    # state, which int64 cells would wrap from W^d = 2^63 on
     d3, d2 = conf.cmax(1, 3).vectors, ((0, 1, 1), (1, 0, 0))
     for w in (2**21 - 1, 2**21, 2**40):
         assert conf._coinciding_weights([d3, d2], (((0,), w),)) == [w**3, w**2]
-    # a law whose total weight to the power d reaches 2^63
-    law = [(0, Fraction(2**21 - 1, 2**21)), (1, Fraction(1, 2**21))]
-    support = conf._integer_law(law)[0]
+    # a law whose total weight to the power d reaches 2^63, its rows folded
+    # in batches or one at a time; and uniform bits shifted past 2^62, whose
+    # reaches pass int64 (so its rows fold one at a time) while its boxes stay
+    # those of uniform bits, since every column of a class has the same sum
     family = conf.enumerate_conf_upto(1, 3) + conf.enumerate_conf(2, 3)
-    conf.precompute_stats(family, law)
-    for c in family:
-        assert conf.conf_stats_general(c, law).p == \
-            Fraction(coinciding_weight_reference(c.vectors, support), 2**(21 * c.d))
+    heavy = [(0, Fraction(2**21 - 1, 2**21)), (1, Fraction(1, 2**21))]
+    shifted = [(2**62 + 1, Fraction(1, 2)), (2**62 + 2, Fraction(1, 2))]
+    for law, plan_rows in [(heavy, 1), (heavy, 20), (shifted, 1)]:
+        support, denom, _ = conf._integer_law(law)
+        _cold()
+        with mock.patch.object(ent, "_PLAN_ROWS", plan_rows):
+            conf.precompute_stats(family, law)
+        for c in family:
+            assert conf.conf_stats_general(c, law).p == \
+                Fraction(coinciding_weight_reference(c.vectors, support), denom**c.d)
+    assert [conf.conf_stats_general(c, shifted).p for c in family] == \
+        [conf.conf_stats(c).p for c in family]
 
 
 def _planned(family, law=None, cells=ent._BATCH_CELLS):
@@ -413,8 +422,8 @@ def _planned(family, law=None, cells=ent._BATCH_CELLS):
     together, planned however few rows a block holds: (lo, hi, ids, runs)."""
     calls, plan = [], ent._batches
 
-    def spy(lo, hi, ids, resting, per_add):
-        calls.append((lo, hi, ids, plan(lo, hi, ids, resting, per_add)))
+    def spy(lo, hi, ids, resting):
+        calls.append((lo, hi, ids, plan(lo, hi, ids, resting)))
         return calls[-1][-1]
 
     _cold()
@@ -443,7 +452,6 @@ def test_reprs_and_columns_past_26_variables():
     c = conf.cmax(3, 9)  # 27 variables
     assert repr(c) == "Conf(yzv26|vwx|stu|pqr|mno|jkl|ghi|def|abc)"
     assert c.columns()[:2] == ((24, 25, 26), (21, 22, 23))
-    assert c.columns() is c.columns()  # built once
 
 
 SHAPELESS = [  # (module, helper, args) with h < 1, g < 1 or l < 2

@@ -88,14 +88,14 @@ def test_family_weights_folded_together_match_the_per_class_fold(data):
         family += data.draw(st.lists(classes, min_size=1, max_size=16), label="classes")
     # batches as the fold's prices choose them under a cell bound small enough
     # that batches split, in blocks of a few rows or of many, planned however
-    # few rows they hold; or runs of given lengths, so that rows that draw
-    # alike or not share batches
+    # few rows they hold or only from the default row count on; or runs of
+    # given lengths, so that rows that draw alike or not share batches
     bounds = {"_BATCH_CELLS": data.draw(st.sampled_from([1, 64, 2**14]), label="batch cells"),
               "_BLOCK_ROWS": data.draw(st.sampled_from([2, 5, 128]), label="block rows"),
-              "_PLAN_ROWS": 1}
+              "_PLAN_ROWS": data.draw(st.sampled_from([1, entropy._PLAN_ROWS]), label="plan rows")}
     runs = data.draw(st.none() | st.lists(st.integers(1, 6), min_size=1, max_size=4), label="runs")
     if runs:
-        bounds["_batches"] = lambda lo, hi, ids, s, per_add: _runs(len(ids), runs)
+        bounds["_batches"] = lambda lo, hi, ids, resting: _runs(len(ids), runs)
     configurations._WEIGHTS.clear()
     with mock.patch.multiple(entropy, **bounds):
         folded = configurations._coinciding_weights(family, support)
