@@ -220,22 +220,27 @@ def _step(law, adds, lo, hi, lo1, hi1):
 def _fold_rows(table, ids, weights, at):
     """`_fold` for rows with their own points.
 
-    The rows are ordered by draw count and then by draws, and taken
-    _BLOCK_ROWS at a time, whose boxes at each step (`_boxes`) are held at
-    once; the law's box is the union of what all rows reach, or `at`.  From
-    _PLAN_ROWS rows on, where no reach can pass int64, `_batches` splits each
-    block into runs from all its rows' boxes before any add, keeping a run
-    whole only where it costs no more than its two halves folded apart and
-    its union boxes hold at most _BATCH_CELLS cells; otherwise every run is
-    one row.  A run of one row folds as alone (`_fold_alone`), a longer run
-    as one batch over its rows' union boxes (`_fold_batch`)."""
+    The law's box is the union of what all rows reach, or `at`.  Fewer than
+    _PLAN_ROWS rows, or reaches past int64, fold one row at a time over each
+    row's own boxes (`_boxes`, `_fold_alone`).  More rows are ordered by draw
+    count and then by draws, and taken _BLOCK_ROWS at a time, whose boxes
+    are held at once; `_batches` splits each block into runs from all its
+    rows' boxes before any add, keeping a run whole only where it costs no
+    more than its two halves folded apart and its union boxes hold at most
+    _BATCH_CELLS cells.  A run of one row folds as alone, a longer run as
+    one batch over its rows' union boxes (`_fold_batch`)."""
     rows, n0 = ids.shape[0], table.shape[2]
-    reach = max(-int(table.min(initial=0)), int(table.max(initial=0))) * ids.shape[1]
-    wraps = 4 * (reach + max(map(abs, at or (0,)))) >= 2**63
-    table = table.astype(object if wraps else np.int64)  # boxes in int64 where none can wrap
     steps = [np.concatenate([bound(table, axis=1), np.zeros((1, n0), table.dtype)])
              for bound in (np.min, np.max)]  # a last table row for the id -1, which reaches 0
-    least, most = (step[ids].sum(axis=1) for step in steps)  # each row's reach, all drawn
+    reach = max(-int(steps[0].min()), int(steps[1].max())) * ids.shape[1]
+    wraps = 4 * (reach + max(map(abs, at or (0,)))) >= 2**63  # boxes in int64 where none can
+    steps = [step.astype(object if wraps else np.int64) for step in steps]
+    alone = rows < _PLAN_ROWS or wraps  # each row folds as alone
+    if alone:  # few rows: all their boxes at once
+        lo, hi = _boxes(steps, ids, at)
+        least, most = lo[:, -1], hi[:, -1]
+    else:  # each row's reach, all drawn
+        least, most = (step[ids].sum(axis=1) for step in steps)
     if at is None:
         low, top, live = least.min(axis=0).tolist(), most.max(axis=0).tolist(), np.ones(rows, bool)
     else:
@@ -244,7 +249,10 @@ def _fold_rows(table, ids, weights, at):
     _check_cells(rows, low, top)
     law = np.zeros((rows,) + tuple(b - a + 1 for a, b in zip(low, top)), weights.dtype)
     weights, points = np.broadcast_to(weights, (rows, weights.shape[1])), table.tolist()
-    plan = rows >= _PLAN_ROWS and table.dtype != object
+    if alone:
+        for row in np.flatnonzero(live).tolist():
+            law[row] = _fold_alone(points, ids[row], weights[row:row + 1], lo[row], hi[row], low, top)
+        return np.array(low, dtype=object), law
     order = np.lexsort([*ids.T[::-1], (ids >= 0).sum(axis=1)])  # by draw count, then by draws
     ids, weights, live = ids[order], weights[order], live[order]
     ends = np.where(ids >= 0, np.arange(1, ids.shape[1] + 1), 1).max(axis=1)  # steps to fold
@@ -253,9 +261,7 @@ def _fold_rows(table, ids, weights, at):
         block = np.arange(start, min(start + _BLOCK_ROWS, rows))
         block = block[live[block]]
         lo, hi = _boxes(steps, ids[block], at)
-        runs = (_batches(lo, hi, ids[block], resting) if plan
-                else [(row, row + 1) for row in range(len(block))])
-        for first, last in runs:
+        for first, last in _batches(lo, hi, ids[block], resting):
             batch = block[first:last]
             if len(batch) == 1:
                 law[order[batch]] = _fold_alone(points, ids[batch[0]], weights[batch], lo[first],
