@@ -6,6 +6,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -251,16 +252,25 @@ def test_fold_at_a_point_is_the_unpruned_fold_there():
             [weights[rng.randrange(rows)].tolist() for _ in ids], dtype=object)
         references = [fold_reference(table[[k for k in row if k >= 0]], own[r % len(own)][None])
                       for r, row in enumerate(ids.tolist())]
-        low, law = ent._fold((table, ids), own)
-        for r, reference in enumerate(references):
-            for total, mass in reference.items():
-                assert law[(r,) + tuple(int(a - b) for a, b in zip(total, low))] == mass[0]
-            assert law[r].sum() == sum(mass[0] for mass in reference.values())
-        for _ in range(6):
-            at = tuple(rng.randint(-4 * draws - 2, 3 * draws + 2) for _ in range(n0))
-            at_low, cell = ent._fold((table, ids), own, at=at)
-            assert tuple(at_low) == at and cell.shape == (len(ids),) + (1,) * n0
-            assert cell.ravel().tolist() == [reference.get(at, [0])[0] for reference in references]
+        ats = [tuple(rng.randint(-4 * draws - 2, 3 * draws + 2) for _ in range(n0))
+               for _ in range(6)]
+        # one row at a time, batches as the fold's prices choose them, or runs of two rows
+        def pairs(lo, hi, ids, resting):
+            return [(a, min(a + 2, len(ids))) for a in range(0, len(ids), 2)]
+
+        for bounds in [{"_PLAN_ROWS": ent._PLAN_ROWS}, {"_PLAN_ROWS": 1},
+                       {"_PLAN_ROWS": 1, "_batches": pairs}]:
+            with mock.patch.multiple(ent, **bounds):
+                low, law = ent._fold((table, ids), own)
+                for r, reference in enumerate(references):
+                    for total, mass in reference.items():
+                        assert law[(r,) + tuple(int(a - b) for a, b in zip(total, low))] == mass[0]
+                    assert law[r].sum() == sum(mass[0] for mass in reference.values())
+                for at in ats:
+                    at_low, cell = ent._fold((table, ids), own, at=at)
+                    assert tuple(at_low) == at and cell.shape == (len(ids),) + (1,) * n0
+                    assert cell.ravel().tolist() == [reference.get(at, [0])[0]
+                                                     for reference in references]
     # an `at` inside the box that no sum reaches: two draws of even points
     points = np.array([[[0], [2]]] * 2, dtype=object)
     for weights in (np.array([[1, 1]], dtype=object), np.array([[0.5, 0.5], [0.25, 0.75]])):
