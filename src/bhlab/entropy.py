@@ -233,7 +233,8 @@ def _fold_rows(table, ids, weights, at):
     steps = [np.concatenate([bound(table, axis=1), np.zeros((1, n0), table.dtype)])
              for bound in (np.min, np.max)]  # a last table row for the id -1, which reaches 0
     reach = max(-int(steps[0].min()), int(steps[1].max())) * ids.shape[1]
-    wraps = 4 * (reach + max(map(abs, at or (0,)))) >= 2**63  # boxes in int64 where none can
+    # boxes in int64 where no reach, nor its distance to `at`, can wrap; Python ints otherwise
+    wraps = 4 * (reach + max(map(abs, at or (0,)))) >= 2**63
     steps = [step.astype(object if wraps else np.int64) for step in steps]
     alone = rows < _PLAN_ROWS or wraps  # each row folds as alone
     if alone:  # few rows: all their boxes at once
