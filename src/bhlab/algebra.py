@@ -5,111 +5,34 @@ polynomial is always the least monic irreducible of the right degree (least
 in the integer encoding of its non-leading coefficients), so every value
 produced here is reproducible across runs.
 
-Discrete logs use that multiplying by a fixed element c is a GF(p)-linear map:
-the e x e matrix M(c) whose row i holds the coefficients of c * x^i.  A batch
-of elements is an int64 array of coefficient rows, so each baby or giant step
-of `discrete_logs` is one numpy product with M(c) reduced mod p.
+Multiplying by a fixed element c is a GF(p)-linear map: the e x e matrix M(c)
+whose row i holds the coefficients of c * x^i, so that a @ M(c) % p is a * c
+for a coefficient row a.  Row i of M(c) is the sum of c_j x^(i+j), so each
+field caches one table, the M(x^j) for j < e, built from the rows x^k mod f
+for k < 2e - 1, and the M(c) of a whole stack of elements is one product with
+it (`_matrices`).  Since
+M(a) M(b) = M(ab) and c^k is row 0 of M(c)^k, every power is a
+square-and-multiply over a stack of matrices (`_power`), and a run
+c^0..c^(L-1) comes by doubling (`_rows`).  The irreducible and primitive
+searches test growing batches of candidates this way, and element orders,
+subfields and baby-step giant-step discrete logs are a few such products.
+Entries are int64, or float64 from e = 8 (`_tables`), and products stay
+below e * p^2, which int64 holds for every field order up to 2^31; past it
+every matrix-backed call raises CapExceeded.  `FieldElement`'s own operations
+stay exact Python, which is faster for one element of a small field.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import CapExceeded, NotAPrimePower, NotAGenerator, ZeroTarget
+from .errors import CapExceeded, InvalidParams, NotAPrimePower, NotAGenerator, ZeroTarget
 
 DEFAULT_SIZE_CAP = 2**20  # field order q of `make_field`
-
-
-# ---------------------------------------------------------------------------
-# polynomial helpers over GF(p); polynomials are tuples of ints, little-endian
-
-def _poly_trim(a):
-    i = len(a)
-    while i > 0 and a[i - 1] == 0:
-        i -= 1
-    return tuple(a[:i])
-
-
-def _poly_add(a, b, p):
-    n = max(len(a), len(b))
-    return _poly_trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                       for i in range(n)])
-
-
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
-def _poly_divmod(a, b, p):
-    b = _poly_trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    inv_lead = pow(b[-1], p - 2, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    for i in range(len(a) - len(b), -1, -1):
-        c = (a[i + len(b) - 1] * inv_lead) % p
-        if c:
-            q[i] = c
-            for j, bj in enumerate(b):
-                a[i + j] = (a[i + j] - c * bj) % p
-    return _poly_trim(q), _poly_trim(a)
-
-
-def _poly_mod(a, m, p):
-    return _poly_divmod(a, m, p)[1] if len(a) >= len(m) else _poly_trim(a)
-
-
-def _poly_gcd(a, b, p):
-    a, b = _poly_trim(a), _poly_trim(b)
-    while b:
-        a, b = b, _poly_divmod(a, b, p)[1]
-    return a
-
-
-def _poly_powmod(base, exp, modulus, p):
-    result = (1,)
-    base = _poly_mod(base, modulus, p)
-    while exp:
-        if exp & 1:
-            result = _poly_mod(_poly_mul(result, base, p), modulus, p)
-        base = _poly_mod(_poly_mul(base, base, p), modulus, p)
-        exp >>= 1
-    return result
-
-
-def _is_irreducible(f, p):
-    """Monic f of degree e >= 1 over GF(p)."""
-    e = len(f) - 1
-    if e == 1:
-        return True
-    x = (0, 1)
-    # x^(p^e) == x mod f
-    t = x
-    for _ in range(e):
-        t = _poly_powmod(t, p, f, p)
-    if t != _poly_mod(x, f, p):
-        return False
-    for r in sorted({r for r in _factorize(e)}):
-        t = x
-        for _ in range(e // r):
-            t = _poly_powmod(t, p, f, p)
-        diff = _poly_add(t, tuple(-c % p for c in x), p)
-        g = _poly_gcd(diff, f, p)
-        if len(g) - 1 >= 1:
-            return False
-    return True
 
 
 def _factorize(n):
@@ -135,6 +58,120 @@ def prime_power_decompose(q):
     if any(f != p for f in factors):
         raise NotAPrimePower(f"{q} has more than one prime factor")
     return p, len(factors)
+
+
+# ---------------------------------------------------------------------------
+# stacks of coefficient rows (little-endian) and of matrices over GF(p)
+
+def _coefficients(ns, p, e):
+    """The e base-p digits of each integer encoding in ns, as rows."""
+    return ns[:, None] // p ** np.arange(e, dtype=np.int64) % p
+
+
+def _powers(moduli, p):
+    """Rows x^k mod f, k = 0..2e-2, for each row f of `moduli` (monic, of
+    degree e): shape (len(moduli), 2e - 1, e)."""
+    e = moduli.shape[1] - 1
+    out = np.zeros((len(moduli), 2 * e - 1, e), np.int64)
+    out[:, :e] = np.eye(e, dtype=np.int64)
+    for k in range(e, 2 * e - 1):  # x * x^(k-1), where x^e = x^e - f mod f
+        out[:, k, 1:] = out[:, k - 1, :-1]
+        out[:, k] = (out[:, k] - out[:, k - 1, -1:] * moduli[:, :e]) % p
+    return out
+
+
+def _tables(powers):
+    """Row j holds M(x^j), flattened: rows x^(i+j), i < e, of each `_powers`.
+    From e = 8 in float64, whose products BLAS computes several times faster
+    than numpy's int64 loops; they are exact, since p^e <= 2^31 makes p < 15
+    there.  Products with the table keep its dtype."""
+    e = powers.shape[-1]
+    windows = np.lib.stride_tricks.sliding_window_view(powers, e, axis=-2)  # [j, k, i] = x^(i+j)_k
+    table = windows.swapaxes(-1, -2).reshape(powers.shape[:-2] + (e, e * e))
+    return table.astype(np.float64 if e >= 8 else np.int64)
+
+
+def _mod(a, p):
+    """a mod p, in place for float64, where a - floor(a / p) * p is exact
+    (a < 2^53) and in place spares large temporaries."""
+    if a.dtype == np.int64:
+        return a % p
+    q = a / p
+    np.floor(q, out=q)
+    q *= p
+    a -= q
+    return a
+
+
+def _matrices(c, table, p):
+    """M(c), the sum of c_j M(x^j), for a stack of coefficient rows c and
+    their field's `_tables`."""
+    e = c.shape[-1]
+    return _mod(c[..., None, :] @ table, p).reshape(c.shape[:-1] + (e, e))
+
+
+def _power(m, exps, p):
+    """Rows c^k for each k in the list exps, where m = M(c), by square and
+    multiply, for each matrix of a stack: shape m.shape[:-2] + (len(exps), e)."""
+    e = m.shape[-1]
+    if p**e > 2**31:
+        raise CapExceeded(f"matrix arithmetic needs field order <= 2^31, got {p**e}")
+    exps, r = np.asarray(exps, np.int64)[:, None], np.eye(1, e, dtype=np.int64)
+    for bit in range(int(exps.max(initial=0)).bit_length()):
+        r = np.where(exps >> bit & 1, _mod(r @ m, p), r)  # row i times c^(2^bit) if set
+        m = _mod(m @ m, p)
+    return np.broadcast_to(r, m.shape[:-2] + (len(exps), e))
+
+
+def _rows(m, count, p):
+    """Rows c^0..c^(count-1), where m = M(c), by doubling: the first L rows
+    times M(c^L) = M(c^(L/2))^2 are the next L (or as many as are left)."""
+    rows = np.zeros(m.shape[:-2] + (count, m.shape[-1]), m.dtype)
+    rows[..., 0, 0], done = 1, 1
+    while done < count:
+        block = min(done, count - done)
+        rows[..., done:done + block, :] = _mod(rows[..., :block, :] @ m, p)
+        m, done = _mod(m @ m, p), done + block
+    return rows
+
+
+def _is_one(rows):
+    return (rows == np.eye(1, rows.shape[-1], dtype=np.int64)[0]).all(-1)
+
+
+def _full_order(m, n, p):
+    """Which c of the stacked m = M(c) have order n: c^n = 1, and no c^(n/r),
+    r a prime factor of n, is 1 (so c = 0 never has)."""
+    ones = _is_one(_power(m, [n] + [n // r for r in set(_factorize(n))], p))
+    return ones[..., 0] & ~ones[..., 1:].any(-1)
+
+
+def _rank(a, p):
+    """Rank over GF(p) of each matrix of a stack.  Column by column, the first
+    row with a nonzero entry, scaled, clears the column from every row, itself
+    included, so each pivot lowers the rank by one."""
+    rank, stack = 0, np.arange(len(a))
+    for c in range(a.shape[-1]):
+        row = a[stack, (a[:, :, c] != 0).argmax(1)]
+        pivot = row[:, c, None, None]
+        rank = rank + (pivot[:, 0, 0] != 0)
+        a = _mod(a * (pivot + (pivot == 0)) - a[:, :, c, None] * row[:, None], p)
+    return rank
+
+
+def _irreducible(f, p):
+    """Which rows f (monic, of degree e) are irreducible, by Berlekamp's count.
+    x^(p^e) = x mod f makes f squarefree, and then f has as many irreducible
+    factors as the space that the Frobenius map g -> g^p of GF(p)[x]/f fixes
+    has dimensions.  Its matrix F has rows x^(ip), so f is irreducible iff
+    moreover rank(F - I) = e - 1."""
+    e = f.shape[1] - 1
+    powers = _powers(f, p)  # its rows x^1..x^e are M(x)
+    frob = _rows(_matrices(_power(powers[:, 1:e + 1], [p], p)[:, 0], _tables(powers), p), e, p)
+    x = y = np.eye(1, e, 1, dtype=np.int64)
+    for _ in range(e):
+        y = _mod(y @ frob, p)
+    return (y == x).all(-1)[:, 0] & (_rank(_mod(frob - np.eye(e, dtype=np.int64), p), p) == e - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -176,16 +213,17 @@ class FieldElement:
 
     def __mul__(self, other):
         self._check(other)
-        f = self.field
-        prod = _poly_mod(_poly_mul(self.coeffs, other.coeffs, f.p), f.modulus, f.p)
-        return FieldElement(f, _pad(prod, f.e))
+        return FieldElement(self.field, self.field._product(self.coeffs, other.coeffs))
 
     def __pow__(self, exp):
-        f = self.field
         if exp < 0:
             return self.inverse() ** (-exp)
-        r = _poly_powmod(self.coeffs, exp, f.modulus, f.p)
-        return FieldElement(f, _pad(r, f.e))
+        f, out, base = self.field, (1,) + (0,) * (self.field.e - 1), self.coeffs
+        while exp:
+            if exp & 1:
+                out = f._product(out, base)
+            base, exp = (f._product(base, base) if exp > 1 else base), exp >> 1
+        return FieldElement(f, out)
 
     def inverse(self):
         if self.is_zero():
@@ -206,21 +244,11 @@ class FieldElement:
         if self.field is not other.field and self.field != other.field:
             raise ValueError("elements of different fields")
 
+    def _matrix(self):
+        return _matrices(np.array(self.coeffs, np.int64), self.field._table, self.field.p)
+
     def __repr__(self):
         return f"GF({self.field.order})[{self.to_int()}]"
-
-
-def _pad(coeffs, e):
-    return tuple(coeffs) + (0,) * (e - len(coeffs))
-
-
-def _digits(n, p, e):
-    """The e base-p digits of n, least significant first."""
-    digits = []
-    for _ in range(e):
-        n, r = divmod(n, p)
-        digits.append(r)
-    return tuple(digits)
 
 
 class FiniteField:
@@ -232,6 +260,25 @@ class FiniteField:
         self.modulus = tuple(modulus)  # little-endian, monic, length e+1
         self.order = p**e
 
+    @cached_property
+    def _table(self):
+        """Row j holds M(x^j), flattened (`_tables`)."""
+        return _tables(_powers(np.array([self.modulus], np.int64), self.p)[0])
+
+    def _product(self, a, b):
+        """The coefficients of a * b, exact in Python: the product polynomial,
+        with each x^k, k >= e, folded as x^(k-e) (x^e - modulus)."""
+        prod = [0] * (2 * self.e - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    prod[j] += x * y
+        for k in range(2 * self.e - 2, self.e - 1, -1):
+            if prod[k]:
+                for i, c in enumerate(self.modulus[:-1], k - self.e):
+                    prod[i] -= prod[k] * c
+        return tuple([c % self.p for c in prod[:self.e]])
+
     def __eq__(self, other):
         return (isinstance(other, FiniteField)
                 and (self.p, self.e, self.modulus) == (other.p, other.e, other.modulus))
@@ -240,11 +287,12 @@ class FiniteField:
         return hash((self.p, self.e, self.modulus))
 
     def element(self, coeffs):
-        return FieldElement(self, _pad(tuple(c % self.p for c in coeffs), self.e))
+        coeffs = tuple(c % self.p for c in coeffs)
+        return FieldElement(self, coeffs + (0,) * (self.e - len(coeffs)))
 
     def from_int(self, n):
         """Inverse of FieldElement.to_int."""
-        return FieldElement(self, _digits(n, self.p, self.e))
+        return FieldElement(self, tuple(n // self.p**i % self.p for i in range(self.e)))
 
     def zero(self):
         return self.element(())
@@ -271,24 +319,36 @@ def make_field(q):
 
 @lru_cache(maxsize=None)
 def _field(p, e):
-    """GF(p^e) modulo the least monic irreducible of degree e."""
-    for n in range(p**e):
-        f = _digits(n, p, e) + (1,)
-        if _is_irreducible(f, p):
-            return FiniteField(p, e, f)
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    """GF(p^e) modulo the least monic irreducible of degree e.  Candidates come
+    in growing batches: one evaluation at every point of GF(p) drops those with
+    a root, and `_irreducible` tests the rest at once."""
+    if e == 1:
+        return FiniteField(p, 1, (0, 1))  # x, like every monic linear polynomial, is irreducible
+    points = np.arange(p, dtype=np.int64) ** np.arange(e + 1)[:, None] % p  # x^k at each x in GF(p)
+    start, size = 0, 16
+    while True:  # a batch past p^e repeats candidates, but one below p^e passes
+        f = _coefficients(np.arange(start, start + size) % p**e + p**e, p, e + 1)  # monic
+        f = f[(f @ points % p != 0).all(1)]
+        f = f[_irreducible(f, p)]
+        if len(f):
+            return FiniteField(p, e, tuple(f[0].tolist()))
+        start, size = start + size, 2 * size
 
 
 def element_order(a, group_order):
-    """Multiplicative order of a nonzero element, given the group order."""
+    """Multiplicative order of a nonzero element a, given a multiple of it:
+    InvalidParams unless group_order >= 1 and a^group_order = 1.  For each
+    prime power r^j dividing group_order, a^(group_order / r^j) = 1 exactly
+    when r^j divides group_order / order, and all of these powers, their
+    exponents reduced mod the field's order - 1, are one stacked `_power`."""
     if a.is_zero():
         raise ZeroDivisionError("zero has no multiplicative order")
-    order = group_order
-    one = a.field.one()
-    for r in set(_factorize(group_order)):
-        while order % r == 0 and a ** (order // r) == one:
-            order //= r
-    return order
+    n, factors = group_order, _factorize(group_order)
+    exps = [n] + [n // r ** factors[:i + 1].count(r) for i, r in enumerate(factors)]
+    ones = _is_one(_power(a._matrix(), [x % (a.field.order - 1) for x in exps], a.field.p))
+    if n < 1 or not ones[0]:
+        raise InvalidParams(f"{n} is no positive multiple of the order of {a}")
+    return n // math.prod(r for r, one in zip(factors, ones[1:]) if one)
 
 
 def find_degree_h_primitive(base_q, h):
@@ -296,17 +356,18 @@ def find_degree_h_primitive(base_q, h):
 
     Full multiplicative order q^h - 1 forces degree exactly h over GF(q):
     a proper subfield GF(q^k) could only host orders up to q^k - 1.
+    Candidates come in growing batches, from p when e > 1: the elements below
+    p form GF(p), whose orders divide p - 1 < q^h - 1.
     """
-    q = base_q**h
-    field = make_field(q)
-    group_order = q - 1
-    factors = set(_factorize(group_order))
-    one = field.one()
-    for n in range(1, q):
-        a = field.from_int(n)
-        if all((a ** (group_order // r)) != one for r in factors):
-            return a
-    raise AssertionError("no primitive element found")  # unreachable
+    field = make_field(base_q**h)
+    p, n = field.p, field.order - 1
+    start, size = (p if field.e > 1 else 1), 16
+    while True:  # a batch past q^h repeats elements, but one below q^h passes
+        ns = np.arange(start, start + size)
+        full = _full_order(_matrices(_coefficients(ns, p, field.e), field._table, p), n, p)
+        if full.any():
+            return field.from_int(int(ns[full.argmax()]))
+        start, size = start + size, 2 * size
 
 
 def discrete_log(alpha, target):
@@ -314,77 +375,59 @@ def discrete_log(alpha, target):
     return discrete_logs(alpha, [target])[0]
 
 
-def _mul_matrix(c):
-    """M(c): row i holds the coefficients of c * x^i, so a @ M(c) % p is a * c
-    for a coefficient row a."""
-    f = c.field
-    return np.array([(c * f.from_int(f.p**i)).coeffs for i in range(f.e)], dtype=np.int64)
-
-
 def discrete_logs(alpha, targets):
     """[d with alpha^d = t for t in targets], by baby-step giant-step.
 
-    alpha must generate the full multiplicative group; raises NotAGenerator
-    otherwise and ZeroTarget if some target is 0.  One order check and one
-    baby-step table serve every target; the table holds about
-    sqrt(n * len(targets)) steps, which balances building it against the
-    giant steps of all targets.
+    alpha must generate the full multiplicative group; raises ValueError for a
+    target of another field, ZeroTarget for a target 0 and NotAGenerator for
+    an alpha of smaller order.  One table of m baby steps alpha^0..alpha^(m-1)
+    serves every target; m is about sqrt(n * len(targets)), which balances
+    building it against the giant steps of all targets.
 
-    Elements are int64 coefficient rows and multiplying by a fixed element is
-    a product with its `_mul_matrix`, reduced mod p.  The baby steps
-    alpha^0..alpha^(m-1) are built by doubling, each half times
-    M(alpha^len), and kept sorted by integer encoding (`to_int`).  Every
-    target still without a log then advances by alpha^-m at once, with one
-    `searchsorted` per giant step.  Entries stay below e * p^2, which int64
-    holds for every field order up to 2^31.
+    The baby steps and the giant steps alpha^(-mi) = (alpha^(n-m))^i are rows
+    built by doubling (`_rows`), the baby steps sorted by integer encoding
+    (`to_int`).  Every target times every giant step is then one product with
+    the targets' matrices, looked up with one `searchsorted` of the sorted
+    products.  Matrix-backed, so for field orders up to 2^31.
     """
     targets = list(targets)
-    if any(t.is_zero() for t in targets):
+    for t in targets:
+        alpha._check(t)
+    field, p, n = alpha.field, alpha.field.p, alpha.field.order - 1
+    g = np.array([t.coeffs for t in targets], np.int64).reshape(-1, field.e)
+    if (g == 0).all(1).any():
         raise ZeroTarget("discrete log of zero")
-    field = alpha.field
-    p, n = field.p, field.order - 1
-    if field.order > 2**31:
-        raise CapExceeded(f"discrete logs need field order <= 2^31, got {field.order}")
-    if element_order(alpha, n) != n:
+    step = alpha._matrix()
+    if not _full_order(step, n, p):
         raise NotAGenerator("alpha does not generate the multiplicative group")
     m = min(n, math.isqrt((n - 1) * max(1, len(targets))) + 1)
     place = p ** np.arange(field.e, dtype=np.int64)
-    baby = np.eye(1, field.e, dtype=np.int64)
-    while len(baby) < m:
-        baby = np.concatenate([baby, baby @ _mul_matrix(alpha ** len(baby)) % p])
-    codes = baby[:m] @ place
-    exps = np.argsort(codes)
-    codes = codes[exps]
-    giant_step = _mul_matrix((alpha**m).inverse())
-    logs = np.zeros(len(targets), dtype=np.int64)
-    todo = np.arange(len(targets))
-    g = np.array([t.coeffs for t in targets], dtype=np.int64).reshape(-1, field.e)
-    for i in range((n - 1) // m + 1):
-        key = g @ place
-        pos = np.minimum(np.searchsorted(codes, key), m - 1)
-        hit = codes[pos] == key
-        logs[todo[hit]] = i * m + exps[pos[hit]]
-        todo, g = todo[~hit], g[~hit]
-        if not len(todo):
-            return [ResidueClass(n, int(d)) for d in logs]
-        g = g @ giant_step % p
-    raise NotAGenerator("target not in the group generated by alpha")  # unreachable
+    codes = _rows(step, m, p) @ place  # codes[j] encodes alpha^j
+    order = np.argsort(codes)
+    giant = _rows(_matrices(_power(step, [n - m], p)[0], field._table, p), (n - 1) // m + 1, p)
+    # keys[t * len(giant) + i] encodes target t times the giant step alpha^(-mi)
+    keys = (_mod(giant @ _matrices(g, field._table, p), p) @ place).ravel()
+    at = np.argsort(keys)  # sorted keys make `searchsorted` faster
+    j = order[np.minimum(np.searchsorted(codes, keys[at], sorter=order), m - 1)]
+    hit = codes[j] == keys[at]
+    logs = np.empty(len(g), np.int64)  # every target has a hit, and two hits agree mod n
+    logs[at[hit] // len(giant)] = at[hit] % len(giant) * m + j[hit]
+    return [ResidueClass(n, d) for d in logs.tolist()]
 
 
 def subfield_elements(alpha, base_q):
     """Elements of the subfield GF(base_q) inside alpha's field GF(q^h).
 
-    alpha must be a full-order generator; the subfield's nonzero part is the
-    cyclic group generated by alpha^((q^h-1)/(q-1)).
+    The subfield's nonzero part is the cyclic group generated by
+    beta = alpha^((q^h-1)/(base_q-1)).  InvalidParams unless base_q = p^k with
+    k | e and beta has order base_q - 1, as it has for alpha of full order.
     """
-    field = alpha.field
-    n = field.order - 1
-    if n % (base_q - 1) != 0:
-        raise ValueError("not a subfield index")
-    beta = alpha ** (n // (base_q - 1))
-    out = [field.zero()]
-    t = field.one()
-    for _ in range(base_q - 1):
-        out.append(t)
-        t = t * beta
-    return out
+    field, p, e = alpha.field, alpha.field.p, alpha.field.e
+    if base_q not in {p**k for k in range(1, e + 1) if e % k == 0}:
+        raise InvalidParams(f"GF({field.order}) has no subfield of order {base_q}")
+    beta = _power(alpha._matrix(), [(field.order - 1) // (base_q - 1)], p)[0]
+    beta = _matrices(beta, field._table, p)
+    if not _full_order(beta, base_q - 1, p):
+        raise InvalidParams(f"{alpha} does not give GF({base_q})* a generator")
+    rows = _rows(beta, base_q - 1, p).astype(np.int64).tolist()
+    return [field.zero()] + [FieldElement(field, tuple(r)) for r in rows]

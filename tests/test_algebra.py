@@ -6,7 +6,40 @@ import random
 import pytest
 
 from bhlab import algebra
-from bhlab.errors import CapExceeded, NotAGenerator, NotAPrimePower, ZeroTarget
+from bhlab.errors import CapExceeded, InvalidParams, NotAGenerator, NotAPrimePower, ZeroTarget
+
+
+def poly_divmod(a, b, p):
+    """Long division of coefficient tuples over GF(p), little-endian: the
+    tuple-polynomial routine `algebra` used before its matrix tables, kept
+    here as the reference that the brute-force checks divide with."""
+    b = tuple(b)
+    a = list(a)
+    inv_lead = pow(b[-1], p - 2, p)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    for i in range(len(a) - len(b), -1, -1):
+        c = (a[i + len(b) - 1] * inv_lead) % p
+        if c:
+            q[i] = c
+            for j, bj in enumerate(b):
+                a[i + j] = (a[i + j] - c * bj) % p
+    while a and a[-1] == 0:
+        a.pop()
+    return tuple(q), tuple(a)
+
+
+def monic(n, p, degree):
+    """The monic polynomial of the given degree whose lower coefficients are
+    the base-p digits of n."""
+    return tuple((n // p**i) % p for i in range(degree)) + (1,)
+
+
+def has_factor(f, p):
+    """Whether a monic f has a monic divisor of degree 1..deg(f)/2, by trial
+    division with every such divisor."""
+    e = len(f) - 1
+    return any(poly_divmod(f, monic(n, p, d), p)[1] == ()
+               for d in range(1, e // 2 + 1) for n in range(p**d))
 
 
 def frobenius_degree(a, base_q):
@@ -76,7 +109,7 @@ def test_modulus_is_monic_irreducible_by_brute_force():
                 coeffs.append(r)
             if len(coeffs) - 1 >= f.e or coeffs[-1] == 0:
                 continue
-            _, rem = algebra._poly_divmod(f.modulus, tuple(coeffs), p)
+            _, rem = poly_divmod(f.modulus, tuple(coeffs), p)
             assert rem != (), f"modulus of GF({q}) divisible by {coeffs}"
 
 
@@ -187,6 +220,89 @@ def test_discrete_logs_match_power_table_and_reference(q, h):
     assert logs == bsgs_reference(a, table)
 
 
+@pytest.mark.parametrize("q,h", _small_fields())
+def test_modulus_and_primitive_are_least_by_brute_force(q, h):
+    """What every field artifact rests on: the modulus is the least monic
+    irreducible and the generator the least element of full order."""
+    f = algebra.make_field(q**h)
+    p, e, n = f.p, f.e, f.order - 1
+    index = sum(c * p**i for i, c in enumerate(f.modulus[:-1]))
+    assert f.modulus == monic(index, p, e) and not has_factor(f.modulus, p)
+    assert all(has_factor(monic(k, p, e), p) for k in range(index))
+    a = algebra.find_degree_h_primitive(q, h)
+    primes = {r for r in range(2, n + 1) if n % r == 0 and all(r % d for d in range(2, r))}
+    assert all(a ** (n // r) != f.one() for r in primes)  # full order, with exact Python powers
+    for k in range(1, a.to_int()):  # each smaller element has a power 1 short of n
+        b = f.from_int(k)
+        assert any(b ** (n // r) == f.one() for r in primes)
+
+
+def test_element_order_rejects_a_group_order_it_does_not_divide():
+    seven = algebra.make_field(7)
+    three = seven.from_int(3)  # order 6
+    assert algebra.element_order(three, 6) == 6
+    assert algebra.element_order(three, 12) == 6  # any multiple of the order
+    assert algebra.element_order(three, 6 * 2**64) == 6
+    for wrong in (5, 4, 3, 0, -6):
+        with pytest.raises(InvalidParams):
+            algebra.element_order(three, wrong)
+
+
+def test_discrete_logs_reject_a_target_of_another_field():
+    a = algebra.find_degree_h_primitive(5, 2)
+    other = algebra.make_field(49).from_int(15)  # coefficients (1, 2), as GF(25)[11] has
+    with pytest.raises(ValueError, match="different fields"):
+        a * other
+    with pytest.raises(ValueError, match="different fields"):
+        algebra.discrete_logs(a, [a, other])
+    with pytest.raises(ValueError, match="different fields"):
+        algebra.discrete_log(a, other)
+
+
+def test_subfield_elements_reject_what_is_no_subfield():
+    a = algebra.find_degree_h_primitive(2, 6)  # generates GF(64)*
+    for base_q in (10, 1, 3, 16, 32, 128):  # no p^k with k | 6
+        with pytest.raises(InvalidParams):
+            algebra.subfield_elements(a, base_q)
+    with pytest.raises(InvalidParams):
+        algebra.subfield_elements(a**3, 4)  # a^63 = 1 has order 1, not 3
+    with pytest.raises(InvalidParams):
+        algebra.subfield_elements(a**7, 8)  # a^63 = 1 again
+    with pytest.raises(InvalidParams):
+        algebra.subfield_elements(a.field.zero(), 8)  # 0 has no order
+    # a^3 is no generator, but (a^3)^9 = a^27 still has order 7 and gives GF(8)
+    assert ({e.coeffs for e in algebra.subfield_elements(a**3, 8)}
+            == {e.coeffs for e in algebra.subfield_elements(a, 8)})
+
+
+def test_matrix_arithmetic_is_exact_up_to_order_2_31_and_capped_past_it(monkeypatch):
+    monkeypatch.setattr(algebra, "DEFAULT_SIZE_CAP", 2**40)
+    p = 2**31 - 1  # prime: the matrices are 1 x 1 int64, with products up to (p - 1)^2
+    a = algebra.find_degree_h_primitive(p, 1)
+    primes = (2, 3, 7, 11, 31, 151, 331)  # of p - 1 = 2 * 3^2 * 7 * 11 * 31 * 151 * 331
+    assert a.to_int() == 7 and all(pow(7, (p - 1) // r, p) != 1 for r in primes)
+    assert all(any(pow(k, (p - 1) // r, p) == 1 for r in primes) for k in range(2, 7))
+    assert algebra.element_order(a.field.from_int(p - 1), p - 1) == 2
+    targets = [a.field.from_int(t) for t in (1, 2, p - 1, 123456789)]
+    for t, d in zip(targets, algebra.discrete_logs(a, targets)):
+        assert pow(7, d.representative, p) == t.to_int()
+    # GF(2^31), float64 tables: x^(2^31) = x and no root in GF(2) make the degree-31
+    # modulus irreducible, and as 2^31 - 1 is prime, x is the least generator
+    x = algebra.find_degree_h_primitive(2, 31)
+    assert x.to_int() == 2 and x ** 2**31 == x and x.field.modulus[0] == 1
+    assert sum(x.field.modulus) % 2 == 1 and algebra.element_order(x, 2**31 - 1) == 2**31 - 1
+    big = algebra.make_field(2**31 + 11)  # prime, so no matrix is needed to set it up
+    for call in (lambda: algebra.element_order(big.from_int(2), big.order - 1),
+                 lambda: algebra.find_degree_h_primitive(big.order, 1),
+                 lambda: algebra.discrete_logs(big.from_int(2), [big.one()]),
+                 lambda: algebra.subfield_elements(big.from_int(2), big.order),
+                 lambda: algebra.make_field(2**32),
+                 lambda: algebra.make_field(3**20),
+                 lambda: algebra.make_field(46349**2)):
+        with pytest.raises(CapExceeded):
+            call()
+
+
 @pytest.mark.parametrize("q,h", [(2**20 - 3, 1), (2, 20), (1021, 2)])
 def test_discrete_logs_near_the_size_cap(q, h):
     a = algebra.find_degree_h_primitive(q, h)
@@ -205,6 +321,8 @@ def test_discrete_log_rejects_non_generator():
     assert algebra.element_order(nongen, 8) == 4
     with pytest.raises(NotAGenerator):
         algebra.discrete_log(nongen, a)
+    with pytest.raises(NotAGenerator):
+        algebra.discrete_log(a.field.zero(), a)
 
 
 def test_subfield_elements_match_frobenius_fixed_points():
