@@ -52,15 +52,20 @@ becomes integer weights over one common denominator D (uniform bits are
 weights (1, 1) over D = 2), so p(C) = W / D^d, where W sums the weight
 products of the assignments whose l column sums coincide.  Vector v moves the
 (l-1)*n0 column differences s_j - s_0 by (v_j - v_0) * x when it draws point
-x, so W is the weight at 0 of a sum of independent draws, one per vector:
-`entropy._fold` at 0, whose boxes span only the differences that can still
-return to zero.  The classes of one l under one law fold as the rows of one
-call: a class is a row of draws indexed into a table of its family's
-distinct vectors, and from 20 classes on the fold batches alike rows, so a
-draw that many classes make at one step is one add over all of them.
+x, so W is the weight of the draws, one per vector, whose moves sum to zero.
+It is counted by meet in the middle (E. Horowitz and S. Sahni, "Computing
+partitions with applications to the knapsack problem", J. ACM 21, 1974): the
+classes of one (d, l) under one law are joined at once, each split into
+its first d // 2 vectors and the rest; each half lists its partial sums
+(the second half negated) as integer keys that also name the class, merging
+equal keys, and W sums the weight products of the keys both halves hold:
+one sort per half and one binary search.  A half may hold at most
+`entropy.DEFAULT_SUPPORT_CAP` sums: classes that pass it together are joined
+in parts, and a class that passes it alone raises CapExceeded before the
+step that would pass it allocates.
 
 W is memoised per process (`_WEIGHTS`), per (class vectors, tuple of (point,
-weight) pairs).  `precompute_stats` folds a whole family's missing weights
+weight) pairs).  `precompute_stats` joins a whole family's missing weights
 together; `rates` (`rate_bhg`, `rate_bhg_distribution`, `rate_bh_sharp`),
 `random_coding`'s E(t) and `bhlab configs enumerate` call it first, and
 then `conf_stats` and `conf_stats_general` read one class at a time: each
@@ -69,7 +74,7 @@ equal rational law share one entry, yet one returns a float and the other a
 Fraction.  `rates._family_report` asks for each class's p(C) twice, once to
 optimise and once for the table (perfbench's self-test pins both traced
 calls); after `precompute_stats` both calls are lookups.  A class the memo
-lacks is folded alone.  The memo holds more entries than every shape under
+lacks is joined alone.  The memo holds more entries than every shape under
 DEFAULT_CELL_CAP has classes together, so no family under the default cap
 evicts an entry before its table pass reads it.
 """
@@ -80,13 +85,14 @@ from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, islice, permutations
+from itertools import accumulate, chain, combinations_with_replacement, islice, permutations
 from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 
 import numpy as np
 
-from .entropy import FLOAT_MASS_TOL, _as_fraction, _as_point, _check_points, _exact, _fold
+from . import entropy as _entropy
+from .entropy import FLOAT_MASS_TOL, _as_fraction, _as_point, _check_points, _exact
 from .errors import CapExceeded, InvalidDistribution, InvalidParams
 
 DEFAULT_CELL_CAP = 18    # k*l of an enumerated shape
@@ -399,7 +405,7 @@ _UNIFORM_BITS = (((0,), 1), ((1,), 1))  # (point, integer weight) over denominat
 class _Memo:
     """The per-process memo of p(C) weights: the integer weight W per (class
     vectors, support), the least recently used dropped past `size` entries;
-    `misses` counts the weights folded since the last `clear`."""
+    `misses` counts the weights computed since the last `clear`."""
 
     def __init__(self, size):
         self.size, self.entries, self.misses = size, OrderedDict(), 0
@@ -417,7 +423,8 @@ def _coinciding_weights(classes, support):
     of support points to its vectors under which the l column sums coincide;
     `support` is a tuple of (n0-tuple of ints, integer weight) pairs and an
     assignment weighs the product of its points' weights.  Read from the
-    memo; the classes it lacks are folded together, one `_fold` per l."""
+    memo; the classes it lacks are joined together, one `_joined_weights`
+    per l."""
     entries, found, missing = _WEIGHTS.entries, {}, {}
     for vectors in classes:
         if (vectors, support) in entries:
@@ -426,7 +433,7 @@ def _coinciding_weights(classes, support):
         else:  # by l, each class once
             missing.setdefault(len(vectors[0]), {})[vectors] = None
     for group in missing.values():
-        found.update(zip(group, _fold_weights(list(group), support)))
+        found.update(zip(group, _joined_weights(list(group), support)))
         _WEIGHTS.misses += len(group)
         entries.update(((vectors, support), found[vectors]) for vectors in group)
     while len(entries) > _WEIGHTS.size:
@@ -434,29 +441,99 @@ def _coinciding_weights(classes, support):
     return [found[vectors] for vectors in classes]
 
 
-def _fold_weights(classes, support):
-    """`_coinciding_weights` for classes of one l: the rows of one `_fold` at
-    0, a row per class and a draw per vector.
+def _joined_weights(classes, support):
+    """`_coinciding_weights` for classes of one l, by meet in the middle.
 
     Vector v moves the column differences s_j - s_0 by (v_j - v_0) * x for the
-    point x it draws, so a class's weight is the fold of one draw per vector
-    at 0.  Each point coordinate is first divided by its gcd over the support:
-    a sum of them is zero exactly when the divided sum is, and the fold's
-    boxes then grow with the lattice the points span, not with their
-    spacing.  Weights are Python ints, so no cell can wrap."""
+    point x it draws, so a class's weight is the weight of the draws whose
+    moves sum to zero.  Each point coordinate is first divided by its gcd
+    over the support: a sum of them is zero exactly when the divided sum is.
+    The classes of one d are joined together (`_join`), on the moves of the
+    distinct vectors, int64 where no sum of d of them can pass it."""
     scales = [gcd(*column) or 1 for column in zip(*(point for point, _ in support))]
     points = [[x // g for x, g in zip(point, scales)] for point, _ in support]
-    index, longest = {}, max(map(len, classes))
-    ids = np.array([[index.setdefault(v, len(index)) for v in c] + [-1] * (longest - len(c))
-                    for c in classes])
-    table = np.array([[[(v[j] - v[0]) * x for j in range(1, len(v)) for x in point]
-                       for point in points] for v in index], dtype=object)
-    weights = np.array([[w for _, w in support]], dtype=object)
-    return _fold((table, ids), weights, at=(0,) * table.shape[2])[1].reshape(-1).tolist()
+    index, by_d = {v: i for i, v in enumerate(set(chain.from_iterable(classes)))}, {}
+    for vectors in classes:
+        by_d.setdefault(len(vectors), []).append(vectors)
+    largest = max(abs(v[j] - v[0]) for v in index for j in range(len(v))) * max(
+        abs(x) for point in points for x in point)
+    moves = np.array([[[(v[j] - v[0]) * x for j in range(1, len(v)) for x in point]
+                       for point in points] for v in index],
+                     np.int64 if largest * max(by_d) < 2**63 else object)
+    reach = np.abs(moves).max(axis=1)  # each vector's largest move in each coordinate
+    weights, found = [w for _, w in support], {}
+    for d, group in by_d.items():
+        ids = np.fromiter(map(index.__getitem__, chain.from_iterable(group)), np.intp,
+                          len(group) * d).reshape(-1, d)
+        found.update(zip(group, _join(ids, moves, reach, weights)))
+    return [found[vectors] for vectors in classes]
+
+
+def _join(ids, moves, reach, weights):
+    """The weight W of each class of one d, a row of `ids` into the vectors'
+    `moves` (`reach` their largest absolute coordinates), under the points'
+    integer `weights`.  Each class splits in two halves: the partial sums of
+    its first d // 2 vectors' moves and the negated sums of the rest, each
+    sum with its weight.  A sum is one integer key, class * R plus its
+    mixed-radix digits in a box of R sums around 0 whose half-width on each
+    coordinate is the largest total reach of a class, so the box holds every
+    partial sum of either half and a move adds a fixed number to a key; W
+    sums the weight products of the two halves' equal keys.  Keys are int64
+    where no key can pass it, weights where W, at most (sum of weights)^d,
+    cannot; Python ints otherwise.  Classes whose halves hold more than
+    DEFAULT_SUPPORT_CAP sums together are joined in two parts; a lone class
+    raises CapExceeded."""
+    n, d = ids.shape
+    split, radius = d // 2, reach[ids].sum(axis=1).max(axis=0).tolist()
+    *places, size = accumulate([1] + [2 * r + 1 for r in radius], mul)
+    key = np.int64 if n * size < 2**63 else object
+    steps = moves[ids].astype(key) @ np.array(places, key)  # (class, vector, point)
+    origins = np.arange(n, dtype=key) * size + sum(map(mul, radius, places))  # empty sums
+    drawn = np.array(weights, np.int64 if sum(weights) ** d < 2**63 else object)
+    try:
+        (ka, wa), (kb, wb) = (_half(steps[:, :split], drawn, origins),
+                              _half(-steps[:, split:], drawn, origins))
+    except CapExceeded:
+        if n == 1:
+            raise
+        return _join(ids[:n // 2], moves, reach, weights) + _join(ids[n // 2:], moves, reach, weights)
+    match = np.minimum(kb.searchsorted(ka), len(kb) - 1)
+    products = np.where(kb[match] == ka, wa * wb[match], 0)
+    return np.add.reduceat(products, ka.searchsorted(origins - origins[0])).tolist()
+
+
+def _half(steps, weights, keys):
+    """The distinct keys, sorted, and total weights of the sums of one half
+    of each class: class c's t-th vector adds steps[c, t, i] to a key when it
+    draws point i, of weight weights[i], from the class's empty sum keys[c].
+    A lone class merges its equal keys before a step would hold more than
+    DEFAULT_SUPPORT_CAP sums, and raises CapExceeded if that is still too
+    many; several classes raise it at once."""
+    keys, total = keys[:, None], np.ones(1, weights.dtype)
+    for t in range(steps.shape[1]):
+        if keys.size * len(weights) > _entropy.DEFAULT_SUPPORT_CAP and len(keys) == 1:
+            merged, total = _distinct(keys, total)
+            keys = merged[None]
+        if keys.size * len(weights) > _entropy.DEFAULT_SUPPORT_CAP:
+            raise CapExceeded(f"a p(C) half of {keys.size} sums times {len(weights)} points "
+                              f"exceeds cap {_entropy.DEFAULT_SUPPORT_CAP}")
+        keys = (keys[:, :, None] + steps[:, t, None]).reshape(len(keys), -1)
+        total = np.multiply.outer(total, weights).ravel()
+    return _distinct(keys, total)
+
+
+def _distinct(keys, weights):
+    """The distinct keys of the rows of `keys`, sorted, with the total weight
+    of each; every row has the same `weights`."""
+    order = keys.ravel().argsort()
+    keys, first = keys.ravel()[order], np.ones(keys.size, bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    first = first.nonzero()[0]
+    return keys[first], np.add.reduceat(weights[order % len(weights)], first)
 
 
 def precompute_stats(classes, dist=None):
-    """Fold the p(C) weights of `classes` together into the per-process memo,
+    """Join the p(C) weights of `classes` together into the per-process memo,
     under uniform bits (`dist` None, as `conf_stats`) or under `dist` (as
     `conf_stats_general` reads it), so those calls then only read it.
     Classes above the exact cap are left to them, and they refuse them."""

@@ -10,15 +10,15 @@ preserve total mass.
 
 Every law of a sum of independent draws comes from one fold, `_fold`: a dense
 array over the lattice box of the sum, one shifted-slice add per support point
-per draw, a leading row axis for many laws per call; exact Python-int
-weights for rational laws, float64 otherwise.  Rows may share their draws or
-each make their own, taken from a table of distinct draws.  Its callers are `hfold`,
-`weighted_bit_sum`, the uniform-optimality search and witness, and p(C)
-(`configurations`), which folds a row per class and a draw per vector at a
-single point.
+per draw, a leading row axis for many laws per call that share their draws;
+exact Python-int weights for rational laws, float64 otherwise.  Its callers
+are `hfold`, `weighted_bit_sum` and the uniform-optimality search and
+witness; p(C) (`configurations`) counts its zero sums by meet in the middle
+and folds nothing.
 DEFAULT_SUPPORT_CAP, read at each call, bounds the law that `_fold` returns
 (rows times prod(h * span + 1) for a whole law, rows for a single point), not
 the support nor the boxes on the way: {0, 2^20} raises CapExceeded at h = 2.
+`configurations` reads it too, as the most sums a half of p(C)'s join holds.
 Every float Renyi value comes from `_renyi_rows`.
 """
 
@@ -34,11 +34,8 @@ import numpy as np
 
 from .errors import CapExceeded, InvalidDistribution, InvalidParams
 
-DEFAULT_SUPPORT_CAP = 2**20  # cells of a fold's array, points of bit_points, hypercube entries
-_BATCH_CELLS = 2**14  # cells a batch of rows with their own points holds at a step, past one row
-_ADD_CELLS = 256      # the fixed cost of one add, in cell-adds of Python-int cells
-_BLOCK_ROWS = 128     # rows with their own points whose boxes one pass of `_fold` holds
-_PLAN_ROWS = 20       # fewer rows fold one at a time: choosing batches costs more than it saves
+DEFAULT_SUPPORT_CAP = 2**20  # cells of a fold's law, points of bit_points, hypercube entries,
+                             # sums of a p(C) half (`configurations`)
 FLOAT_MASS_TOL = 1e-12
 SHANNON_ALPHA_TOL = 1e-9
 ROOT_TOL = 1e-10  # bracket width at which `critical_alphas` stops bisecting
@@ -147,23 +144,13 @@ def from_probs(probs) -> Distribution:
 def _fold(points, weights, at=None):
     """Law of the sum of independent draws, dense over the lattice box.
 
-    `points` is a (draws, s, n0) integer array, one row of s support points
-    per draw, that every row shares; or a pair (table, ids) that gives each
-    row its own points (`_fold_rows`): row r draws the row table[ids[r, t]]
-    of a (distinct draws, s, n0) integer table at step t, or makes an
-    identity draw where ids[r, t] = -1, so rows with fewer draws pad with -1.
-    `weights` is a (rows, s) array that every draw shares, one law per row,
-    or with per-row points one (1, s) law for every row.  Returns (low, law),
-    where law[r][i] is row r's weight of the sum low + i.  Each step's box
-    is what the draws so far reach; given `at`, only the sums from which the
-    remaining draws can still reach `at`, so the law returned is the one cell
-    at `at` (zero for a row none of whose sums reaches it).  Cells hold
+    `points` is a (draws, s, n0) integer array, one row of s support points per
+    draw; `weights` is a (rows, s) array that every draw shares, one law per
+    row.  Returns (low, law), where law[r][i] is row r's weight of the sum
+    low + i.  Each step's box is what the draws so far reach; given `at`, only
+    the sums from which the remaining draws can still reach `at`, so the law
+    returned is the one cell at `at` (zero if no sum reaches it).  Cells hold
     `weights.dtype`: Python ints (object) keep rational laws exact."""
-    if isinstance(points, tuple):
-        table, ids = points
-        if len(ids) > 1:
-            return _fold_rows(table, ids, weights, at)
-        points = table[ids[0][ids[0] >= 0]]  # one row: the shared case
     rows, n0 = weights.shape[0], points.shape[2]
     zero = np.zeros((1, n0), dtype=object)  # Python ints: reaches must not wrap in int64
     lo = np.concatenate([zero, np.cumsum(points.min(axis=1), axis=0, dtype=object)])
@@ -173,226 +160,28 @@ def _fold(points, weights, at=None):
         if (lo > hi).any():
             return np.array(at, dtype=object), np.zeros((rows,) + (1,) * n0, weights.dtype)
     low, lo, hi = lo[-1], lo.tolist(), hi.tolist()
-    _check_cells(rows, lo[-1], hi[-1])
-    return low, _fold_draws(points.tolist(), weights, lo, hi)
-
-
-def _check_cells(rows, low, top):
-    cells = rows * math.prod(b - a + 1 for a, b in zip(low, top))
+    cells = rows * math.prod(b - a + 1 for a, b in zip(lo[-1], hi[-1]))
     if cells > DEFAULT_SUPPORT_CAP:
         raise CapExceeded(f"lattice box of {cells // rows} cells x {rows} row(s) "
                           f"exceeds cap {DEFAULT_SUPPORT_CAP}")
-
-
-def _fold_draws(draws, weights, lo, hi):
-    """`_fold`'s adds for rows that make the same draws: `draws` lists each
-    draw's points, and `lo`, `hi` the box at each step, as lists of ints."""
-    rows, n0 = weights.shape[0], len(lo[0])
     units = [all(w == 1 for w in column) for column in weights.T.tolist()]  # add, no multiply
     scales = weights.T.reshape((-1, rows) + (1,) * n0)
-    law, every = np.ones((rows,) + (1,) * n0, weights.dtype), slice(None)
-    for t, draw in enumerate(draws):
-        adds = [(every, point, unit, scale) for point, unit, scale in zip(draw, units, scales)]
-        law = _step(law, adds, lo[t], hi[t], lo[t + 1], hi[t + 1])
-    return law
-
-
-def _step(law, adds, lo, hi, lo1, hi1):
-    """One draw of `_fold`: the law over the box lo1..hi1 after `law`, over
-    the box lo..hi, makes `adds`, each (rows, point, unit, scale): the slice
-    `rows` of the rows of `law` moves by `point`, times `scale` unless
-    `unit`, each add one shifted-slice add clipped to the next box."""
-    nxt = np.zeros([len(law)] + [b - a + 1 for a, b in zip(lo1, hi1)], law.dtype)
-    for rows, point, unit, scale in adds:
-        src, dst = [rows], [rows]
-        for a, b, s, a1, b1 in zip(lo, hi, point, lo1, hi1):
-            start, stop = max(a + s, a1), min(b + s, b1)  # clipped to the next box
-            if start > stop:
-                break
-            src.append(slice(start - s - a, stop - s - a + 1))
-            dst.append(slice(start - a1, stop - a1 + 1))
-        else:
-            moved = law[tuple(src)]
-            nxt[tuple(dst)] += moved if unit else moved * scale
-    return nxt
-
-
-def _fold_rows(table, ids, weights, at):
-    """`_fold` for rows with their own points.
-
-    The law's box is the union of what all rows reach, or `at`.  Fewer than
-    _PLAN_ROWS rows, or reaches past int64, fold one row at a time over each
-    row's own boxes (`_boxes`, `_fold_alone`).  More rows are ordered by draw
-    count and then by draws, and taken _BLOCK_ROWS at a time, whose boxes
-    are held at once; `_batches` splits each block into runs from all its
-    rows' boxes before any add, keeping a run whole only where it costs no
-    more than its two halves folded apart and its union boxes hold at most
-    _BATCH_CELLS cells.  A run of one row folds as alone, a longer run as
-    one batch over its rows' union boxes (`_fold_batch`)."""
-    rows, n0 = ids.shape[0], table.shape[2]
-    steps = [np.concatenate([bound(table, axis=1), np.zeros((1, n0), table.dtype)])
-             for bound in (np.min, np.max)]  # a last table row for the id -1, which reaches 0
-    reach = max(-int(steps[0].min()), int(steps[1].max())) * ids.shape[1]
-    # boxes in int64 where no reach, nor its distance to `at`, can wrap; Python ints otherwise
-    wraps = 4 * (reach + max(map(abs, at or (0,)))) >= 2**63
-    steps = [step.astype(object if wraps else np.int64) for step in steps]
-    alone = rows < _PLAN_ROWS or wraps  # each row folds as alone
-    if alone:  # few rows: all their boxes at once
-        lo, hi = _boxes(steps, ids, at)
-        least, most = lo[:, -1], hi[:, -1]
-    else:  # each row's reach, all drawn
-        least, most = (step[ids].sum(axis=1) for step in steps)
-    if at is None:
-        low, top, live = least.min(axis=0).tolist(), most.max(axis=0).tolist(), np.ones(rows, bool)
-    else:
-        low = top = list(at)
-        live = ((least <= at) & (at <= most)).all(axis=1)  # some sum of the row's draws reaches it
-    _check_cells(rows, low, top)
-    law = np.zeros((rows,) + tuple(b - a + 1 for a, b in zip(low, top)), weights.dtype)
-    weights, points = np.broadcast_to(weights, (rows, weights.shape[1])), table.tolist()
-    if alone:
-        for row in np.flatnonzero(live).tolist():
-            law[row] = _fold_alone(points, ids[row], weights[row:row + 1], lo[row], hi[row], low, top)
-        return np.array(low, dtype=object), law
-    order = np.lexsort([*ids.T[::-1], (ids >= 0).sum(axis=1)])  # by draw count, then by draws
-    ids, weights, live = ids[order], weights[order], live[order]
-    ends = np.where(ids >= 0, np.arange(1, ids.shape[1] + 1), 1).max(axis=1)  # steps to fold
-    resting = (table == 0).all(axis=(0, 2)).tolist()  # points that move no row
-    for start in range(0, rows, _BLOCK_ROWS):  # rows whose boxes are held at once
-        block = np.arange(start, min(start + _BLOCK_ROWS, rows))
-        block = block[live[block]]
-        lo, hi = _boxes(steps, ids[block], at)
-        for first, last in _batches(lo, hi, ids[block], resting):
-            batch = block[first:last]
-            if len(batch) == 1:
-                law[order[batch]] = _fold_alone(points, ids[batch[0]], weights[batch], lo[first],
-                                                hi[first], low, top)
-                continue
-            draws = ends[batch].max()
-            blo = lo[first:last, :draws + 1].min(axis=0)
-            bhi = hi[first:last, :draws + 1].max(axis=0)
-            blo[-1], bhi[-1] = low, top  # every batch ends on the union of all rows' last boxes
-            law[order[batch]] = _fold_batch(points, resting, ids[batch, :draws], weights[batch],
-                                            blo, bhi)
-    return np.array(low, dtype=object), law
-
-
-def _fold_alone(points, ids, weights, lo, hi, low, top):
-    """One row of `_fold_rows`, folded as alone: its draws `ids` (-1 an
-    identity draw, which moves no box) over its own boxes `lo`, `hi`, the
-    last of them widened to the law's box low..top."""
-    ids = ids.tolist()
-    steps = [0] + [t + 1 for t, k in enumerate(ids) if k >= 0]
-    lo, hi = lo[steps].tolist(), hi[steps].tolist()
-    lo[-1], hi[-1] = low, top
-    return _fold_draws([points[ids[t - 1]] for t in steps[1:]], weights, lo, hi)[0]
-
-
-def _boxes(steps, ids, at):
-    """(lo, hi), each (rows, draws + 1, n0): the box of the sums that each
-    row's first draws reach, and given `at`, of those from which its
-    remaining draws can still reach `at`.  `steps` holds the least and the
-    largest point of each draw in the table."""
-    lo, hi = (np.cumsum(step[ids], axis=1) for step in steps)
-    lo, hi = (np.concatenate([np.zeros_like(b[:, :1]), b], axis=1) for b in (lo, hi))
-    if at is not None:
-        lo, hi = np.maximum(lo, hi - (hi[:, -1:] - at)), np.minimum(hi, lo - (lo[:, -1:] - at))
-    return lo, hi
-
-
-def _batches(lo, hi, ids, resting):
-    """Runs [first, last) of the rows, in order, that fold as one batch.
-
-    `lo`, `hi` are each row's box at each step, `ids` its draw at each step
-    (-1 an identity draw) and `resting` flags the points that are 0 in every
-    draw.  A bottom-up pass over aligned runs of 1, 2, 4, ... rows prices
-    each run as one batch in cell-adds: _ADD_CELLS for each add, which is one
-    per moving point per group of rows that draw alike, one per resting point
-    and one for the identity draws at each step, and one more per step to
-    regroup a run of several rows; plus one cell per point, row and cell of
-    the run's union box at each step.  A run folds whole when its price is
-    at most the best price of its two halves and its boxes stay within
-    _BATCH_CELLS cells; otherwise its halves fold apart, down to one row,
-    which is the fold of that row alone.  Prices are int64: a box counts at
-    most _BATCH_CELLS + 1 cells, which no batch of several rows may hold
-    anyway."""
-    n, steps = ids.shape
-    size, cap = 1 << (n - 1).bit_length(), _BATCH_CELLS + 1  # cells past the bound count as cap
-    low, top = np.full((2, size, steps, lo.shape[2]), [[[[2**62]]], [[[-2**62]]]])
-    low[:n], top[:n] = lo[:, 1:], hi[:, 1:]  # pad rows: no draws, no box
-    key, members = np.full((size, 1, steps), -2), (np.arange(size) < n).astype(np.int64)
-    key[:n, 0] = ids
-    fixed, keep = sum(resting), []
-    moving = len(resting) - fixed
-    while True:
-        ranked = np.sort(key, axis=1)
-        drawn = ranked >= 0
-        new = np.ones(ranked.shape, bool)
-        new[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-        running = drawn.any(axis=1)  # the run draws at this step
-        adds = (moving * (new & drawn).sum(axis=1) + (fixed + (members > 1)[:, None]) * running
-                + ((ranked == -1).any(axis=1) & running))
-        extent = np.minimum(np.maximum(top - low + 1, 0), cap)
-        cells = np.ones(extent.shape[:2], np.int64)
-        for axis in range(extent.shape[2]):
-            cells = np.minimum(cells * extent[:, :, axis], cap)
-        boxes = members[:, None] * cells * running
-        price = _ADD_CELLS * adds.sum(axis=1) + len(resting) * boxes.sum(axis=1)
-        if keep:
-            halves = best[0::2] + best[1::2]
-            whole = (price <= halves) & (boxes.max(axis=1) <= _BATCH_CELLS)
-            best = np.where(whole, price, halves)
-        else:
-            whole, best = np.ones(len(price), bool), price
-        keep.append(whole)
-        if len(best) == 1:
-            break
-        low, top = np.minimum(low[0::2], low[1::2]), np.maximum(top[0::2], top[1::2])
-        key, members = np.concatenate([key[0::2], key[1::2]], axis=1), members[0::2] + members[1::2]
-    runs, stack = [], [(len(keep) - 1, 0)]
-    while stack:
-        level, j = stack.pop()
-        first = j << level
-        if first >= n:
-            continue
-        if keep[level][j]:
-            runs.append((first, min(first + (1 << level), n)))
-        else:
-            stack += [(level - 1, 2 * j + 1), (level - 1, 2 * j)]
-    return runs
-
-
-def _fold_batch(points, resting, ids, weights, lo, hi):
-    """`_fold_rows`'s adds for one batch of rows, each row's law in row order
-    over the last of the boxes `lo`, `hi`.  Row r draws the points
-    points[ids[r, t]] at step t, or makes an identity draw where that id is
-    -1.  Before each draw the rows that draw alike are made contiguous, so
-    each add is one basic slice over a group of rows; a point that `resting`
-    flags is 0 in every draw, so its add spans every row that draws."""
-    rows, n0 = len(weights), len(lo[0])
-    units = [all(w == 1 for w in column) for column in weights.T.tolist()]  # add, no multiply
-    scales = weights.T.reshape(weights.shape[::-1] + (1,) * n0)
-    law, order = np.ones((rows,) + (1,) * n0, weights.dtype), np.arange(rows)
-    lo, hi, origin = lo.tolist(), hi.tolist(), (0,) * n0
-    for t in range(len(lo) - 1):
-        key = ids[order, t]
-        if (key[1:] < key[:-1]).any():
-            turn = np.argsort(key, kind="stable")
-            law, order, key, scales = law[turn], order[turn], key[turn], scales[:, turn]
-        first = [0] + (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()
-        groups = [(a, b, points[k]) for a, b, k in zip(first, first[1:] + [rows],
-                                                       key[first].tolist()) if k >= 0]
-        drawing = groups[0][0] if groups else rows  # rows before it make an identity draw
-        adds = [(slice(0, drawing), origin, True, None)] if drawing else []
-        for i, (rest, unit, scale) in enumerate(zip(resting, units, scales)):
-            if rest:
-                adds.append((slice(drawing, rows), origin, unit, scale[drawing:]))
+    law = np.ones((rows,) + (1,) * n0, weights.dtype)
+    for t, draw in enumerate(points.tolist()):
+        nxt = np.zeros([rows] + [b - a + 1 for a, b in zip(lo[t + 1], hi[t + 1])], weights.dtype)
+        for point, unit, scale in zip(draw, units, scales):
+            src, dst = [slice(None)], [slice(None)]
+            for a, b, s, a1, b1 in zip(lo[t], hi[t], point, lo[t + 1], hi[t + 1]):
+                start, stop = max(a + s, a1), min(b + s, b1)  # clipped to the next box
+                if start > stop:
+                    break
+                src.append(slice(start - s - a, stop - s - a + 1))
+                dst.append(slice(start - a1, stop - a1 + 1))
             else:
-                adds += [(slice(a, b), draw[i], unit, scale[a:b]) for a, b, draw in groups]
-        law = _step(law, adds, lo[t], hi[t], lo[t + 1], hi[t + 1])
-    out = np.empty_like(law)
-    out[order] = law
-    return out
+                moved = law[tuple(src)]
+                nxt[tuple(dst)] += moved if unit else moved * scale
+        law = nxt
+    return low, law
 
 
 # ---------------------------------------------------------------------------

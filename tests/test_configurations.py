@@ -323,16 +323,17 @@ def test_general_statistics_on_awkward_laws():
 
 def test_general_statistics_cap_is_checked_before_any_state_array(monkeypatch):
     c = conf.cmax(2, 2)  # d = 4; with n0 = 2, d*n0 = 8
-    # no array could hold the column differences this support reaches; its
-    # coordinates have gcd 1, so dividing them by it does not bring them close
+    # no dense array could hold the column differences this support reaches
+    # (its coordinates have gcd 1, so dividing them by it does not bring them
+    # close), and a fold over them raised ValueError or MemoryError; the
+    # halves of the join hold 9 sums each, on Python-int keys
     far = [((0, 0), Fraction(1, 2)), ((1, 1), Fraction(1, 4)),
            ((10**18, 10**18), Fraction(1, 4))]
     with monkeypatch.context() as m:
         m.setattr(conf, "DEFAULT_EXACT_CAP", 3)
         with pytest.raises(CapExceeded):
             conf.conf_stats_general(c, far)
-    with pytest.raises((ValueError, MemoryError)):
-        conf.conf_stats_general(c, far)
+    assert conf.conf_stats_general(c, far) == conf_stats_general_exhaustive(c, far)
 
 
 @pytest.mark.parametrize("dist", [
@@ -370,9 +371,8 @@ def test_cmax_and_closed_form_probability():
 
 
 def test_general_law_at_its_largest_middle_box():
-    # uniform 3-bit blocks are three independent bits, so p is p(cmax(4, 4))^3; its
-    # fold passes 1,953,125 cells, above DEFAULT_SUPPORT_CAP, which bounds only the law
-    # returned (one cell here), not every step's box
+    # uniform 3-bit blocks are three independent bits, so p is p(cmax(4, 4))^3; a
+    # half draws 8^8 sums, above DEFAULT_SUPPORT_CAP, of which 15,625 are distinct
     stats = conf.conf_stats_general(conf.cmax(4, 4), uniform_bits(3).items)
     assert stats.p == conf.cmax_p_closed(4, 3) ** 3
 
@@ -398,54 +398,82 @@ def test_weights_stay_exact_past_int64():
     d3, d2 = conf.cmax(1, 3).vectors, ((0, 1, 1), (1, 0, 0))
     for w in (2**21 - 1, 2**21, 2**40):
         assert conf._coinciding_weights([d3, d2], (((0,), w),)) == [w**3, w**2]
-    # a law whose total weight to the power d reaches 2^63, its rows folded
-    # in batches or one at a time; and uniform bits shifted past 2^62, whose
-    # reaches pass int64 (so its rows fold one at a time) while its boxes stay
-    # those of uniform bits, since every column of a class has the same sum
+    # a law whose total weight to the power d reaches 2^63, so its weights are
+    # Python ints; and uniform bits shifted past 2^62, whose sums pass int64 (so
+    # its keys are Python ints) while their zeros stay those of uniform bits,
+    # since every column of a class has the same sum
     family = conf.enumerate_conf_upto(1, 3) + conf.enumerate_conf(2, 3)
     heavy = [(0, Fraction(2**21 - 1, 2**21)), (1, Fraction(1, 2**21))]
     shifted = [(2**62 + 1, Fraction(1, 2)), (2**62 + 2, Fraction(1, 2))]
-    for law, plan_rows in [(heavy, 1), (heavy, 20), (shifted, 1)]:
+    for law in (heavy, shifted):
         support, denom, _ = conf._integer_law(law)
         _cold()
-        with mock.patch.object(ent, "_PLAN_ROWS", plan_rows):
-            conf.precompute_stats(family, law)
+        conf.precompute_stats(family, law)
         for c in family:
             assert conf.conf_stats_general(c, law).p == \
                 Fraction(coinciding_weight_reference(c.vectors, support), denom**c.d)
     assert [conf.conf_stats_general(c, shifted).p for c in family] == \
         [conf.conf_stats(c).p for c in family]
+    # a class whose vectors move nothing has int64 keys beside one whose moves pass int64
+    support = conf._integer_law(shifted)[0]
+    assert conf._coinciding_weights([((1, 1, 1),), ((0, 1, 1), (1, 0, 0))], support) == [2, 2]
 
 
-def _planned(family, law=None, cells=ent._BATCH_CELLS):
-    """Every call of the fold's batch planner while `family`'s weights fold
-    together, planned however few rows a block holds: (lo, hi, ids, runs)."""
-    calls, plan = [], ent._batches
-
-    def spy(lo, hi, ids, resting):
-        calls.append((lo, hi, ids, plan(lo, hi, ids, resting)))
-        return calls[-1][-1]
-
+def test_spread_laws_join_in_milliseconds():
+    # a dense fold over the column differences allocated a (1, 1000001, 2000001)
+    # array for the first law (MemoryError), and took 1.43 s and 435 MB for the second
+    cases = [(conf.cmax(2, 3), [((0,), 1 / 3), ((1,), 1 / 3), ((10**6,), 1 / 3)]),
+             (conf.cmax(3, 2), [((0,), 1 / 3), ((1,), 1 / 3), ((10**7,), 1 / 3)])]
+    expected = [float(conf_stats_general_exhaustive(c, law).p) for c, law in cases]
     _cold()
-    with mock.patch.multiple(ent, _batches=spy, _PLAN_ROWS=1, _BATCH_CELLS=cells):
-        conf.precompute_stats(family, law)
-    return calls
+    started = time.monotonic()
+    assert [conf.conf_stats_general(c, law).p for c, law in cases] == expected
+    assert time.monotonic() - started < 0.1
 
 
-@pytest.mark.parametrize("cells,rows", [(ent._BATCH_CELLS, 64), (2**10, 8)])
-def test_batches_keep_the_cell_bound_and_split_where_union_boxes_do_not_pay(cells, rows):
-    calls = _planned(conf.enumerate_conf_upto(4, 4), cells=cells)
-    for lo, hi, ids, runs in calls:
-        assert [a for a, _ in runs] == [0] + [b for _, b in runs[:-1]] and runs[-1][1] == len(ids)
-        for a, b in [run for run in runs if run[1] - run[0] > 1]:
-            steps = 1 + np.flatnonzero((ids[a:b] >= 0).any(axis=0)).max()
-            extents = hi[a:b, 1:steps].max(axis=0) - lo[a:b, 1:steps].min(axis=0) + 1
-            assert (b - a) * np.prod(extents, axis=1).max() <= cells
-    assert max(b - a for _, _, _, runs in calls for a, b in runs) >= rows  # alike rows batch
-    # a law with no zero point spreads each class's boxes over other axes: apart
-    no_zero = [((1, 2), Fraction(1, 3)), ((2, -1), Fraction(1, 6)), ((3, 3), Fraction(1, 2))]
-    calls = _planned(conf.enumerate_conf_upto(2, 4), no_zero)
-    assert calls and all(b - a == 1 for _, _, _, runs in calls for a, b in runs)
+def test_a_half_past_the_support_cap_raises_before_it_is_built(monkeypatch):
+    spread = [((0,), Fraction(1, 3)), ((1,), Fraction(1, 3)), ((10**6,), Fraction(1, 3))]
+    _cold()
+    with monkeypatch.context() as m:
+        m.setattr(ent, "DEFAULT_SUPPORT_CAP", 8)
+        # a half of cmax(2, 3) holds 3 distinct sums, 9 after its next draw; one
+        # of cmax(4, 4) under uniform bits 5, and 10 after its next draw
+        with pytest.raises(CapExceeded, match="cap 8"):
+            conf.conf_stats_general(conf.cmax(2, 3), spread)
+        with pytest.raises(CapExceeded, match="cap 8"):
+            conf.conf_stats(conf.cmax(4, 4))
+        with pytest.raises(CapExceeded, match="cap 8"):
+            conf.precompute_stats(conf.enumerate_conf_upto(3, 3))
+    assert _dp_runs() == 0  # nothing half-joined was kept
+    assert conf.conf_stats_general(conf.cmax(2, 3), spread) == \
+        conf_stats_general_exhaustive(conf.cmax(2, 3), spread)
+
+
+def test_joined_weights_on_the_edges_of_a_split(monkeypatch):
+    # classes of one vector (a first half that draws nothing), of odd d, and of
+    # every d from 3 to 9 at one l, joined in one call: under the default cap,
+    # and under one that only lets a few classes' halves in together, so that
+    # the classes of one d are joined in parts
+    family = [((0, 1, 1),), ((1, 1, 1),)] + [c.vectors for c in conf.enumerate_conf_upto(3, 3)]
+    assert {len(c) for c in family} == {1, *range(3, 10)}
+    calls = []
+
+    def spy(ids, *args):
+        calls.append(len(ids))
+        return join(ids, *args)
+
+    join = conf._join
+    monkeypatch.setattr(conf, "_join", spy)
+    for support, cap in [(conf._UNIFORM_BITS, 24), ((((-2,), 1), ((1,), 1), ((3,), 2)), 128),
+                         ((((0, 0), 1), ((0, 1), 1), ((1, 0), 3), ((1, 1), 3)), 512)]:
+        reference = [coinciding_weight_reference(c, support) for c in family]
+        for bound in (ent.DEFAULT_SUPPORT_CAP, cap):
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(ent, "DEFAULT_SUPPORT_CAP", bound)
+                _cold()
+                assert conf._coinciding_weights(family, support) == reference
+            assert len(calls) > 8 if bound == cap else len(calls) == 8  # one join per d
 
 
 def test_reprs_and_columns_past_26_variables():

@@ -1,15 +1,13 @@
 """Property tests: the explicit constructions are B_h-sets for every small
 (q, h), verified by the oracle in their native ambient and as binary codes;
 the configuration engine names classes and counts automorphisms as the
-tuple-by-tuple references do; a family's p(C) weights, folded together,
-are the ones that one class at a time gives."""
-
-from unittest import mock
+tuple-by-tuple references do; a family's p(C) weights, joined together,
+are the ones that folding one class at a time gives."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bhlab import algebra, configurations, entropy, oracle
+from bhlab import algebra, configurations, oracle
 from bhlab.constructions import (bose_chowla, field_vectors_to_binary, power_map,
                                  residues_to_binary)
 from helpers import automorphism_reference, canonical_reference, coinciding_weight_reference
@@ -69,14 +67,6 @@ WEIGHT_LAWS = [
 ]
 
 
-def _runs(n, lengths):
-    """[first, last) runs that cover range(n), of the given lengths in turn."""
-    ends = [0]
-    while ends[-1] < n:
-        ends.append(min(n, ends[-1] + lengths[len(ends) % len(lengths)]))
-    return list(zip(ends, ends[1:]))
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_family_weights_folded_together_match_the_per_class_fold(data):
@@ -86,17 +76,6 @@ def test_family_weights_folded_together_match_the_per_class_fold(data):
         vector = st.tuples(*[st.integers(0, data.draw(st.integers(1, 2), label="top"))] * l)
         classes = st.lists(vector, min_size=1, max_size=5).map(lambda c: tuple(sorted(c)))
         family += data.draw(st.lists(classes, min_size=1, max_size=16), label="classes")
-    # batches as the fold's prices choose them under a cell bound small enough
-    # that batches split, in blocks of a few rows or of many, planned however
-    # few rows they hold or only from the default row count on; or runs of
-    # given lengths, so that rows that draw alike or not share batches
-    bounds = {"_BATCH_CELLS": data.draw(st.sampled_from([1, 64, 2**14]), label="batch cells"),
-              "_BLOCK_ROWS": data.draw(st.sampled_from([2, 5, 128]), label="block rows"),
-              "_PLAN_ROWS": data.draw(st.sampled_from([1, entropy._PLAN_ROWS]), label="plan rows")}
-    runs = data.draw(st.none() | st.lists(st.integers(1, 6), min_size=1, max_size=4), label="runs")
-    if runs:
-        bounds["_batches"] = lambda lo, hi, ids, resting: _runs(len(ids), runs)
     configurations._WEIGHTS.clear()
-    with mock.patch.multiple(entropy, **bounds):
-        folded = configurations._coinciding_weights(family, support)
+    folded = configurations._coinciding_weights(family, support)
     assert folded == [coinciding_weight_reference(c, support) for c in family]

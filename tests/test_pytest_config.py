@@ -1,5 +1,8 @@
-"""The test settings in pyproject.toml keep a failing run reporting."""
+"""The settings in pyproject.toml hold: the test settings keep a failing run
+reporting, and every module parses as the oldest Python it promises."""
 
+import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,3 +42,13 @@ def test_a_failing_property_test_does_not_end_the_session(tmp_path):
     assert done.returncode == 1
     assert "INTERNALERROR" not in done.stdout + done.stderr
     assert "2 failed, 1 passed" in done.stdout, done.stdout
+
+
+def test_every_module_parses_as_the_oldest_python_promised():
+    # a host with only a later Python runs no leg on the oldest one, so syntax
+    # that it lacks (an except* clause, a type parameter list) would go unseen
+    promised = re.search(r'^requires-python = ">=3\.(\d+)"$', PYPROJECT.read_text(), re.M)
+    modules = sorted((PYPROJECT.parent / "src" / "bhlab").glob("*.py"))
+    assert promised and modules
+    for path in modules:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, int(promised[1])))
