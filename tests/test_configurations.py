@@ -415,7 +415,7 @@ def test_weights_stay_exact_past_int64():
     assert [conf.conf_stats_general(c, shifted).p for c in family] == \
         [conf.conf_stats(c).p for c in family]
     # a class whose vectors move nothing has int64 keys beside one whose moves pass int64
-    support = conf._integer_law(shifted)[0]
+    support = (((2**64 + 1,), 1), ((2**64 + 2,), 1))
     assert conf._coinciding_weights([((1, 1, 1),), ((0, 1, 1), (1, 0, 0))], support) == [2, 2]
 
 
