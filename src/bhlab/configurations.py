@@ -16,13 +16,16 @@ Validity:
 
 Each kind has its own generator, and `enumerate_conf` returns their union:
   * separable classes are multisets of l integer partitions of k, one per
-    column (such columns are always distinct), built directly;
+    column (such columns are always distinct), built directly and named by
+    sorting their columns;
   * multiplicity-free classes are 0/1 vectors, grown one column at a time:
     column j+1 puts a 1 on a sub-multiset of the rows so far and adds fresh
     unit rows e_{j+1} up to sum k.  Each level keeps one canonical form per
     class over its first j+1 columns, in the spirit of orderly generation
     (B. D. McKay, "Isomorph-free exhaustive generation", J. Algorithms 26,
-    1998).  The only class of both kinds is the all-distinct one.
+    1998), in numpy arrays: a class is its count of each row code (the row
+    read in binary, column 0 first), named by its least code row.  The only
+    class of both kinds is the all-distinct one.
 
 Canonical forms and automorphism counts come from one code-block engine
 (`_encoded`, `_sorted_codes`).  Vector v of a configuration with entries
@@ -34,9 +37,9 @@ configuration's codes are sorted per order, and `_least` keeps the
 lexicographically least sorted row, fixing a few row positions at a time
 (as many codes as one int64 key holds); its digits are the canonical
 vectors.  `automorphism_count` counts the orders whose sorted codes equal
-those of the identity.  The generators stream children through
-`_canonical_all` _BLOCK configurations at a time, never holding a level as
-a list; one step holds at most about _STEP_CODES codes, so past 7 columns
+those of the identity.  `_multiplicity_free` feeds it _BLOCK children at
+a time, their digits the bits of their row codes (the pad code is 2^l);
+one step holds at most about _STEP_CODES codes, so past 7 columns
 (or for deep configurations) the l! orders come in blocks and the running
 least is kept.  Codes must fit int64: b^l >= 2^63 raises CapExceeded rather
 than wrap into another class's name.
@@ -85,7 +88,7 @@ from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, combinations_with_replacement, islice, permutations
+from itertools import accumulate, chain, combinations_with_replacement, islice, permutations, product
 from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 
@@ -150,7 +153,8 @@ def canonical(vectors):
 # the code-block engine
 
 _STEP_CODES = 1 << 18  # codes one engine step holds (2 MiB of int64)
-_BLOCK = 32            # configurations the generators canonicalise per call
+_BLOCK = 32            # children the multiplicity-free generator canonicalises per call
+_PICKS = 1 << 12       # candidate picks, by the product bound, of one _children call
 _TABLE_COLUMNS = 7     # the orders of up to 7 columns come from one cached table
 _TOP = np.iinfo(np.int64).max
 
@@ -234,10 +238,9 @@ def _least(codes, top):
     return codes[np.arange(len(codes)), alive.argmax(axis=1)]
 
 
-def _canonical_all(configs):
-    """`canonical`'s vector tuple for each of `configs` (vector tuples of one
-    length l), canonicalised together a step at a time."""
-    digits, places = _encoded(configs)
+def _least_rows(digits, places):
+    """Each configuration's least code row over every column order, for
+    digits and places as `_encoded` returns them."""
     top = int(places[0]) + 1
     least, started = np.empty(digits.shape[:2], dtype=np.int64), -1
     for first, codes in _sorted_codes(digits, places):
@@ -245,16 +248,16 @@ def _canonical_all(configs):
         if first == started:  # a later block of orders for the same configurations
             best = _least(np.stack([least[rows], best], axis=1), top)
         least[rows], started = best, first
-    codes, base, places = least.tolist(), int(places[-2]), places[1:].tolist()
+    return least
+
+
+def _canonical_all(configs):
+    """`canonical`'s vector tuple for each of `configs` (vector tuples of one
+    length l), canonicalised together a step at a time."""
+    digits, places = _encoded(configs)
+    codes, base, places = _least_rows(digits, places).tolist(), int(places[-2]), places[1:].tolist()
     vector = {x: tuple(x // p % base for p in places) for x in set(chain.from_iterable(codes))}
     return [tuple(map(vector.__getitem__, row[:len(c)])) for row, c in zip(codes, configs)]
-
-
-def _canonical_stream(configs):
-    """`_canonical_all` over an iterable, _BLOCK configurations at a time."""
-    configs = iter(configs)
-    while block := list(islice(configs, _BLOCK)):
-        yield from _canonical_all(block)
 
 
 @dataclass(frozen=True)
@@ -276,50 +279,94 @@ def _partitions(k, largest):
 
 
 def _separable(k, l, limit):
-    """Separable classes: a multiset of l partitions of k, one per column."""
-    columns = (tuple(tuple(m if i == j else 0 for i in range(l))
-                     for j, part in enumerate(parts) for m in part)
-               for parts in combinations_with_replacement(tuple(_partitions(k, k)), l)
-               if sum(map(len, parts)) <= limit)
-    return map(Configuration, _canonical_stream(columns))
+    """Separable classes: a multiset of l partitions of k, one per column.
+    A vector of a later column sorts first, so the least vector tuple puts
+    the columns in ascending order of their ascending parts, each read with
+    an end mark above every part (so none is a prefix of another), the
+    least column last."""
+    for parts in combinations_with_replacement(tuple(_partitions(k, k)), l):
+        if sum(map(len, parts)) <= limit:
+            words = sorted(part[::-1] + (k + 1,) for part in parts)
+            yield Configuration(tuple(tuple(m if i == j else 0 for i in range(l))
+                                      for j, word in zip(range(l - 1, -1, -1), words)
+                                      for m in word[:-1]))
 
 
-def _picks(mults, budget):
-    """Sub-multisets of size <= budget, as one count per distinct row."""
-    if not mults:
-        return [()]
-    return [(c,) + rest for c in range(min(mults[0], budget) + 1)
-            for rest in _picks(mults[1:], budget - c)]
+def _children(level, k, limit, last):
+    """Each level class's extensions by one column, as row-code counts
+    sorted by row count: a 1 on a sub-multiset of the rows, picked one code
+    at a time and at most k rows, and fresh unit rows up to sum k.  Dropped:
+    more than `limit` rows; no fresh row and a new column equal to an old
+    one; on the `last` column, an all-ones row."""
+    n, size = level.shape
+    parent, room, ones = np.arange(n), np.full(n, k), np.zeros((n, size), np.int8)
+    for code in np.flatnonzero(level[:, :size - last].any(axis=0)).tolist():
+        options = np.minimum(level[parent, code], room) + 1
+        back = np.arange(len(parent)).repeat(options)
+        pick = np.arange(len(back)) - (options.cumsum() - options)[back]
+        parent, room, ones = parent[back], room[back] - pick, ones[back]
+        ones[:, code] = pick
+    zeros, rows = level[parent] - ones, level.sum(axis=1)[parent] + room
+    # column i repeats when the picked rows are exactly those with bit i set
+    bits = np.arange(size)[:, None] >> np.arange(size.bit_length() - 2, -1, -1) & 1
+    repeated = ((ones - zeros) @ bits == (k - room)[:, None]).any(axis=1)
+    keep = np.flatnonzero((rows <= limit) & ((room > 0) | ~repeated))
+    children = np.empty((len(parent), size, 2), np.int8)
+    children[:, :, 0], children[:, :, 1] = zeros, ones
+    children = children.reshape(len(parent), 2 * size)
+    children[:, 1] = room  # the fresh rows
+    return children[keep[rows[keep].argsort()]]  # by depth: an engine block pads little
 
 
-def _children(rows, k, limit):
-    """Extensions by one column: a 1 on a sub-multiset of the rows, plus
-    fresh unit rows up to column sum k; the new column must be distinct."""
-    distinct = sorted(set(rows))
-    mults = [rows.count(r) for r in distinct]
-    fresh = (0,) * len(rows[0]) + (1,)
-    for picks in _picks(mults, k):
-        extra = k - sum(picks)
-        if len(rows) + extra > limit:
-            continue
-        child = [fresh] * extra
-        for r, m, c in zip(distinct, mults, picks):
-            child += [r + (1,)] * c + [r + (0,)] * (m - c)
-        if extra or all(any(r[i] != r[-1] for r in child) for i in range(len(fresh) - 1)):
-            yield tuple(child)
+def _least_codes(counts, width, depth):
+    """The least code rows, padded to `depth` with the pad code 2^width, of
+    the classes given by row-code `counts`, _BLOCK at a time."""
+    rows, pad = counts.sum(axis=1), 1 << width
+    codes = np.full((len(counts), depth), pad, np.min_scalar_type(pad))
+    codes[np.arange(depth) < rows[:, None]] = (np.arange(counts.size) % pad).repeat(counts.ravel())
+    shifts = np.arange(width, -1, -1)
+    for start in range(0, len(codes), _BLOCK):
+        block = codes[start:start + _BLOCK, :rows[start:start + _BLOCK].max()]
+        block[:] = _least_rows(block[:, :, None] >> shifts & 1, 1 << shifts)  # pad: flag 1
+    return codes
+
+
+def _distinct_rows(rows):
+    """The distinct rows of a 2-D array of at least one column, in
+    lexicographic order."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    first = np.ones(len(rows), bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[first]
 
 
 def _multiplicity_free(k, l, limit):
     """0/1 classes grown column by column, one canonical form per level.
 
-    Equal columns stay equal and rows are never removed, so children with
-    equal columns or more than `limit` rows are pruned; all-ones rows can
-    still gain a 0 and are rejected only at the last column."""
-    level = {((1,),) * k}
-    for _ in range(1, l):
-        level = set(_canonical_stream(child for rows in level
-                                      for child in _children(rows, k, limit)))
-    return [Configuration(rows) for rows in level if all(0 in r for r in rows)]
+    A level is an int64 array of each class's count of each row code; its
+    children are made and canonicalised a part of about _PICKS candidate
+    picks at a time (the product of the counts plus one bounds a class's
+    picks), and their distinct least code rows are the next level, the last
+    level's the classes' sorted vectors.  Equal columns stay equal and rows
+    are never removed, so children with equal columns or more than `limit`
+    rows are pruned; all-ones rows can still gain a 0 until the last column."""
+    # two columns: p rows (1, 1) and k - p rows each of (1, 0) and (0, 1), for p < k
+    # (distinct columns), are the classes; swapping the columns fixes each
+    least = np.array([[1] * (k - p) + [2] * (k - p) + [3] * p + [4] * p
+                      for p in range(k if l > 2 else 1) if 2 * k - p <= limit],
+                     np.uint8).reshape(-1, 2 * k)
+    for width in range(3, l + 1):
+        pad = 1 << (width - 1)
+        level = np.bincount((np.arange(len(least))[:, None] * (pad + 1) + least).ravel(),
+                            minlength=len(least) * (pad + 1)).reshape(-1, pad + 1)[:, :pad]
+        depth, bounds = min(limit, width * k), np.prod(level + 1, axis=1).cumsum()
+        cuts = (np.flatnonzero(np.diff(bounds // _PICKS)) + 1).tolist()
+        least = _distinct_rows(np.concatenate([
+            _least_codes(_children(level[a:b], k, limit, width == l), width, depth)
+            for a, b in zip([0] + cuts, cuts + [len(level)])]))
+    real = least < 1 << l
+    vectors = map(list(product((0, 1), repeat=l)).__getitem__, least[real].tolist())
+    return [Configuration(tuple(islice(vectors, d))) for d in real.sum(axis=1).tolist()]
 
 
 def enumerate_conf(k, l, max_vectors=None):
@@ -330,6 +377,8 @@ def enumerate_conf(k, l, max_vectors=None):
     if k * l > DEFAULT_CELL_CAP:
         raise CapExceeded(f"k*l = {k * l} exceeds cap {DEFAULT_CELL_CAP}")
     limit = max_vectors if max_vectors is not None else k * l
+    if limit < 2:  # a lone vector would lie in every column
+        return []
     if k == 1:  # one symbol per column, distinct columns: all-distinct only
         return [cmax(1, l)] if limit >= l else []
     return sorted(set(_separable(k, l, limit)) | set(_multiplicity_free(k, l, limit)))
@@ -427,11 +476,12 @@ def _coinciding_weights(classes, support):
     per l."""
     entries, found, missing = _WEIGHTS.entries, {}, {}
     for vectors in classes:
-        if (vectors, support) in entries:
-            entries.move_to_end((vectors, support))
-            found[vectors] = entries[vectors, support]
-        else:  # by l, each class once
+        weight = entries.get((vectors, support))
+        if weight is None:  # by l, each class once
             missing.setdefault(len(vectors[0]), {})[vectors] = None
+        else:
+            entries.move_to_end((vectors, support))
+            found[vectors] = weight
     for group in missing.values():
         found.update(zip(group, _joined_weights(list(group), support)))
         _WEIGHTS.misses += len(group)

@@ -16,8 +16,8 @@ are `hfold`, `weighted_bit_sum` and the uniform-optimality search and
 witness; p(C) (`configurations`) counts its zero sums by meet in the middle
 and folds nothing.
 DEFAULT_SUPPORT_CAP, read at each call, bounds the law that `_fold` returns
-(rows times prod(h * span + 1) for a whole law, rows for a single point), not
-the support nor the boxes on the way: {0, 2^20} raises CapExceeded at h = 2.
+(rows times prod(h * span + 1)), not the support nor the boxes on the way:
+{0, 2^20} raises CapExceeded at h = 2.
 `configurations` reads it too, as the most sums a half of p(C)'s join holds.
 Every float Renyi value comes from `_renyi_rows`.
 """
@@ -141,24 +141,18 @@ def from_probs(probs) -> Distribution:
     return make_distribution(list(enumerate(probs)))
 
 
-def _fold(points, weights, at=None):
+def _fold(points, weights):
     """Law of the sum of independent draws, dense over the lattice box.
 
     `points` is a (draws, s, n0) integer array, one row of s support points per
     draw; `weights` is a (rows, s) array that every draw shares, one law per
     row.  Returns (low, law), where law[r][i] is row r's weight of the sum
-    low + i.  Each step's box is what the draws so far reach; given `at`, only
-    the sums from which the remaining draws can still reach `at`, so the law
-    returned is the one cell at `at` (zero if no sum reaches it).  Cells hold
+    low + i.  Each step's box is what the draws so far reach.  Cells hold
     `weights.dtype`: Python ints (object) keep rational laws exact."""
     rows, n0 = weights.shape[0], points.shape[2]
     zero = np.zeros((1, n0), dtype=object)  # Python ints: reaches must not wrap in int64
     lo = np.concatenate([zero, np.cumsum(points.min(axis=1), axis=0, dtype=object)])
     hi = np.concatenate([zero, np.cumsum(points.max(axis=1), axis=0, dtype=object)])
-    if at is not None:
-        lo, hi = np.maximum(lo, hi - (hi[-1] - at)), np.minimum(hi, lo - (lo[-1] - at))
-        if (lo > hi).any():
-            return np.array(at, dtype=object), np.zeros((rows,) + (1,) * n0, weights.dtype)
     low, lo, hi = lo[-1], lo.tolist(), hi.tolist()
     cells = rows * math.prod(b - a + 1 for a, b in zip(lo[-1], hi[-1]))
     if cells > DEFAULT_SUPPORT_CAP:

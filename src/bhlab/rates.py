@@ -1,8 +1,10 @@
 """Achievable-rate formulas and exact exponent optimization.
 
-Every optimizer compares p1^(1/a) with p2^(1/b) through the cross-powered
-big-rational test p1^b vs p2^a, so argmins and ties are exact; floats appear
-only in the reported rate values (bits per symbol, base-2 logs throughout).
+Every optimizer compares p1^(1/a) with p2^(1/b) by their float logs
+log2(p)/a, and through the cross-powered big-rational test p1^b vs p2^a
+wherever those are within _EXACT_GAP, far above a float log's error, so
+argmins and ties are exact; otherwise floats appear only in the reported rate
+values (bits per symbol, base-2 logs throughout).
 """
 
 from __future__ import annotations
@@ -83,8 +85,13 @@ def rate_distribution(dist: Distribution, h) -> RateReport:
 # ---------------------------------------------------------------------------
 # exponent optimization over configuration families
 
+_EXACT_GAP = 1e-9  # log2 p / (d - 1) values closer than this are compared exactly
+
+
 def optimize_exponent(confs, stats_fn=conf_stats):
-    """Argmax of p(C)^(1/(d-1)) with exact tie detection.
+    """Argmax of p(C)^(1/(d-1)) with exact tie detection: float exponents
+    decide where they differ by more than _EXACT_GAP, the exact test
+    p_c^(d_b-1) vs p_b^(d_c-1) elsewhere.
 
     Returns (argmax configuration, its ConfStats, tuple of tied configs).
     Ties are broken by canonical configuration order.
@@ -92,16 +99,20 @@ def optimize_exponent(confs, stats_fn=conf_stats):
     confs = sorted(confs)
     if not confs:
         raise EmptyFamily("no configurations to optimize over")
-    stats = {c: stats_fn(c) for c in confs}
-    best, ties = confs[0], [confs[0]]
-    for c in confs[1:]:
-        # p_c^{1/(d_c-1)} vs p_b^{1/(d_b-1)}  <=>  p_c^(d_b-1) vs p_b^(d_c-1)
-        lhs, rhs = stats[c].p ** (best.d - 1), stats[best].p ** (c.d - 1)
-        if lhs > rhs:
-            best, ties = c, [c]
-        elif lhs == rhs:
-            ties.append(c)
-    return best, stats[best], tuple(ties)
+    stats = [stats_fn(c) for c in confs]
+    exponents = [log2_fraction(s.p) / (s.d - 1) for s in stats]
+    best, ties = 0, [confs[0]]
+    for i in range(1, len(confs)):
+        gap = exponents[i] - exponents[best]
+        if abs(gap) <= _EXACT_GAP:
+            # p_c^{1/(d_c-1)} vs p_b^{1/(d_b-1)}  <=>  p_c^(d_b-1) vs p_b^(d_c-1)
+            lhs, rhs = stats[i].p ** (stats[best].d - 1), stats[best].p ** (stats[i].d - 1)
+            gap = (lhs > rhs) - (lhs < rhs)
+        if gap > 0:
+            best, ties = i, [confs[i]]
+        elif gap == 0:
+            ties.append(confs[i])
+    return confs[best], stats[best], tuple(ties)
 
 
 def _family_report(formula, confs, stats_fn=conf_stats) -> RateReport:

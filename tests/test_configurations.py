@@ -79,8 +79,13 @@ BRUTE_SHAPES = ([(k, 1) for k in (1, 2, 5)] + [(1, l) for l in range(2, 9)]
 
 @pytest.mark.parametrize("k,l", BRUTE_SHAPES)
 def test_enumeration_matches_brute_force(k, l):
-    ours = {c.vectors for c in conf.enumerate_conf(k, l)}
-    assert ours == brute_classes(k, l)
+    classes = brute_classes(k, l)
+    assert {c.vectors for c in conf.enumerate_conf(k, l)} == classes
+    # every vector limit: `enumerate_conf_sharp` reads them, and the generators prune by them
+    for m in range(1, k * l + 1):
+        ours = [c.vectors for c in conf.enumerate_conf(k, l, max_vectors=m)]
+        assert len(ours) == len(set(ours))
+        assert set(ours) == {c for c in classes if len(c) <= m}
 
 
 # (k, l): (class count, sha256 of repr(enumerate_conf(k, l))), recorded from the
@@ -559,6 +564,14 @@ def test_engine_steps_and_order_blocks_do_not_change_the_classes(monkeypatch):
             assert conf.automorphism_count(conf.Configuration(c)) == automorphism_reference(c)
     for shape in [(2, 4), (3, 3)]:
         assert _digest(conf.enumerate_conf(*shape)) == PINNED_CONF[shape]
+    # engine blocks of 1 and 3 children, and levels cut into parts of about 5
+    # candidate picks, put block and part boundaries inside every level
+    monkeypatch.undo()
+    for block, picks in [(1, conf._PICKS), (3, conf._PICKS), (3, 5)]:
+        monkeypatch.setattr(conf, "_BLOCK", block)
+        monkeypatch.setattr(conf, "_PICKS", picks)
+        for shape in [(3, 4), (2, 5), (4, 3)]:
+            assert _digest(conf.enumerate_conf(*shape)) == PINNED_CONF[shape]
 
 
 def test_codes_that_would_pass_63_bits_raise():

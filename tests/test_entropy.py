@@ -222,7 +222,7 @@ def fold_reference(points, weights):
     return out
 
 
-def test_fold_at_a_point_is_the_unpruned_fold_there():
+def test_fold_matches_the_reference_fold():
     rng = random.Random(19)
     for _ in range(40):
         draws, s, n0, rows = (rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 2),
@@ -236,17 +236,6 @@ def test_fold_at_a_point_is_the_unpruned_fold_there():
         for index in np.ndindex(law.shape[1:]):
             total = tuple(int(a + i) for a, i in zip(low, index))
             assert law[(slice(None),) + index].tolist() == reference.get(total, [0] * rows)
-        for _ in range(6):  # inside the box, or past it on some axis: no sum reaches it
-            at = tuple(rng.randint(-4 * draws - 2, 3 * draws + 2) for _ in range(n0))
-            at_low, cell = ent._fold(points, weights, at=at)
-            assert tuple(at_low) == at and cell.shape == (rows,) + (1,) * n0
-            assert cell.ravel().tolist() == reference.get(at, [0] * rows)
-    # an `at` inside the box that no sum reaches: two draws of even points
-    points = np.array([[[0], [2]]] * 2, dtype=object)
-    for weights in (np.array([[1, 1]], dtype=object), np.array([[0.5, 0.5], [0.25, 0.75]])):
-        assert ent._fold(points, weights, at=(1,))[1].ravel().tolist() == [0] * len(weights)
-        assert ent._fold(points, weights, at=(2,))[1].ravel().tolist() == \
-            (2 * weights[:, 0] * weights[:, 1]).tolist()
 
 
 # ---------------------------------------------------------------------------
