@@ -8,26 +8,25 @@ Binary codes (`verify_code_*`, and the random-coding pipeline) enter as one
 are reported as the words' base-(h+1) integers, first bit most significant.
 
 One numpy engine, `_Sums`, serves every ambient.  An element, and a sum, is
-a row of C unsigned ints: its offset from the least element (one uint64
-column; integers whose h-fold sums span more than 2^64 values raise
-CapExceeded), its residues, or its bits as radix-(h+1) digits packed into
-uint64 columns (k <= h bits sum to at most h, so no digit carries).  Level k
-(the size-k multisets) is level k-1 plus one element per vectorised add,
-reduced mod q at every level, so a row is its sum exactly.  Every level is
-held column-major, as a (C, N) array, so that each add, reduction and key
-mix runs along one contiguous column.  A level is scanned in buckets by a sum
-class (equal sums share a class), one bucket at a time and in two passes:
-pass one sorts the bucket's keys, one uint64 per row (see `_Sums`), in place
-and keeps the values held by threshold or more rows; pass two regenerates
-only a bucket that has some and groups the rows holding them.  Pass one
-keeps whole keys at threshold 2 and their low 32 bits, which sort in about
-half the time, at threshold 3 or more; `_pass_one` counts the false 32-bit
-matches, which cost time, never a wrong answer.  Blocks of a level hold about
-_CHUNK rows, planned with array operations over all pairs of sum classes.
-Large levels have half-size buckets and run pass one on a thread pool, one
-thread per CPU in the process's affinity mask (`taskset -c 0` confines it to
-one core), with output independent of the thread count.  Peak memory is one
-bucket of keys per thread plus the level below the top.
+a row of uint64 words: an integer's offset from the least element (integers
+whose h-fold sums span more than 2^64 values raise CapExceeded), a
+bit-word's radix-(h+1) digits, which never carry, or a vector's coordinates
+mod q in guarded lanes (`_lanes`), a residue being a vector of one
+coordinate.  Level k (the size-k multisets) is level k-1 plus one element
+per vectorised add, held as one uint64 key per row, except for vectors whose
+lanes fill several words (Z_13^10 fits in 60 bits, Z_13^11 does not).  A
+level is scanned in buckets by a sum class, one bucket at a time and in two
+passes: pass one sorts the bucket's keys in place and keeps those held by
+threshold or more rows; pass two regenerates only a bucket that has some,
+keeps the numbers of the rows holding them and groups the exact sums it
+rebuilds from their multisets.  Pass one keeps whole keys at threshold 2 and
+their low 32 bits, which sort in about half the time, at threshold 3 or
+more; a false match costs time, never a wrong answer.  Large levels have
+half-size buckets and run pass one on a thread pool, one thread per CPU in
+the process's affinity mask (`taskset -c 0` confines it to one core), with
+output independent of the thread count.  Peak memory is one bucket of keys
+per thread plus the level below the top, at one word per row (C words for
+vectors of C > 1 words).
 
 The random-coding pipeline enumerates each population once: pruning reads
 its minimal violations, and `random_coding.construct` its final verdict,
@@ -118,8 +117,9 @@ _BIT_WORDS = object()  # the `add=` ambient of a (m, n) 0/1 uint8 matrix of bit-
 
 
 def _residue_classes(rows, B):
-    """Coordinate 0 mod B: an integer's offset (B a power of two, so its low
-    bits), or a residue's or vector's coordinate 0 (B a divisor of q)."""
+    """Word 0 mod B: an integer's offset (B a power of two, so its low bits),
+    or a vector's first word of lanes (B a divisor of q, and a reduction
+    subtracts multiples of q from it, so it adds like the vectors)."""
     return (rows[0] % B).astype(np.intp)
 
 
@@ -127,8 +127,8 @@ def _digit_rows(bits, h):
     """Bit-words as rows of radix-(h+1) digits, returned as `_coordinates`
     returns an ambient.  Digit i is bit n-1-i, so a row reads as the word's
     base-(h+1) encoding; k <= h words add digitwise without carry.  Each
-    uint64 column holds, lowest digits first, as many digits as keep an h-fold
-    sum below 2^64 (40 at h = 2)."""
+    uint64 word holds, lowest digits first, as many digits as keep an h-fold
+    sum below 2^64 (40 at h = 2, 18 at h = 10)."""
     radix, (m, n) = h + 1, bits.shape
     per = 1
     while radix ** (per + 1) <= 2**64:
@@ -150,13 +150,41 @@ def _digit_rows(bits, h):
 
     def value(combo):
         return sum(x * s for i in combo for x, s in zip(rows[:, i].tolist(), scales))
-    return rows, None, classes, value
+    return rows, None, None, classes, value
+
+
+def _lanes(vectors, q, width):
+    """(rows, reduce) of vectors over Z_q of `width` coordinates, as
+    `_coordinates` returns them.  Each coordinate is a lane of
+    w = bit_length(2q - 2) + 1 bits, so two reduced lanes sum below 2^(w-1),
+    the lane's guard bit; coordinate i is lane i // C of word i % C, in the
+    fewest words C that hold them all.
+    Adding 2^(w-1) - q to every lane sets the guard bit of exactly the lanes
+    that hold q or more, and carries into no other lane, so `reduce(x)`
+    subtracts q from those lanes of the rows x, in place."""
+    w = (2 * q - 2).bit_length() + 1
+    words = -(-width // (64 // w))
+    rows = np.zeros((words, len(vectors)), np.uint64)
+    for i, coordinate in enumerate(np.array(vectors, np.uint64).reshape(-1, width).T):
+        rows[i % words] |= coordinate << np.uint64(w * (i // words))
+    lanes = sum(1 << w * i for i in range(64 // w))  # bit 0 of every lane
+    bias, guard, shift, modulus = (np.uint64(x) for x in (
+        lanes * (2**(w - 1) - q), lanes << w - 1, w - 1, q))
+
+    def reduce(x):  # in place on one temporary: a level's reduction is as large as the level
+        t = x + bias
+        t &= guard
+        t >>= shift
+        t *= modulus
+        x -= t
+    return rows, reduce
 
 
 def _coordinates(elements, add, h):
-    """(level-1 rows as a column-major (C, m) array, the modulus as a scalar
-    of its dtype or None, class map (rows, B) -> classes in Z_B that adds like
-    the sums, sum of an index multiset in the caller's encoding)."""
+    """(level-1 rows as a column-major (C, m) uint64 array, the modulus or
+    None, the in-place reduction of rows mod it or None, class map (rows, B)
+    -> classes in Z_B that adds like the sums, sum of an index multiset in
+    the caller's encoding)."""
     if add is _BIT_WORDS:
         return _digit_rows(elements, h)
     if add is operator.add:
@@ -166,7 +194,7 @@ def _coordinates(elements, add, h):
         if span > 2**64:
             raise CapExceeded(f"the {h}-fold sums of these integers span {span} > 2^64 values")
         rows = np.array([v - lo for v in values], dtype=np.uint64).reshape(1, -1)
-        return rows, None, _residue_classes, lambda combo: sum(values[i] for i in combo)
+        return rows, None, None, _residue_classes, lambda combo: sum(values[i] for i in combo)
     if not isinstance(add, ModularAdd):
         raise InvalidParams("add must be operator.add, residue_add(m) or vector_mod_add(q)")
     q = _as_int(add.modulus)
@@ -180,8 +208,8 @@ def _coordinates(elements, add, h):
     def value(combo):
         total = tuple(sum(col) % q for col in zip(*(rows[i] for i in combo)))
         return total if add.vector else total[0]
-    arr = np.array(list(zip(*rows)), dtype=np.min_scalar_type(2 * q - 2)).reshape(width, -1)
-    return arr, arr.dtype.type(q), _residue_classes, value
+    lanes, reduce = _lanes(rows, q, width)
+    return lanes, q, reduce, _residue_classes, value
 
 
 def _skew(v):
@@ -204,7 +232,7 @@ def _cut(parts):
 
 def _key(block):
     """The uint64 keys of a (C, N) block of rows (see `_Sums`); a view of a
-    one-column uint64 block."""
+    block of one word per row."""
     key = block[0].astype(np.uint64, copy=len(block) > 1)
     for c in range(1, len(block)):
         key += block[c] * np.uint64(pow(_MIX, c, 2**64))
@@ -228,19 +256,20 @@ def _among(keys, values):
 
 
 class _Sums:
-    """The size-k multiset sums of one element list, k = 1..h, as rows of C
-    columns, each level held column-major as a (C, rows) array.
+    """The size-k multiset sums of one element list, k = 1..h, each level
+    held as one uint64 word per row, or column-major as a (C, rows) array.
 
-    A row's key is one uint64 word, sum(column c * _MIX^c) mod 2^64: the row
-    itself for one column.  Pass one finds duplicated keys; pass two groups
-    the rows that hold them, which are the exact sums, so a key shared by
-    distinct sums costs time, never a wrong answer.  A key adds like the sum
-    wherever the sum has no modulus (integer offsets, bit-word digits):
-    key(x + y) = key(x) + key(y) mod 2^64, and so mod 2^32.  There pass one
-    generates the top level as its keys, one column whatever C is, from the
-    keys of the elements and of the held level.  A modular ambient generates
-    its reduced rows and keys them, except that a one-column uint64 residue,
-    its own key, is generated straight into a uint64 key buffer.
+    A row's key is one uint64 word, sum(word c * _MIX^c) mod 2^64: the row
+    itself for one word.  A key adds like the sum wherever the sum has no
+    modulus (integer offsets, bit-word digits): key(x + y) = key(x) + key(y)
+    mod 2^64, and so mod 2^32.  So every level is held and generated as its
+    keys, one word per row, except for vectors of several words, which are
+    held as their reduced rows and keyed a block at a time; `first` holds the
+    elements' exact rows and `base` the elements as levels hold them.  Pass
+    one finds duplicated keys; pass two keeps the numbers of the rows that
+    hold them, decodes their multisets, rebuilds their exact sums from `first`
+    (`_sums`) and groups those, so a key shared by distinct sums costs time,
+    never a wrong answer.
 
     Level k lists the size-k index multisets in colex order: those with
     largest index j are every level-(k-1) row whose largest index is <= j (the
@@ -249,38 +278,40 @@ class _Sums:
     top are held in memory one at a time, in colex order.
 
     A level is scanned in B buckets, by a class in Z_B that adds like the
-    sums: an integer's offset mod B, coordinate 0 mod the largest divisor of q
-    that is at most B, or, for bit-words, sum(2^i d_i) over their low log2(B)
-    radix-(h+1) digits d_i, which never carry.
-    Equal sums have equal classes, so each bucket is sorted and scanned for
+    sums: an integer's offset mod B, a vector's first word (its lanes, reduced
+    mod q) mod the largest divisor of q that is at most B, or, for bit-words,
+    sum(2^i d_i) over their low log2(B) radix-(h+1) digits d_i, which never
+    carry.  The elements' classes are read from their exact rows and a held
+    level's are generated with it, as sums of its elements' classes
+    (`state_cls`), so a level held as keys is classed as its sums are.  Equal
+    sums have equal classes, so each bucket is sorted and scanned for
     duplicates on its own.  A top level below 2 * _BUCKET_KEYS keys is one
-    bucket; a larger one has B buckets, B the largest power of two, at most
-    m, that leaves _BUCKET_KEYS / 2 or more keys per bucket, so that two
-    buckets in flight hold no more keys than one bucket of twice that size.
-    A level of 2 * _BUCKET_KEYS keys or more runs pass one (generate, sort in
-    place, keep the keys held by threshold or more rows) on up to _WORKERS
-    threads, one bucket per task; each thread reuses one key buffer: uint64
-    at threshold 2, and at threshold 3 or more uint32, the low 32 bits of the
-    key (see `_pass_one`).  Pass two reads the results in bucket order,
-    selects rows (the top level's regenerated) by the same width of key and
-    groups them with `np.unique`.  A smaller level, and one
-    with a single bucket to scan, starts no thread.  The elements are
-    relabelled in class order, and a held level is grouped by class through a
-    stable permutation (none for one class or for the elements); the colex
-    copy of the top-1 level is dropped once it is grouped.  Bucket r of the
-    top level is, for each class a, broadcast adds of class a's elements onto
-    the group-(r-a) rows whose largest index lies below class a, plus one add
-    per element j of class a for the group rows ending inside class a at or
-    before j; `_plan` builds these parts for all class pairs with array
-    operations.  A bucket with fewer keys than the threshold cannot hold a
-    duplicate and is skipped.  The top level is generated a bucket at a time,
-    in blocks of fewer than 2 * _CHUNK rows, once per pass.  Peak memory is
-    one bucket of keys per thread plus the held level: twice that while it
-    is grouped, and at most 1.75 times (two columns, uint32 keys) while pass
-    one makes its keys."""
+    bucket; a larger one has B buckets, B the largest power of two, at most m,
+    that leaves _BUCKET_KEYS / 2 or more keys per bucket, so that two buckets
+    in flight hold no more keys than one bucket of twice that size.  A level
+    of 2 * _BUCKET_KEYS keys or more runs pass one (generate, sort in place,
+    keep the keys held by threshold or more rows) on up to _WORKERS threads,
+    one bucket per task; each thread reuses one key buffer: uint64 at
+    threshold 2, and at threshold 3 or more uint32, the low 32 bits of the key
+    (see `_pass_one`).  Pass two reads the results in bucket order and selects
+    rows (the top level's regenerated) by the same width of key.  A smaller
+    level, and one with a single bucket to scan, starts no thread.  The
+    elements are relabelled in class order, and a held level is grouped by
+    class through a stable permutation (none for one class or for the
+    elements); the colex copy of the top-1 level is dropped once it is
+    grouped.  Bucket r of the top level is, for each class a, broadcast adds
+    of class a's elements onto the group-(r-a) rows whose largest index lies
+    below class a, plus one add per element j of class a for the group rows
+    ending inside class a at or before j; `_plan` builds these parts for all
+    class pairs with array operations.  A bucket with fewer keys than the
+    threshold cannot hold a duplicate and is skipped.  The top level is
+    generated a bucket at a time, in blocks of fewer than 2 * _CHUNK rows,
+    once per pass.  Peak memory is one bucket of keys per thread plus the held
+    level (and, if B > 1, its classes, a byte or two per row): twice that
+    while it is grouped, and 1.5 times while pass one makes its uint32 keys."""
 
     def __init__(self, elements, add, h):
-        first, self.modulus, self.classes, self.value = _coordinates(elements, add, h)
+        first, q, self.reduce, classes, self.value = _coordinates(elements, add, h)
         self.h, self.m = h, first.shape[1]
         self.ends = [None, np.arange(1, self.m + 1)]
         for _ in range(h - 1):
@@ -288,29 +319,35 @@ class _Sums:
         self.B, count = 1, multiset_count(self.m, h)
         while count >= 2 * _BUCKET_KEYS and 2 * self.B <= min(2 * count // _BUCKET_KEYS, self.m):
             self.B *= 2
-        if self.modulus is not None:  # coordinate 0 mod the largest divisor of q that is at most B
-            self.B = max(d for d in range(1, self.B + 1) if int(self.modulus) % d == 0)
-        cls = self.classes(first, self.B)
+        if q is not None:  # word 0 mod the largest divisor of q that is at most B
+            self.B = max(d for d in range(1, self.B + 1) if q % d == 0)
+        cls = classes(first, self.B)
         self.perm = np.argsort(cls, kind="stable")  # relabelled index -> caller's index
         self.start = np.searchsorted(cls[self.perm], np.arange(self.B + 1))  # class a: start[a]..
-        self.first = first[:, self.perm]
-        self.k, self.state = 1, self.first  # the highest level held in memory
+        self.first = first[:, self.perm]  # exact rows: pass two adds them up
+        # the elements as levels hold them: additive rows of several words as their keys
+        self.base = self.first if q is not None or len(first) == 1 else _key(self.first)[None]
+        self.k, self.state = 1, self.base  # the highest level held in memory
+        # the classes of `first` and of `state`, in a dtype that holds h of them added
+        self.first_cls = self.state_cls = cls[self.perm].astype(
+            np.min_scalar_type(h * (self.B - 1)))[None]
         self.grouping = None  # (rows, group offsets, permutation or None) of the held level
         self.plan = None  # the blocks of level self.k + 1, bucket by bucket
 
-    def _rows(self, parts, first, prev, out):
+    def _rows(self, parts, first, prev, out, reduce=True):
         """Fill `out`, (C, rows), with the rows of some parts, an array of rows
         (e0, e1, g0, g1), of level self.k + 1: elements e0..e1-1 of `first`
-        (self.first, or the elements' keys), each added to the rows g0..g1-1 of
-        `prev` (the held rows, or their keys), one coordinate at a time."""
+        (self.base, its keys or its classes), each added to the rows g0..g1-1
+        of `prev` (the held rows, their keys or their classes), one word at a
+        time, and, if `reduce`, the lanes of vectors reduced."""
         lo = 0
         for e0, e1, g0, g1 in parts.tolist():
             hi = lo + (e1 - e0) * (g1 - g0)
             part = out[:, lo:hi]
             np.add(first[:, e0:e1, None], prev[:, None, g0:g1],
                    out=part.reshape(len(part), e1 - e0, g1 - g0))
-            if self.modulus is not None:  # below the modulus, part - modulus wraps above part
-                np.minimum(part, part - self.modulus, out=part)
+            if reduce and self.reduce is not None:
+                self.reduce(part)
             lo = hi
         return out
 
@@ -319,9 +356,13 @@ class _Sums:
         last = self.ends[self.k]
         parts = np.stack([np.arange(self.m), np.arange(1, self.m + 1), np.zeros_like(last), last],
                          axis=1)
-        out = np.empty((len(self.state), self.ends[self.k + 1][-1]), self.state.dtype)
-        self.k, self.state = self.k + 1, self._rows(parts, self.first, self.state, out)
-        self.grouping = self.plan = None
+        size = self.ends[self.k + 1][-1]
+        out = np.empty((len(self.state), size), self.state.dtype)
+        self.state = self._rows(parts, self.base, self.state, out)
+        if self.B > 1:  # classes add like the sums, so `_group` never reads them from rows
+            out = np.empty((1, size), self.state_cls.dtype)
+            self.state_cls = self._rows(parts, self.first_cls, self.state_cls, out, reduce=False)
+        self.k, self.grouping, self.plan = self.k + 1, None, None
 
     def _group(self):
         """Group the held level by class, each group in colex order."""
@@ -329,12 +370,12 @@ class _Sums:
         if self.k == 1 or self.B == 1:  # the elements are relabelled in class order
             goff = self.start if self.k == 1 else np.array([0, rows.shape[1]])
         else:
-            cls = self.classes(rows, self.B)
+            cls = self.state_cls[0] % self.B
             order = np.argsort(cls, kind="stable")
             goff = np.append(0, np.bincount(cls, minlength=self.B).cumsum())
             rows = rows[:, order]
         if self.k == self.h - 1:  # `_advance` never reads the colex top-1 level
-            self.state = None
+            self.state = self.state_cls = None
         self.grouping = rows, goff.tolist(), order
 
     def _number(self, g):
@@ -424,7 +465,7 @@ class _Sums:
             return
         for size, parts in self.plan[r]:
             out = np.empty((len(rows), size), rows.dtype)
-            yield (self._rows(parts, self.first, rows, out),
+            yield (self._rows(parts, self.base, rows, out),
                    lambda hit, parts=parts: self._numbers(parts, hit))
 
     def _duplicated(self, k, r, t, keys, direct):
@@ -465,15 +506,17 @@ class _Sums:
         locating them costs more than the narrower sort saves, hence t = 1
         keeps uint64.  Where keys add like the sums (see `_Sums`), so do their
         low 32 bits: the top level's keys of either width are generated from
-        the element and held-level keys in that width, made once per call."""
+        the element and held-level keys in that width, made once per call.  A
+        vector of one word, its own key once reduced, is generated straight
+        into a uint64 buffer."""
         if not live:
             return []
         dtype, held = (np.uint64 if t == 1 else np.uint32), self.grouping[0]
         direct = None  # the top level generated as its keys (see `_Sums`)
-        if k > self.k and self.modulus is None:
-            direct = tuple(_key(a).astype(dtype, copy=False)[None] for a in (self.first, held))
-        elif k > self.k and t == 1 and held.dtype == np.uint64 and len(held) == 1:
-            direct = self.first, held  # a reduced residue of one uint64 column is its own key
+        if k > self.k and self.reduce is None:
+            direct = tuple(_key(a).astype(dtype, copy=False)[None] for a in (self.base, held))
+        elif k > self.k and t == 1 and len(held) == 1:
+            direct = self.base, held  # a reduced vector of one word is its own key
         size = max(sizes[r] for r in live)
         workers = min(_WORKERS, len(live)) if sum(sizes) >= 2 * _BUCKET_KEYS else 1
         # made by this thread: a pool thread's own buffer would stay in its malloc arena
@@ -489,6 +532,15 @@ class _Sums:
             return self._duplicated(k, r, t, local.keys, direct)
         with ThreadPoolExecutor(workers) as pool:
             return list(pool.map(scan, live))
+
+    def _sums(self, idx):
+        """The exact sums, as rows of `first`, of the relabelled index multisets idx (N, k)."""
+        total = self.first[:, idx[:, 0]]
+        for col in idx.T[1:]:
+            total += self.first[:, col]
+            if self.reduce is not None:
+                self.reduce(total)
+        return total
 
     def groups(self, k, threshold):
         """dict sum -> lex-ordered index multisets, for the size-k sums hit at least
@@ -506,25 +558,23 @@ class _Sums:
                 self._plan()
             sizes = [sum(size for size, _ in blocks) for blocks in self.plan]
         live = [r for r, size in enumerate(sizes) if size >= threshold]  # fewer: no `threshold` equal
-        rows, candidates = [], []
+        rows = []
         for r, dup in zip(live, self._pass_one(k, threshold - 1, live, sizes)):
             if not len(dup):
                 continue
             for block, numbers in self._bucket(k, r):  # pass two: rows whose key is duplicated
-                hit = _among(_key(block).astype(dup.dtype, copy=False), dup)
-                rows.append(numbers(hit))
-                candidates.append(block[:, hit])
+                rows.append(numbers(_among(_key(block).astype(dup.dtype, copy=False), dup)))
         if not rows:
             return {}
-        labels = np.unique(np.concatenate(candidates, axis=1), axis=1,
-                           return_inverse=True)[1].reshape(-1)
-        keep = np.bincount(labels)[labels] >= threshold
-        rows, labels, cols = np.concatenate(rows)[keep], labels[keep], []
+        rows, cols = np.concatenate(rows), []
         for level in range(k, 1, -1):  # decode rows to multisets, largest index first
             j = np.searchsorted(self.ends[level], rows, side="right")
             cols.append(j)
             rows = rows - self.ends[level][j] + self.ends[level - 1][j]
-        idx = np.sort(self.perm[np.stack([rows] + cols[::-1], axis=1)], axis=1)
+        idx = np.stack([rows] + cols[::-1], axis=1)
+        labels = np.unique(self._sums(idx), axis=1, return_inverse=True)[1].reshape(-1)
+        keep = np.bincount(labels)[labels] >= threshold
+        idx, labels = np.sort(self.perm[idx[keep]], axis=1), labels[keep]
         order = np.lexsort(idx.T[::-1])
         groups = {}
         for v, combo in zip(labels[order].tolist(), idx[order].tolist()):

@@ -4,6 +4,7 @@ import operator
 import random
 import sys
 import threading
+import tracemalloc
 from itertools import combinations, combinations_with_replacement, count
 from math import comb
 
@@ -243,7 +244,11 @@ AMBIENTS = {  # name -> (element sampler, add)
     "z3^2": (lambda rng, m, h: [(rng.randrange(3), rng.randrange(3)) for _ in range(m)],
              oracle.vector_mod_add(3)),
     "z5^30": (lambda rng, m, h: [(rng.randrange(5), rng.randrange(2), 1) * 10 for _ in range(m)],
-              oracle.vector_mod_add(5)),  # 5^30 > 2^64: a key mixes 30 columns
+              oracle.vector_mod_add(5)),  # 30 lanes of 5 bits: a key mixes three words
+    # 11 lanes of 6 bits: two words, whose lanes 0 hold coordinates 0 and 1, and a tail
+    # that wraps mod 12 in most lanes; classes mod 2, 3, 4 or 6
+    "z12^11": (lambda rng, m, h: [(rng.randrange(3), rng.randrange(3)) + tuple(range(11, 2, -1))
+                                  for _ in range(m)], oracle.vector_mod_add(12)),
 }
 
 
@@ -578,11 +583,12 @@ def _column_digit_words(rng, m, h):
     return words
 
 
-@pytest.mark.parametrize("ambient", ["long-bit-words", "z3^2", "z5^30"])
+@pytest.mark.parametrize("ambient", ["long-bit-words", "z12^11", "z5^30"])
 def test_rows_that_share_a_key_keep_their_own_sums(ambient, monkeypatch):
-    """With _MIX = 1 a key is the sum of a row's columns, so distinct rows of
-    several columns share keys at every level; pass two groups the rows
-    themselves, and verdicts and violation lists stay the reference's."""
+    """With _MIX = 1 a key is the sum of a row's words, so distinct rows of
+    several words share keys at every level; pass two groups the exact sums
+    it rebuilds from the multisets, and verdicts and violation lists stay the
+    reference's."""
     monkeypatch.setattr(oracle, "_MIX", 1)
     sample, add = AMBIENTS[ambient]
     if ambient == "long-bit-words":
@@ -601,6 +607,78 @@ def test_rows_that_share_a_key_keep_their_own_sums(ambient, monkeypatch):
                 assert (oracle.find_minimal_violations_bhg(elems, h, g, add=add)
                         == ref_minimal_bhg(ref, h, g, ref_add))
     assert shared  # some distinct elements share a key
+
+
+def _multiples(q, width, scalars):
+    """A sampler of vectors s * v over Z_q (v[0] = 1, its other coordinates
+    drawn once per sample) for scalars s drawn from `scalars`: two multisets
+    of one size have equal sums iff their scalars' sums agree mod q, so sums
+    coincide often and every lane wraps; width None draws residues s."""
+    def sample(rng, m):
+        v = [1] + [rng.randrange(q) for _ in range((width or 1) - 1)]
+        vectors = [tuple(s * x % q for x in v) for s in (rng.choice(scalars) for _ in range(m))]
+        return vectors if width else [x for x, in vectors]
+    return sample
+
+
+Q62 = 2**62 - 1  # the largest modulus: 2q - 2 < 2^63, one 64-bit lane
+LANE_EDGES = {  # name -> (q, coordinates or None for residues, scalars, words per row)
+    "residues-1": (1, None, (0, 1, 2), 1),
+    "z1^3": (1, 3, (0, 1), 1),
+    "residues-2": (2, None, (0, 1), 1),
+    "z2^21": (2, 21, (0, 1), 1),  # 21 lanes of 3 bits: 63 bits
+    "z2^22": (2, 22, (0, 1), 2),
+    "residues-q62": (Q62, None, (0, 1, 2, 3, Q62 - 1, Q62 - 2), 1),
+    "z_q62^2": (Q62, 2, (0, 1, 2, 3, Q62 - 1, Q62 - 2), 2),
+    "z13^10": (13, 10, (0, 1, 2, 11, 12), 1),  # 10 lanes of 6 bits: 60 bits
+    "z13^11": (13, 11, (0, 1, 2, 11, 12), 2),  # 66 bits
+}
+
+
+@pytest.mark.parametrize("mix", [oracle._MIX, 1], ids=["mix", "mix-1"])
+@pytest.mark.parametrize("ambient", sorted(LANE_EDGES))
+def test_lane_edges_match_the_reference(ambient, mix, monkeypatch):
+    """Moduli 1 and 2, a residue that fills a 64-bit lane, and vectors that
+    just fill one word or need a second: rows take the expected number of
+    words, and verdicts and violation lists are the reference's, with keys
+    mixed by _MIX and by 1."""
+    q, width, scalars, words = LANE_EDGES[ambient]
+    monkeypatch.setattr(oracle, "_MIX", mix)
+    add = oracle.vector_mod_add(q) if width else oracle.residue_add(q)
+    sample, rng = _multiples(q, width, scalars), random.Random(ambient)
+    for h in (1, 2, 3):
+        for trial in range(3):
+            elems = sample(rng, rng.randint(2, 6))  # q = 1: C(8, 3) equal sums
+            assert len(oracle._Sums(elems, add, h).first) == words
+            for g in (1, 2):
+                assert oracle.verify_bhg(elems, h, g, add=add) == ref_verify_bhg(elems, h, g, add)
+                assert (oracle.find_minimal_violations_bhg(elems, h, g, add=add)
+                        == ref_minimal_bhg(elems, h, g, add))
+            assert oracle.verify_bh(elems, h, add=add) == ref_verify_bhg(elems, h, 1, add)
+            assert (oracle.find_minimal_violations(elems, h, add=add)
+                    == ref_minimal_bhg(elems, h, 1, add))
+            for d in (h, h + 1, 2 * h):
+                assert (oracle.verify_bh_sharp(elems, h, d, add=add)
+                        == ref_verify_bh_sharp(elems, h, d, add))
+
+
+def test_power_map_levels_hold_one_word_per_row():
+    """Verifying the power map (13, 10) as 40-bit words (three digit words,
+    levels held as keys) and in Z_13^10 (one word of lanes) peaks below 9 MiB
+    of traced allocations; levels held as three digit words per row, or as
+    ten uint8 columns, peaked at 14.0 and 10.1 MiB."""
+    s = power_map(13, 10)
+    code, vectors = field_vectors_to_binary(s), [tuple(c.to_int() for c in v) for v in s.elements]
+    for verify in (lambda: oracle.verify_code_bh(code, 10),
+                   lambda: oracle.verify_bh(vectors, 10, add=oracle.vector_mod_add(13))):
+        assert verify() is None  # a first call: whatever numpy sets up once is not counted
+        tracemalloc.start()
+        try:
+            assert verify() is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * 2**20
 
 
 @settings(max_examples=80, deadline=None)
@@ -690,17 +768,55 @@ def test_digit_rows_match_the_base_h_plus_1_integers(population, small_buckets):
                     == ref_verify_bh_sharp(encoded, h, d, int_add))
 
 
-def test_h3_bit_word_buckets_are_even():
-    """With B = 64 the class map used to see three base-4 digits, so the words
-    fell in 8 of 64 classes and top-level buckets held up to 3.8x the median."""
-    bits = _sample_bits(SamplingPlan(n=30, dist=uniform_bits(1), t=737, seed=(1, 0)))
+def h3_top_buckets(n):
+    """(the engine, its top-level bucket sizes) for 737 random n-bit words at h = 3."""
+    bits = _sample_bits(SamplingPlan(n=n, dist=uniform_bits(1), t=737, seed=(1, 0)))
     sums = oracle._Sums(bits, oracle._BIT_WORDS, 3)
     sums._advance()
     sums._group()
     sums._plan()
-    sizes = [sum(size for size, _ in blocks) for blocks in sums.plan]
+    return sums, [sum(size for size, _ in blocks) for blocks in sums.plan]
+
+
+def test_h3_bit_word_buckets_are_even():
+    """With B = 64 the class map used to see three base-4 digits, so the words
+    fell in 8 of 64 classes and top-level buckets held up to 3.8x the median."""
+    sums, sizes = h3_top_buckets(30)
     assert sums.B == 128 and min(np.diff(sums.start)) > 0  # every class holds words
     assert max(sizes) <= 1.5 * np.median(sizes)
+
+
+def test_h3_keys_of_several_words_fill_the_classes():
+    """40-bit words at h = 3 are two words of radix-4 digits, and levels hold
+    their keys.  Classed by key mod B = 128 instead of by their digits, the
+    words fell in 68 of the 128 classes and top-level buckets held up to
+    1.53x the median."""
+    sums, sizes = h3_top_buckets(40)
+    assert len(sums.first) == 2 and len(sums.base) == 1 and sums.B == 128
+    assert max(sizes) <= 1.2 * np.median(sizes)
+
+
+@pytest.mark.parametrize("h", [2, 3])
+def test_uint32_keys_keep_their_low_bits_within_a_bucket(h, small_buckets, monkeypatch):
+    """Keys of bit-words of two words are classed by the words' digits, not by
+    the keys' low bits, so a bucket's uint32 keys (g = 2) keep all 32 bits:
+    classed by key mod B = 128, a bucket's keys shared their low 7 bits, and
+    `simulate --h 2 --g 2 --n 60` flagged 1,093 false keys (0.2 s -> 1.3 s)."""
+    rng = random.Random(h)
+    bits = np.array([[rng.randrange(2) for _ in range(60)] for _ in range(40)], np.uint8)
+    scan, low = oracle._Sums._duplicated, []
+
+    def recording(self, k, r, t, keys, direct):
+        dup = scan(self, k, r, t, keys, direct)
+        size = sum(size for size, _ in self.plan[r]) if k > self.k else 0
+        if t >= 2 and size >= 8:
+            low.append(len(set((keys[:size] % self.B).tolist())))
+        return dup
+    monkeypatch.setattr(oracle._Sums, "_duplicated", recording)
+    sums = oracle._Sums(bits, oracle._BIT_WORDS, h)
+    assert len(sums.first) == 2 and sums.B > 8
+    assert sums.groups(h, 3) == {}
+    assert low and min(low) > 1
 
 
 def test_misuse_raises_invalid_params():
