@@ -80,6 +80,16 @@ calls); after `precompute_stats` both calls are lookups.  A class the memo
 lacks is joined alone.  The memo holds more entries than every shape under
 DEFAULT_CELL_CAP has classes together, so no family under the default cap
 evicts an entry before its table pass reads it.
+
+Each shape's classes are kept too (`_shape_classes`, unbounded: the shapes
+under the cap are finite), keyed by (k, l, vector limit) with the limit
+lowered to k*l, so `enumerate_conf_upto`, `enumerate_conf_sharp`, the rate
+tables, E(t) and `bhlab configs enumerate` build each shape once per
+process.  `enumerate_conf` checks DEFAULT_CELL_CAP on every call before the
+lookup and returns a new list.  The rate tables and E(t) read a law once
+per family (`_read_law`, then `_law_stats` per class); `conf_stats_general`
+validates on every call.  No law is cached: a float point equals, and
+hashes as, the integer one that it must be refused against.
 """
 
 from __future__ import annotations
@@ -90,7 +100,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, combinations_with_replacement, islice, permutations, product
 from math import comb, factorial, gcd, lcm, prod
-from operator import mul
+from operator import attrgetter, mul
 
 import numpy as np
 
@@ -102,7 +112,9 @@ DEFAULT_CELL_CAP = 18    # k*l of an enumerated shape
 DEFAULT_EXACT_CAP = 24   # d(C) for exhaustive p(C); d(C)*n0 <= 2x this for a general law
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 _WEIGHTS_CACHED = 16384  # (class, law) p(C) weights kept per process; the
-                         # shapes with k*l <= 18 have 8774 classes together
+                         # shapes with k*l <= 18 have 8774 classes together,
+                         # so `_shape_classes` needs no bound
+_VECTORS = attrgetter("vectors")  # sorts classes as their generated order does
 
 
 @dataclass(frozen=True, order=True)
@@ -371,24 +383,31 @@ def _multiplicity_free(k, l, limit):
 
 def enumerate_conf(k, l, max_vectors=None):
     """All configuration classes of shape (k, l) with at most `max_vectors`
-    vectors (default k*l), sorted."""
+    vectors (default k*l, which no class passes), sorted, in a new list."""
     if k < 1 or l < 2:  # before the cap: two negative arguments multiply past it
         return []
     if k * l > DEFAULT_CELL_CAP:
         raise CapExceeded(f"k*l = {k * l} exceeds cap {DEFAULT_CELL_CAP}")
-    limit = max_vectors if max_vectors is not None else k * l
+    limit = k * l if max_vectors is None else min(max_vectors, k * l)
     if limit < 2:  # a lone vector would lie in every column
         return []
     if k == 1:  # one symbol per column, distinct columns: all-distinct only
         return [cmax(1, l)] if limit >= l else []
-    return sorted(set(_separable(k, l, limit)) | set(_multiplicity_free(k, l, limit)))
+    return list(_shape_classes(k, l, limit))
+
+
+@lru_cache(maxsize=None)
+def _shape_classes(k, l, limit):
+    """`enumerate_conf`'s classes, a sorted tuple, once per process."""
+    return tuple(sorted(set(_separable(k, l, limit)) | set(_multiplicity_free(k, l, limit)),
+                        key=_VECTORS))
 
 
 def enumerate_conf_upto(h, l):
     out = []
     for k in range(1, h + 1):
         out.extend(enumerate_conf(k, l))
-    return sorted(out)
+    return sorted(out, key=_VECTORS)
 
 
 def enumerate_sconf(h, l):
@@ -397,8 +416,8 @@ def enumerate_sconf(h, l):
     multiplicity-free class."""
     if h >= 1 and h * l > DEFAULT_CELL_CAP:
         raise CapExceeded(f"k*l = {h * l} exceeds cap {DEFAULT_CELL_CAP}")
-    return sorted(c for k in range(1, h + 1) if l >= 2
-                  for c in ([cmax(1, l)] if k == 1 else _separable(k, l, k * l)))
+    return sorted((c for k in range(1, h + 1) if l >= 2
+                   for c in ([cmax(1, l)] if k == 1 else _separable(k, l, k * l))), key=_VECTORS)
 
 
 def enumerate_conf_sharp(h, d):
@@ -489,6 +508,17 @@ def _coinciding_weights(classes, support):
     while len(entries) > _WEIGHTS.size:
         entries.popitem(last=False)
     return [found[vectors] for vectors in classes]
+
+
+def _weight(vectors, support):
+    """`_coinciding_weights` of one class: a memo read, or a join alone."""
+    key = (vectors, support)
+    weight = _WEIGHTS.entries.get(key)
+    if weight is None:
+        [weight] = _coinciding_weights([vectors], support)
+    else:
+        _WEIGHTS.entries.move_to_end(key)
+    return weight
 
 
 def _joined_weights(classes, support):
@@ -591,19 +621,16 @@ def precompute_stats(classes, dist=None):
     if not classes:
         return
     if dist is None:
-        support, largest = _UNIFORM_BITS, DEFAULT_EXACT_CAP
+        _coinciding_weights([c.vectors for c in classes if c.d <= DEFAULT_EXACT_CAP], _UNIFORM_BITS)
     else:
-        support, _, n0 = _integer_law(list(dist))
-        largest = 2 * DEFAULT_EXACT_CAP // n0
-    _coinciding_weights([c.vectors for c in classes if c.d <= largest], support)
+        _law_weights(classes, _read_law(dist))
 
 
 def conf_stats(c: Configuration) -> ConfStats:
     """Exact p(C) over iid uniform bits: weights (1, 1) over denominator 2."""
     if c.d > DEFAULT_EXACT_CAP:
         raise CapExceeded(f"d(C) = {c.d} exceeds exact-computation cap {DEFAULT_EXACT_CAP}")
-    [count] = _coinciding_weights([c.vectors], _UNIFORM_BITS)
-    return ConfStats(d=c.d, p=Fraction(count, 2**c.d))
+    return ConfStats(d=c.d, p=Fraction(_weight(c.vectors, _UNIFORM_BITS), 2**c.d))
 
 
 def _integer_law(dist):
@@ -620,6 +647,28 @@ def _integer_law(dist):
     return support, denom, len(_as_point(dist[0][0]))
 
 
+def _read_law(dist):
+    """(support, D, n0, exact): `_integer_law` of `dist`, and whether its
+    p(C) stay Fractions (every mass exact)."""
+    dist = list(dist)
+    return (*_integer_law(dist), all(_exact(q) for _, q in dist))
+
+
+def _law_weights(classes, law):
+    """`precompute_stats` of `classes` under a law from `_read_law`."""
+    support, _, n0, _ = law
+    _coinciding_weights([c.vectors for c in classes if c.d * n0 <= 2 * DEFAULT_EXACT_CAP], support)
+
+
+def _law_stats(c, law):
+    """`conf_stats_general` of `c` under a law from `_read_law`."""
+    support, denom, n0, exact = law
+    if c.d * n0 > 2 * DEFAULT_EXACT_CAP:
+        raise CapExceeded(f"d(C)*n0 = {c.d * n0} exceeds cap")
+    p = Fraction(_weight(c.vectors, support), denom**c.d)
+    return ConfStats(d=c.d, p=p if exact else float(p))
+
+
 def conf_stats_general(c: Configuration, dist) -> ConfStats:
     """p(C) when variables are iid draws from a finitely supported dist.
 
@@ -632,15 +681,10 @@ def conf_stats_general(c: Configuration, dist) -> ConfStats:
     Probabilities become integer weights over their common denominator D
     and p = (weight at the zero state) / D^d exactly; zero-mass points are
     dropped.  A float probability is read as the exact binary fraction it
-    holds, and then p is that exact value rounded once to a float.
+    holds, and then p is that exact value rounded once to a float.  The
+    law is validated on every call.
     """
-    dist = list(dist)
-    support, denom, n0 = _integer_law(dist)
-    if c.d * n0 > 2 * DEFAULT_EXACT_CAP:
-        raise CapExceeded(f"d(C)*n0 = {c.d * n0} exceeds cap")
-    [weight] = _coinciding_weights([c.vectors], support)
-    p = Fraction(weight, denom**c.d)
-    return ConfStats(d=c.d, p=p if all(_exact(q) for _, q in dist) else float(p))
+    return _law_stats(c, _read_law(dist))
 
 
 def cmax_p_closed(d, g) -> Fraction:

@@ -24,8 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .configurations import (automorphism_count, conf_stats_general,
-                             enumerate_conf_upto, precompute_stats)
+from .configurations import (_law_stats, _law_weights, _read_law, automorphism_count,
+                             enumerate_conf_upto)
 from .constructions import _bit_matrix, _first_rows, make_binary_code
 from .entropy import Distribution, _check_seed, bit_points, uniform_bits
 from . import oracle
@@ -82,10 +82,10 @@ class ConstructionStats:
 
 def _class_weights(h, g, dist):
     """(d(C), violations-per-population-weight, per-block probability) rows."""
-    rows, family = [], enumerate_conf_upto(h, g + 1)
-    precompute_stats(family, dist.items)
+    rows, family, law = [], enumerate_conf_upto(h, g + 1), _read_law(dist.items)
+    _law_weights(family, law)
     for c in family:
-        stats = conf_stats_general(c, dist.items)
+        stats = _law_stats(c, law)
         rows.append((c.d, Fraction(1, automorphism_count(c)), Fraction(stats.p)))
     return rows
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .configurations import (Configuration, canonical, cmax, cmax_p_closed, conf_stats,
-                             conf_stats_general, enumerate_conf_sharp,
+from .configurations import (Configuration, _VECTORS, _law_stats, _law_weights, _read_law,
+                             canonical, cmax, cmax_p_closed, conf_stats, enumerate_conf_sharp,
                              enumerate_conf_upto, precompute_stats)
 from .entropy import Distribution, _as_fraction, hfold, log2_fraction, renyi
 from .errors import EmptyFamily, InvalidParams
@@ -96,7 +96,7 @@ def optimize_exponent(confs, stats_fn=conf_stats):
     Returns (argmax configuration, its ConfStats, tuple of tied configs).
     Ties are broken by canonical configuration order.
     """
-    confs = sorted(confs)
+    confs = sorted(confs, key=_VECTORS)
     if not confs:
         raise EmptyFamily("no configurations to optimize over")
     stats = [stats_fn(c) for c in confs]
@@ -118,7 +118,7 @@ def optimize_exponent(confs, stats_fn=conf_stats):
 def _family_report(formula, confs, stats_fn=conf_stats) -> RateReport:
     argmin, best_stats, ties = optimize_exponent(confs, stats_fn)
     rows = []
-    for c in sorted(confs):
+    for c in sorted(confs, key=_VECTORS):
         s = stats_fn(c)
         rows.append(RateRow(configuration=c, d=s.d, p=s.p,
                             exponent=-log2_fraction(s.p) / (s.d - 1)))
@@ -144,10 +144,9 @@ def rate_bhg_distribution(h, g, dist) -> RateReport:
     if h < 1 or g < 1:
         raise InvalidParams(f"h and g must be >= 1, got h = {h}, g = {g}")
     exact = tuple((a, _as_fraction(p)) for a, p in dist.items)
-    family = enumerate_conf_upto(h, g + 1)
-    precompute_stats(family, exact)
-    return _family_report(f"bhg-dist(h={h},g={g})", family,
-                          stats_fn=lambda c: conf_stats_general(c, exact))
+    family, law = enumerate_conf_upto(h, g + 1), _read_law(exact)
+    _law_weights(family, law)
+    return _family_report(f"bhg-dist(h={h},g={g})", family, stats_fn=lambda c: _law_stats(c, law))
 
 
 def rate_bh_sharp(h, d) -> RateReport:

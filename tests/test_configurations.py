@@ -8,6 +8,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, factorial
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from bhlab import configurations as conf
 from bhlab import entropy as ent
 from bhlab import random_coding, rates
-from bhlab.entropy import from_probs, uniform_bits
+from bhlab.entropy import from_probs, make_distribution, uniform_bits
 from bhlab.errors import CapExceeded, InvalidDistribution, InvalidParams
 from helpers import automorphism_reference, canonical_reference, coinciding_weight_reference
 
@@ -563,7 +564,9 @@ def test_engine_steps_and_order_blocks_do_not_change_the_classes(monkeypatch):
         for c in batch[:2]:
             assert conf.automorphism_count(conf.Configuration(c)) == automorphism_reference(c)
     for shape in [(2, 4), (3, 3)]:
+        conf._shape_classes.cache_clear()  # each shape is built under the patched engine
         assert _digest(conf.enumerate_conf(*shape)) == PINNED_CONF[shape]
+        assert conf._shape_classes.cache_info().misses == 1
     # engine blocks of 1 and 3 children, and levels cut into parts of about 5
     # candidate picks, put block and part boundaries inside every level
     monkeypatch.undo()
@@ -571,7 +574,9 @@ def test_engine_steps_and_order_blocks_do_not_change_the_classes(monkeypatch):
         monkeypatch.setattr(conf, "_BLOCK", block)
         monkeypatch.setattr(conf, "_PICKS", picks)
         for shape in [(3, 4), (2, 5), (4, 3)]:
+            conf._shape_classes.cache_clear()
             assert _digest(conf.enumerate_conf(*shape)) == PINNED_CONF[shape]
+            assert conf._shape_classes.cache_info().misses == 1
 
 
 def test_codes_that_would_pass_63_bits_raise():
@@ -715,10 +720,11 @@ def test_json_export_shape():
 
 
 # ---------------------------------------------------------------------------
-# per-process memo of p(C) weights
+# per-process memos: p(C) weights and each shape's classes
 
 def _cold():
     conf._WEIGHTS.clear()
+    conf._shape_classes.cache_clear()
 
 
 def _dp_runs():
@@ -799,3 +805,70 @@ def test_caps_hold_on_a_warm_cache(monkeypatch):
                 conf.conf_stats(c)
             with pytest.raises(CapExceeded):
                 conf.conf_stats_general(c, PAIRS)
+
+
+def test_each_call_returns_a_list_of_its_own():
+    for enumerate_family, args in [(conf.enumerate_conf, (3, 3)), (conf.enumerate_conf_upto, (3, 3)),
+                                   (conf.enumerate_conf_sharp, (2, 3))]:
+        first = enumerate_family(*args)
+        expected = list(first)
+        first.reverse()
+        first.append(None)
+        assert enumerate_family(*args) == expected
+
+
+def test_the_default_and_the_full_vector_limit_share_one_entry():
+    _cold()
+    classes = conf.enumerate_conf(2, 4)
+    assert conf.enumerate_conf(2, 4, 8) == conf.enumerate_conf(2, 4, 100) == classes
+    assert conf._shape_classes.cache_info()[:2] == (2, 1)  # (hits, misses)
+    assert len(conf.enumerate_conf(2, 4, 5)) < len(classes)  # a lower limit is its own entry
+    assert conf._shape_classes.cache_info().misses == 2
+
+
+def test_a_family_inside_a_built_one_grows_no_class(monkeypatch):
+    _cold()
+    rates.rate_bhg(4, 3)
+    grown, grow = [], conf._multiplicity_free
+    monkeypatch.setattr(conf, "_multiplicity_free", lambda *args: grown.append(args) or grow(*args))
+    warm = rates.rate_bhg(3, 3)  # Conf(<= 3, 4) lies inside Conf(<= 4, 4)
+    assert grown == []
+    _cold()
+    assert rates.rate_bhg(3, 3) == warm
+    assert grown == [(2, 4, 8), (3, 4, 12)]
+
+
+def test_a_law_is_read_once_per_family(monkeypatch):
+    reads, read = [], conf._integer_law
+    monkeypatch.setattr(conf, "_integer_law", lambda dist: reads.append(dist) or read(dist))
+    law = from_probs([Fraction(1, 3), Fraction(2, 3)])
+    report = rates.rate_bhg_distribution(3, 2, law)
+    assert len(reads) == 1 and len(report.table) > 1
+    reads.clear()
+    assert random_coding.choose_t(2, 12, dist=law) > 1
+    assert len(reads) == 1
+
+
+def test_a_float_point_is_refused_once_its_integer_law_is_warm():
+    exact = [(0, Fraction(1, 4)), (1, Fraction(3, 4))]
+    floats = [(float(a), p) for a, p in exact]
+    family = conf.enumerate_conf_upto(2, 2)
+    rates.rate_bhg_distribution(2, 1, make_distribution(exact))
+    for c in family:
+        conf.conf_stats_general(c, exact)
+    with pytest.raises(InvalidParams):  # as a Distribution would not hold it
+        rates.rate_bhg_distribution(2, 1, SimpleNamespace(items=tuple(floats)))
+    for c in family:
+        with pytest.raises(InvalidParams):
+            conf.conf_stats_general(c, floats)
+
+
+def test_float_masses_keep_a_float_p_once_the_equal_rational_law_is_warm():
+    exact = [(0, Fraction(1, 4)), (1, Fraction(3, 4))]
+    floats = [(0, 0.25), (1, 0.75)]
+    family = conf.enumerate_conf_upto(2, 3)
+    rates.rate_bhg_distribution(2, 2, make_distribution(exact))
+    for c in family:
+        as_fraction, as_float = conf.conf_stats_general(c, exact), conf.conf_stats_general(c, floats)
+        assert type(as_fraction.p) is Fraction and type(as_float.p) is float
+        assert as_float.p == float(as_fraction.p)
