@@ -72,12 +72,10 @@ def _require(args, *options, what):
         raise InvalidParams(f"{what} needs {' and '.join(missing)}")
 
 
-def _print_violation(v, words=None):
+def _print_violation(v, words):
     print(f"violation: k={v.k} columns={[list(c) for c in v.columns]}")
-    if words is not None:
-        for col in v.columns:
-            rendered = " + ".join("".join(map(str, words[i])) for i in col)
-            print(f"  {rendered}")
+    for col in v.columns:
+        print("  " + " + ".join("".join(map(str, words[i])) for i in col))
 
 
 # ---------------------------------------------------------------------------

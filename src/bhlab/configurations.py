@@ -37,9 +37,10 @@ configuration's codes are sorted per order, and `_least` keeps the
 lexicographically least sorted row, fixing a few row positions at a time
 (as many codes as one int64 key holds); its digits are the canonical
 vectors.  `automorphism_count` counts the orders whose sorted codes equal
-those of the identity.  `_multiplicity_free` feeds it _BLOCK children at
-a time, their digits the bits of their row codes (the pad code is 2^l);
-one step holds at most about _STEP_CODES codes, so past 7 columns
+those of the identity (a class of unit vectors reads that count off its
+column sums).  `_multiplicity_free` feeds the engine _BLOCK children at a
+time, their digits the bits of their row codes (the pad code is 2^l); one
+step holds at most about _STEP_CODES codes, so past 7 columns
 (or for deep configurations) the l! orders come in blocks and the running
 least is kept.  Codes must fit int64: b^l >= 2^63 raises CapExceeded rather
 than wrap into another class's name.
@@ -50,12 +51,16 @@ most L variables, so each column holds d(C) - L >= 1 private variables.  These
 are disjoint, so l <= d(C) / (d(C) - L) <= L + 1, and at most k per column, so
 d(C) <= L + k.
 
-Both p(C) functions read one exact weight (`_coinciding_weights`).  The law
-becomes integer weights over one common denominator D (uniform bits are
-weights (1, 1) over D = 2), so p(C) = W / D^d, where W sums the weight
-products of the assignments whose l column sums coincide.  Vector v moves the
-(l-1)*n0 column differences s_j - s_0 by (v_j - v_0) * x when it draws point
-x, so W is the weight of the draws, one per vector, whose moves sum to zero.
+Every p(C) is read under one law form, (support, D, n0): the law's non-zero
+masses as integer weights over their common denominator D, a float mass read
+as the binary fraction it holds (`_integer_law`); uniform bits are the law
+`_UNIFORM_LAW`, weights (1, 1) over D = 2.  p(C) is the exact Fraction
+W / D^d (`_law_stats`), where W sums the weight products of the assignments
+whose l column sums coincide, so the rate tables and E(t) are exact under
+every law.  Only `conf_stats_general`, asked for a float law's p, rounds that
+exact value once to a float.  Vector v moves the (l-1)*n0 column differences
+s_j - s_0 by (v_j - v_0) * x when it draws point x, so W is the weight of the
+draws, one per vector, whose moves sum to zero.
 It is counted by meet in the middle (E. Horowitz and S. Sahni, "Computing
 partitions with applications to the knapsack problem", J. ACM 21, 1974): the
 classes of one (d, l) under one law are joined at once, each split into
@@ -68,18 +73,19 @@ in parts, and a class that passes it alone raises CapExceeded before the
 step that would pass it allocates.
 
 W is memoised per process (`_WEIGHTS`), per (class vectors, tuple of (point,
-weight) pairs).  `precompute_stats` joins a whole family's missing weights
-together; `rates` (`rate_bhg`, `rate_bhg_distribution`, `rate_bh_sharp`),
-`random_coding`'s E(t) and `bhlab configs enumerate` call it first, and
-then `conf_stats` and `conf_stats_general` read one class at a time: each
-checks its caps first and divides by D^d itself, so a float law and the
-equal rational law share one entry, yet one returns a float and the other a
-Fraction.  `rates._family_report` asks for each class's p(C) twice, once to
-optimise and once for the table (perfbench's self-test pins both traced
-calls); after `precompute_stats` both calls are lookups.  A class the memo
-lacks is joined alone.  The memo holds more entries than every shape under
-DEFAULT_CELL_CAP has classes together, so no family under the default cap
-evicts an entry before its table pass reads it.
+weight) pairs), so uniform bits and the law `uniform_bits(1)` share entries.
+`precompute_stats` joins a whole family's missing weights together
+(`_law_weights`); `rates` (`rate_bhg`, `rate_bhg_distribution`,
+`rate_bh_sharp`), `random_coding`'s E(t) and `bhlab configs enumerate` call it
+first, and then `conf_stats`, `conf_stats_general` and `_law_stats` read one
+class at a time, each checking its caps first: d <= DEFAULT_EXACT_CAP for
+`conf_stats`, d*n0 <= 2*DEFAULT_EXACT_CAP for a law.  `rates._family_report`
+asks for each class's p(C) twice, once to optimise and once for the table
+(perfbench's self-test pins both traced calls); after `precompute_stats` both
+calls are lookups.  A class the memo lacks is joined alone.  The memo holds
+more entries than every shape under DEFAULT_CELL_CAP has classes together,
+so no family under the default cap evicts an entry before its table pass
+reads it.
 
 Each shape's classes are kept too (`_shape_classes`, unbounded: the shapes
 under the cap are finite), keyed by (k, l, vector limit) with the limit
@@ -87,7 +93,7 @@ lowered to k*l, so `enumerate_conf_upto`, `enumerate_conf_sharp`, the rate
 tables, E(t) and `bhlab configs enumerate` build each shape once per
 process.  `enumerate_conf` checks DEFAULT_CELL_CAP on every call before the
 lookup and returns a new list.  The rate tables and E(t) read a law once
-per family (`_read_law`, then `_law_stats` per class); `conf_stats_general`
+per family (`_law_weights`, then `_law_stats` per class); `conf_stats_general`
 validates on every call.  No law is cached: a float point equals, and
 hashes as, the integer one that it must be refused against.
 """
@@ -468,6 +474,7 @@ def cmax(h, l):
 # statistics
 
 _UNIFORM_BITS = (((0,), 1), ((1,), 1))  # (point, integer weight) over denominator 2
+_UNIFORM_LAW = (_UNIFORM_BITS, 2, 1)    # (support, D, n0): `_integer_law(uniform_bits(1).items)`
 
 
 class _Memo:
@@ -616,21 +623,18 @@ def precompute_stats(classes, dist=None):
     """Join the p(C) weights of `classes` together into the per-process memo,
     under uniform bits (`dist` None, as `conf_stats`) or under `dist` (as
     `conf_stats_general` reads it), so those calls then only read it.
-    Classes above the exact cap are left to them, and they refuse them."""
+    Classes past a law's cap, d*n0 > 2*DEFAULT_EXACT_CAP, are left to them,
+    and they refuse them."""
     classes = list(classes)
-    if not classes:
-        return
-    if dist is None:
-        _coinciding_weights([c.vectors for c in classes if c.d <= DEFAULT_EXACT_CAP], _UNIFORM_BITS)
-    else:
-        _law_weights(classes, _read_law(dist))
+    if classes:
+        _law_weights(classes, dist)
 
 
 def conf_stats(c: Configuration) -> ConfStats:
     """Exact p(C) over iid uniform bits: weights (1, 1) over denominator 2."""
     if c.d > DEFAULT_EXACT_CAP:
         raise CapExceeded(f"d(C) = {c.d} exceeds exact-computation cap {DEFAULT_EXACT_CAP}")
-    return ConfStats(d=c.d, p=Fraction(_weight(c.vectors, _UNIFORM_BITS), 2**c.d))
+    return _law_stats(c, _UNIFORM_LAW)
 
 
 def _integer_law(dist):
@@ -647,26 +651,21 @@ def _integer_law(dist):
     return support, denom, len(_as_point(dist[0][0]))
 
 
-def _read_law(dist):
-    """(support, D, n0, exact): `_integer_law` of `dist`, and whether its
-    p(C) stay Fractions (every mass exact)."""
-    dist = list(dist)
-    return (*_integer_law(dist), all(_exact(q) for _, q in dist))
-
-
-def _law_weights(classes, law):
-    """`precompute_stats` of `classes` under a law from `_read_law`."""
-    support, _, n0, _ = law
+def _law_weights(classes, dist):
+    """Read `dist` (None: uniform bits) once as a law, join the weights of
+    `classes` under it into the memo, and return the law for `_law_stats`."""
+    law = _UNIFORM_LAW if dist is None else _integer_law(list(dist))
+    support, _, n0 = law
     _coinciding_weights([c.vectors for c in classes if c.d * n0 <= 2 * DEFAULT_EXACT_CAP], support)
+    return law
 
 
 def _law_stats(c, law):
-    """`conf_stats_general` of `c` under a law from `_read_law`."""
-    support, denom, n0, exact = law
+    """The exact p(C) = W / D^d of `c` under a law (support, D, n0)."""
+    support, denom, n0 = law
     if c.d * n0 > 2 * DEFAULT_EXACT_CAP:
         raise CapExceeded(f"d(C)*n0 = {c.d * n0} exceeds cap")
-    p = Fraction(_weight(c.vectors, support), denom**c.d)
-    return ConfStats(d=c.d, p=p if exact else float(p))
+    return ConfStats(d=c.d, p=Fraction(_weight(c.vectors, support), denom**c.d))
 
 
 def conf_stats_general(c: Configuration, dist) -> ConfStats:
@@ -681,10 +680,12 @@ def conf_stats_general(c: Configuration, dist) -> ConfStats:
     Probabilities become integer weights over their common denominator D
     and p = (weight at the zero state) / D^d exactly; zero-mass points are
     dropped.  A float probability is read as the exact binary fraction it
-    holds, and then p is that exact value rounded once to a float.  The
-    law is validated on every call.
+    holds, and then p is that exact value rounded once to a float: the one
+    place p(C) becomes a float.  The law is validated on every call.
     """
-    return _law_stats(c, _read_law(dist))
+    dist = list(dist)
+    stats = _law_stats(c, _integer_law(dist))
+    return stats if all(_exact(q) for _, q in dist) else ConfStats(d=c.d, p=float(stats.p))
 
 
 def cmax_p_closed(d, g) -> Fraction:
@@ -698,12 +699,19 @@ def cmax_p_closed(d, g) -> Fraction:
 def automorphism_count(c: Configuration) -> int:
     """Symmetries of C: column permutations fixing the vector multiset,
     times consistent variable permutations.  Used to turn injective
-    variable-to-index assignments into unordered violation counts."""
-    digits, places = _encoded([c.vectors])
-    identity = np.sort(digits @ places, axis=1)
-    fixing = sum(int((codes == identity[:, None]).all(axis=2).sum())
-                 for _, codes in _sorted_codes(digits, places))
-    return fixing * prod(factorial(m) for m in Counter(c.vectors).values())
+    variable-to-index assignments into unordered violation counts.  When
+    every vector is a unit vector, exactly the column orders that permute
+    columns of equal sums fix C, so that count is read off the column sums
+    without the engine's l! orders."""
+    multiplicities = Counter(c.vectors)
+    if all(min(v) >= 0 and sum(v) == 1 for v in multiplicities):
+        fixing = prod(map(factorial, Counter(map(sum, zip(*c.vectors))).values()))
+    else:
+        digits, places = _encoded([c.vectors])
+        identity = np.sort(digits @ places, axis=1)
+        fixing = sum(int((codes == identity[:, None]).all(axis=2).sum())
+                     for _, codes in _sorted_codes(digits, places))
+    return fixing * prod(map(factorial, multiplicities.values()))
 
 
 def conf_to_json(c: Configuration, stats: ConfStats | None = None):

@@ -164,16 +164,11 @@ def _fold(points, weights):
     for t, draw in enumerate(points.tolist()):
         nxt = np.zeros([rows] + [b - a + 1 for a, b in zip(lo[t + 1], hi[t + 1])], weights.dtype)
         for point, unit, scale in zip(draw, units, scales):
-            src, dst = [slice(None)], [slice(None)]
-            for a, b, s, a1, b1 in zip(lo[t], hi[t], point, lo[t + 1], hi[t + 1]):
-                start, stop = max(a + s, a1), min(b + s, b1)  # clipped to the next box
-                if start > stop:
-                    break
-                src.append(slice(start - s - a, stop - s - a + 1))
-                dst.append(slice(start - a1, stop - a1 + 1))
-            else:
-                moved = law[tuple(src)]
-                nxt[tuple(dst)] += moved if unit else moved * scale
+            # a draw's least and largest points bound each of its points, so the
+            # box moved by a point lies inside the next box
+            dst = (slice(None),) + tuple(slice(a + s - a1, b + s - a1 + 1)
+                                         for a, b, s, a1 in zip(lo[t], hi[t], point, lo[t + 1]))
+            nxt[dst] += law if unit else law * scale
         law = nxt
     return low, law
 

@@ -24,8 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .configurations import (_law_stats, _law_weights, _read_law, automorphism_count,
-                             enumerate_conf_upto)
+from .configurations import _law_stats, _law_weights, automorphism_count, enumerate_conf_upto
 from .constructions import _bit_matrix, _first_rows, make_binary_code
 from .entropy import Distribution, _check_seed, bit_points, uniform_bits
 from . import oracle
@@ -82,12 +81,9 @@ class ConstructionStats:
 
 def _class_weights(h, g, dist):
     """(d(C), violations-per-population-weight, per-block probability) rows."""
-    rows, family, law = [], enumerate_conf_upto(h, g + 1), _read_law(dist.items)
-    _law_weights(family, law)
-    for c in family:
-        stats = _law_stats(c, law)
-        rows.append((c.d, Fraction(1, automorphism_count(c)), Fraction(stats.p)))
-    return rows
+    family = enumerate_conf_upto(h, g + 1)
+    law = _law_weights(family, dist.items)
+    return [(c.d, Fraction(1, automorphism_count(c)), _law_stats(c, law).p) for c in family]
 
 
 def expected_violations(t, rows, blocks) -> Fraction:

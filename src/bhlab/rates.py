@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .configurations import (Configuration, _VECTORS, _law_stats, _law_weights, _read_law,
-                             canonical, cmax, cmax_p_closed, conf_stats, enumerate_conf_sharp,
-                             enumerate_conf_upto, precompute_stats)
-from .entropy import Distribution, _as_fraction, hfold, log2_fraction, renyi
+from .configurations import (Configuration, _VECTORS, _law_stats, _law_weights, canonical, cmax,
+                             cmax_p_closed, conf_stats, enumerate_conf_sharp, enumerate_conf_upto,
+                             precompute_stats)
+from .entropy import Distribution, hfold, log2_fraction, renyi
 from .errors import EmptyFamily, InvalidParams
 
 
@@ -143,9 +143,8 @@ def rate_bhg_distribution(h, g, dist) -> RateReport:
     argmin and ties stay exact."""
     if h < 1 or g < 1:
         raise InvalidParams(f"h and g must be >= 1, got h = {h}, g = {g}")
-    exact = tuple((a, _as_fraction(p)) for a, p in dist.items)
-    family, law = enumerate_conf_upto(h, g + 1), _read_law(exact)
-    _law_weights(family, law)
+    family = enumerate_conf_upto(h, g + 1)
+    law = _law_weights(family, dist.items)
     return _family_report(f"bhg-dist(h={h},g={g})", family, stats_fn=lambda c: _law_stats(c, law))
 
 

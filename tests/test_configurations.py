@@ -7,7 +7,8 @@ import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import comb, factorial
+from collections import Counter
+from math import comb, factorial, prod
 from types import SimpleNamespace
 from unittest import mock
 
@@ -590,6 +591,34 @@ def test_codes_that_would_pass_63_bits_raise():
             conf.automorphism_count(conf.Configuration(wide))
     with pytest.raises(InvalidParams):
         conf.canonical(((1, -1), (0, 2)))
+
+
+def _engine_fixing(c):
+    """The column orders fixing c, counted by the code-block engine over all l! orders."""
+    digits, places = conf._encoded([c.vectors])
+    identity = np.sort(digits @ places, axis=1)
+    return sum(int((codes == identity[:, None]).all(axis=2).sum())
+               for _, codes in conf._sorted_codes(digits, places))
+
+
+def test_unit_vector_classes_count_their_automorphisms_as_the_engine_does():
+    # a class of unit vectors has k of them per column: it is cmax(k, l), and
+    # the cell cap holds 31 of these, l <= 9
+    units = [conf.cmax(k, l) for l in range(2, 10) for k in range(1, conf.DEFAULT_CELL_CAP // l + 1)]
+    assert len(units) == 31
+    for c in units:
+        multiplicities = prod(factorial(m) for m in Counter(c.vectors).values())
+        assert conf.automorphism_count(c) == _engine_fixing(c) * multiplicities
+
+
+def test_cmax_of_seventeen_columns_counts_no_column_order(monkeypatch):
+    # the engine would walk 17! = 3.6e14 column orders; E(t) of B_1[17] reads
+    # Conf(<= 1, 18) = {cmax(1, 18)}, and `bhlab simulate --h 1 --g 17` hung on it
+    walked = []
+    monkeypatch.setattr(conf, "_sorted_codes", lambda *args: walked.append(args) or iter(()))
+    assert conf.automorphism_count(conf.cmax(1, 17)) == factorial(17)
+    assert random_coding.choose_t(1, 30, 17) > 1
+    assert walked == []
 
 
 def test_eight_columns_canonicalise_within_the_step_bound():

@@ -10,13 +10,13 @@ from itertools import product
 import numpy as np
 import pytest
 
-from bhlab import constructions, oracle, random_coding as rc
+from bhlab import configurations, constructions, oracle, random_coding as rc
 from bhlab import rates
 from bhlab.cli import parse_dist
 from bhlab.constructions import code_to_text
 from bhlab.entropy import from_probs, uniform_bits
 from bhlab.errors import Infeasible, InvalidParams
-from helpers import encode_binary_words, sample_code
+from helpers import coinciding_weight_reference, encode_binary_words, sample_code
 
 
 def test_sampling_plan_validation():
@@ -104,6 +104,21 @@ def test_choose_t_reads_the_block_length_from_the_law():
     t = rc.choose_t(2, 20, dist=law)
     assert rc.expected_violations(t, rows, 10) * 2 <= t
     assert rc.expected_violations(t + 1, rows, 10) * 2 > t + 1
+
+
+def test_expected_violation_rows_are_exact_under_a_float_law():
+    # the floats 0.3 and 0.7 are read as the binary fractions they hold; p(C)
+    # was rounded to a float before E(t) read it, off by 4.2e-12 in E(1000) at n = 20
+    masses = [Fraction(0.3), Fraction(0.7)]
+    denom = math.lcm(*(q.denominator for q in masses))
+    support = tuple(((a,), int(q * denom)) for a, q in enumerate(masses))
+    for g in (1, 2):
+        rows = rc._class_weights(2, g, from_probs([0.3, 0.7]))
+        family = configurations.enumerate_conf_upto(2, g + 1)
+        assert len(rows) == len(family) > 1
+        for c, (d, _, p) in zip(family, rows):
+            assert d == c.d and type(p) is Fraction
+            assert p == Fraction(coinciding_weight_reference(c.vectors, support), denom**c.d)
 
 
 def test_sampling_rejects_a_law_off_the_bit_blocks():

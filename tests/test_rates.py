@@ -1,5 +1,6 @@
 """Rate formulas against high-precision references and exact cross-checks."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -106,6 +107,15 @@ def test_bhg_distribution_reads_a_float_law_as_its_binary_fractions():
     assert as_float.to_json() == exact.to_json()
     report = rates.rate_bhg_distribution(2, 1, from_probs([0.1, 0.9]))
     assert report.table and all(type(r.p) is Fraction for r in report.table)
+
+
+def test_bhg_distribution_of_a_float_law_keeps_its_pinned_table():
+    # sha256 of json.dumps(report.to_json(), sort_keys=True), recorded while the
+    # masses were turned into Fractions before the law was read
+    report = rates.rate_bhg_distribution(3, 2, from_probs([0.3, 0.7]))
+    text = json.dumps(report.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "007b13bff6d4fdc2e89db4dcd5a7ace4771ec63c185dd006c5908b99d4f06a6f"
 
 
 @pytest.mark.parametrize("h,g", [(0, 1), (2, 0), (-1, 2)])
