@@ -14,7 +14,7 @@ it (`_matrices`).  Since
 M(a) M(b) = M(ab) and c^k is row 0 of M(c)^k, every power is a
 square-and-multiply over a stack of matrices (`_power`), and a run
 c^0..c^(L-1) comes by doubling (`_rows`).  The irreducible and primitive
-searches test growing batches of candidates this way, and element orders,
+searches test growing batches of candidates this way, and full-order tests,
 subfields and baby-step giant-step discrete logs are a few such products.
 Entries are int64, or float64 from e = 8 (`_tables`), and products stay
 below e * p^2, which int64 holds for every field order up to 2^31; past it
@@ -335,22 +335,6 @@ def _field(p, e):
         start, size = start + size, 2 * size
 
 
-def element_order(a, group_order):
-    """Multiplicative order of a nonzero element a, given a multiple of it:
-    InvalidParams unless group_order >= 1 and a^group_order = 1.  For each
-    prime power r^j dividing group_order, a^(group_order / r^j) = 1 exactly
-    when r^j divides group_order / order, and all of these powers, their
-    exponents reduced mod the field's order - 1, are one stacked `_power`."""
-    if a.is_zero():
-        raise ZeroDivisionError("zero has no multiplicative order")
-    n, factors = group_order, _factorize(group_order)
-    exps = [n] + [n // r ** factors[:i + 1].count(r) for i, r in enumerate(factors)]
-    ones = _is_one(_power(a._matrix(), [x % (a.field.order - 1) for x in exps], a.field.p))
-    if n < 1 or not ones[0]:
-        raise InvalidParams(f"{n} is no positive multiple of the order of {a}")
-    return n // math.prod(r for r, one in zip(factors, ones[1:]) if one)
-
-
 def find_degree_h_primitive(base_q, h):
     """Least element of GF(q^h) generating the full multiplicative group.
 
@@ -368,11 +352,6 @@ def find_degree_h_primitive(base_q, h):
         if full.any():
             return field.from_int(int(ns[full.argmax()]))
         start, size = start + size, 2 * size
-
-
-def discrete_log(alpha, target):
-    """d with alpha^d = target; see `discrete_logs`."""
-    return discrete_logs(alpha, [target])[0]
 
 
 def discrete_logs(alpha, targets):

@@ -51,26 +51,29 @@ most L variables, so each column holds d(C) - L >= 1 private variables.  These
 are disjoint, so l <= d(C) / (d(C) - L) <= L + 1, and at most k per column, so
 d(C) <= L + k.
 
-Every p(C) is read under one law form, (support, D, n0): the law's non-zero
+Every p(C) is read under one law form, (support, D): the law's non-zero
 masses as integer weights over their common denominator D, a float mass read
 as the binary fraction it holds (`_integer_law`); uniform bits are the law
 `_UNIFORM_LAW`, weights (1, 1) over D = 2.  p(C) is the exact Fraction
 W / D^d (`_law_stats`), where W sums the weight products of the assignments
-whose l column sums coincide, so the rate tables and E(t) are exact under
-every law.  Only `conf_stats_general`, asked for a float law's p, rounds that
-exact value once to a float.  Vector v moves the (l-1)*n0 column differences
-s_j - s_0 by (v_j - v_0) * x when it draws point x, so W is the weight of the
-draws, one per vector, whose moves sum to zero.
-It is counted by meet in the middle (E. Horowitz and S. Sahni, "Computing
-partitions with applications to the knapsack problem", J. ACM 21, 1974): the
-classes of one (d, l) under one law are joined at once, each split into
-its first d // 2 vectors and the rest; each half lists its partial sums
-(the second half negated) as integer keys that also name the class, merging
-equal keys, and W sums the weight products of the keys both halves hold:
-one sort per half and one binary search.  A half may hold at most
+whose l column sums coincide, so the rate tables are exact under every law
+(E(t) too at g = 1; at g >= 2 it is a lower bound, see
+`random_coding.expected_violations`).  Only `conf_stats_general`, asked for a
+float law's p, rounds that exact value once to a float.  Under a law on
+n0-tuples, vector v moves the (l-1)*n0 column differences s_j - s_0 by
+(v_j - v_0) * x when it draws point x, so W is the weight of the draws, one
+per vector, whose moves sum to zero.  It is counted by meet in the middle
+(E. Horowitz and S. Sahni, "Computing partitions with applications to the
+knapsack problem", J. ACM 21, 1974): the classes of one (d, l) under one law
+are joined at once, each split into its first d // 2 vectors and the rest;
+each half lists its partial sums (the second half negated) as integer keys
+that also name the class, merging equal keys, and W sums the weight products
+of the keys both halves hold: one sort per half and one binary search.  A half may hold at most
 `entropy.DEFAULT_SUPPORT_CAP` sums: classes that pass it together are joined
 in parts, and a class that passes it alone raises CapExceeded before the
-step that would pass it allocates.
+step that would pass it allocates.  That half cap is the only limit on p(C),
+for every reader and every law: it bounds a join's memory, while its time
+grows with d.  A memo read joins nothing and so checks no cap.
 
 W is memoised per process (`_WEIGHTS`), per (class vectors, tuple of (point,
 weight) pairs), so uniform bits and the law `uniform_bits(1)` share entries.
@@ -78,14 +81,12 @@ weight) pairs), so uniform bits and the law `uniform_bits(1)` share entries.
 (`_law_weights`); `rates` (`rate_bhg`, `rate_bhg_distribution`,
 `rate_bh_sharp`), `random_coding`'s E(t) and `bhlab configs enumerate` call it
 first, and then `conf_stats`, `conf_stats_general` and `_law_stats` read one
-class at a time, each checking its caps first: d <= DEFAULT_EXACT_CAP for
-`conf_stats`, d*n0 <= 2*DEFAULT_EXACT_CAP for a law.  `rates._family_report`
-asks for each class's p(C) twice, once to optimise and once for the table
-(perfbench's self-test pins both traced calls); after `precompute_stats` both
-calls are lookups.  A class the memo lacks is joined alone.  The memo holds
-more entries than every shape under DEFAULT_CELL_CAP has classes together,
-so no family under the default cap evicts an entry before its table pass
-reads it.
+class at a time.  `rates._family_report` asks for each class's p(C) twice,
+once to optimise and once for the table (perfbench's self-test pins both
+traced calls); after `precompute_stats` both calls are lookups.  A class
+the memo lacks is joined alone.  The memo holds more entries than every
+shape under DEFAULT_CELL_CAP has classes together, so no family under the
+default cap evicts an entry before its table pass reads it.
 
 Each shape's classes are kept too (`_shape_classes`, unbounded: the shapes
 under the cap are finite), keyed by (k, l, vector limit) with the limit
@@ -115,7 +116,6 @@ from .entropy import FLOAT_MASS_TOL, _as_fraction, _as_point, _check_points, _ex
 from .errors import CapExceeded, InvalidDistribution, InvalidParams
 
 DEFAULT_CELL_CAP = 18    # k*l of an enumerated shape
-DEFAULT_EXACT_CAP = 24   # d(C) for exhaustive p(C); d(C)*n0 <= 2x this for a general law
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 _WEIGHTS_CACHED = 16384  # (class, law) p(C) weights kept per process; the
                          # shapes with k*l <= 18 have 8774 classes together,
@@ -474,7 +474,7 @@ def cmax(h, l):
 # statistics
 
 _UNIFORM_BITS = (((0,), 1), ((1,), 1))  # (point, integer weight) over denominator 2
-_UNIFORM_LAW = (_UNIFORM_BITS, 2, 1)    # (support, D, n0): `_integer_law(uniform_bits(1).items)`
+_UNIFORM_LAW = (_UNIFORM_BITS, 2)      # (support, D): `_integer_law(uniform_bits(1).items)`
 
 
 class _Memo:
@@ -622,9 +622,7 @@ def _distinct(keys, weights):
 def precompute_stats(classes, dist=None):
     """Join the p(C) weights of `classes` together into the per-process memo,
     under uniform bits (`dist` None, as `conf_stats`) or under `dist` (as
-    `conf_stats_general` reads it), so those calls then only read it.
-    Classes past a law's cap, d*n0 > 2*DEFAULT_EXACT_CAP, are left to them,
-    and they refuse them."""
+    `conf_stats_general` reads it), so those calls then only read it."""
     classes = list(classes)
     if classes:
         _law_weights(classes, dist)
@@ -632,13 +630,11 @@ def precompute_stats(classes, dist=None):
 
 def conf_stats(c: Configuration) -> ConfStats:
     """Exact p(C) over iid uniform bits: weights (1, 1) over denominator 2."""
-    if c.d > DEFAULT_EXACT_CAP:
-        raise CapExceeded(f"d(C) = {c.d} exceeds exact-computation cap {DEFAULT_EXACT_CAP}")
     return _law_stats(c, _UNIFORM_LAW)
 
 
 def _integer_law(dist):
-    """(support, D, n0) for a law as `conf_stats_general` reads it: the
+    """(support, D) for a law as `conf_stats_general` reads it: the
     (point tuple, integer weight) pairs of its non-zero masses over their
     common denominator D; InvalidDistribution for what is not a law."""
     _check_points([a for a, _ in dist])
@@ -648,23 +644,20 @@ def _integer_law(dist):
     denom = lcm(*(q.denominator for q in exact))
     support = tuple((tuple(map(int, _as_point(a))), q.numerator * (denom // q.denominator))
                     for (a, _), q in zip(dist, exact) if q)
-    return support, denom, len(_as_point(dist[0][0]))
+    return support, denom
 
 
 def _law_weights(classes, dist):
     """Read `dist` (None: uniform bits) once as a law, join the weights of
     `classes` under it into the memo, and return the law for `_law_stats`."""
     law = _UNIFORM_LAW if dist is None else _integer_law(list(dist))
-    support, _, n0 = law
-    _coinciding_weights([c.vectors for c in classes if c.d * n0 <= 2 * DEFAULT_EXACT_CAP], support)
+    _coinciding_weights([c.vectors for c in classes], law[0])
     return law
 
 
 def _law_stats(c, law):
-    """The exact p(C) = W / D^d of `c` under a law (support, D, n0)."""
-    support, denom, n0 = law
-    if c.d * n0 > 2 * DEFAULT_EXACT_CAP:
-        raise CapExceeded(f"d(C)*n0 = {c.d * n0} exceeds cap")
+    """The exact p(C) = W / D^d of `c` under a law (support, D)."""
+    support, denom = law
     return ConfStats(d=c.d, p=Fraction(_weight(c.vectors, support), denom**c.d))
 
 

@@ -1,17 +1,21 @@
-"""Random-coding pipeline: pick a population size from the exact expected
-minimal-violation count, sample seeded iid words, prune one word per minimal
-violation, and hand back an oracle-verified code.  Each population's
+"""Random-coding pipeline: pick a population size from the expected
+minimal-violation count E(t), sample seeded iid words, prune one word per
+minimal violation, and hand back an oracle-verified code.  Each population's
 multiset sums are enumerated once; the final verdict is read from the same
 duplicate-sum groups that pruning used.  A population stays one (t, n) uint8
 bit matrix from sampling to the code: the oracle reads its rows as
 radix-(h+1) digits, and the code is sorted and deduplicated on it.
 
-The unspecified constants of the existence proofs are replaced by the exact
+The unspecified constants of the existence proofs are replaced by the
 criterion E(t) <= t/2, where E(t) sums, over configuration classes, the
 number of injective variable-to-index assignments divided by the class
 automorphism count, times p(C)^(n/n0), with n0 the sampling law's block
-length (`Distribution.n0`).  A uniform law on n0-bit blocks is n0 iid uniform
-bits, p_n0(C) = p_1(C)^n0, so it is evaluated as uniform bits over n blocks.
+length (`Distribution.n0`).  E(t) is the exact expected number of minimal
+violations at g = 1 and a lower bound at g >= 2, where it sums only
+Conf(<= h, g + 1) and so drops the mixed classes, in which a variable both
+repeats inside a column and appears in another.  A uniform law on n0-bit
+blocks is n0 iid uniform bits, p_n0(C) = p_1(C)^n0, so it is evaluated as
+uniform bits over n blocks.
 Sampling uses the counter-based Philox generator keyed by (seed, attempt) so
 streams are reproducible across runs and portable across languages.
 """
@@ -87,7 +91,9 @@ def _class_weights(h, g, dist):
 
 
 def expected_violations(t, rows, blocks) -> Fraction:
-    """E(t): exact expected number of minimal violations at population t."""
+    """E(t) at population t: the exact expected number of minimal
+    violations at g = 1, and a lower bound at g >= 2, where `rows` (from
+    Conf(<= h, g + 1)) lack the mixed classes."""
     total = Fraction(0)
     for d, inv_aut, p in rows:
         if p:

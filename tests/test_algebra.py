@@ -146,25 +146,11 @@ def test_pow_matches_repeated_multiplication():
             acc = acc * a
 
 
-def test_element_orders_divide_group_order():
-    for q in (7, 9, 16):
-        f = algebra.make_field(q)
-        for a in f:
-            if a.is_zero():
-                continue
-            order = algebra.element_order(a, q - 1)
-            assert (q - 1) % order == 0
-            assert a**order == f.one()
-            # order is minimal
-            for k in range(1, order):
-                assert a**k != f.one()
-
-
 @pytest.mark.parametrize("q,h", [(2, 2), (3, 2), (2, 3), (5, 2), (4, 2)])
 def test_degree_h_primitive_has_full_order_and_degree(q, h):
     a = algebra.find_degree_h_primitive(q, h)
     n = q**h - 1
-    assert algebra.element_order(a, n) == n
+    assert len({(a**k).coeffs for k in range(n)}) == n  # full order, with exact Python powers
     assert frobenius_degree(a, q) == h
 
 
@@ -174,11 +160,11 @@ def test_discrete_log_inverts_exponentiation():
     for target in f:
         if target.is_zero():
             continue
-        dl = algebra.discrete_log(a, target)
+        [dl] = algebra.discrete_logs(a, [target])
         assert dl.modulus == 8
         assert a**dl.representative == target
     with pytest.raises(ZeroTarget):
-        algebra.discrete_log(a, f.zero())
+        algebra.discrete_logs(a, [f.zero()])
 
 
 def test_batched_discrete_logs_match_one_at_a_time():
@@ -187,7 +173,7 @@ def test_batched_discrete_logs_match_one_at_a_time():
         targets = [t for t in a.field if not t.is_zero()]
         logs = algebra.discrete_logs(a, targets)
         assert [d.representative for d in logs] == \
-            [algebra.discrete_log(a, t).representative for t in targets]
+            [algebra.discrete_logs(a, [t])[0].representative for t in targets]
         assert sorted(d.representative for d in logs) == list(range(q**h - 1))
         assert all(a**d.representative == t for d, t in zip(logs, targets))
     with pytest.raises(ZeroTarget):
@@ -237,17 +223,6 @@ def test_modulus_and_primitive_are_least_by_brute_force(q, h):
         assert any(b ** (n // r) == f.one() for r in primes)
 
 
-def test_element_order_rejects_a_group_order_it_does_not_divide():
-    seven = algebra.make_field(7)
-    three = seven.from_int(3)  # order 6
-    assert algebra.element_order(three, 6) == 6
-    assert algebra.element_order(three, 12) == 6  # any multiple of the order
-    assert algebra.element_order(three, 6 * 2**64) == 6
-    for wrong in (5, 4, 3, 0, -6):
-        with pytest.raises(InvalidParams):
-            algebra.element_order(three, wrong)
-
-
 def test_discrete_logs_reject_a_target_of_another_field():
     a = algebra.find_degree_h_primitive(5, 2)
     other = algebra.make_field(49).from_int(15)  # coefficients (1, 2), as GF(25)[11] has
@@ -256,7 +231,7 @@ def test_discrete_logs_reject_a_target_of_another_field():
     with pytest.raises(ValueError, match="different fields"):
         algebra.discrete_logs(a, [a, other])
     with pytest.raises(ValueError, match="different fields"):
-        algebra.discrete_log(a, other)
+        algebra.discrete_logs(a, [other])
 
 
 def test_subfield_elements_reject_what_is_no_subfield():
@@ -282,7 +257,7 @@ def test_matrix_arithmetic_is_exact_up_to_order_2_31_and_capped_past_it(monkeypa
     primes = (2, 3, 7, 11, 31, 151, 331)  # of p - 1 = 2 * 3^2 * 7 * 11 * 31 * 151 * 331
     assert a.to_int() == 7 and all(pow(7, (p - 1) // r, p) != 1 for r in primes)
     assert all(any(pow(k, (p - 1) // r, p) == 1 for r in primes) for k in range(2, 7))
-    assert algebra.element_order(a.field.from_int(p - 1), p - 1) == 2
+    assert algebra._full_order(a.field.from_int(p - 1)._matrix(), 2, p)  # -1 has order 2
     targets = [a.field.from_int(t) for t in (1, 2, p - 1, 123456789)]
     for t, d in zip(targets, algebra.discrete_logs(a, targets)):
         assert pow(7, d.representative, p) == t.to_int()
@@ -290,10 +265,9 @@ def test_matrix_arithmetic_is_exact_up_to_order_2_31_and_capped_past_it(monkeypa
     # modulus irreducible, and as 2^31 - 1 is prime, x is the least generator
     x = algebra.find_degree_h_primitive(2, 31)
     assert x.to_int() == 2 and x ** 2**31 == x and x.field.modulus[0] == 1
-    assert sum(x.field.modulus) % 2 == 1 and algebra.element_order(x, 2**31 - 1) == 2**31 - 1
+    assert sum(x.field.modulus) % 2 == 1 and algebra._full_order(x._matrix(), 2**31 - 1, 2)
     big = algebra.make_field(2**31 + 11)  # prime, so no matrix is needed to set it up
-    for call in (lambda: algebra.element_order(big.from_int(2), big.order - 1),
-                 lambda: algebra.find_degree_h_primitive(big.order, 1),
+    for call in (lambda: algebra.find_degree_h_primitive(big.order, 1),
                  lambda: algebra.discrete_logs(big.from_int(2), [big.one()]),
                  lambda: algebra.subfield_elements(big.from_int(2), big.order),
                  lambda: algebra.make_field(2**32),
@@ -312,17 +286,17 @@ def test_discrete_logs_near_the_size_cap(q, h):
     logs = algebra.discrete_logs(a, targets)
     assert all(a**d.representative == t for d, t in zip(logs, targets))
     for t in targets[:3]:  # the one-target table is the smallest, sqrt(n) steps
-        assert a**algebra.discrete_log(a, t).representative == t
+        assert a**algebra.discrete_logs(a, [t])[0].representative == t
 
 
 def test_discrete_log_rejects_non_generator():
     a = algebra.find_degree_h_primitive(3, 2)
     nongen = a**2  # order 4 < 8
-    assert algebra.element_order(nongen, 8) == 4
+    assert nongen**4 == a.field.one() != nongen**2
     with pytest.raises(NotAGenerator):
-        algebra.discrete_log(nongen, a)
+        algebra.discrete_logs(nongen, [a])
     with pytest.raises(NotAGenerator):
-        algebra.discrete_log(a.field.zero(), a)
+        algebra.discrete_logs(a.field.zero(), [a])
 
 
 def test_subfield_elements_match_frobenius_fixed_points():

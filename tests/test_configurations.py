@@ -336,10 +336,13 @@ def test_general_statistics_cap_is_checked_before_any_state_array(monkeypatch):
     # halves of the join hold 9 sums each, on Python-int keys
     far = [((0, 0), Fraction(1, 2)), ((1, 1), Fraction(1, 4)),
            ((10**18, 10**18), Fraction(1, 4))]
+    _cold()
     with monkeypatch.context() as m:
-        m.setattr(conf, "DEFAULT_EXACT_CAP", 3)
-        with pytest.raises(CapExceeded):
+        m.setattr(ent, "DEFAULT_SUPPORT_CAP", 2)
+        # refused at the empty sum, before a half draws its first vector
+        with pytest.raises(CapExceeded, match="half of 1 sums times 3 points exceeds cap 2"):
             conf.conf_stats_general(c, far)
+    assert _dp_runs() == 0
     assert conf.conf_stats_general(c, far) == conf_stats_general_exhaustive(c, far)
 
 
@@ -368,10 +371,15 @@ def test_general_statistics_read_float_totals_within_the_tolerance():
 
 
 def test_cmax_and_closed_form_probability():
-    for h, g in [(1, 1), (2, 1), (3, 1), (2, 2), (2, 3), (3, 2)]:
+    _cold()
+    started = time.monotonic()
+    # d = 26 and d = 60 too: both readers have one limit, the join's half cap
+    for h, g in [(1, 1), (2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (13, 1), (30, 1)]:
         c = conf.cmax(h, g + 1)
         assert c.d == h * (g + 1)
-        assert conf.conf_stats(c).p == conf.cmax_p_closed(h, g)
+        assert conf.conf_stats(c).p == conf.conf_stats_general(c, uniform_bits(1).items).p \
+            == conf.cmax_p_closed(h, g)
+    assert time.monotonic() - started < 1
     assert conf.cmax_p_closed(2, 1) == Fraction(3, 8)
     assert conf.cmax_p_closed(1, 5) == Fraction(1, 32)
     assert conf.cmax_p_closed(2, 2) == Fraction(5, 32)
@@ -413,7 +421,7 @@ def test_weights_stay_exact_past_int64():
     heavy = [(0, Fraction(2**21 - 1, 2**21)), (1, Fraction(1, 2**21))]
     shifted = [(2**62 + 1, Fraction(1, 2)), (2**62 + 2, Fraction(1, 2))]
     for law in (heavy, shifted):
-        support, denom, _ = conf._integer_law(law)
+        support, denom = conf._integer_law(law)
         _cold()
         conf.precompute_stats(family, law)
         for c in family:
@@ -454,6 +462,19 @@ def test_a_half_past_the_support_cap_raises_before_it_is_built(monkeypatch):
     assert _dp_runs() == 0  # nothing half-joined was kept
     assert conf.conf_stats_general(conf.cmax(2, 3), spread) == \
         conf_stats_general_exhaustive(conf.cmax(2, 3), spread)
+    # under the default cap: parts 1, 2, ..., 2^41 in column 0 and 2^42 - 1 in
+    # column 1 give a first half of 2^21 distinct sums, refused at 2^20 by every reader
+    c = conf.Configuration(tuple(sorted([(1 << i, 0) for i in range(42)] + [(0, (1 << 42) - 1)])))
+    for read in (conf.conf_stats, lambda c: conf.conf_stats_general(c, uniform_bits(1).items),
+                 lambda c: conf.precompute_stats([c])):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded, match="half of 1048576 sums times 2 points exceeds cap 1048576"):
+                read(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * 2**20  # measured 64 MiB; the refused step would about double it
 
 
 def test_joined_weights_on_the_edges_of_a_split(monkeypatch):
@@ -732,12 +753,18 @@ def test_sharp_family_satisfies_its_defining_bounds():
             assert c.delete_column_distinct(j) <= d - h + k
 
 
-def test_enumeration_cap_is_enforced():
+def test_enumeration_cap_is_enforced(monkeypatch):
     with pytest.raises(CapExceeded):
         conf.enumerate_conf(5, 5)
-    with pytest.raises(CapExceeded):
-        big = conf.canonical(tuple((1, 0) for _ in range(30)) + tuple((0, 1) for _ in range(30)))
-        conf.conf_stats(big)
+    # p(C)'s one limit is the join's half cap, not d: after 8 draws a half of
+    # this d = 60 class merges to 9 distinct sums, which 2 points take past 16
+    big = conf.canonical(tuple((1, 0) for _ in range(30)) + tuple((0, 1) for _ in range(30)))
+    _cold()
+    with monkeypatch.context() as m:
+        m.setattr(ent, "DEFAULT_SUPPORT_CAP", 16)
+        with pytest.raises(CapExceeded, match="half of 9 sums times 2 points exceeds cap 16"):
+            conf.conf_stats(big)
+    assert conf.conf_stats(big).p == conf.cmax_p_closed(30, 1)
 
 
 def test_json_export_shape():
@@ -820,8 +847,8 @@ def test_caps_hold_on_a_warm_cache(monkeypatch):
     for _ in ("cold", "warm"):
         classes = conf.enumerate_conf(2, 3)
         conf.enumerate_conf_sharp(2, 3)
-        c = classes[-1]
-        conf.conf_stats(c)
+        c, unread = classes[-1], classes[0]
+        read = conf.conf_stats(c).p
         conf.conf_stats_general(c, PAIRS)
         with monkeypatch.context() as m:
             m.setattr(conf, "DEFAULT_CELL_CAP", 5)
@@ -829,11 +856,14 @@ def test_caps_hold_on_a_warm_cache(monkeypatch):
                 conf.enumerate_conf(2, 3)
             with pytest.raises(CapExceeded):
                 conf.enumerate_conf_sharp(2, 3)
-            m.setattr(conf, "DEFAULT_EXACT_CAP", c.d - 1)
-            with pytest.raises(CapExceeded):
-                conf.conf_stats(c)
-            with pytest.raises(CapExceeded):
-                conf.conf_stats_general(c, PAIRS)
+            # the half cap bounds every join, cold or warm: a class the memo
+            # lacks is refused on both passes, one it holds is read joining nothing
+            m.setattr(ent, "DEFAULT_SUPPORT_CAP", 1)
+            with pytest.raises(CapExceeded, match="p\\(C\\) half"):
+                conf.conf_stats(unread)
+            with pytest.raises(CapExceeded, match="p\\(C\\) half"):
+                conf.conf_stats_general(unread, PAIRS)
+            assert conf.conf_stats(c).p == read
 
 
 def test_each_call_returns_a_list_of_its_own():

@@ -2,6 +2,8 @@
 function takes it as a parameter, and one `setattr` moves every check on it."""
 
 import inspect
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,3 +74,15 @@ def test_a_field_cached_under_a_raised_cap_obeys_a_lowered_one(monkeypatch, caps
         constructions.power_map(25, 2)
     assert cli.main(["construct", "bose-chowla", "--q", "5", "--h", "2"]) == 2
     assert capsys.readouterr().err == "error: field order 25 exceeds cap 24\n"
+
+
+def test_the_readme_cites_exactly_the_limits_the_modules_hold():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    [paragraph] = [p for p in readme.split("\n\n") if p.startswith("Limits are module constants")]
+    cited = set(re.findall(r"`(\w+)\.(DEFAULT_\w+)`", paragraph))
+    modules = {name: getattr(bhlab, name) for name in bhlab.__all__
+               if inspect.ismodule(getattr(bhlab, name, None))}
+    caps = {(name, constant) for name, module in modules.items() for constant in vars(module)
+            if re.fullmatch(r"DEFAULT_\w+_CAP", constant)}
+    assert cited == caps | {("random_coding", "DEFAULT_MAX_T")}
+    assert all(hasattr(modules[name], constant) for name, constant in cited)

@@ -47,15 +47,18 @@ def test_expected_violations_lower_bounds_bhg_count():
     # for g >= 2 the expectation sums only the violation patterns where no
     # variable both repeats inside a column and spans several columns, so it
     # can undercount but never overcount the oracle's census
-    t, n, h, g = 3, 2, 2, 2
-    words_space = list(product((0, 1), repeat=n))
-    total = 0
-    for assignment in product(words_space, repeat=t):
-        enc, _ = encode_binary_words(list(assignment), h)
-        total += len(oracle.find_minimal_violations_bhg(enc, h, g))
-    empirical = Fraction(total, len(words_space) ** t)
-    rows = rc._class_weights(h, g, uniform_bits(1))
-    assert rc.expected_violations(t, rows, n) <= empirical
+    for t, n, h, g in [(3, 2, 2, 2), (3, 1, 2, 2)]:
+        words_space = list(product((0, 1), repeat=n))
+        total = 0
+        for assignment in product(words_space, repeat=t):
+            enc, _ = encode_binary_words(list(assignment), h)
+            total += len(oracle.find_minimal_violations_bhg(enc, h, g))
+        empirical = Fraction(total, len(words_space) ** t)
+        rows = rc._class_weights(h, g, uniform_bits(1))
+        assert rc.expected_violations(t, rows, n) <= empirical
+    # at (h, g, n, t) = (2, 2, 1, 3) the gap is strict, 3/4 against the census
+    # mean 21/4; counting the mixed classes (ROADMAP item 13) makes it equality
+    assert rc.expected_violations(3, rows, 1) == Fraction(3, 4) < empirical == Fraction(21, 4)
 
 
 def test_choose_t_pinned_values_and_growth():
