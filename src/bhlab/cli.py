@@ -83,6 +83,8 @@ def _print_violation(v, words):
 
 def _cmd_construct(args, argv):
     started = time.monotonic()
+    if args.output and not args.binary:  # the residues and field vectors are printed only
+        raise InvalidParams("construct --output needs --binary")
     if args.source == "bose-chowla":
         s = constructions.bose_chowla(args.q, args.h)
         code = constructions.residues_to_binary(s) if args.binary else None
@@ -138,11 +140,7 @@ def _cmd_configs(args, argv):
     else:
         _require(args, "k", "l", what="configs enumerate")
         confs = conf_mod.enumerate_conf(args.k, args.l)
-    records = []
-    conf_mod.precompute_stats(confs)
-    for c in confs:
-        stats = conf_mod.conf_stats(c)
-        records.append(conf_mod.conf_to_json(c, stats))
+    records = list(map(conf_mod.conf_to_json, confs, conf_mod.precompute_stats(confs)))
     if args.json:
         json.dump(records, sys.stdout, indent=2)
         print()

@@ -77,16 +77,18 @@ grows with d.  A memo read joins nothing and so checks no cap.
 
 W is memoised per process (`_WEIGHTS`), per (class vectors, tuple of (point,
 weight) pairs), so uniform bits and the law `uniform_bits(1)` share entries.
-`precompute_stats` joins a whole family's missing weights together
-(`_law_weights`); `rates` (`rate_bhg`, `rate_bhg_distribution`,
-`rate_bh_sharp`), `random_coding`'s E(t) and `bhlab configs enumerate` call it
-first, and then `conf_stats`, `conf_stats_general` and `_law_stats` read one
-class at a time.  `rates._family_report` asks for each class's p(C) twice,
-once to optimise and once for the table (perfbench's self-test pins both
-traced calls); after `precompute_stats` both calls are lookups.  A class
-the memo lacks is joined alone.  The memo holds more entries than every
-shape under DEFAULT_CELL_CAP has classes together, so no family under the
-default cap evicts an entry before its table pass reads it.
+`precompute_stats` is the one reader of a family's p(C): it reads the law
+once, joins the family's missing weights together, and returns the classes'
+exact stats; `rates` (`rate_bhg`, `rate_bhg_distribution`, `rate_bh_sharp`),
+`random_coding`'s E(t) and `bhlab configs enumerate` call it.  `conf_stats`
+and `conf_stats_general` read one class at a time, and join a class the memo
+lacks alone.  `rates._family_report` asks for each class's p(C) twice, once
+to optimise and once for the table (perfbench's self-test pins both traced
+calls); after `precompute_stats` both calls are lookups.  Only a family read
+moves its classes to the memo's new end; a one-class hit leaves the order
+alone.  Eviction drops the oldest entries down to `_WEIGHTS_CACHED` or the
+family's size, whichever is larger, so the classes a call reads, its newest
+entries, are never dropped, and a family of any size is joined once.
 
 Each shape's classes are kept too (`_shape_classes`, unbounded: the shapes
 under the cap are finite), keyed by (k, l, vector limit) with the limit
@@ -94,9 +96,9 @@ lowered to k*l, so `enumerate_conf_upto`, `enumerate_conf_sharp`, the rate
 tables, E(t) and `bhlab configs enumerate` build each shape once per
 process.  `enumerate_conf` checks DEFAULT_CELL_CAP on every call before the
 lookup and returns a new list.  The rate tables and E(t) read a law once
-per family (`_law_weights`, then `_law_stats` per class); `conf_stats_general`
-validates on every call.  No law is cached: a float point equals, and
-hashes as, the integer one that it must be refused against.
+per family (`precompute_stats`); `conf_stats_general` validates on every
+call.  No law is cached: a float point equals, and hashes as, the integer
+one that it must be refused against.
 """
 
 from __future__ import annotations
@@ -117,7 +119,8 @@ from .errors import CapExceeded, InvalidDistribution, InvalidParams
 
 DEFAULT_CELL_CAP = 18    # k*l of an enumerated shape
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
-_WEIGHTS_CACHED = 16384  # (class, law) p(C) weights kept per process; the
+_WEIGHTS_CACHED = 16384  # (class, law) p(C) weights kept per process besides
+                         # the family being read, which is always kept; the
                          # shapes with k*l <= 18 have 8774 classes together,
                          # so `_shape_classes` needs no bound
 _VECTORS = attrgetter("vectors")  # sorts classes as their generated order does
@@ -418,12 +421,12 @@ def enumerate_conf_upto(h, l):
 
 def enumerate_sconf(h, l):
     """Separable classes only: no variable shared between columns.  Read
-    from `_separable` per k (Conf(1, l) is cmax(1, l) alone), growing no
+    from `_separable` per k (at k = 1, cmax(1, l) alone), growing no
     multiplicity-free class."""
     if h >= 1 and h * l > DEFAULT_CELL_CAP:
         raise CapExceeded(f"k*l = {h * l} exceeds cap {DEFAULT_CELL_CAP}")
-    return sorted((c for k in range(1, h + 1) if l >= 2
-                   for c in ([cmax(1, l)] if k == 1 else _separable(k, l, k * l))), key=_VECTORS)
+    return sorted((c for k in range(1, h + 1) if l >= 2 for c in _separable(k, l, k * l)),
+                  key=_VECTORS)
 
 
 def enumerate_conf_sharp(h, d):
@@ -479,8 +482,9 @@ _UNIFORM_LAW = (_UNIFORM_BITS, 2)      # (support, D): `_integer_law(uniform_bit
 
 class _Memo:
     """The per-process memo of p(C) weights: the integer weight W per (class
-    vectors, support), the least recently used dropped past `size` entries;
-    `misses` counts the weights computed since the last `clear`."""
+    vectors, support), those least recently read by a family dropped past
+    `size` entries or the reading family's size; `misses` counts the weights
+    computed since the last `clear`."""
 
     def __init__(self, size):
         self.size, self.entries, self.misses = size, OrderedDict(), 0
@@ -499,7 +503,8 @@ def _coinciding_weights(classes, support):
     `support` is a tuple of (n0-tuple of ints, integer weight) pairs and an
     assignment weighs the product of its points' weights.  Read from the
     memo; the classes it lacks are joined together, one `_joined_weights`
-    per l."""
+    per l.  All of `classes` end as the memo's newest entries, and eviction
+    stops short of them."""
     entries, found, missing = _WEIGHTS.entries, {}, {}
     for vectors in classes:
         weight = entries.get((vectors, support))
@@ -512,20 +517,9 @@ def _coinciding_weights(classes, support):
         found.update(zip(group, _joined_weights(list(group), support)))
         _WEIGHTS.misses += len(group)
         entries.update(((vectors, support), found[vectors]) for vectors in group)
-    while len(entries) > _WEIGHTS.size:
+    while len(entries) > max(_WEIGHTS.size, len(classes)):  # never this call's classes
         entries.popitem(last=False)
     return [found[vectors] for vectors in classes]
-
-
-def _weight(vectors, support):
-    """`_coinciding_weights` of one class: a memo read, or a join alone."""
-    key = (vectors, support)
-    weight = _WEIGHTS.entries.get(key)
-    if weight is None:
-        [weight] = _coinciding_weights([vectors], support)
-    else:
-        _WEIGHTS.entries.move_to_end(key)
-    return weight
 
 
 def _joined_weights(classes, support):
@@ -620,12 +614,18 @@ def _distinct(keys, weights):
 
 
 def precompute_stats(classes, dist=None):
-    """Join the p(C) weights of `classes` together into the per-process memo,
-    under uniform bits (`dist` None, as `conf_stats`) or under `dist` (as
-    `conf_stats_general` reads it), so those calls then only read it."""
+    """The exact ConfStats of each of `classes`, under uniform bits (`dist`
+    None, as `conf_stats`) or under `dist`, read once as a law (as
+    `conf_stats_general` reads it, but p stays exact under a float law).
+
+    The missing weights are joined together into the per-process memo now,
+    so a later `conf_stats` or `conf_stats_general` of these classes only
+    reads it.  The stats come as a lazy iterator: a caller that reads the
+    memo through those calls instead builds none of them."""
     classes = list(classes)
-    if classes:
-        _law_weights(classes, dist)
+    law = _UNIFORM_LAW if dist is None else _integer_law(list(dist))
+    _coinciding_weights([c.vectors for c in classes], law[0])
+    return (_law_stats(c, law) for c in classes)
 
 
 def conf_stats(c: Configuration) -> ConfStats:
@@ -647,18 +647,14 @@ def _integer_law(dist):
     return support, denom
 
 
-def _law_weights(classes, dist):
-    """Read `dist` (None: uniform bits) once as a law, join the weights of
-    `classes` under it into the memo, and return the law for `_law_stats`."""
-    law = _UNIFORM_LAW if dist is None else _integer_law(list(dist))
-    _coinciding_weights([c.vectors for c in classes], law[0])
-    return law
-
-
 def _law_stats(c, law):
-    """The exact p(C) = W / D^d of `c` under a law (support, D)."""
+    """The exact p(C) = W / D^d of `c` under a law (support, D): a memo read,
+    which leaves the memo's order as it is, or a join of `c` alone."""
     support, denom = law
-    return ConfStats(d=c.d, p=Fraction(_weight(c.vectors, support), denom**c.d))
+    weight = _WEIGHTS.entries.get((c.vectors, support))
+    if weight is None:
+        [weight] = _coinciding_weights([c.vectors], support)
+    return ConfStats(d=c.d, p=Fraction(weight, denom**c.d))
 
 
 def conf_stats_general(c: Configuration, dist) -> ConfStats:

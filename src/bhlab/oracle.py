@@ -141,12 +141,9 @@ def _digit_rows(bits, h):
     scales = [radix ** (per * c) for c in range(len(widths))]
 
     def classes(block, B):
-        """The low log2(B) digits d_i of column 0 as sum(2^i d_i) mod B."""
-        col, out = block[0], np.zeros(block.shape[1], np.intp)
-        for i in range(B.bit_length() - 1):
-            col, digit = np.divmod(col, np.uint64(radix))
-            out += digit.astype(np.intp) << i
-        return out & (B - 1)
+        """The low log2(B) digits d_i, read from the bits, as sum(2^i d_i)."""
+        low = digits[:, :B.bit_length() - 1]
+        return (low @ (1 << np.arange(low.shape[1]))).astype(np.intp)
 
     def value(combo):
         return sum(x * s for i in combo for x, s in zip(rows[:, i].tolist(), scales))

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .configurations import _law_stats, _law_weights, automorphism_count, enumerate_conf_upto
+from .configurations import automorphism_count, enumerate_conf_upto, precompute_stats
 from .constructions import _bit_matrix, _first_rows, make_binary_code
 from .entropy import Distribution, _check_seed, bit_points, uniform_bits
 from . import oracle
@@ -86,8 +86,8 @@ class ConstructionStats:
 def _class_weights(h, g, dist):
     """(d(C), violations-per-population-weight, per-block probability) rows."""
     family = enumerate_conf_upto(h, g + 1)
-    law = _law_weights(family, dist.items)
-    return [(c.d, Fraction(1, automorphism_count(c)), _law_stats(c, law).p) for c in family]
+    return [(s.d, Fraction(1, automorphism_count(c)), s.p)
+            for c, s in zip(family, precompute_stats(family, dist.items))]
 
 
 def expected_violations(t, rows, blocks) -> Fraction:

@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .configurations import (Configuration, _VECTORS, _law_stats, _law_weights, canonical, cmax,
-                             cmax_p_closed, conf_stats, enumerate_conf_sharp, enumerate_conf_upto,
-                             precompute_stats)
+from .configurations import (Configuration, _VECTORS, canonical, cmax, cmax_p_closed, conf_stats,
+                             enumerate_conf_sharp, enumerate_conf_upto, precompute_stats)
 from .entropy import Distribution, hfold, log2_fraction, renyi
 from .errors import EmptyFamily, InvalidParams
 
@@ -144,8 +143,8 @@ def rate_bhg_distribution(h, g, dist) -> RateReport:
     if h < 1 or g < 1:
         raise InvalidParams(f"h and g must be >= 1, got h = {h}, g = {g}")
     family = enumerate_conf_upto(h, g + 1)
-    law = _law_weights(family, dist.items)
-    return _family_report(f"bhg-dist(h={h},g={g})", family, stats_fn=lambda c: _law_stats(c, law))
+    stats = dict(zip(family, precompute_stats(family, dist.items)))
+    return _family_report(f"bhg-dist(h={h},g={g})", family, stats_fn=stats.__getitem__)
 
 
 def rate_bh_sharp(h, d) -> RateReport:

@@ -119,6 +119,9 @@ def test_int_encoding_round_trip():
         for n in range(q):
             assert f.from_int(n).to_int() == n
         assert len(set(e.to_int() for e in f)) == q
+        same = algebra.FiniteField(f.p, f.e, f.modulus)
+        assert same == f and hash(same) == hash(f) and repr(same) == repr(f)
+        assert repr(f) == f"FiniteField(p={f.p}, e={f.e}, modulus={f.modulus})"
 
 
 @pytest.mark.parametrize("q", [7, 8, 9, 16, 25])
@@ -133,8 +136,11 @@ def test_randomized_field_axioms(q):
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a + (-a) == zero
+        assert (a - b) + b == a and a - a == zero
         if not a.is_zero():
             assert a * a.inverse() == one
+    with pytest.raises(ZeroDivisionError):
+        zero.inverse()
 
 
 def test_pow_matches_repeated_multiplication():
@@ -143,6 +149,8 @@ def test_pow_matches_repeated_multiplication():
         acc = f.one()
         for e in range(10):
             assert a**e == acc
+            if not a.is_zero():
+                assert a**-e * acc == f.one()
             acc = acc * a
 
 

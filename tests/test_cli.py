@@ -236,6 +236,16 @@ def test_construct_binary_to_file_with_manifest(tmp_path, capsys):
     assert manifest["parameters"]["q"] == 5
 
 
+def test_construct_output_without_binary_exits_2_and_writes_nothing(tmp_path, capsys):
+    # it printed the residues, exited 0 and wrote neither the file nor its manifest
+    for source in ("bose-chowla", "power-map"):
+        result = run(capsys, "construct", source, "--q", "5", "--h", "2",
+                     "--output", str(tmp_path / "x.txt"))
+        _assert_usage_error(result)
+        assert "--binary" in result[2] and result[1] == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_pass_and_fail(tmp_path, capsys):
     good = tmp_path / "good.txt"
     run(capsys, "construct", "bose-chowla", "--q", "7", "--h", "2",

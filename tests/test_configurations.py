@@ -366,6 +366,8 @@ def test_general_statistics_read_float_totals_within_the_tolerance():
     as_float = conf.conf_stats_general(c, [(0, 0.1), (1, 0.9)]).p
     as_fraction = conf.conf_stats_general(c, exact).p
     assert type(as_float) is float and as_float == float(as_fraction) > 0
+    [stats] = conf.precompute_stats([c], [(0, 0.1), (1, 0.9)])  # exact, as the rate tables read it
+    assert stats == conf.ConfStats(c.d, as_fraction) and float(stats.p) == as_float
     report = rates.rate_bhg_distribution(2, 1, from_probs([0.1, 0.9]))
     assert report.rate > 0 and type(report.table[0].p) is Fraction
 
@@ -423,7 +425,10 @@ def test_weights_stay_exact_past_int64():
     for law in (heavy, shifted):
         support, denom = conf._integer_law(law)
         _cold()
-        conf.precompute_stats(family, law)
+        stats = conf.precompute_stats(family, law)
+        assert iter(stats) is stats and list(stats) == [
+            conf.ConfStats(c.d, Fraction(coinciding_weight_reference(c.vectors, support), denom**c.d))
+            for c in family]
         for c in family:
             assert conf.conf_stats_general(c, law).p == \
                 Fraction(coinciding_weight_reference(c.vectors, support), denom**c.d)
@@ -794,6 +799,28 @@ def test_each_class_runs_the_dp_once_per_process():
     assert _dp_runs() == 365  # optimize and table share one DP per class
     rates.rate_bhg(3, 3)  # Conf(<= 3, 4) lies inside Conf(<= 4, 4)
     assert _dp_runs() == 365
+
+
+def test_a_family_larger_than_the_memo_is_joined_once_and_kept(monkeypatch):
+    # With 16 entries, the 24 classes of Conf(<= 3, 3) were joined together,
+    # evicted down to 16, and 8 of them joined again on each of the two table
+    # passes: 72 joins where 24 do
+    _cold()
+    default = rates.rate_bhg(3, 2)
+    monkeypatch.setattr(conf._WEIGHTS, "size", 16)
+    _cold()
+    assert rates.rate_bhg(3, 2) == default
+    assert _dp_runs() == len(default.table) == 24
+    entries = list(conf._WEIGHTS.entries)
+    assert len(entries) == 24
+    conf.conf_stats(default.table[0].configuration)  # a hit leaves the order as it is
+    assert list(conf._WEIGHTS.entries) == entries
+    smaller = conf.enumerate_conf_upto(2, 4)
+    assert len(rates.rate_bhg(2, 3).table) == len(smaller) == 15
+    # evicted down to the memo's size, never into the family just read
+    assert len(conf._WEIGHTS.entries) == 16
+    assert {vectors for vectors, _ in list(conf._WEIGHTS.entries)[1:]} == \
+        {c.vectors for c in smaller}
 
 
 def test_the_memo_outlasts_every_family_under_the_default_cap():

@@ -48,6 +48,8 @@ def test_bose_chowla_is_bh_in_the_residue_group(q, h):
 def test_bose_chowla_rejects_degenerate_modulus():
     with pytest.raises(DegenerateModulus):
         constructions.bose_chowla(1, 2)
+    with pytest.raises(DegenerateModulus, match="modulus 1 < 2"):
+        constructions.residues_to_binary(constructions.BhSetResidues(modulus=1, elements=(0,), h=2))
     for h in (1, 0, -1):  # at h = 1, alpha + x is 0 for x = -alpha
         with pytest.raises(InvalidParams, match="h >= 2"):
             constructions.bose_chowla(3, h)
@@ -153,6 +155,11 @@ def test_make_binary_code_sorts_and_dedupes():
     assert code.rate == 0.5
     with pytest.raises(ValueError):
         constructions.make_binary_code([])
+    same = constructions.make_binary_code([(0, 1), (1, 0)], h=2, source="x")
+    assert same == code and hash(same) == hash(code)
+    assert code != code.words and code.__eq__(code.words) is NotImplemented
+    no_bits = constructions.make_binary_code([(), ()])  # words of no bits: one word
+    assert no_bits.words == ((),) and no_bits.n == 0
 
 
 def test_make_binary_code_stores_python_int_bits():

@@ -27,6 +27,8 @@ def test_distribution_validation():
     with pytest.raises(InvalidDistribution):
         ent.make_distribution([(0, Fraction(3, 2)), (1, Fraction(-1, 2))])
     ent.make_distribution([(0, 0.5), (1, 0.5 - 1e-14)])  # inside float tolerance
+    with pytest.raises(InvalidDistribution, match="total mass"):
+        ent.make_distribution([(0, 0.5), (1, 0.5 - 10 * ent.FLOAT_MASS_TOL)])
 
 
 def test_uniform_bits_points():
@@ -422,6 +424,7 @@ def test_critical_alphas_pinned_and_residuals():
     assert high == pytest.approx(3.65986, abs=1e-5)
     assert 2.0**low * low - 4 * low + 2 == pytest.approx(0.0, abs=1e-8)
     assert 2.0**high - 4 * high + 2 == pytest.approx(0.0, abs=1e-8)
+    assert ent._bisect(lambda a: a - 1.5, 1.5, 2.0) == 1.5  # a root at the lower end
 
 
 def test_sidon_second_derivative_matches_finite_differences():

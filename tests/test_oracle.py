@@ -828,6 +828,8 @@ def test_misuse_raises_invalid_params():
         oracle.verify_bh([1.5, 2.0], 2)
     with pytest.raises(InvalidParams):
         oracle.verify_bh([(0, 1), (1,)], 2, add=oracle.vector_mod_add(3))
+    with pytest.raises(InvalidParams, match="outside 1..2\\^62"):  # one lane no longer holds 2q - 2
+        oracle.verify_bh([(0, 1), (1, 0)], 2, add=oracle.vector_mod_add(2**62))
 
 
 def test_pruning_rejects_g_below_1_before_enumerating(monkeypatch):

@@ -4,17 +4,20 @@ A code line holds at least one token that is not a comment, a line break or
 an indent: blank lines, comment-only lines and docstrings (the leading string
 of a module, class or function) do not count, and a statement or string that
 spans several lines counts each of them.  Prints one row per module and the
-total, for the files and directories given (default: src/bhlab).
+total, for the files and directories given (default: src/bhlab).  With
+--against REV, each row reads the module's code lines at the git revision
+REV (0 where the file is missing there), the working tree's, and the change.
 
-    python tools/code_lines.py [PATH ...]
+    python tools/code_lines.py [--against REV] [PATH ...]
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import os
-import sys
+import subprocess
 import tokenize
 from pathlib import Path
 
@@ -36,14 +39,34 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
+def code_lines_at(rev, path):
+    """The code lines of the file `path` at git revision `rev`, 0 where it is missing."""
+    done = subprocess.run(["git", "-C", str(path.parent), "show", f"{rev}:./{path.name}"],
+                          capture_output=True, text=True, encoding="utf-8")
+    return code_lines(done.stdout) if done.returncode == 0 else 0
+
+
 def main():
-    paths = map(Path, sys.argv[1:] or [Path(__file__).resolve().parents[1] / "src" / "bhlab"])
-    files = sorted({f for p in paths for f in ([p] if p.is_file() else p.rglob("*.py"))})
-    counts = {os.path.relpath(f): code_lines(f.read_text(encoding="utf-8")) for f in files}
-    width = max(map(len, counts), default=5)
-    for name, n in counts.items():
-        print(f"{name:<{width}}  {n:>6}")
-    print(f"{'total':<{width}}  {sum(counts.values()):>6}")
+    parser = argparse.ArgumentParser(description="Count the code lines of Python modules.")
+    parser.add_argument("paths", nargs="*", type=Path,
+                        default=[Path(__file__).resolve().parents[1] / "src" / "bhlab"])
+    parser.add_argument("--against", metavar="REV", help="also count at this git revision")
+    args = parser.parse_args()
+    files = sorted({f for p in args.paths for f in ([p] if p.is_file() else p.rglob("*.py"))})
+    columns = [[code_lines(f.read_text(encoding="utf-8")) for f in files]]
+    formats = [">6"]
+    if args.against:  # before, after, change
+        known = subprocess.run(["git", "-C", str(files[0].parent if files else "."), "rev-parse",
+                                "-q", "--verify", f"{args.against}^{{commit}}"], capture_output=True)
+        if known.returncode:  # else every file would read as missing there
+            parser.error(f"no git revision {args.against!r}")
+        before = [code_lines_at(args.against, f) for f in files]
+        columns = [before, columns[0], [a - b for a, b in zip(columns[0], before)]]
+        formats = [">6", ">6", ">+6"]
+    names = [os.path.relpath(f) for f in files]
+    width = max(map(len, names), default=5)
+    for name, *row in [*zip(names, *columns), ("total", *map(sum, columns))]:
+        print(f"{name:<{width}}" + "".join(f"  {n:{spec}}" for n, spec in zip(row, formats)))
 
 
 if __name__ == "__main__":
