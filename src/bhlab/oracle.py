@@ -15,18 +15,19 @@ mod q in guarded lanes (`_lanes`), a residue being a vector of one
 coordinate.  Level k (the size-k multisets) is level k-1 plus one element
 per vectorised add, held as one uint64 key per row, except for vectors whose
 lanes fill several words (Z_13^10 fits in 60 bits, Z_13^11 does not).  A
-level is scanned in buckets by a sum class, one bucket at a time and in two
-passes: pass one sorts the bucket's keys in place and keeps those held by
-threshold or more rows; pass two regenerates only a bucket that has some,
-keeps the numbers of the rows holding them and groups the exact sums it
-rebuilds from their multisets.  Pass one keeps whole keys at threshold 2 and
-their low 32 bits, which sort in about half the time, at threshold 3 or
-more; a false match costs time, never a wrong answer.  Large levels have
-half-size buckets and run pass one on a thread pool, one thread per CPU in
-the process's affinity mask (`taskset -c 0` confines it to one core), with
-output independent of the thread count.  Peak memory is one bucket of keys
-per thread plus the level below the top, at one word per row (C words for
-vectors of C > 1 words).
+level is scanned in buckets by a sum class, each bucket in one task: pass one
+sorts the bucket's keys in place and keeps those held by threshold or more
+rows; only a bucket that has some is refilled, and pass two keeps the numbers
+of the rows holding them, whose exact sums are rebuilt from their multisets
+and grouped.  Pass one keeps whole keys at threshold 2 and their low 32 bits,
+which sort in about half the time, at threshold 3 or more.  Large levels have
+half-size buckets and run both passes of each on its task on a thread pool,
+one thread per CPU in the process's affinity mask (`taskset -c 0` confines it
+to one core), with output independent of the thread count; a false match
+costs a refill of that bucket on its worker, never a wrong answer.  Peak
+memory is one bucket of keys per thread plus the level below the top, at one
+word per row (C words for vectors of C > 1 words); pass two adds only
+slice-sized temporaries.
 
 The random-coding pipeline enumerates each population once: pruning reads
 its minimal violations, and `random_coding.construct` its final verdict,
@@ -286,15 +287,13 @@ class _Sums:
     bucket; a larger one has B buckets, B the largest power of two, at most m,
     that leaves _BUCKET_KEYS / 2 or more keys per bucket, so that two buckets
     in flight hold no more keys than one bucket of twice that size.  A level
-    of 2 * _BUCKET_KEYS keys or more runs pass one (generate, sort in place,
-    keep the keys held by threshold or more rows) on up to _WORKERS threads,
-    one bucket per task; each thread reuses one key buffer: uint64 at
-    threshold 2, and at threshold 3 or more uint32, the low 32 bits of the key
-    (see `_pass_one`).  Pass two reads the results in bucket order and selects
-    rows (the top level's regenerated) by the same width of key.  A smaller
-    level, and one with a single bucket to scan, starts no thread.  The
-    elements are relabelled in class order, and a held level is grouped by
-    class through a stable permutation (none for one class or for the
+    of 2 * _BUCKET_KEYS keys or more runs on up to _WORKERS threads, both
+    passes of a bucket in one task (see `_scan`); each thread reuses one key
+    buffer: uint64 at threshold 2, and at threshold 3 or more uint32, the low
+    32 bits of the key, so a false match costs a refill of that bucket on its
+    worker.  A smaller level, and one with a single bucket, starts no thread.
+    The elements are relabelled in class order, and a held level is grouped
+    by class through a stable permutation (none for one class or for the
     elements); the colex copy of the top-1 level is dropped once it is
     grouped.  Bucket r of the top level is, for each class a, broadcast adds
     of class a's elements onto the group-(r-a) rows whose largest index lies
@@ -305,7 +304,8 @@ class _Sums:
     generated a bucket at a time, in blocks of fewer than 2 * _CHUNK rows,
     once per pass.  Peak memory is one bucket of keys per thread plus the held
     level (and, if B > 1, its classes, a byte or two per row): twice that
-    while it is grouped, and 1.5 times while pass one makes its uint32 keys."""
+    while it is grouped, and 1.5 times while pass one makes its uint32 keys;
+    pass two adds only slice-sized temporaries."""
 
     def __init__(self, elements, add, h):
         first, q, self.reduce, classes, self.value = _coordinates(elements, add, h)
@@ -454,43 +454,44 @@ class _Sums:
         g = g0[p] + (hit - lo[p]) % w[p]
         return self.ends[self.k + 1][j] - self.ends[self.k][j] + self._number(g)
 
-    def _bucket(self, k, r):
-        """(rows, row-number function) per block of bucket r of level k."""
-        rows, goff, _ = self.grouping
-        if k == self.k:  # held: one block
-            yield rows[:, goff[r]:goff[r + 1]], lambda hit: self._number(hit + goff[r])
-            return
+    def _fill(self, k, r, keys, direct):
+        """Bucket r of level k's keys, written in row order into the front of
+        the buffer `keys` in its dtype, as that view: a held group's `_key`,
+        or the top level's generated block by block, straight into `keys` from
+        `direct` = (elements, held rows) as one-row arrays of keys in that
+        dtype, or else as `_key` of the rows."""
+        (held, goff, _), lo = self.grouping, 0
+        if k == self.k:
+            keys[:goff[r + 1] - goff[r]] = _key(held[:, goff[r]:goff[r + 1]])
+            return keys[:goff[r + 1] - goff[r]]
         for size, parts in self.plan[r]:
-            out = np.empty((len(rows), size), rows.dtype)
-            yield (self._rows(parts, self.base, rows, out),
-                   lambda hit, parts=parts: self._numbers(parts, hit))
+            if direct is None:
+                out = np.empty((len(held), size), held.dtype)
+                keys[lo:lo + size] = _key(self._rows(parts, self.base, held, out))
+            else:
+                self._rows(parts, *direct, keys[None, lo:lo + size])
+            lo += size
+        return keys[:lo]
 
     def _duplicated(self, k, r, t, keys, direct):
         """Pass one over bucket r of level k: the sorted keys, in the dtype of
-        the key buffer `keys`, held by more than t of its rows.  With `direct` =
-        (elements, held rows) as one-row arrays of keys in that dtype, the keys
-        are generated straight into `keys`; otherwise they are made from the
-        rows by `_key` and, into a uint32 buffer, truncated to their low 32 bits."""
-        lo = 0
-        if direct is not None:
-            for size, parts in self.plan[r]:
-                self._rows(parts, *direct, keys[None, lo:lo + size])
-                lo += size
-        else:
-            for block, _ in self._bucket(k, r):
-                keys[lo:lo + block.shape[1]] = _key(block)
-                lo += block.shape[1]
-        keys = keys[:lo]
+        the key buffer `keys`, held by more than t of its rows (see `_fill`)."""
+        keys = self._fill(k, r, keys, direct)
         keys.sort()  # in place; only values matter, so any sort kind gives the same result
         found = []
-        for i in range(0, lo - t, _CHUNK):  # _CHUNK at a time: no mask as long as the bucket
-            j = min(i + _CHUNK, lo - t)
+        for i in range(0, len(keys) - t, _CHUNK):  # _CHUNK at a time: no bucket-long mask
+            j = min(i + _CHUNK, len(keys) - t)
             found.append(keys[i + t:j + t][keys[i + t:j + t] == keys[i:j]])
         return _distinct(np.concatenate(found))
 
-    def _pass_one(self, k, t, live, sizes):
-        """`_duplicated` for the buckets `live` of level k, in their order; on a
-        thread pool if the level holds 2 * _BUCKET_KEYS keys or more.
+    def _scan(self, k, t, live, sizes):
+        """Per bucket of `live`, in their order, the level-k row numbers of the
+        rows whose key more than t rows of the bucket hold.  A bucket is one
+        task, on a thread pool if the level holds 2 * _BUCKET_KEYS keys or more:
+        pass one (`_duplicated`) and, only if it keeps a key, pass two, which
+        refills the buffer and locates those rows _CHUNK // 8 keys at a time:
+        peak memory is one bucket of keys per thread plus the held level, and
+        pass two adds only slice-sized temporaries.
 
         Keys are uint64 at t = 1 and their low 32 bits at t >= 2, where a sort
         costs about half as much per key.  Keeping every 32-bit value that more
@@ -498,17 +499,17 @@ class _Sums:
         superset filter.  A bucket of a large level holds fewer than 2^20 keys
         (unless m or q limits B), so false 32-bit triples average at most
         C(2^20, 3) / 2^64, about 0.01 per bucket, and about 2.7 in one bucket
-        of all DEFAULT_ENUM_CAP keys; each costs a pass-two regeneration, never
-        a wrong answer.  False pairs would average about 32 per bucket, and
-        locating them costs more than the narrower sort saves, hence t = 1
-        keeps uint64.  Where keys add like the sums (see `_Sums`), so do their
-        low 32 bits: the top level's keys of either width are generated from
-        the element and held-level keys in that width, made once per call.  A
-        vector of one word, its own key once reduced, is generated straight
-        into a uint64 buffer."""
+        of all DEFAULT_ENUM_CAP keys; each costs a refill of its bucket on its
+        worker, never a wrong answer.  False pairs would average about 32 per
+        bucket, and locating them costs more than the narrower sort saves,
+        hence t = 1 keeps uint64.  Where keys add like the sums (see `_Sums`),
+        so do their low 32 bits: the top level's keys of either width are
+        generated from the element and held-level keys in that width, made
+        once per call.  A vector of one word, its own key once reduced, is
+        generated straight into a uint64 buffer."""
         if not live:
             return []
-        dtype, held = (np.uint64 if t == 1 else np.uint32), self.grouping[0]
+        dtype, (held, goff, _) = (np.uint64 if t == 1 else np.uint32), self.grouping
         direct = None  # the top level generated as its keys (see `_Sums`)
         if k > self.k and self.reduce is None:
             direct = tuple(_key(a).astype(dtype, copy=False)[None] for a in (self.base, held))
@@ -518,17 +519,28 @@ class _Sums:
         workers = min(_WORKERS, len(live)) if sum(sizes) >= 2 * _BUCKET_KEYS else 1
         # made by this thread: a pool thread's own buffer would stay in its malloc arena
         buffers = [np.empty(size, dtype) for _ in range(workers)]
-        if workers == 1:
-            return [self._duplicated(k, r, t, buffers[0], direct) for r in live]
+
+        def scan(r, keys):
+            dup = self._duplicated(k, r, t, keys, direct)
+            if not len(dup):
+                return np.empty(0, np.intp)
+            keys, step = self._fill(k, r, keys, direct), max(1, _CHUNK // 8)
+            hit = np.concatenate([_among(keys[i:i + step], dup) + i  # pass two
+                                  for i in range(0, len(keys), step)])
+            if k == self.k:
+                return self._number(hit + goff[r])
+            return self._numbers(np.concatenate([parts for _, parts in self.plan[r]]), hit)
+        if workers == 1:  # the buffer as is: holding it in a thread-local raised peak RSS
+            return [scan(r, buffers[0]) for r in live]
         from concurrent.futures import ThreadPoolExecutor  # only here: most runs start no pool
         local = threading.local()
 
-        def scan(r):
+        def task(r):
             if not hasattr(local, "keys"):  # each thread takes one buffer and keeps it
                 local.keys = buffers.pop()
-            return self._duplicated(k, r, t, local.keys, direct)
+            return scan(r, local.keys)
         with ThreadPoolExecutor(workers) as pool:
-            return list(pool.map(scan, live))
+            return list(pool.map(task, live))
 
     def _sums(self, idx):
         """The exact sums, as rows of `first`, of the relabelled index multisets idx (N, k)."""
@@ -555,15 +567,10 @@ class _Sums:
                 self._plan()
             sizes = [sum(size for size, _ in blocks) for blocks in self.plan]
         live = [r for r, size in enumerate(sizes) if size >= threshold]  # fewer: no `threshold` equal
-        rows = []
-        for r, dup in zip(live, self._pass_one(k, threshold - 1, live, sizes)):
-            if not len(dup):
-                continue
-            for block, numbers in self._bucket(k, r):  # pass two: rows whose key is duplicated
-                rows.append(numbers(_among(_key(block).astype(dup.dtype, copy=False), dup)))
-        if not rows:
+        rows = np.concatenate([np.empty(0, np.intp), *self._scan(k, threshold - 1, live, sizes)])
+        if not len(rows):
             return {}
-        rows, cols = np.concatenate(rows), []
+        cols = []
         for level in range(k, 1, -1):  # decode rows to multisets, largest index first
             j = np.searchsorted(self.ends[level], rows, side="right")
             cols.append(j)

@@ -4,6 +4,7 @@ pruning correctness, and realized-rate guarantees."""
 import hashlib
 import json
 import math
+import threading
 from fractions import Fraction
 from itertools import product
 
@@ -335,6 +336,26 @@ def test_pool_sized_population_is_pinned(monkeypatch):
     assert stats.t == stats.t_exact == 2112 and stats.removed == 647
     assert oracle.multiset_count(stats.t, 2) >= 2 * oracle._BUCKET_KEYS
     assert len({r for k, r in buckets if k == 2}) > 1
+    stats_json = json.dumps(stats.to_json(), indent=2, sort_keys=True) + "\n"
+    assert (_sha256(code_to_text(code)), _sha256(stats_json)) == (
+        "a005c027a44da71ac67940b81eaeeae33605e8c262b3cc149fcc8cf7531d5952",
+        "7d5ac94e2ee1049a76f71cfd866553529f5c6e94a2ac9b977df280fb209602a6")
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_pass_two_runs_on_the_pool(workers, monkeypatch):
+    # the population above: a bucket is one pool task, pass two included, and
+    # the artifacts keep that test's pins on any number of threads
+    monkeypatch.setattr(oracle, "_WORKERS", workers)
+    threads, among = [], oracle._among
+
+    def recording(*args):
+        threads.append(threading.current_thread())
+        return among(*args)
+    monkeypatch.setattr(oracle, "_among", recording)
+    code, stats = rc.construct(2, 22, seed=1, max_t=2112)
+    assert threads
+    assert any(t is not threading.main_thread() for t in threads) == (workers > 1)
     stats_json = json.dumps(stats.to_json(), indent=2, sort_keys=True) + "\n"
     assert (_sha256(code_to_text(code)), _sha256(stats_json)) == (
         "a005c027a44da71ac67940b81eaeeae33605e8c262b3cc149fcc8cf7531d5952",
