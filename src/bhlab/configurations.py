@@ -73,28 +73,29 @@ of the keys both halves hold: one sort per half and one binary search.  A half m
 in parts, and a class that passes it alone raises CapExceeded before the
 step that would pass it allocates.  That half cap is the only limit on p(C),
 for every reader and every law: it bounds a join's memory, while its time
-grows with d.  A memo read joins nothing and so checks no cap.
+grows with d.  A read of kept weights joins nothing and so checks no cap.
 
-W is memoised per process (`_WEIGHTS`), per (class vectors, tuple of (point,
-weight) pairs), so uniform bits and the law `uniform_bits(1)` share entries.
+W under uniform bits is kept per process (`_WEIGHTS`, keyed by class
+vectors), read whenever the support is `_UNIFORM_BITS`, so `conf_stats` and
+the law `uniform_bits(1)` (or its float twin) share entries.  It is never
+evicted: the enumerated classes under DEFAULT_CELL_CAP are finite, 8774 in
+all, as are the shapes of `_shape_classes`.  Under any other law W is joined
+on each read and nothing is kept: no caller reads one such law twice per
+family.
 `precompute_stats` is the one reader of a family's p(C): it reads the law
 once, joins the family's missing weights together, and returns the classes'
 exact stats; `rates` (`rate_bhg`, `rate_bhg_distribution`, `rate_bh_sharp`),
 `random_coding`'s E(t) and `bhlab configs enumerate` call it.  `conf_stats`
-and `conf_stats_general` read one class at a time, and join a class the memo
-lacks alone.  `rates._family_report` asks for each class's p(C) twice, once
-to optimise and once for the table (perfbench's self-test pins both traced
-calls); after `precompute_stats` both calls are lookups.  Only a family read
-moves its classes to the memo's new end; a one-class hit leaves the order
-alone.  Eviction drops the oldest entries down to `_WEIGHTS_CACHED` or the
-family's size, whichever is larger, so the classes a call reads, its newest
-entries, are never dropped, and a family of any size is joined once.
+and `conf_stats_general` read one class at a time, and join a class that
+`_WEIGHTS` lacks alone.  `rates._family_report` asks for each class's p(C)
+twice, once to optimise and once for the table (perfbench's self-test pins
+both traced calls); under uniform bits, after `precompute_stats`, both calls
+are lookups, and `rate_bhg_distribution` hands it the stats it already holds.
 
-Each shape's classes are kept too (`_shape_classes`, unbounded: the shapes
-under the cap are finite), keyed by (k, l, vector limit) with the limit
-lowered to k*l, so `enumerate_conf_upto`, `enumerate_conf_sharp`, the rate
-tables, E(t) and `bhlab configs enumerate` build each shape once per
-process.  `enumerate_conf` checks DEFAULT_CELL_CAP on every call before the
+Each shape's classes are kept too (`_shape_classes`, also unbounded), keyed
+by (k, l, vector limit) with the limit lowered to k*l, so
+`enumerate_conf_upto`, `enumerate_conf_sharp`, the rate tables, E(t) and
+`bhlab configs enumerate` build each shape once per process.  `enumerate_conf` checks DEFAULT_CELL_CAP on every call before the
 lookup and returns a new list.  The rate tables and E(t) read a law once
 per family (`precompute_stats`); `conf_stats_general` validates on every
 call.  No law is cached: a float point equals, and hashes as, the integer
@@ -103,7 +104,7 @@ one that it must be refused against.
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -119,10 +120,6 @@ from .errors import CapExceeded, InvalidDistribution, InvalidParams
 
 DEFAULT_CELL_CAP = 18    # k*l of an enumerated shape
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
-_WEIGHTS_CACHED = 16384  # (class, law) p(C) weights kept per process besides
-                         # the family being read, which is always kept; the
-                         # shapes with k*l <= 18 have 8774 classes together,
-                         # so `_shape_classes` needs no bound
 _VECTORS = attrgetter("vectors")  # sorts classes as their generated order does
 
 
@@ -480,46 +477,24 @@ _UNIFORM_BITS = (((0,), 1), ((1,), 1))  # (point, integer weight) over denominat
 _UNIFORM_LAW = (_UNIFORM_BITS, 2)      # (support, D): `_integer_law(uniform_bits(1).items)`
 
 
-class _Memo:
-    """The per-process memo of p(C) weights: the integer weight W per (class
-    vectors, support), those least recently read by a family dropped past
-    `size` entries or the reading family's size; `misses` counts the weights
-    computed since the last `clear`."""
-
-    def __init__(self, size):
-        self.size, self.entries, self.misses = size, OrderedDict(), 0
-
-    def clear(self):
-        self.entries.clear()
-        self.misses = 0
-
-
-_WEIGHTS = _Memo(_WEIGHTS_CACHED)
+_WEIGHTS = {}  # class vectors -> W under uniform bits (`_UNIFORM_BITS`), never evicted
 
 
 def _coinciding_weights(classes, support):
     """Total weight, for each of `classes` (vector tuples), of the assignments
     of support points to its vectors under which the l column sums coincide;
     `support` is a tuple of (n0-tuple of ints, integer weight) pairs and an
-    assignment weighs the product of its points' weights.  Read from the
-    memo; the classes it lacks are joined together, one `_joined_weights`
-    per l.  All of `classes` end as the memo's newest entries, and eviction
-    stops short of them."""
-    entries, found, missing = _WEIGHTS.entries, {}, {}
+    assignment weighs the product of its points' weights.  Under uniform bits
+    the weights are read from and kept in `_WEIGHTS`; under any other law in a
+    dict of this call's own.  The classes it lacks are joined together, one
+    `_joined_weights` per l."""
+    known, missing = _WEIGHTS if support == _UNIFORM_BITS else {}, {}
     for vectors in classes:
-        weight = entries.get((vectors, support))
-        if weight is None:  # by l, each class once
+        if vectors not in known:  # by l, each class once
             missing.setdefault(len(vectors[0]), {})[vectors] = None
-        else:
-            entries.move_to_end((vectors, support))
-            found[vectors] = weight
     for group in missing.values():
-        found.update(zip(group, _joined_weights(list(group), support)))
-        _WEIGHTS.misses += len(group)
-        entries.update(((vectors, support), found[vectors]) for vectors in group)
-    while len(entries) > max(_WEIGHTS.size, len(classes)):  # never this call's classes
-        entries.popitem(last=False)
-    return [found[vectors] for vectors in classes]
+        known.update(zip(group, _joined_weights(list(group), support)))
+    return [known[vectors] for vectors in classes]
 
 
 def _joined_weights(classes, support):
@@ -618,14 +593,16 @@ def precompute_stats(classes, dist=None):
     None, as `conf_stats`) or under `dist`, read once as a law (as
     `conf_stats_general` reads it, but p stays exact under a float law).
 
-    The missing weights are joined together into the per-process memo now,
-    so a later `conf_stats` or `conf_stats_general` of these classes only
-    reads it.  The stats come as a lazy iterator: a caller that reads the
-    memo through those calls instead builds none of them."""
+    The family's missing weights are joined together now.  Under uniform
+    bits they are kept in `_WEIGHTS`, so a later `conf_stats` of these
+    classes, or `conf_stats_general` under uniform bits, only reads it; under
+    another law nothing is kept.  The stats come as a lazy iterator: a caller
+    that reads the kept weights through those calls instead builds none of
+    them."""
     classes = list(classes)
-    law = _UNIFORM_LAW if dist is None else _integer_law(list(dist))
-    _coinciding_weights([c.vectors for c in classes], law[0])
-    return (_law_stats(c, law) for c in classes)
+    support, denom = _UNIFORM_LAW if dist is None else _integer_law(list(dist))
+    weights = _coinciding_weights([c.vectors for c in classes], support)
+    return (ConfStats(d=c.d, p=Fraction(weight, denom**c.d)) for c, weight in zip(classes, weights))
 
 
 def conf_stats(c: Configuration) -> ConfStats:
@@ -648,10 +625,10 @@ def _integer_law(dist):
 
 
 def _law_stats(c, law):
-    """The exact p(C) = W / D^d of `c` under a law (support, D): a memo read,
-    which leaves the memo's order as it is, or a join of `c` alone."""
+    """The exact p(C) = W / D^d of `c` under a law (support, D): a read of
+    `_WEIGHTS` under uniform bits, else a join of `c` alone."""
     support, denom = law
-    weight = _WEIGHTS.entries.get((c.vectors, support))
+    weight = _WEIGHTS.get(c.vectors) if support == _UNIFORM_BITS else None
     if weight is None:
         [weight] = _coinciding_weights([c.vectors], support)
     return ConfStats(d=c.d, p=Fraction(weight, denom**c.d))
@@ -670,7 +647,10 @@ def conf_stats_general(c: Configuration, dist) -> ConfStats:
     and p = (weight at the zero state) / D^d exactly; zero-mass points are
     dropped.  A float probability is read as the exact binary fraction it
     holds, and then p is that exact value rounded once to a float: the one
-    place p(C) becomes a float.  The law is validated on every call.
+    place p(C) becomes a float.  The law is validated on every call.  Under
+    uniform bits (`uniform_bits(1).items`, or its float twin) W is read from
+    and kept in the weights `conf_stats` keeps; under any other law it is
+    joined on every call.
     """
     dist = list(dist)
     stats = _law_stats(c, _integer_law(dist))

@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .configurations import automorphism_count, enumerate_conf_upto, precompute_stats
-from .constructions import _bit_matrix, _first_rows, make_binary_code
+from .constructions import BinaryCode, _bit_matrix, _first_rows
 from .entropy import Distribution, _check_seed, bit_points, uniform_bits
 from . import oracle
 from .errors import Infeasible, InvalidParams
@@ -244,7 +244,7 @@ def construct(h, n, seed, *, g=1, dist=None, attempts=DEFAULT_ATTEMPTS, max_t=No
         if 2 * len(first_kept) < t:
             continue
         source = f"random-coding-h{h}-g{g}-n{n}-seed{seed}"
-        code = make_binary_code(bits[first_kept], h=h, source=source)
+        code = BinaryCode(n=n, _bits=bits[first_kept], h=h, source=source)  # distinct, in lex order
         verdict = _violation_among(set(first_kept.tolist()), top_groups, h, g)
         if verdict is not None:  # pruning guarantees this never fires
             words = list(map(tuple, bits.tolist()))

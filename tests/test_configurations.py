@@ -781,15 +781,32 @@ def test_json_export_shape():
 
 
 # ---------------------------------------------------------------------------
-# per-process memos: p(C) weights and each shape's classes
+# per-process memos: p(C) weights under uniform bits and each shape's classes
+
+_JOINED = []  # the classes of each completed `_joined_weights` call since `_cold()`
+
+
+@pytest.fixture(autouse=True)
+def _count_joins(monkeypatch):
+    join = conf._joined_weights
+
+    def counted(classes, support):
+        weights = join(classes, support)
+        _JOINED.extend(classes)
+        return weights
+
+    monkeypatch.setattr(conf, "_joined_weights", counted)
+    _JOINED.clear()
+
 
 def _cold():
     conf._WEIGHTS.clear()
     conf._shape_classes.cache_clear()
+    _JOINED.clear()
 
 
 def _dp_runs():
-    return conf._WEIGHTS.misses
+    return len(_JOINED)
 
 
 def test_each_class_runs_the_dp_once_per_process():
@@ -801,40 +818,46 @@ def test_each_class_runs_the_dp_once_per_process():
     assert _dp_runs() == 365
 
 
-def test_a_family_larger_than_the_memo_is_joined_once_and_kept(monkeypatch):
-    # With 16 entries, the 24 classes of Conf(<= 3, 3) were joined together,
-    # evicted down to 16, and 8 of them joined again on each of the two table
-    # passes: 72 joins where 24 do
+def test_a_family_is_joined_once_and_kept_beside_the_next():
+    # the 24 classes of Conf(<= 3, 3) are joined together once, and the
+    # optimiser's and the table's reads of each class are lookups
     _cold()
     default = rates.rate_bhg(3, 2)
-    monkeypatch.setattr(conf._WEIGHTS, "size", 16)
-    _cold()
-    assert rates.rate_bhg(3, 2) == default
-    assert _dp_runs() == len(default.table) == 24
-    entries = list(conf._WEIGHTS.entries)
-    assert len(entries) == 24
-    conf.conf_stats(default.table[0].configuration)  # a hit leaves the order as it is
-    assert list(conf._WEIGHTS.entries) == entries
+    assert _dp_runs() == len(default.table) == len(conf._WEIGHTS) == 24
+    conf.conf_stats(default.table[0].configuration)
+    assert _dp_runs() == 24
     smaller = conf.enumerate_conf_upto(2, 4)
     assert len(rates.rate_bhg(2, 3).table) == len(smaller) == 15
-    # evicted down to the memo's size, never into the family just read
-    assert len(conf._WEIGHTS.entries) == 16
-    assert {vectors for vectors, _ in list(conf._WEIGHTS.entries)[1:]} == \
-        {c.vectors for c in smaller}
+    assert _dp_runs() == len(conf._WEIGHTS) == 39  # the first family is still kept
+    assert rates.rate_bhg(3, 2) == default and _dp_runs() == 39
 
 
-def test_the_memo_outlasts_every_family_under_the_default_cap():
-    # The shapes with k*l <= DEFAULT_CELL_CAP have 8774 classes together
-    # (Conf(<= 3, 6) alone has 4312).  A pass over that many (class, law)
-    # keys, repeated in the same order as the table pass of
-    # `rates._family_report` repeats the optimiser's, must only look up.
+def test_uniform_weights_are_never_evicted():
+    # a family past any bound a memo could have set, then another: the first
+    # is read again joining nothing (an LRU memo of 16,384 entries joined
+    # 3640 of its classes again)
+    first = [conf.Configuration(((0, i), (i, 0))) for i in range(1, 20001)]
+    _cold()
+    assert {s.p for s in conf.precompute_stats(first)} == {Fraction(1, 2)}
+    family = conf.enumerate_conf_upto(3, 3)
+    conf.precompute_stats(family)
+    assert _dp_runs() == len(first) + len(family)
+    assert {s.p for s in conf.precompute_stats(first)} == {Fraction(1, 2)}
+    assert _dp_runs() == len(first) + len(family)
+
+
+def test_only_uniform_weights_are_kept():
+    # a law other than uniform bits is joined on each read and never kept;
+    # uniform bits, as rationals or floats, share the weights `conf_stats` keeps
     c = conf.cmax(1, 2)
-    laws = [[(0, Fraction(w, w + 1)), (1, Fraction(1, w + 1))] for w in range(1, 8775)]
+    laws = [[(0, Fraction(w, w + 1)), (1, Fraction(1, w + 1))] for w in range(2, 52)]
     _cold()
     first = [conf.conf_stats_general(c, law).p for law in laws]
-    assert _dp_runs() == len(laws)
     assert [conf.conf_stats_general(c, law).p for law in laws] == first
-    assert _dp_runs() == len(laws)
+    assert _dp_runs() == 2 * len(laws) and conf._WEIGHTS == {}
+    for law in (uniform_bits(1).items, [(0, 0.5), (1, 0.5)]):
+        assert conf.conf_stats_general(c, law).p == conf.conf_stats(c).p == Fraction(1, 2)
+    assert _dp_runs() == 2 * len(laws) + 1 and list(conf._WEIGHTS) == [c.vectors]
 
 
 def test_pins_hold_on_a_cold_and_a_warm_cache():
@@ -852,19 +875,17 @@ def test_pins_hold_on_a_cold_and_a_warm_cache():
             assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
-def test_float_and_rational_laws_share_a_dp_entry_yet_keep_their_types():
+def test_float_and_rational_laws_keep_their_types():
     points = (0, 1, 3)
     floats = list(zip(points, (0.25, 0.25, 0.5)))
     exact = list(zip(points, (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))))
     c = conf.enumerate_conf(2, 3)[3]
     _cold()
     as_float = conf.conf_stats_general(c, floats)
-    assert _dp_runs() == 1
     as_fraction = conf.conf_stats_general(c, exact)
-    assert _dp_runs() == 1
     assert type(as_float.p) is float and type(as_fraction.p) is Fraction
     assert as_float.p == float(as_fraction.p) and as_fraction.p > 0
-    # a float point is rejected whether or not the equal integer law is cached
+    # a float point is rejected whether or not the equal integer law was read
     with pytest.raises(InvalidParams):
         conf.conf_stats_general(c, [(float(a), p) for a, p in exact])
 
